@@ -34,12 +34,15 @@ from .tableaux import (
     Tableau,
     cell_order,
     column_sequence_to_partition,
+    compositions,
     count_column_strict,
     dims,
     dominance_leq,
     enumerate_column_strict,
     enumerate_semistandard,
+    iter_pairs,
     partition_to_column_sequence,
+    partitions,
     reduce_tableau,
     straighten,
     tableau_degree,

@@ -26,6 +26,7 @@ from .tableaux import (
     Tableau,
     enumerate_column_strict,
     enumerate_semistandard,
+    iter_pairs,
     tableau_degree,
 )
 
@@ -137,6 +138,11 @@ def _cmd_enumerate(args, out):
 
 
 def _cmd_degree(args, out):
+    if args.tableau.shape != args.lam:
+        raise ValueError(
+            f"tableau shape {args.tableau.shape.to_json()} differs from "
+            f"--lambda {args.lam.to_json()}"
+        )
     out.write(str(tableau_degree(args.tableau, args.mu)) + "\n")
     return 0
 
@@ -182,18 +188,21 @@ def _cmd_hilbert(args, out):
 def _cmd_verify(args, out):
     witness = {}
     cert = certify_basis(args.lam, args.mu, "H")
-    if not rel_equivalence(args.lam, args.mu):
+    hilbert = cert.quotient.hilbert
+    if not rel_equivalence(args.lam, args.mu, qh=cert.quotient):
         witness = {
             "check": "family_equivalence",
             "lambda": args.lam.to_json(),
             "mu": args.mu.to_json(),
         }
-    elif betti(args.lam, args.mu) != cert.quotient.hilbert:
-        witness = {
-            "check": "betti",
-            "betti": betti(args.lam, args.mu).to_json(),
-            "hilbert": cert.quotient.hilbert.to_json(),
-        }
+    else:
+        series = betti(args.lam, args.mu)
+        if series != hilbert:
+            witness = {
+                "check": "betti",
+                "betti": series.to_json(),
+                "hilbert": hilbert.to_json(),
+            }
     if witness:
         out.write(_dump(witness) + "\n")
         return 1
@@ -202,7 +211,7 @@ def _cmd_verify(args, out):
             {
                 "certified": True,
                 "dimension": cert.size(),
-                "hilbert": cert.quotient.hilbert.to_json(),
+                "hilbert": hilbert.to_json(),
             }
         )
         + "\n"
@@ -238,41 +247,9 @@ def _cmd_transfer(args, out):
     return 0
 
 
-def _iter_pairs(d_max, n_max):
-    for d in range(d_max + 1):
-        top_n = min(n_max, d) if n_max is not None else d
-        for n in range(0 if d == 0 else 1, top_n + 1):
-            for lam_parts in _partitions(d, n):
-                for mu_parts in _compositions(d, n):
-                    yield Partition(lam_parts), Composition(mu_parts)
-
-
-def _partitions(d, n, maxpart=None):
-    if maxpart is None:
-        maxpart = d
-    if d == 0:
-        yield ()
-        return
-    if n == 0:
-        return
-    for p in range(min(maxpart, d), 0, -1):
-        for rest in _partitions(d - p, n - 1, p):
-            yield (p,) + rest
-
-
-def _compositions(d, n):
-    if n == 0:
-        if d == 0:
-            yield ()
-        return
-    for first in range(d + 1):
-        for rest in _compositions(d - first, n - 1):
-            yield (first,) + rest
-
-
 def _cmd_sweep(args, out):
     failures = 0
-    for lam, mu in _iter_pairs(args.d_max, args.n_max):
+    for lam, mu in iter_pairs(args.d_max, args.n_max):
         record = {"lambda": lam.to_json(), "mu": mu.to_json()}
         try:
             cert = certify_basis(lam, mu, args.family)
@@ -306,6 +283,11 @@ def main(argv=None, out=None):
     out = out or sys.stdout
     if hasattr(args, "lam"):
         _check_pair(args.lam, args.mu, parser)
+    if args.command == "sweep":
+        if args.d_max < 0:
+            parser.error(f"--d-max must be non-negative, got {args.d_max}")
+        if args.n_max is not None and args.n_max < 0:
+            parser.error(f"--n-max must be non-negative, got {args.n_max}")
     try:
         return _COMMANDS[args.command](args, out)
     except VerificationError as exc:

@@ -202,16 +202,13 @@ class CoinvariantRing:
             return cached
         classes = [self.unit()] + [self.zero(r) for r in range(1, rmax + 1)]
         for v in vars_:
-            if kind == "e":
-                nxt = [classes[0]]
-                for r in range(1, rmax + 1):
-                    bump = self.apply_var(classes[r - 1], v, r - 1)
-                    nxt.append([a + b for a, b in zip(classes[r], bump)])
-            else:
-                nxt = [classes[0]]
-                for r in range(1, rmax + 1):
-                    bump = self.apply_var(nxt[r - 1], v, r - 1)
-                    nxt.append([a + b for a, b in zip(classes[r], bump)])
+            # adding v: e_r += x_v e_{r-1} of the old variables, while
+            # h_r += x_v h_{r-1} of the new ones
+            nxt = [classes[0]]
+            lower = classes if kind == "e" else nxt
+            for r in range(1, rmax + 1):
+                bump = self.apply_var(lower[r - 1], v, r - 1)
+                nxt.append([a + b for a, b in zip(classes[r], bump)])
             classes = nxt
         self._sym_classes[key] = classes
         return classes

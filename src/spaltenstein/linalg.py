@@ -37,7 +37,15 @@ def scaled_int_row(row):
 
 
 class RowSpace:
-    """A subspace of Q^width with exact rank and membership tests."""
+    """A subspace of Q^width with exact rank and membership tests.
+
+    Canonical form: each stored row is primitive, its first non-zero
+    entry sits in its pivot column and is positive, and it vanishes at
+    every other pivot column.  So basis() is the unique reduced echelon
+    basis of the span, each row scaled to a primitive integer row, and
+    two spaces of equal width are equal exactly when their basis() tuples
+    are equal; __eq__ compares them directly.
+    """
 
     __slots__ = ("width", "pivot_rows", "_order")
 
@@ -131,9 +139,6 @@ class RowSpace:
                 row = [x - f * y for x, y in zip(row, p)]
         return row
 
-    def contains_space(self, other):
-        return all(self.contains(list(r)) for r in other.basis())
-
     def basis(self):
         """Basis rows ordered by pivot column."""
         return tuple(tuple(self.pivot_rows[c]) for c in self._order)
@@ -142,8 +147,7 @@ class RowSpace:
         return (
             isinstance(other, RowSpace)
             and self.width == other.width
-            and self.rank == other.rank
-            and self.contains_space(other)
+            and self.basis() == other.basis()
         )
 
 

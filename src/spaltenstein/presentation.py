@@ -169,19 +169,18 @@ def generators(lam, mu, family="H", max_degree=None):
     Entries are ordered by subset size, then subset, then r.  max_degree
     defaults to 2*(d_lam - d_mu) + 2.
     """
-    n, _ = _validate_pair(lam, mu)
+    _validate_pair(lam, mu)
     if max_degree is None:
         d_lam, d_mu = dims(lam, mu)
         max_degree = max(2 * (d_lam - d_mu) + 2, 0)
-    builder = complete_block if family == "H" else elementary_block
     if family not in ("H", "E"):
         raise ValueError(f"unknown family {family!r}")
-    entries = []
-    for subset in _subsets(n):
-        bound = generator_bound(lam, mu, family, subset)
-        for r in range(max(0, bound + 1), max_degree // 2 + 1):
-            entries.append((subset, r, builder(mu, subset, r)))
-    return GeneratorFamily(family, lam, mu, max_degree, tuple(entries))
+    builder = complete_block if family == "H" else elementary_block
+    entries = tuple(
+        (subset, r, builder(mu, subset, r))
+        for subset, r in _generator_items(lam, mu, family, max_degree // 2)
+    )
+    return GeneratorFamily(family, lam, mu, max_degree, entries)
 
 
 def _generator_items(lam, mu, family, max_xdeg):
@@ -326,24 +325,13 @@ def h_of_tableau(T, mu):
     """The basis element attached to a column-strict tableau, as an honest
     polynomial: the product over the reduction chain of the complete
     symmetric functions h_{gamma_i} of the current last block."""
-    n = len(mu)
-    d = mu.size()
-    out = Polynomial.one(d)
+    out = Polynomial.one(mu.size())
     current, current_mu = T, mu
-    for level in range(n, 0, -1):
-        gamma, current, _, next_mu = reduce_tableau(current, current_mu)
-        base = current_mu.size() - current_mu.part(level)
-        vars_ = tuple(range(base + 1, current_mu.size() + 1))
+    for level in range(len(mu), 0, -1):
+        gamma, current, _, current_mu = reduce_tableau(current, current_mu)
         for part in gamma.parts:
-            out = out * _h_in_vars(d, vars_, part)
-        current_mu = next_mu
+            out = out * complete_block(mu, (level,), part)
     return out
-
-
-def _h_in_vars(d, vars_, r):
-    from .symring import _sym_from_vars
-
-    return _sym_from_vars(d, vars_, r, elementary=False)
 
 
 def _h_class_chain(ring, T, mu, memo):
@@ -382,9 +370,6 @@ class BasisCertificate:
         self.degrees = degrees
         self.classes = classes
         self._spaces = coordinate_spaces
-        self._by_degree = {}
-        for idx, t in enumerate(degrees):
-            self._by_degree.setdefault(t, []).append(idx)
 
     @property
     def lam(self):
@@ -575,27 +560,26 @@ def structure_constants(lam, mu, family="H", certificate=None):
 def rel_equivalence(lam, mu, qh=None, qe=None):
     """Whether the H and E families cut out the same ideal degreewise.
 
-    Compares the coinvariant-level ideals through the verified window:
-    equal ranks in every degree plus membership of every generator of
-    each family in the other family's ideal.
+    Each ideal_space(t) is a RowSpace in canonical form, whose basis() is
+    the unique reduced echelon basis of the span, so two ideal spaces are
+    equal exactly when their basis() tuples are.  The stopping degree
+    stop_x depends only on (lam, mu), and above it both quotients are
+    verified to vanish.  So the families are equivalent exactly when
+    they have the same stop_x and the same basis() in every degree up to
+    it; equal Hilbert series follow.  Quotients of two different pairs
+    with different stop_x compare unequal even when both ideals are the
+    unit ideal.
     """
     if qh is None:
         qh = build_quotient(lam, mu, "H")
     if qe is None:
         qe = build_quotient(lam, mu, "E")
-    if qh.hilbert != qe.hilbert:
+    if qh.stop_x != qe.stop_x:
         return False
-    ring = qh.ring
-    for t in range(min(qh.stop_x, qe.stop_x) + 1):
-        if qh.ideal_space(t).rank != qe.ideal_space(t).rank:
-            return False
-    for source, target, kind in ((qh, qe, "h"), (qe, qh, "e")):
-        for subset, r in _generator_items(lam, mu, source.family, source.stop_x):
-            vars_ = source.blocks.union(subset)
-            vec = ring.sym_class(vars_, r, kind)
-            if any(vec) and not target.contains_class(vec, r):
-                return False
-    return True
+    return all(
+        qh.ideal_space(t).basis() == qe.ideal_space(t).basis()
+        for t in range(qh.stop_x + 1)
+    )
 
 
 def tanisaki_generators(lam, d, max_degree):
@@ -752,29 +736,25 @@ def _transfer_kernel_matches(ring, quotient, reg, eps_vec, d_mu, t):
             residuals.append([Fraction(0)] * max(ring.dim(t + d_mu), 1))
         else:
             residuals.append(target.residual_fraction(prod))
-    width = len(residuals[0]) if residuals else 0
-    kernel = kernel_basis(transpose_rows(residuals, width), len(inv))
-    kernel_space = RowSpace(ring.dim(t))
-    for combo in kernel:
-        vec = [0] * ring.dim(t)
-        for ci, row in zip(combo, inv):
-            if ci:
-                for pos, val in enumerate(row):
-                    vec[pos] += ci * val
-        kernel_space.insert(vec)
     ideal_space = quotient.ideal_space(t)
-    members = []
-    for row in inv:
-        res = ideal_space.residual_fraction(list(row)) if ideal_space else list(row)
-        members.append(res)
-    width2 = len(members[0]) if members else 0
-    in_ideal = kernel_basis(transpose_rows(members, width2), len(inv))
-    ideal_int_space = RowSpace(ring.dim(t))
-    for combo in in_ideal:
-        vec = [0] * ring.dim(t)
-        for ci, row in zip(combo, inv):
+    members = [
+        ideal_space.residual_fraction(list(row)) if ideal_space else list(row)
+        for row in inv
+    ]
+    width = ring.dim(t)
+    return _null_combinations(residuals, inv, width) == _null_combinations(
+        members, inv, width
+    )
+
+
+def _null_combinations(residuals, rows, width):
+    """Span of the combinations of rows whose residuals sum to zero."""
+    space = RowSpace(width)
+    for combo in kernel_basis(transpose_rows(residuals, len(residuals[0])), len(rows)):
+        vec = [0] * width
+        for ci, row in zip(combo, rows):
             if ci:
                 for pos, val in enumerate(row):
                     vec[pos] += ci * val
-        ideal_int_space.insert(vec)
-    return kernel_space == ideal_int_space
+        space.insert(vec)
+    return space

@@ -17,6 +17,8 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 from math import factorial
 
+from .tableaux import compositions
+
 
 def _as_fraction(c):
     if isinstance(c, Fraction):
@@ -278,7 +280,7 @@ def convolution_identity_check(mu, subset, r):
     for builder in (elementary_block, complete_block):
         lhs = builder(mu, subset, r)
         rhs = Polynomial.zero(d)
-        for split in _compositions_of(r, len(subset)):
+        for split in compositions(r, len(subset)):
             prod = Polynomial.one(d)
             for j, rj in zip(subset, split):
                 prod = prod * builder(mu, [j], rj)
@@ -286,16 +288,6 @@ def convolution_identity_check(mu, subset, r):
         if lhs != rhs:
             return False
     return True
-
-
-def _compositions_of(r, m):
-    if m == 0:
-        if r == 0:
-            yield ()
-        return
-    for first in range(r + 1):
-        for rest in _compositions_of(r - first, m - 1):
-            yield (first,) + rest
 
 
 def check_permutation(w, d):
@@ -402,7 +394,7 @@ def invariant_monomial_basis(mu, D):
     if d == 0:
         return [Polynomial.one(0)] if r == 0 else []
     reps = []
-    for exps in _monomials_of_degree(d, r):
+    for exps in compositions(r, d):
         canon = []
         for j in range(1, len(mu) + 1):
             canon.extend(sorted((exps[v - 1] for v in blocks.block(j)), reverse=True))
@@ -410,15 +402,6 @@ def invariant_monomial_basis(mu, D):
             reps.append(exps)
     reps.sort(key=term_sort_key)
     return [orbit_sum(mu, rep) for rep in reps]
-
-
-def _monomials_of_degree(d, r):
-    if d == 1:
-        yield (r,)
-        return
-    for first in range(r + 1):
-        for rest in _monomials_of_degree(d - 1, r - first):
-            yield (first,) + rest
 
 
 def is_invariant(mu, p):

@@ -194,6 +194,47 @@ class Tableau:
 EMPTY_TABLEAU = Tableau(())
 
 
+def partitions(d, max_parts=None):
+    """Part tuples of the partitions of d with at most max_parts parts
+    (default d), in decreasing lexicographic order."""
+
+    def gen(remaining, cap, room):
+        if remaining == 0:
+            yield ()
+            return
+        if room <= 0:
+            return
+        for p in range(min(cap, remaining), 0, -1):
+            for rest in gen(remaining - p, p, room - 1):
+                yield (p,) + rest
+
+    return gen(d, d, d if max_parts is None else max_parts)
+
+
+def compositions(d, n):
+    """Part tuples of the length-n compositions of d (zero parts allowed),
+    in increasing lexicographic order."""
+    if n <= 0:
+        if n == 0 and d == 0:
+            yield ()
+        return
+    for first in range(d + 1):
+        for rest in compositions(d - first, n - 1):
+            yield (first,) + rest
+
+
+def iter_pairs(d_max, n_max=None):
+    """Every (Partition, Composition) pair with |lam| = |mu| = d <= d_max,
+    len(mu) = n for 1 <= n <= d (at most n_max), and at most n parts in
+    lam; d = 0 gives the one empty pair.  Ordered by d, n, lam, then mu."""
+    for d in range(d_max + 1):
+        top_n = d if n_max is None else min(n_max, d)
+        for n in range(0 if d == 0 else 1, top_n + 1):
+            for lam in partitions(d, n):
+                for mu in compositions(d, n):
+                    yield Partition(lam), Composition(mu)
+
+
 def _columns_to_tableau(columns):
     columns = [col for col in columns if col]
     height = max((len(c) for c in columns), default=0)
@@ -257,9 +298,7 @@ def partition_to_column_sequence(gamma, k, d):
     return tuple(padded[k - i] + i for i in range(1, k + 1))
 
 
-def _check_member(T, lam, mu):
-    if T.shape != lam:
-        raise ValueError(f"tableau shape {T.shape} differs from {lam}")
+def _check_member(T, mu):
     if not T.is_column_strict():
         raise ValueError(f"tableau {T} is not column-strict")
     if T.content(len(mu)) != mu:
@@ -386,7 +425,7 @@ def reduce_tableau(T, mu):
     """
     if len(mu) == 0:
         raise ValueError("mu must have at least one part")
-    _check_member(T, T.shape, mu)
+    _check_member(T, mu)
     return _reduce_raw(T, mu)
 
 
@@ -405,7 +444,7 @@ def _reduce_raw(T, mu):
 
 def tableau_degree(T, mu):
     """Cell dimension statistic: sum of |gamma| over the reduction chain."""
-    _check_member(T, T.shape, mu)
+    _check_member(T, mu)
     return _degree_from_columns(list(T.columns()), mu.parts)
 
 
@@ -427,7 +466,7 @@ def straighten(T, mu):
 
     Fixed points are exactly the semi-standard tableaux.
     """
-    _check_member(T, T.shape, mu)
+    _check_member(T, mu)
     return _straighten(T, mu)
 
 
@@ -453,8 +492,8 @@ def cell_order(T, Tp, mu):
     is genuinely partial: it refines strict containment of the partitions
     produced along the reduction chain.
     """
-    _check_member(T, T.shape, mu)
-    _check_member(Tp, Tp.shape, mu)
+    _check_member(T, mu)
+    _check_member(Tp, mu)
     if T.shape != Tp.shape:
         raise ValueError(f"shapes {T.shape} and {Tp.shape} differ")
     if T == Tp:

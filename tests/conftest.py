@@ -5,47 +5,12 @@ import pytest
 from spaltenstein.presentation import build_quotient, certify_basis, rel_equivalence
 from spaltenstein.reports import components
 from spaltenstein.tableaux import (
-    Composition,
-    Partition,
     cell_order,
     dims,
     dominance_leq,
     enumerate_semistandard,
+    iter_pairs,
 )
-
-
-def partitions_with_at_most(d, n):
-    def gen(remaining, cap, parts):
-        if remaining == 0:
-            yield tuple(parts)
-            return
-        if len(parts) == n:
-            return
-        for p in range(min(cap, remaining), 0, -1):
-            parts.append(p)
-            yield from gen(remaining - p, p, parts)
-            parts.pop()
-
-    yield from gen(d, d, [])
-
-
-def compositions_with(d, n):
-    if n == 0:
-        if d == 0:
-            yield ()
-        return
-    for first in range(d + 1):
-        for rest in compositions_with(d - first, n - 1):
-            yield (first,) + rest
-
-
-def iter_pairs(d_max):
-    for d in range(d_max + 1):
-        for n in range(0 if d == 0 else 1, d + 1):
-            lams = [Partition(p) for p in partitions_with_at_most(d, n)]
-            for lam in lams:
-                for mu_parts in compositions_with(d, n):
-                    yield lam, Composition(mu_parts)
 
 
 @pytest.fixture(scope="session")

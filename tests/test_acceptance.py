@@ -25,14 +25,14 @@ from spaltenstein.tableaux import (
     count_column_strict,
     dominance_leq,
     half_pair_sum,
+    iter_pairs,
     partition_to_column_sequence,
+    partitions,
     reduce_tableau,
     tableau_degree,
     transpose,
     _degree_from_columns,
 )
-
-from conftest import compositions_with, iter_pairs, partitions_with_at_most
 
 ANEX_LAM = Partition([4, 3, 3, 2])
 ANEX_MU = Composition([1, 4, 1, 3, 1, 2])
@@ -111,7 +111,7 @@ def test_criterion_4_family_equivalence(sweep_d6):
     checked = 0
     for d in range(1, 6):
         mu = Composition([1] * d)
-        for lam_parts in partitions_with_at_most(d, d):
+        for lam_parts in partitions(d):
             lam = Partition(lam_parts)
             cap = 2 * d
             fam = generators(lam, mu, "E", cap)
@@ -127,15 +127,10 @@ def test_criterion_4_family_equivalence(sweep_d6):
 def test_criterion_5_nonvanishing_iff_dominance(sweep_d6):
     t0 = time.perf_counter()
     pairs = 0
-    for d in range(8):
-        for n in range(0 if d == 0 else 1, d + 1):
-            for lam_parts in partitions_with_at_most(d, n):
-                lam = Partition(lam_parts)
-                for mu_parts in compositions_with(d, n):
-                    mu = Composition(mu_parts)
-                    nonempty = count_column_strict(lam, mu) > 0
-                    assert nonempty == dominance_leq(mu.sorted(), lam)
-                    pairs += 1
+    for lam, mu in iter_pairs(7):
+        nonempty = count_column_strict(lam, mu) > 0
+        assert nonempty == dominance_leq(mu.sorted(), lam)
+        pairs += 1
     records, _ = sweep_d6
     for rec in records:
         positive = rec["hilbert"].total() > 0
@@ -190,7 +185,7 @@ def test_criterion_9_degree_bound():
     t0 = time.perf_counter()
     fillings = 0
     for d in range(8):
-        for lam_parts in partitions_with_at_most(d, d):
+        for lam_parts in partitions(d):
             lam = Partition(lam_parts)
             heights = transpose(lam).parts
             d_lam = half_pair_sum(lam_parts)

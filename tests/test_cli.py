@@ -3,7 +3,10 @@ import json
 
 import pytest
 
+import spaltenstein.cli as cli
+import spaltenstein.presentation as presentation
 from spaltenstein.cli import main
+from spaltenstein.presentation import HilbertSeries
 
 
 def run_cli(argv):
@@ -88,6 +91,34 @@ class TestCommands:
                 "certified": True} in lines
 
 
+class TestVerifyWork:
+    def test_builds_each_family_once(self, monkeypatch):
+        families = []
+        real = presentation.build_quotient
+
+        def counting(lam, mu, family="H"):
+            families.append(family)
+            return real(lam, mu, family)
+
+        monkeypatch.setattr(presentation, "build_quotient", counting)
+        code, _ = run_cli(["verify", "--lambda", "3,1", "--mu", "1,2,1"])
+        assert code == 0
+        assert sorted(families) == ["E", "H"]
+
+    def test_betti_failure_computes_betti_once(self, monkeypatch):
+        calls = []
+
+        def wrong_betti(lam, mu):
+            calls.append((lam, mu))
+            return HilbertSeries([9])
+
+        monkeypatch.setattr(cli, "betti", wrong_betti)
+        code, text = run_cli(["verify", "--lambda", "2,1", "--mu", "1,1,1"])
+        assert code == 1
+        assert text == '{"betti":[9],"check":"betti","hilbert":[1,2]}\n'
+        assert len(calls) == 1
+
+
 class TestDeterminism:
     def test_identical_bytes(self):
         args = ["present", "--lambda", "3,1", "--mu", "1,1,1,1", "--format", "json"]
@@ -99,6 +130,17 @@ class TestDeterminism:
 
 
 class TestUsageErrors:
+    def test_degree_shape_differs_from_lambda_exits_2(self):
+        with pytest.raises(SystemExit) as info:
+            main(["degree", "--lambda", "2,1", "--mu", "1,1,1", "--tableau", "1,2,3"])
+        assert info.value.code == 2
+
+    def test_negative_sweep_bounds_exit_2(self):
+        for argv in (["--d-max", "-3"], ["--d-max", "2", "--n-max", "-1"]):
+            with pytest.raises(SystemExit) as info:
+                main(["sweep", *argv])
+            assert info.value.code == 2
+
     def test_bad_partition_exits_2(self):
         with pytest.raises(SystemExit) as info:
             main(["enumerate", "--lambda", "1,2", "--mu", "1,1,1"])

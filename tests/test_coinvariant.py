@@ -8,9 +8,7 @@ from spaltenstein.coinvariant import (
     invariant_rows,
 )
 from spaltenstein.symring import BlockStructure, Polynomial, block_antisymmetrizer
-from spaltenstein.tableaux import Composition
-
-from test_tableaux import compositions_of
+from spaltenstein.tableaux import Composition, compositions
 
 
 def inversion_counts(d):
@@ -82,7 +80,7 @@ class TestInvariants:
         for d in range(1, 6):
             ring = get_ring(d)
             for n in range(1, min(d, 3) + 1):
-                for mu in compositions_of(d, n):
+                for mu in compositions(d, n):
                     mu_c = Composition(mu)
                     transpositions = tuple(BlockStructure(mu_c).transpositions())
                     series = gaussian_multinomial(d, tuple(p for p in mu if p))

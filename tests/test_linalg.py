@@ -72,6 +72,7 @@ class TestRowSpace:
         b = span([[1, 1], [1, -1]], 2)
         assert a == b
         assert span([[1, 0]], 2) != span([[0, 1]], 2)
+        assert span([[1, 0]], 2) != span([[1, 0]], 3)
 
     @settings(max_examples=120, deadline=None)
     @given(matrix_strategy())
@@ -83,7 +84,9 @@ class TestRowSpace:
     @given(matrix_strategy())
     def test_insertion_order_irrelevant(self, data):
         rows, width = data
-        assert span(rows, width) == span(list(reversed(rows)), width)
+        forward, backward = span(rows, width), span(list(reversed(rows)), width)
+        assert forward == backward
+        assert forward.basis() == backward.basis()
 
 
 class TestKernel:

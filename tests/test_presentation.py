@@ -5,6 +5,7 @@ import pytest
 from spaltenstein.presentation import (
     BasisError,
     HilbertSeries,
+    _generator_items,
     anti_invariant_transfer,
     build_quotient,
     certify_basis,
@@ -23,11 +24,12 @@ from spaltenstein.tableaux import (
     Composition,
     Partition,
     Tableau,
+    compositions,
     enumerate_column_strict,
+    iter_pairs,
+    partitions,
     tableau_degree,
 )
-
-from test_tableaux import compositions_of, partitions_of
 
 ANEX_LAM = Partition([4, 3, 3, 2])
 ANEX_MU = Composition([1, 4, 1, 3, 1, 2])
@@ -65,7 +67,7 @@ class TestGenerators:
     def test_full_set_bound_is_zero(self):
         for d in range(1, 6):
             for n in range(1, min(d, 3) + 1):
-                for mu in compositions_of(d, n):
+                for mu in compositions(d, n):
                     mu_c = Composition(mu)
                     lam = mu_c.sorted()
                     if lam.height() > n:
@@ -84,7 +86,7 @@ class TestGenerators:
     def test_regular_e_family_matches_classical_set(self):
         for d in range(1, 5):
             mu = Composition([1] * d)
-            for lam_parts in partitions_of(d, d):
+            for lam_parts in partitions(d, d):
                 lam = Partition(lam_parts)
                 cap = 2 * d
                 fam = generators(lam, mu, "E", cap)
@@ -124,8 +126,8 @@ class TestQuotient:
     def test_total_matches_tableau_count(self):
         for d in range(5):
             for n in range(1, d + 1):
-                for lam in partitions_of(d, n):
-                    for mu in compositions_of(d, n):
+                for lam in partitions(d, n):
+                    for mu in compositions(d, n):
                         lam_p, mu_c = Partition(lam), Composition(mu)
                         q = build_quotient(lam_p, mu_c)
                         assert q.total_dimension() == len(
@@ -262,6 +264,24 @@ class TestDependencyWitness:
         assert len(witness["combination"]) == 2
 
 
+def membership_equivalence(qh, qe):
+    """Oracle for rel_equivalence by membership instead of canonical bases:
+    equal Hilbert series, equal ideal ranks through the common window, and
+    every generator of each family in the other family's ideal."""
+    if qh.hilbert != qe.hilbert:
+        return False
+    for t in range(min(qh.stop_x, qe.stop_x) + 1):
+        if qh.ideal_space(t).rank != qe.ideal_space(t).rank:
+            return False
+    ring = qh.ring
+    for source, target, kind in ((qh, qe, "h"), (qe, qh, "e")):
+        for subset, r in _generator_items(source.lam, source.mu, source.family, source.stop_x):
+            vec = ring.sym_class(source.blocks.union(subset), r, kind)
+            if any(vec) and not target.contains_class(vec, r):
+                return False
+    return True
+
+
 class TestRelEquivalence:
     def test_small_cases(self):
         assert rel_equivalence(Partition([2, 0]), Composition([1, 1]))
@@ -269,11 +289,46 @@ class TestRelEquivalence:
         assert rel_equivalence(Partition([1, 1]), Composition([2, 0]))
 
     def test_sweep_d4(self):
-        for d in range(5):
+        pairs = 0
+        for lam, mu in iter_pairs(4):
+            qh, qe = build_quotient(lam, mu, "H"), build_quotient(lam, mu, "E")
+            assert rel_equivalence(lam, mu, qh=qh, qe=qe)
+            assert membership_equivalence(qh, qe)
+            pairs += 1
+        assert pairs == 299
+
+    def test_different_lambda_same_mu_agrees_with_membership_oracle(self):
+        for d in range(1, 4):
             for n in range(1, d + 1):
-                for lam in partitions_of(d, n):
-                    for mu in compositions_of(d, n):
-                        assert rel_equivalence(Partition(lam), Composition(mu))
+                lams = [Partition(p) for p in partitions(d, n)]
+                for mu in map(Composition, compositions(d, n)):
+                    for a in lams:
+                        for b in lams:
+                            qh = build_quotient(a, mu, "H")
+                            qe = build_quotient(b, mu, "E")
+                            assert rel_equivalence(a, mu, qh=qh, qe=qe) == (
+                                membership_equivalence(qh, qe)
+                            )
+
+    def test_equal_ranks_different_ideals(self):
+        mu = Composition([1, 2, 3])
+        qh = build_quotient(Partition([4, 1, 1]), mu, "H")
+        qe = build_quotient(Partition([3, 3]), mu, "E")
+        assert qh.stop_x == qe.stop_x and qh.hilbert == qe.hilbert
+        for t in range(qh.stop_x + 1):
+            assert qh.ideal_space(t).rank == qe.ideal_space(t).rank
+        assert not rel_equivalence(Partition([4, 1, 1]), mu, qh=qh, qe=qe)
+        assert not membership_equivalence(qh, qe)
+
+    def test_stop_degrees_differ(self):
+        # both ideals are the unit ideal and agree up to the lower stop
+        # degree, so only the stop degrees tell the two windows apart
+        mu = Composition([1, 1, 4])
+        qh = build_quotient(Partition([3, 3]), mu, "H")
+        qe = build_quotient(Partition([3, 2, 1]), mu, "E")
+        assert qh.stop_x > qe.stop_x
+        assert not rel_equivalence(Partition([3, 3]), mu, qh=qh, qe=qe)
+        assert not rel_equivalence(Partition([3, 2, 1]), mu, qh=qe, qe=qh)
 
 
 class TestTransfer:
@@ -299,8 +354,8 @@ class TestTransfer:
     def test_sweep_d3(self):
         for d in range(4):
             for n in range(1, d + 1):
-                for lam in partitions_of(d, n):
-                    for mu in compositions_of(d, n):
+                for lam in partitions(d, n):
+                    for mu in compositions(d, n):
                         anti_invariant_transfer(Partition(lam), Composition(mu))
 
 
@@ -308,7 +363,7 @@ class TestBettiAgainstQuotient:
     def test_small_sweep(self):
         for d in range(5):
             for n in range(1, d + 1):
-                for lam in partitions_of(d, n):
-                    for mu in compositions_of(d, n):
+                for lam in partitions(d, n):
+                    for mu in compositions(d, n):
                         lam_p, mu_c = Partition(lam), Composition(mu)
                         assert betti(lam_p, mu_c) == build_quotient(lam_p, mu_c).hilbert

@@ -11,12 +11,12 @@ from spaltenstein.tableaux import (
     Composition,
     Partition,
     Tableau,
+    compositions,
     dims,
     enumerate_column_strict,
     enumerate_semistandard,
+    partitions,
 )
-
-from test_tableaux import compositions_of, partitions_of
 
 
 class TestBetti:
@@ -32,8 +32,8 @@ class TestBetti:
     def test_euler_characteristic_counts_cells(self):
         for d in range(5):
             for n in range(1, d + 1):
-                for lam in partitions_of(d, n):
-                    for mu in compositions_of(d, n):
+                for lam in partitions(d, n):
+                    for mu in compositions(d, n):
                         lam_p, mu_c = Partition(lam), Composition(mu)
                         assert euler_characteristic(lam_p, mu_c) == len(
                             enumerate_column_strict(lam_p, mu_c)
@@ -54,8 +54,8 @@ class TestComponents:
     def test_fibers_partition(self):
         for d in range(6):
             for n in range(1, d + 1):
-                for lam in partitions_of(d, n):
-                    for mu in compositions_of(d, n):
+                for lam in partitions(d, n):
+                    for mu in compositions(d, n):
                         lam_p, mu_c = Partition(lam), Composition(mu)
                         comps = components(lam_p, mu_c)
                         cols = enumerate_column_strict(lam_p, mu_c)
@@ -85,8 +85,8 @@ class TestPoset:
     def test_acyclic(self):
         for d in range(6):
             for n in range(1, d + 1):
-                for lam in partitions_of(d, n):
-                    for mu in compositions_of(d, n):
+                for lam in partitions(d, n):
+                    for mu in compositions(d, n):
                         lam_p, mu_c = Partition(lam), Composition(mu)
                         edges = poset_edges(lam_p, mu_c)
                         succ = {}

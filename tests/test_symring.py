@@ -19,9 +19,7 @@ from spaltenstein.symring import (
     permute,
     transposition,
 )
-from spaltenstein.tableaux import Composition, half_pair_sum
-
-from test_tableaux import compositions_of
+from spaltenstein.tableaux import Composition, compositions, half_pair_sum
 
 
 def poly_strategy(d=3, max_deg=3):
@@ -113,7 +111,7 @@ class TestBlockSymmetric:
     def test_convolution_exhaustive(self):
         for d in range(6):
             for n in range(1, min(d, 3) + 1):
-                for mu in compositions_of(d, n):
+                for mu in compositions(d, n):
                     mu_c = Composition(mu)
                     for m in range(1, n + 1):
                         for subset in combinations(range(1, n + 1), m):
@@ -155,7 +153,7 @@ class TestPermutation:
     def test_block_generators_invariant(self):
         for d in range(1, 6):
             for n in range(1, min(d, 3) + 1):
-                for mu in compositions_of(d, n):
+                for mu in compositions(d, n):
                     mu_c = Composition(mu)
                     for i in range(1, n + 1):
                         for r in range(1, mu_c.part(i) + 1):
@@ -182,7 +180,7 @@ class TestAntisymmetrizer:
 
         for d in range(1, 6):
             for n in range(1, d + 1):
-                for mu in compositions_of(d, n):
+                for mu in compositions(d, n):
                     check(Composition(mu), d)
         for mu in [(6,), (4, 2), (3, 3), (2, 2, 2), (2, 2, 1, 1), (1, 2, 2, 1)]:
             check(Composition(mu), 6)
@@ -209,7 +207,7 @@ class TestInvariantMonomialBasis:
     def test_size_matches_free_generator_series(self):
         for d in range(1, 7):
             for n in range(1, min(d, 4) + 1):
-                for mu in compositions_of(d, n):
+                for mu in compositions(d, n):
                     mu_c = Composition(mu)
                     series = free_generator_series(mu, degree=5)
                     for D in range(0, 11, 2):

@@ -1,4 +1,5 @@
 from itertools import combinations, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +11,15 @@ from spaltenstein.tableaux import (
     Tableau,
     cell_order,
     column_sequence_to_partition,
+    compositions,
     count_column_strict,
     dims,
     dominance_leq,
     enumerate_column_strict,
     enumerate_semistandard,
+    iter_pairs,
     partition_to_column_sequence,
+    partitions,
     reduce_tableau,
     straighten,
     tableau_degree,
@@ -25,33 +29,6 @@ from spaltenstein.tableaux import (
 ANEX_LAM = Partition([4, 3, 3, 2])
 ANEX_MU = Composition([1, 4, 1, 3, 1, 2])
 ANEX_T = Tableau([[2, 1, 2, 2], [3, 2, 4], [4, 4, 6], [6, 5]])
-
-
-def partitions_of(d, max_parts=None):
-    max_parts = d if max_parts is None else max_parts
-
-    def gen(remaining, cap, parts):
-        if remaining == 0:
-            yield tuple(parts)
-            return
-        if len(parts) == max_parts:
-            return
-        for p in range(min(cap, remaining), 0, -1):
-            parts.append(p)
-            yield from gen(remaining - p, p, parts)
-            parts.pop()
-
-    yield from gen(d, d, [])
-
-
-def compositions_of(d, n):
-    if n == 0:
-        if d == 0:
-            yield ()
-        return
-    for first in range(d + 1):
-        for rest in compositions_of(d - first, n - 1):
-            yield (first,) + rest
 
 
 def brute_force_column_strict(lam, mu):
@@ -67,6 +44,34 @@ def brute_force_column_strict(lam, mu):
         if T.is_column_strict() and T.content(n) == mu:
             found.append(T)
     return set(found)
+
+
+class TestEnumerators:
+    def test_partition_counts_and_order(self):
+        assert [len(list(partitions(d))) for d in range(8)] == [1, 1, 2, 3, 5, 7, 11, 15]
+        for d in range(8):
+            for n in range(d + 1):
+                parts = list(partitions(d, n))
+                assert parts == sorted(parts, reverse=True)
+                for p in parts:
+                    assert sum(p) == d and len(p) <= n and Partition(p).parts == p
+
+    def test_composition_counts_and_order(self):
+        assert list(compositions(0, 0)) == [()]
+        assert list(compositions(1, 0)) == []
+        for d in range(6):
+            for n in range(1, 5):
+                comps = list(compositions(d, n))
+                assert len(comps) == comb(d + n - 1, n - 1)
+                assert comps == sorted(comps)
+                assert all(len(c) == n and sum(c) == d for c in comps)
+
+    def test_pairs(self):
+        assert [(lam.parts, mu.parts) for lam, mu in iter_pairs(1)] == [((), ()), ((1,), (1,))]
+        assert sum(1 for _ in iter_pairs(5)) == 1641
+        capped = list(iter_pairs(4, 2))
+        assert all(len(mu) <= 2 and lam.height() <= len(mu) for lam, mu in capped)
+        assert capped == [(lam, mu) for lam, mu in iter_pairs(4) if len(mu) <= 2]
 
 
 class TestPartition:
@@ -99,7 +104,7 @@ class TestDominance:
 
     def test_prefix_sum_oracle(self):
         for d in range(7):
-            parts = list(partitions_of(d))
+            parts = list(partitions(d))
             for a in parts:
                 for b in parts:
                     pa, pb = Partition(a), Partition(b)
@@ -154,8 +159,8 @@ class TestEnumeration:
     def test_against_brute_force(self):
         for d in range(5):
             for n in range(1, d + 1):
-                for lam in partitions_of(d, n):
-                    for mu in compositions_of(d, n):
+                for lam in partitions(d, n):
+                    for mu in compositions(d, n):
                         lam_p, mu_c = Partition(lam), Composition(mu)
                         got = enumerate_column_strict(lam_p, mu_c)
                         assert set(got) == brute_force_column_strict(lam_p, mu_c)
@@ -174,8 +179,8 @@ class TestEnumeration:
     def test_empty_iff_not_dominated(self):
         for d in range(6):
             for n in range(1, d + 1):
-                for lam in partitions_of(d, n):
-                    for mu in compositions_of(d, n):
+                for lam in partitions(d, n):
+                    for mu in compositions(d, n):
                         lam_p, mu_c = Partition(lam), Composition(mu)
                         nonempty = bool(enumerate_column_strict(lam_p, mu_c))
                         assert nonempty == dominance_leq(mu_c.sorted(), lam_p)
@@ -183,8 +188,8 @@ class TestEnumeration:
     def test_count_matches_enumeration(self):
         for d in range(6):
             for n in range(1, d + 1):
-                for lam in partitions_of(d, n):
-                    for mu in compositions_of(d, n):
+                for lam in partitions(d, n):
+                    for mu in compositions(d, n):
                         lam_p, mu_c = Partition(lam), Composition(mu)
                         assert count_column_strict(lam_p, mu_c) == len(
                             enumerate_column_strict(lam_p, mu_c)
@@ -195,10 +200,10 @@ class TestEnumeration:
         # comparing the sorted-state counting oracle against itself
         for d in range(7):
             for n in range(1, d + 1):
-                for lam in partitions_of(d, n):
+                for lam in partitions(d, n):
                     lam_p = Partition(lam)
                     base_counts = {}
-                    for mu in compositions_of(d, n):
+                    for mu in compositions(d, n):
                         mu_c = Composition(mu)
                         key = tuple(sorted(mu))
                         count = len(enumerate_column_strict(lam_p, mu_c))
@@ -252,8 +257,8 @@ class TestDegree:
     def test_unique_degree_zero(self):
         for d in range(6):
             for n in range(1, d + 1):
-                for lam in partitions_of(d, n):
-                    for mu in compositions_of(d, n):
+                for lam in partitions(d, n):
+                    for mu in compositions(d, n):
                         lam_p, mu_c = Partition(lam), Composition(mu)
                         tabs = enumerate_column_strict(lam_p, mu_c)
                         if tabs:
@@ -263,8 +268,8 @@ class TestDegree:
     def test_degree_bound_small(self):
         for d in range(6):
             for n in range(1, d + 1):
-                for lam in partitions_of(d, n):
-                    for mu in compositions_of(d, n):
+                for lam in partitions(d, n):
+                    for mu in compositions(d, n):
                         lam_p, mu_c = Partition(lam), Composition(mu)
                         d_lam, d_mu = dims(lam_p, mu_c)
                         for T in enumerate_column_strict(lam_p, mu_c):
@@ -284,8 +289,8 @@ class TestStraighten:
     def test_idempotent_and_fibers(self):
         for d in range(6):
             for n in range(1, d + 1):
-                for lam in partitions_of(d, n):
-                    for mu in compositions_of(d, n):
+                for lam in partitions(d, n):
+                    for mu in compositions(d, n):
                         lam_p, mu_c = Partition(lam), Composition(mu)
                         tabs = enumerate_column_strict(lam_p, mu_c)
                         std = set(enumerate_semistandard(lam_p, mu_c))
@@ -301,8 +306,8 @@ class TestStraighten:
 
     def test_top_degree_counts_semistandard(self):
         for d in range(6):
-            for lam in partitions_of(d, d):
-                for mu in compositions_of(d, min(d, 3)):
+            for lam in partitions(d, d):
+                for mu in compositions(d, min(d, 3)):
                     lam_p, mu_c = Partition(lam), Composition(mu)
                     if lam_p.height() > len(mu_c):
                         continue
@@ -328,8 +333,8 @@ class TestCellOrder:
     def test_partial_order_axioms(self):
         for d in range(6):
             for n in range(1, d + 1):
-                for lam in partitions_of(d, n):
-                    for mu in compositions_of(d, n):
+                for lam in partitions(d, n):
+                    for mu in compositions(d, n):
                         lam_p, mu_c = Partition(lam), Composition(mu)
                         tabs = enumerate_column_strict(lam_p, mu_c)
                         below = {T: set() for T in tabs}
