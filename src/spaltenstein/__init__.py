@@ -11,6 +11,7 @@ from .presentation import (
     anti_invariant_transfer,
     build_quotient,
     certify_basis,
+    clear_caches,
     generators,
     h_of_tableau,
     normal_form,

@@ -23,8 +23,9 @@ grading degree; public interfaces use the grading degree throughout.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .coinvariant import get_ring, invariant_rows
+from .coinvariant import _RINGS, get_ring, invariant_rows
 from .linalg import RowSpace, kernel_basis, transpose_rows
 from .symring import (
     BlockStructure,
@@ -207,6 +208,28 @@ def _invariant_data(ring, mu, t):
     return rows
 
 
+def _zero_free_key(family, lam, mu):
+    """(family, lam, the non-zero parts of mu in order): the data that the
+    core of a quotient and the certificate data depend on (zero-block
+    lemma in GradedQuotient)."""
+    return (family, lam.parts, tuple(p for p in mu.parts if p))
+
+
+# zero-free key -> QuotientCore, filled only by pairs whose mu has a zero part
+_CORES = {}
+
+
+class QuotientCore(NamedTuple):
+    """The pair-independent part of a quotient: the verified stopping
+    x-degree, the ideal RowSpace of each x-degree up to it, and the
+    quotient dimensions.  Shared by every quotient of one zero-free key,
+    so it is read-only: copy() an ideal space before inserting into it."""
+
+    stop_x: int
+    ideal: dict
+    qdim: dict
+
+
 class GradedQuotient:
     """Per-degree presentation data for one (lam, mu, family) triple.
 
@@ -214,6 +237,27 @@ class GradedQuotient:
     ideal row space inside the coinvariant algebra and the quotient
     dimension.  Quotient dimensions above the stopping degree are zero;
     this is forced by the verified vanishing window, not assumed.
+
+    The quotient is a per-pair shell (lam, mu, family, blocks, hilbert,
+    to_json) around a QuotientCore (stop_x, the ideal spaces, the quotient
+    dimensions).  The core depends only on the zero-free key (family, lam,
+    non-zero parts of mu in order).  Zero-block lemma: let mu' be mu with
+    its zero parts deleted.
+      - A zero block adds no variables, so every block union, the
+        transpositions() of the blocks (hence the invariant rows), d_mu,
+        max_alg and stop_x agree for all pairs of one key.
+      - Adding zero blocks to a subset raises the H bound (lam gains
+        parts, the mu sum does not change) or leaves it unchanged, and
+        leaves the E bound unchanged (the non-zero parts outside the
+        subset and the tail of lam are the same).  So the (variables, r)
+        generators agree up to zero vectors h_r(), e_r() with r > 0.  A
+        subset of zero blocks only also gives the unit e_0() exactly when
+        lam has more parts than mu'; then every pair of the key has a
+        zero part and that unit.  Equal generator sets span equal
+        ideals, and RowSpace is canonical, so the basis() of each degree
+        agrees.
+    A pair whose mu has a zero part looks its core up in _CORES and builds
+    it on a miss; a zero-free pair builds its own and stores nothing.
     """
 
     def __init__(self, lam, mu, family):
@@ -226,31 +270,41 @@ class GradedQuotient:
         self.max_degree = max(2 * self.top_x + 2, 0)
         self.ring = get_ring(self.d)
         self.blocks = BlockStructure(mu)
-        self._ideal = {}
-        self._qdim = {}
-        self.stop_x = 0
-        self._build()
-        coeffs = [self._qdim.get(t, 0) for t in range(max(self.top_x, -1) + 1)]
+        if 0 in mu.parts:
+            key = _zero_free_key(family, lam, mu)
+            core = _CORES.get(key)
+            if core is None:
+                core = _CORES[key] = self._build()
+        else:
+            core = self._build()
+        self.core = core
+        coeffs = [core.qdim.get(t, 0) for t in range(max(self.top_x, -1) + 1)]
         self.hilbert = HilbertSeries(coeffs)
 
+    @property
+    def stop_x(self):
+        return self.core.stop_x
+
     def _build(self):
+        """The core of this pair.  Generators are collected per degree as a
+        set of block unions, keyed by (variables, r): inserting one vector
+        twice cannot change a span, and zero blocks repeat unions."""
         ring = self.ring
         max_alg = max([p for p in self.mu.parts if p > 0], default=1)
         first_above = max(0, self.top_x + 1)
-        self.stop_x = min(ring.top, first_above + max_alg - 1)
-        gen_items = _generator_items(self.lam, self.mu, self.family, self.stop_x)
+        stop_x = min(ring.top, first_above + max_alg - 1)
         gens_by_deg = {}
-        for subset, r in gen_items:
-            vars_ = self.blocks.union(subset)
-            gens_by_deg.setdefault(r, []).append(vars_)
+        for subset, r in _generator_items(self.lam, self.mu, self.family, stop_x):
+            gens_by_deg.setdefault(r, {})[self.blocks.union(subset)] = None
         kind = "h" if self.family == "H" else "e"
-        for t in range(self.stop_x + 1):
+        ideal, qdim = {}, {}
+        for t in range(stop_x + 1):
             space = RowSpace(ring.dim(t))
             full = ring.dim(t)
             for vars_ in gens_by_deg.get(t, ()):
                 space.insert(ring.sym_class(vars_, t, kind))
             if t:
-                prev = self._ideal[t - 1].basis()
+                prev = ideal[t - 1].basis()
                 for v in range(1, self.d + 1):
                     if space.rank == full:
                         break
@@ -258,26 +312,29 @@ class GradedQuotient:
                         space.insert(ring.apply_var(row, v, t - 1))
                         if space.rank == full:
                             break
-            self._ideal[t] = space
+            ideal[t] = space
             inv = _invariant_data(ring, self.mu, t)
             probe = space.copy()
-            self._qdim[t] = sum(1 for row in inv if probe.insert(list(row)))
-        for t in range(first_above, self.stop_x + 1):
-            if self._qdim.get(t, 0):
+            qdim[t] = sum(1 for row in inv if probe.insert(list(row)))
+        for t in range(first_above, stop_x + 1):
+            if qdim.get(t, 0):
                 raise TruncationError(
                     "quotient does not vanish above its top degree",
                     witness={
                         "lambda": self.lam.to_json(),
                         "mu": self.mu.to_json(),
                         "degree": 2 * t,
-                        "dimension": self._qdim[t],
+                        "dimension": qdim[t],
                     },
                 )
+        return QuotientCore(stop_x, ideal, qdim)
 
     def ideal_space(self, t):
         """Ideal row space at x-degree t; above the stop degree the quotient
-        vanishes, so membership of invariant classes is automatic."""
-        return self._ideal.get(t)
+        vanishes, so membership of invariant classes is automatic.  The
+        space may be shared with other quotients: copy() it before any
+        insert."""
+        return self.core.ideal.get(t)
 
     def invariant_basis_rows(self, t):
         return _invariant_data(self.ring, self.mu, t)
@@ -285,13 +342,10 @@ class GradedQuotient:
     def dimension(self, degree):
         if degree < 0 or degree % 2:
             return 0
-        t = degree // 2
-        if t in self._qdim:
-            return self._qdim[t]
-        return 0
+        return self.core.qdim.get(degree // 2, 0)
 
     def total_dimension(self):
-        return sum(self._qdim.get(t, 0) for t in range(max(self.top_x, -1) + 1))
+        return sum(self.core.qdim.get(t, 0) for t in range(max(self.top_x, -1) + 1))
 
     def is_trivial(self):
         return self.total_dimension() == 0
@@ -300,7 +354,7 @@ class GradedQuotient:
         """Membership of a degree-2t class in the ideal."""
         if t > self.ring.top:
             return True
-        space = self._ideal.get(t)
+        space = self.core.ideal.get(t)
         if space is None:
             # beyond the verified window every invariant class is in the ideal
             return True
@@ -419,6 +473,11 @@ class BasisCertificate:
         }
 
 
+# zero-free key -> (QuotientCore, degrees, classes, coordinate spaces),
+# filled only by pairs whose mu has a zero part
+_CERTS = {}
+
+
 def certify_basis(lam, mu, family="H", quotient=None):
     """Check that the tableau classes are a basis of the quotient.
 
@@ -426,11 +485,43 @@ def certify_basis(lam, mu, family="H", quotient=None):
     the quotient dimension) and linear independence modulo the ideal.
     Failure raises BasisError with a witness; success returns a
     BasisCertificate.
+
+    Pairs whose mu has a zero part share degrees, classes and coordinate
+    spaces per zero-free key (see GradedQuotient), but only with a
+    quotient whose core the shared data was built against.  Lemma: the
+    order-preserving relabelling of the non-zero labels of mu maps the
+    column-strict tableaux of one pair of a key onto those of another and
+    keeps the reading-word order; the reduction chain strips an empty
+    gamma at a zero level, so the degrees and the h-classes agree
+    position by position.  A shared certificate still enumerates the
+    tableaux of its own pair and checks their number.
     """
     if quotient is None:
         quotient = build_quotient(lam, mu, family)
-    ring = quotient.ring
     tableaux = enumerate_column_strict(lam, mu)
+    key = _zero_free_key(quotient.family, lam, mu) if 0 in mu.parts else None
+    shared = _CERTS.get(key)
+    if shared is not None and shared[0] is quotient.core:
+        _, degrees, classes, spaces = shared
+        if len(tableaux) != len(degrees):
+            raise BasisError(
+                "tableau count differs from the shared certificate",
+                witness={
+                    "lambda": lam.to_json(),
+                    "mu": mu.to_json(),
+                    "tableaux": len(tableaux),
+                    "shared": len(degrees),
+                },
+            )
+        return BasisCertificate(quotient, tableaux, degrees, classes, spaces)
+    degrees, classes, spaces = _certificate_data(lam, mu, quotient, tableaux)
+    if key is not None and _CORES.get(key) is quotient.core:
+        _CERTS[key] = (quotient.core, degrees, classes, spaces)
+    return BasisCertificate(quotient, tableaux, degrees, classes, spaces)
+
+
+def _certificate_data(lam, mu, quotient, tableaux):
+    ring = quotient.ring
     memo = {}
     degrees = []
     classes = []
@@ -484,7 +575,7 @@ def certify_basis(lam, mu, family="H", quotient=None):
                 witness=witness,
             )
         spaces[t] = (space, indices)
-    return BasisCertificate(quotient, tableaux, degrees, classes, spaces)
+    return degrees, classes, spaces
 
 
 def _dependency_witness(quotient, ring, t, indices, classes, tableaux):
@@ -608,6 +699,24 @@ def regular_quotient(lam, d):
         q = build_quotient(lam, Composition((1,) * d), "H")
         _REGULAR_CACHE[key] = q
     return q
+
+
+def clear_caches():
+    """Empty every module-level cache of the library.
+
+    Policy: caches are per process and grow without bound until this is
+    called.  Each is keyed as documented where it is defined: coinvariant
+    rings by d (_RINGS), invariant rows by (d, transpositions, t)
+    (_INV_CACHE), regular quotients by (d, lam) (_REGULAR_CACHE),
+    quotient cores and certificate data by the zero-free key (_CORES,
+    _CERTS), and the tableau reduction step by (tableau, content)
+    (_reduce_raw).  The values are read-only: callers copy() a RowSpace
+    before inserting into it.  Objects built before the call stay valid;
+    later builds start cold and give equal results.
+    """
+    for cache in (_RINGS, _INV_CACHE, _REGULAR_CACHE, _CORES, _CERTS):
+        cache.clear()
+    _reduce_raw.cache_clear()
 
 
 @dataclass(frozen=True)

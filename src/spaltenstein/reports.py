@@ -14,7 +14,6 @@ from .tableaux import (
     cell_order,
     dims,
     enumerate_column_strict,
-    enumerate_semistandard,
     straighten,
     tableau_degree,
 )
@@ -47,9 +46,7 @@ def components(lam, mu):
     fibers = {}
     for T in cols:
         fibers.setdefault(straighten(T, mu), []).append(T)
-    out = []
-    for S in enumerate_semistandard(lam, mu):
-        out.append((S, d_lam - d_mu, fibers.pop(S)))
+    out = [(S, d_lam - d_mu, fibers.pop(S)) for S in cols if S.is_semistandard()]
     if fibers:
         stray = next(iter(fibers))
         raise ValueError(f"straightening produced a non-semistandard image {stray}")

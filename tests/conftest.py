@@ -67,4 +67,8 @@ def sweep_d6():
         timings["rel"] += t3 - t2
         timings["fibers"] += t4 - t3
         records.append(record)
+    print(
+        "\n[sweep_d6] stage times: "
+        + ", ".join(f"{stage} {secs:.1f}s" for stage, secs in timings.items())
+    )
     return records, timings

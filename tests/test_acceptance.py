@@ -69,6 +69,7 @@ def test_criterion_2_tableau_basis_sweep(sweep_d6):
     assert len(records) == 9804
     for rec in records:
         assert rec["cols"] == rec["hilbert"].total()
+    assert timings["certify"] < 600
     _report(
         2,
         f"tableau basis certified on {len(records)} pairs, "

@@ -1,7 +1,9 @@
+import json
 from fractions import Fraction
 
 import pytest
 
+from spaltenstein import presentation
 from spaltenstein.presentation import (
     BasisError,
     HilbertSeries,
@@ -9,6 +11,7 @@ from spaltenstein.presentation import (
     anti_invariant_transfer,
     build_quotient,
     certify_basis,
+    clear_caches,
     generator_bound,
     generators,
     h_of_tableau,
@@ -367,3 +370,101 @@ class TestBettiAgainstQuotient:
                     for mu in compositions(d, n):
                         lam_p, mu_c = Partition(lam), Composition(mu)
                         assert betti(lam_p, mu_c) == build_quotient(lam_p, mu_c).hilbert
+
+
+def _pipeline_record(lam, mu):
+    """What a shared build must reproduce: both families' to_json and ideal
+    bases, the certificate JSON bytes, and the coordinates of every basis
+    class."""
+    qh, qe = build_quotient(lam, mu, "H"), build_quotient(lam, mu, "E")
+    cert = certify_basis(lam, mu, quotient=qh)
+    return (
+        qh.to_json(),
+        qe.to_json(),
+        [[q.ideal_space(t).basis() for t in range(q.stop_x + 1)] for q in (qh, qe)],
+        json.dumps(cert.to_json(), sort_keys=True).encode(),
+        [cert.coordinates_of_class(v, t) for v, t in zip(cert.classes, cert.degrees)],
+    )
+
+
+def _cache_sizes():
+    tables = ("_RINGS", "_INV_CACHE", "_REGULAR_CACHE", "_CORES", "_CERTS")
+    return [len(getattr(presentation, name)) for name in tables] + [
+        presentation._reduce_raw.cache_info().currsize
+    ]
+
+
+class TestSharedCore:
+    def test_shared_build_equals_cold_build_d5(self):
+        pairs = list(iter_pairs(5))
+        cold = {}
+        for lam, mu in pairs:
+            clear_caches()
+            cold[lam, mu] = _pipeline_record(lam, mu)
+        padded_keys = {
+            (lam.parts, tuple(p for p in mu.parts if p)) for lam, mu in pairs if 0 in mu.parts
+        }
+        # iter_pairs lists each zero-free pair before the padded pairs of its
+        # key, so the reversed list builds a padded pair first
+        for order in (pairs, pairs[::-1]):
+            clear_caches()
+            for lam, mu in order:
+                assert _pipeline_record(lam, mu) == cold[lam, mu], (lam, mu)
+            assert len(presentation._CORES) == 2 * len(padded_keys)
+            assert len(presentation._CERTS) == len(padded_keys)
+
+    def test_padded_pairs_share_one_core_and_certificate(self):
+        clear_caches()
+        lam = Partition([2, 1])
+        a, b = Composition([1, 0, 2]), Composition([0, 1, 2, 0])
+        qa, qb = build_quotient(lam, a), build_quotient(lam, b)
+        assert qa.core is qb.core
+        ca, cb = certify_basis(lam, a, quotient=qa), certify_basis(lam, b, quotient=qb)
+        assert ca.classes is cb.classes and ca.tableaux != cb.tableaux
+        # a different family, or a non-zero part order, is a different key
+        assert build_quotient(lam, a, "E").core is not qa.core
+        assert build_quotient(lam, Composition([2, 0, 1])).core is not qa.core
+
+    def test_zero_free_pairs_store_nothing(self):
+        clear_caches()
+        for lam, mu in iter_pairs(4):
+            if 0 not in mu.parts:
+                certify_basis(lam, mu, quotient=build_quotient(lam, mu, "H"))
+                build_quotient(lam, mu, "E")
+        assert not presentation._CORES and not presentation._CERTS
+
+    def test_foreign_quotient_is_not_shared(self):
+        # the zero-free pair's quotient has its own core, so certifying the
+        # padded pair against it recomputes the data and stores nothing
+        clear_caches()
+        lam, mu = Partition([2, 1]), Composition([1, 0, 2])
+        shared = certify_basis(lam, mu)
+        cert = certify_basis(lam, mu, quotient=build_quotient(lam, Composition([1, 2])))
+        assert cert.classes is not shared.classes
+        assert (cert.classes, cert.degrees) == (shared.classes, shared.degrees)
+        assert presentation._CERTS[("H", lam.parts, (1, 2))][0] is shared.quotient.core
+
+    def test_shared_count_mismatch_raises(self):
+        clear_caches()
+        lam, mu = Partition([2, 1]), Composition([1, 0, 2])
+        certify_basis(lam, mu)
+        key = ("H", lam.parts, (1, 2))
+        core, degrees, classes, spaces = presentation._CERTS[key]
+        presentation._CERTS[key] = (core, degrees[:-1], classes, spaces)
+        try:
+            with pytest.raises(BasisError):
+                certify_basis(lam, Composition([0, 1, 2]))
+        finally:
+            clear_caches()
+
+
+class TestClearCaches:
+    def test_tables_empty_and_rebuild_equal(self):
+        lam, mu = Partition([2, 1]), Composition([1, 0, 2])
+        before = _pipeline_record(lam, mu)
+        transfer = anti_invariant_transfer(lam, mu).to_json()
+        assert all(_cache_sizes())
+        clear_caches()
+        assert _cache_sizes() == [0] * 6
+        assert _pipeline_record(lam, mu) == before
+        assert anti_invariant_transfer(lam, mu).to_json() == transfer
