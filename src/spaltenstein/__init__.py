@@ -24,9 +24,7 @@ from .symring import (
     Polynomial,
     block_antisymmetrizer,
     complete_block,
-    convolution_identity_check,
     elementary_block,
-    invariant_monomial_basis,
     permute,
 )
 from .tableaux import (

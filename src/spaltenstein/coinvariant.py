@@ -179,21 +179,6 @@ class CoinvariantRing:
             cached = self._swap_matrices[key] = rows
         return cached
 
-    def apply_permutation(self, vec, w, r):
-        """Class of w acting on a degree-r class, w a tuple with w[i-1] = w(i)."""
-        out = [0] * self.dim(r)
-        for pos, val in enumerate(vec):
-            if val:
-                mono = self.basis[r][pos]
-                moved = [0] * self.d
-                for i, e in enumerate(mono):
-                    moved[w[i] - 1] = e
-                w2 = self.nf(tuple(moved))
-                for j, coeff in enumerate(w2):
-                    if coeff:
-                        out[j] += val * coeff
-        return out
-
     def sym_classes(self, vars_, rmax, kind):
         """Classes of e_r or h_r of the given variables for r = 0..rmax."""
         key = (vars_, rmax, kind)
@@ -307,40 +292,3 @@ def invariant_rows(ring, transpositions, r):
             equations.append([mat[b][coord] - (1 if b == coord else 0) for b in range(dim)])
     return [list(v) for v in kernel_basis(equations, dim)]
 
-
-def gaussian_multinomial(d, parts):
-    """Coefficient list of the q-multinomial [d; parts]_q, an exact oracle
-    for the graded dimensions of the S_mu-invariants of the coinvariant
-    algebra."""
-    numer = _q_factorial(d)
-    for p in parts:
-        numer = _q_poly_divide(numer, _q_factorial(p))
-    return numer
-
-
-def _q_factorial(m):
-    poly = [1]
-    for i in range(1, m + 1):
-        poly = _q_poly_mul(poly, [1] * i)
-    return poly
-
-
-def _q_poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _q_poly_divide(a, b):
-    a = list(a)
-    out = [0] * (len(a) - len(b) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        coeff = a[i + len(b) - 1] // b[-1]
-        out[i] = coeff
-        for j, y in enumerate(b):
-            a[i + j] -= coeff * y
-    if any(a):
-        raise ArithmeticError("inexact q-polynomial division")
-    return out

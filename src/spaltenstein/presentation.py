@@ -23,7 +23,6 @@ grading degree; public interfaces use the grading degree throughout.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from .coinvariant import _RINGS, get_ring, invariant_rows
 from .linalg import RowSpace, kernel_basis, transpose_rows
@@ -219,15 +218,21 @@ def _zero_free_key(family, lam, mu):
 _CORES = {}
 
 
-class QuotientCore(NamedTuple):
+class QuotientCore:
     """The pair-independent part of a quotient: the verified stopping
-    x-degree, the ideal RowSpace of each x-degree up to it, and the
-    quotient dimensions.  Shared by every quotient of one zero-free key,
-    so it is read-only: copy() an ideal space before inserting into it."""
+    x-degree, the ideal RowSpace of each x-degree up to it, the quotient
+    dimensions and, once certify_basis has run against it, the
+    certificate data (degrees, classes, coordinate spaces).  Shared by
+    every quotient of one zero-free key, so it is read-only apart from
+    that one fill: copy() an ideal space before inserting into it."""
 
-    stop_x: int
-    ideal: dict
-    qdim: dict
+    __slots__ = ("stop_x", "ideal", "qdim", "certificate")
+
+    def __init__(self, stop_x, ideal, qdim):
+        self.stop_x = stop_x
+        self.ideal = ideal
+        self.qdim = qdim
+        self.certificate = None
 
 
 class GradedQuotient:
@@ -240,9 +245,9 @@ class GradedQuotient:
 
     The quotient is a per-pair shell (lam, mu, family, blocks, hilbert,
     to_json) around a QuotientCore (stop_x, the ideal spaces, the quotient
-    dimensions).  The core depends only on the zero-free key (family, lam,
-    non-zero parts of mu in order).  Zero-block lemma: let mu' be mu with
-    its zero parts deleted.
+    dimensions, the certificate data).  The core depends only on the
+    zero-free key (family, lam, non-zero parts of mu in order).  Zero-block
+    lemma: let mu' be mu with its zero parts deleted.
       - A zero block adds no variables, so every block union, the
         transpositions() of the blocks (hence the invariant rows), d_mu,
         max_alg and stop_x agree for all pairs of one key.
@@ -258,16 +263,16 @@ class GradedQuotient:
         agrees.
     A pair whose mu has a zero part looks its core up in _CORES and builds
     it on a miss; a zero-free pair builds its own and stores nothing.
+    This is the one place that decides what is shared.
     """
 
     def __init__(self, lam, mu, family):
         self.lam = lam
         self.mu = mu
         self.family = family
-        self.n, self.d = _validate_pair(lam, mu)
-        self.d_lambda, self.d_mu = dims(lam, mu)
-        self.top_x = self.d_lambda - self.d_mu
-        self.max_degree = max(2 * self.top_x + 2, 0)
+        _, self.d = _validate_pair(lam, mu)
+        d_lambda, self.d_mu = dims(lam, mu)
+        self.top_x = d_lambda - self.d_mu
         self.ring = get_ring(self.d)
         self.blocks = BlockStructure(mu)
         if 0 in mu.parts:
@@ -413,25 +418,21 @@ def _h_class_chain(ring, T, mu, memo):
 class BasisCertificate:
     """A certified tableau basis with exact coordinate data.
 
-    tableaux are listed in reading-word order; for each x-degree the
-    augmented row space stores the ideal rows together with the tagged
-    basis classes, which turns coordinate extraction into row reduction.
+    lam and mu are the pair of the tableaux, which the quotient may share
+    only its zero-free key with.  tableaux are listed in reading-word
+    order; for each x-degree the augmented row space stores the ideal rows
+    together with the tagged basis classes, which turns coordinate
+    extraction into row reduction.
     """
 
-    def __init__(self, quotient, tableaux, degrees, classes, coordinate_spaces):
+    def __init__(self, quotient, lam, mu, tableaux, degrees, classes, coordinate_spaces):
         self.quotient = quotient
+        self.lam = lam
+        self.mu = mu
         self.tableaux = tableaux
         self.degrees = degrees
         self.classes = classes
         self._spaces = coordinate_spaces
-
-    @property
-    def lam(self):
-        return self.quotient.lam
-
-    @property
-    def mu(self):
-        return self.quotient.mu
 
     def size(self):
         return len(self.tableaux)
@@ -473,11 +474,6 @@ class BasisCertificate:
         }
 
 
-# zero-free key -> (QuotientCore, degrees, classes, coordinate spaces),
-# filled only by pairs whose mu has a zero part
-_CERTS = {}
-
-
 def certify_basis(lam, mu, family="H", quotient=None):
     """Check that the tableau classes are a basis of the quotient.
 
@@ -486,38 +482,44 @@ def certify_basis(lam, mu, family="H", quotient=None):
     Failure raises BasisError with a witness; success returns a
     BasisCertificate.
 
-    Pairs whose mu has a zero part share degrees, classes and coordinate
-    spaces per zero-free key (see GradedQuotient), but only with a
-    quotient whose core the shared data was built against.  Lemma: the
-    order-preserving relabelling of the non-zero labels of mu maps the
-    column-strict tableaux of one pair of a key onto those of another and
-    keeps the reading-word order; the reduction chain strips an empty
-    gamma at a zero level, so the degrees and the h-classes agree
-    position by position.  A shared certificate still enumerates the
-    tableaux of its own pair and checks their number.
+    A given quotient must have the zero-free key of (lam, mu) apart from
+    the family (see GradedQuotient), else ValueError; family is ignored
+    when a quotient is given, so the basis is certified against that
+    quotient's own family.  The degrees, classes and coordinate spaces are
+    computed once per core and kept on it, so the pairs of one zero-free
+    key that share a core share them too.  Lemma: the order-preserving
+    relabelling of the non-zero labels of mu maps the column-strict
+    tableaux of one pair of a key onto those of another and keeps the
+    reading-word order; the reduction chain strips an empty gamma at a
+    zero level, so the degrees and the h-classes agree position by
+    position.  Every call still enumerates the tableaux of its own pair
+    and checks their number against the core's data.
     """
     if quotient is None:
         quotient = build_quotient(lam, mu, family)
+    elif _zero_free_key(quotient.family, lam, mu) != _zero_free_key(
+        quotient.family, quotient.lam, quotient.mu
+    ):
+        raise ValueError(
+            f"the quotient of ({quotient.lam}, {quotient.mu}) has another "
+            f"zero-free key than ({lam}, {mu})"
+        )
     tableaux = enumerate_column_strict(lam, mu)
-    key = _zero_free_key(quotient.family, lam, mu) if 0 in mu.parts else None
-    shared = _CERTS.get(key)
-    if shared is not None and shared[0] is quotient.core:
-        _, degrees, classes, spaces = shared
-        if len(tableaux) != len(degrees):
-            raise BasisError(
-                "tableau count differs from the shared certificate",
-                witness={
-                    "lambda": lam.to_json(),
-                    "mu": mu.to_json(),
-                    "tableaux": len(tableaux),
-                    "shared": len(degrees),
-                },
-            )
-        return BasisCertificate(quotient, tableaux, degrees, classes, spaces)
-    degrees, classes, spaces = _certificate_data(lam, mu, quotient, tableaux)
-    if key is not None and _CORES.get(key) is quotient.core:
-        _CERTS[key] = (quotient.core, degrees, classes, spaces)
-    return BasisCertificate(quotient, tableaux, degrees, classes, spaces)
+    core = quotient.core
+    if core.certificate is None:
+        core.certificate = _certificate_data(lam, mu, quotient, tableaux)
+    degrees, classes, spaces = core.certificate
+    if len(tableaux) != len(degrees):
+        raise BasisError(
+            "tableau count differs from the shared certificate",
+            witness={
+                "lambda": lam.to_json(),
+                "mu": mu.to_json(),
+                "tableaux": len(tableaux),
+                "shared": len(degrees),
+            },
+        )
+    return BasisCertificate(quotient, lam, mu, tableaux, degrees, classes, spaces)
 
 
 def _certificate_data(lam, mu, quotient, tableaux):
@@ -560,38 +562,29 @@ def _certificate_data(lam, mu, quotient, tableaux):
         if ideal is not None:
             for row in ideal.basis():
                 space.insert(list(row) + [0] * tags)
-        ideal_rank = space.rank
         for pos, idx in enumerate(indices):
             row = list(classes[idx]) + [0] * tags
             row[width + pos] = 1
             space.insert(row)
-        # a tagged row always enters the space (its tag column is fresh), so a
-        # dependence modulo the ideal shows up as a pivot in the tag region
-        vec_pivots = sum(1 for c in space.pivot_rows if c < width)
-        if vec_pivots != ideal_rank + tags:
-            witness = _dependency_witness(quotient, ring, t, indices, classes, tableaux)
+        # a dependence modulo the ideal shows up as a pivot in the tag region;
+        # its row (0, c) is a combination of inserted rows, so sum c_k class_k
+        # lies in the ideal
+        tag_pivot = min((c for c in space.pivot_rows if c >= width), default=None)
+        if tag_pivot is not None:
+            combo = space.pivot_rows[tag_pivot][width:]
             raise BasisError(
                 "tableau classes are dependent modulo the ideal",
-                witness=witness,
+                witness={
+                    "degree": 2 * t,
+                    "combination": {
+                        str(tableaux[idx].to_json()): c
+                        for idx, c in zip(indices, combo)
+                        if c
+                    },
+                },
             )
         spaces[t] = (space, indices)
     return degrees, classes, spaces
-
-
-def _dependency_witness(quotient, ring, t, indices, classes, tableaux):
-    ideal = quotient.ideal_space(t)
-    space = ideal.copy() if ideal else RowSpace(ring.dim(t))
-    residuals = [space.residual_fraction(list(classes[idx])) for idx in indices]
-    combos = kernel_basis(transpose_rows(residuals, ring.dim(t)), len(indices))
-    combo = combos[0] if combos else []
-    return {
-        "degree": 2 * t,
-        "combination": {
-            str(tableaux[idx].to_json()): int(c)
-            for idx, c in zip(indices, combo)
-            if c
-        },
-    }
 
 
 def normal_form(p, certificate):
@@ -630,19 +623,10 @@ def structure_constants(lam, mu, family="H", certificate=None):
         vi, ti = certificate.classes[i], certificate.degrees[i]
         for j in range(i, len(tabs)):
             vj, tj = certificate.classes[j], certificate.degrees[j]
-            t = ti + tj
-            if t > certificate.quotient.top_x:
-                entry = {}
-                if not certificate.quotient.contains_class(
-                    ring.mul_classes(vi, ti, vj, tj), t
-                ):
-                    raise BasisError(
-                        "product escapes the ideal above top degree",
-                        witness={"i": i, "j": j, "degree": 2 * t},
-                    )
-            else:
-                product = ring.mul_classes(vi, ti, vj, tj)
-                entry = certificate.coordinates_of_class(product, t)
+            # above top_x no tableau has degree t, so coordinates_of_class
+            # falls back to ideal membership and raises on an escape
+            product = ring.mul_classes(vi, ti, vj, tj)
+            entry = certificate.coordinates_of_class(product, ti + tj)
             tensor[(i, j)] = entry
             tensor[(j, i)] = entry
     return tabs, tensor
@@ -673,21 +657,6 @@ def rel_equivalence(lam, mu, qh=None, qe=None):
     )
 
 
-def tanisaki_generators(lam, d, max_degree):
-    """The classical single-variable-block generator set for the regular
-    case: e_r of each subset of the variables, r strictly above the subset
-    size minus the tail sum of lam padded to d parts."""
-    padded = lam.padded(d)
-    mu = Composition((1,) * d)
-    entries = []
-    for subset in _subsets(d):
-        m = len(subset)
-        bound = m - sum(padded[d - m :])
-        for r in range(max(0, bound + 1), max_degree // 2 + 1):
-            entries.append((subset, r, elementary_block(mu, subset, r)))
-    return entries
-
-
 _REGULAR_CACHE = {}
 
 
@@ -708,13 +677,13 @@ def clear_caches():
     called.  Each is keyed as documented where it is defined: coinvariant
     rings by d (_RINGS), invariant rows by (d, transpositions, t)
     (_INV_CACHE), regular quotients by (d, lam) (_REGULAR_CACHE),
-    quotient cores and certificate data by the zero-free key (_CORES,
-    _CERTS), and the tableau reduction step by (tableau, content)
+    quotient cores, with their certificate data, by the zero-free key
+    (_CORES), and the tableau reduction step by (tableau, content)
     (_reduce_raw).  The values are read-only: callers copy() a RowSpace
     before inserting into it.  Objects built before the call stay valid;
     later builds start cold and give equal results.
     """
-    for cache in (_RINGS, _INV_CACHE, _REGULAR_CACHE, _CORES, _CERTS):
+    for cache in (_RINGS, _INV_CACHE, _REGULAR_CACHE, _CORES):
         cache.clear()
     _reduce_raw.cache_clear()
 

@@ -14,10 +14,8 @@ r < 0.
 """
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement
 from math import factorial
-
-from .tableaux import compositions
 
 
 def _as_fraction(c):
@@ -272,24 +270,6 @@ def complete_block(mu, subset, r):
     return _sym_from_vars(blocks.d, blocks.union(subset), r, elementary=False)
 
 
-def convolution_identity_check(mu, subset, r):
-    """Check the expansion of e_r and h_r over a block union into per-block
-    products, summing over all splittings r_1 + ... + r_m = r."""
-    subset = sorted(set(subset))
-    d = mu.size()
-    for builder in (elementary_block, complete_block):
-        lhs = builder(mu, subset, r)
-        rhs = Polynomial.zero(d)
-        for split in compositions(r, len(subset)):
-            prod = Polynomial.one(d)
-            for j, rj in zip(subset, split):
-                prod = prod * builder(mu, [j], rj)
-            rhs = rhs + prod
-        if lhs != rhs:
-            return False
-    return True
-
-
 def check_permutation(w, d):
     w = tuple(int(v) for v in w)
     if len(w) != d or sorted(w) != list(range(1, d + 1)):
@@ -316,23 +296,6 @@ def transposition(d, i, j):
     return tuple(w)
 
 
-def permutation_sign(w):
-    seen = [False] * len(w)
-    sign = 1
-    for i in range(len(w)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = w[j] - 1
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def block_antisymmetrizer(mu):
     """The product of x_i - x_j over pairs i < j in a common block,
     scaled by 1/|S_mu|.
@@ -351,57 +314,6 @@ def block_antisymmetrizer(mu):
         for a, b in combinations(blk, 2):
             out = out * (Polynomial.variable(d, a) - Polynomial.variable(d, b))
     return out * Fraction(1, blocks.order())
-
-
-def orbit_sum(mu, exps):
-    """Sum of the distinct monomials in the S_mu-orbit of the given monomial."""
-    blocks = BlockStructure(mu)
-    d = blocks.d
-    per_block = []
-    for j in range(1, len(mu) + 1):
-        blk = blocks.block(j)
-        per_block.append(sorted({p for p in permutations(exps[v - 1] for v in blk)}))
-    terms = {}
-    for combo in _cartesian(per_block):
-        out = []
-        for part in combo:
-            out.extend(part)
-        terms[tuple(out)] = Fraction(1)
-    return Polynomial(d, terms)
-
-
-def _cartesian(lists):
-    if not lists:
-        yield ()
-        return
-    for head in lists[0]:
-        for rest in _cartesian(lists[1:]):
-            yield (head,) + rest
-
-
-def invariant_monomial_basis(mu, D):
-    """Basis of the degree-D invariants of S_mu as orbit sums of monomials.
-
-    D is the grading degree, so it must be even; the orbit representatives
-    have exponents sorted decreasingly within each block and the list is in
-    graded-lex order of representatives.
-    """
-    if D < 0 or D % 2:
-        raise ValueError(f"degree {D} is not a non-negative even integer")
-    blocks = BlockStructure(mu)
-    d = blocks.d
-    r = D // 2
-    if d == 0:
-        return [Polynomial.one(0)] if r == 0 else []
-    reps = []
-    for exps in compositions(r, d):
-        canon = []
-        for j in range(1, len(mu) + 1):
-            canon.extend(sorted((exps[v - 1] for v in blocks.block(j)), reverse=True))
-        if tuple(canon) == exps:
-            reps.append(exps)
-    reps.sort(key=term_sort_key)
-    return [orbit_sum(mu, rep) for rep in reps]
 
 
 def is_invariant(mu, p):

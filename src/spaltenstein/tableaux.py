@@ -191,9 +191,6 @@ class Tableau:
         return {"shape": self.shape.to_json(), "rows": [list(r) for r in self.rows]}
 
 
-EMPTY_TABLEAU = Tableau(())
-
-
 def partitions(d, max_parts=None):
     """Part tuples of the partitions of d with at most max_parts parts
     (default d), in decreasing lexicographic order."""

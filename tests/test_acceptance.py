@@ -15,9 +15,8 @@ from spaltenstein.presentation import (
     generators,
     h_of_tableau,
     structure_constants,
-    tanisaki_generators,
 )
-from spaltenstein.symring import Polynomial, complete_block
+from spaltenstein.symring import Polynomial, complete_block, elementary_block
 from spaltenstein.tableaux import (
     Composition,
     Partition,
@@ -38,6 +37,22 @@ ANEX_LAM = Partition([4, 3, 3, 2])
 ANEX_MU = Composition([1, 4, 1, 3, 1, 2])
 ANEX_T = Tableau([[2, 1, 2, 2], [3, 2, 4], [4, 4, 6], [6, 5]])
 ANEX_TBAR = Tableau([[1, 2, 2, 2], [2, 3, 4], [4, 4], [5]])
+
+
+def tanisaki_generators(lam, d, max_degree):
+    """The classical single-variable-block generator set for the regular
+    case (Tanisaki, Tohoku Math. J. 34, 1982): e_r of each subset of the
+    variables, r strictly above the subset size minus the tail sum of lam
+    padded to d parts.  Subsets are listed by size, then lexicographically."""
+    padded = lam.padded(d)
+    mu = Composition((1,) * d)
+    entries = []
+    for m in range(1, d + 1):
+        bound = m - sum(padded[d - m :])
+        for subset in combinations(range(1, d + 1), m):
+            for r in range(max(0, bound + 1), max_degree // 2 + 1):
+                entries.append((subset, r, elementary_block(mu, subset, r)))
+    return entries
 
 
 def _report(n, text, t0):

@@ -19,7 +19,6 @@ from spaltenstein.presentation import (
     regular_quotient,
     rel_equivalence,
     structure_constants,
-    tanisaki_generators,
 )
 from spaltenstein.reports import betti
 from spaltenstein.symring import Polynomial, complete_block
@@ -85,19 +84,6 @@ class TestGenerators:
         fam_e = generators(lam, mu, "E", 2)
         assert any(r == 0 for _, r, _ in fam_h.entries)
         assert any(r == 0 for _, r, _ in fam_e.entries)
-
-    def test_regular_e_family_matches_classical_set(self):
-        for d in range(1, 5):
-            mu = Composition([1] * d)
-            for lam_parts in partitions(d, d):
-                lam = Partition(lam_parts)
-                cap = 2 * d
-                fam = generators(lam, mu, "E", cap)
-                classical = tanisaki_generators(lam, d, cap)
-                assert [(s, r) for s, r, _ in fam.entries] == [
-                    (s, r) for s, r, _ in classical
-                ]
-                assert [p for _, _, p in fam.entries] == [p for _, _, p in classical]
 
 
 class TestQuotient:
@@ -255,16 +241,46 @@ class TestStructureConstants:
 
 
 class TestDependencyWitness:
-    def test_fabricated_dependency_yields_combination(self):
-        from spaltenstein.presentation import _dependency_witness
+    def test_fabricated_dependency_yields_combination(self, monkeypatch):
+        # give the second tableau of the lowest repeated degree twice the
+        # class of the first; the witness combination must lie in the ideal
+        real = presentation._h_class_chain
+        fake = {}
 
-        lam, mu = Partition([2, 0]), Composition([1, 1])
-        q = build_quotient(lam, mu)
-        tabs = enumerate_column_strict(lam, mu)
-        x2 = q.ring.nf((0, 1))
-        witness = _dependency_witness(q, q.ring, 1, [0, 1], [x2, list(x2)], tabs)
-        assert witness["degree"] == 2
-        assert len(witness["combination"]) == 2
+        def chain(ring, T, mu, memo):
+            hit = fake.get((T, mu))
+            return hit if hit is not None else real(ring, T, mu, memo)
+
+        monkeypatch.setattr(presentation, "_h_class_chain", chain)
+        pairs = 0
+        for lam, mu in iter_pairs(5):
+            if 0 in mu.parts:
+                continue
+            tabs = enumerate_column_strict(lam, mu)
+            by_degree = {}
+            for T in tabs:
+                by_degree.setdefault(tableau_degree(T, mu), []).append(T)
+            repeated = [(t, ts) for t, ts in sorted(by_degree.items()) if len(ts) > 1]
+            if not repeated:
+                continue
+            t, (first, second) = repeated[0][0], repeated[0][1][:2]
+            q = build_quotient(lam, mu)
+            base = real(q.ring, first, mu, {})[0]
+            fake.clear()
+            fake[second, mu] = ([2 * v for v in base], t)
+            with pytest.raises(BasisError) as err:
+                presentation._certificate_data(lam, mu, q, tabs)
+            witness = err.value.witness
+            assert witness["degree"] == 2 * t
+            combo = witness["combination"]
+            assert set(combo) == {str(first.to_json()), str(second.to_json())}
+            total = [
+                combo[str(first.to_json())] * v + combo[str(second.to_json())] * 2 * v
+                for v in base
+            ]
+            assert q.contains_class(total, t)
+            pairs += 1
+        assert pairs == 56
 
 
 def membership_equivalence(qh, qe):
@@ -388,7 +404,7 @@ def _pipeline_record(lam, mu):
 
 
 def _cache_sizes():
-    tables = ("_RINGS", "_INV_CACHE", "_REGULAR_CACHE", "_CORES", "_CERTS")
+    tables = ("_RINGS", "_INV_CACHE", "_REGULAR_CACHE", "_CORES")
     return [len(getattr(presentation, name)) for name in tables] + [
         presentation._reduce_raw.cache_info().currsize
     ]
@@ -411,7 +427,9 @@ class TestSharedCore:
             for lam, mu in order:
                 assert _pipeline_record(lam, mu) == cold[lam, mu], (lam, mu)
             assert len(presentation._CORES) == 2 * len(padded_keys)
-            assert len(presentation._CERTS) == len(padded_keys)
+            # every pair certifies against its H quotient and none against E
+            for (family, _, _), core in presentation._CORES.items():
+                assert (core.certificate is not None) == (family == "H")
 
     def test_padded_pairs_share_one_core_and_certificate(self):
         clear_caches()
@@ -431,26 +449,40 @@ class TestSharedCore:
             if 0 not in mu.parts:
                 certify_basis(lam, mu, quotient=build_quotient(lam, mu, "H"))
                 build_quotient(lam, mu, "E")
-        assert not presentation._CORES and not presentation._CERTS
+        assert not presentation._CORES
 
-    def test_foreign_quotient_is_not_shared(self):
-        # the zero-free pair's quotient has its own core, so certifying the
-        # padded pair against it recomputes the data and stores nothing
-        clear_caches()
+    def test_quotient_of_another_key_is_rejected(self):
+        lam, mu = Partition([2, 1]), Composition([1, 2])
+        with pytest.raises(ValueError):
+            certify_basis(lam, mu, quotient=build_quotient(lam, Composition([2, 1])))
+        with pytest.raises(ValueError):
+            certify_basis(lam, mu, quotient=build_quotient(Partition([3]), mu))
+
+    def test_quotient_of_the_zero_free_pair_is_accepted(self):
         lam, mu = Partition([2, 1]), Composition([1, 0, 2])
-        shared = certify_basis(lam, mu)
-        cert = certify_basis(lam, mu, quotient=build_quotient(lam, Composition([1, 2])))
-        assert cert.classes is not shared.classes
-        assert (cert.classes, cert.degrees) == (shared.classes, shared.degrees)
-        assert presentation._CERTS[("H", lam.parts, (1, 2))][0] is shared.quotient.core
+        clear_caches()
+        cold = certify_basis(lam, mu)
+        q = build_quotient(lam, Composition([1, 2]))
+        cert = certify_basis(lam, mu, quotient=q)
+        assert cert.quotient is q and q.core.certificate is not None
+        assert cert.to_json() == cold.to_json()
+        assert (cert.classes, cert.degrees) == (cold.classes, cold.degrees)
+
+    def test_quotient_of_the_other_family_is_accepted(self):
+        # family is ignored when a quotient is given
+        lam, mu = Partition([3, 1]), Composition([1, 2, 1])
+        qe = build_quotient(lam, mu, "E")
+        cert = certify_basis(lam, mu, "H", quotient=qe)
+        assert cert.quotient is qe
+        assert cert.to_json() == certify_basis(lam, mu, "E").to_json()
+        assert cert.classes == certify_basis(lam, mu, "H").classes
 
     def test_shared_count_mismatch_raises(self):
         clear_caches()
         lam, mu = Partition([2, 1]), Composition([1, 0, 2])
-        certify_basis(lam, mu)
-        key = ("H", lam.parts, (1, 2))
-        core, degrees, classes, spaces = presentation._CERTS[key]
-        presentation._CERTS[key] = (core, degrees[:-1], classes, spaces)
+        core = certify_basis(lam, mu).quotient.core
+        degrees, classes, spaces = core.certificate
+        core.certificate = (degrees[:-1], classes, spaces)
         try:
             with pytest.raises(BasisError):
                 certify_basis(lam, Composition([0, 1, 2]))
@@ -465,6 +497,6 @@ class TestClearCaches:
         transfer = anti_invariant_transfer(lam, mu).to_json()
         assert all(_cache_sizes())
         clear_caches()
-        assert _cache_sizes() == [0] * 6
+        assert _cache_sizes() == [0] * 5
         assert _pipeline_record(lam, mu) == before
         assert anti_invariant_transfer(lam, mu).to_json() == transfer

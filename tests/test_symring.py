@@ -1,25 +1,80 @@
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spaltenstein.coinvariant import get_ring, invariant_rows
+from spaltenstein.linalg import span
 from spaltenstein.symring import (
     BlockStructure,
     Polynomial,
     block_antisymmetrizer,
     complete_block,
-    convolution_identity_check,
     elementary_block,
-    invariant_monomial_basis,
     is_invariant,
-    orbit_sum,
-    permutation_sign,
     permute,
+    term_sort_key,
     transposition,
 )
 from spaltenstein.tableaux import Composition, compositions, half_pair_sum
+
+
+def convolution_identity_check(mu, subset, r):
+    """Oracle for elementary_block and complete_block: the expansion of e_r
+    and h_r over a block union into per-block products, summed over all
+    splittings r_1 + ... + r_m = r."""
+    subset = sorted(set(subset))
+    d = mu.size()
+    for builder in (elementary_block, complete_block):
+        lhs = builder(mu, subset, r)
+        rhs = Polynomial.zero(d)
+        for split in compositions(r, len(subset)):
+            prod = Polynomial.one(d)
+            for j, rj in zip(subset, split):
+                prod = prod * builder(mu, [j], rj)
+            rhs = rhs + prod
+        if lhs != rhs:
+            return False
+    return True
+
+
+def orbit_sum(mu, exps):
+    """Sum of the distinct monomials in the S_mu-orbit of the given monomial."""
+    blocks = BlockStructure(mu)
+    per_block = [
+        sorted(set(permutations(exps[v - 1] for v in blocks.block(j))))
+        for j in range(1, len(mu) + 1)
+    ]
+    terms = {sum(combo, ()): Fraction(1) for combo in product(*per_block)}
+    return Polynomial(blocks.d, terms)
+
+
+def invariant_monomial_basis(mu, D):
+    """Oracle for invariant_rows: a basis of the degree-D invariants of S_mu
+    as orbit sums of monomials.
+
+    D is the grading degree, so it must be even; the orbit representatives
+    have exponents sorted decreasingly within each block and the list is in
+    graded-lex order of representatives.
+    """
+    if D < 0 or D % 2:
+        raise ValueError(f"degree {D} is not a non-negative even integer")
+    blocks = BlockStructure(mu)
+    d = blocks.d
+    r = D // 2
+    if d == 0:
+        return [Polynomial.one(0)] if r == 0 else []
+    reps = []
+    for exps in compositions(r, d):
+        canon = []
+        for j in range(1, len(mu) + 1):
+            canon.extend(sorted((exps[v - 1] for v in blocks.block(j)), reverse=True))
+        if tuple(canon) == exps:
+            reps.append(exps)
+    reps.sort(key=term_sort_key)
+    return [orbit_sum(mu, rep) for rep in reps]
 
 
 def poly_strategy(d=3, max_deg=3):
@@ -145,11 +200,6 @@ class TestPermutation:
         with pytest.raises(ValueError):
             permute((1, 1, 3), Polynomial.one(3))
 
-    def test_sign(self):
-        assert permutation_sign((1, 2, 3)) == 1
-        assert permutation_sign((2, 1, 3)) == -1
-        assert permutation_sign((2, 3, 1)) == 1
-
     def test_block_generators_invariant(self):
         for d in range(1, 6):
             for n in range(1, min(d, 3) + 1):
@@ -212,6 +262,24 @@ class TestInvariantMonomialBasis:
                     series = free_generator_series(mu, degree=5)
                     for D in range(0, 11, 2):
                         assert len(invariant_monomial_basis(mu_c, D)) == series[D // 2]
+
+    def test_orbit_sum_classes_span_invariant_rows(self):
+        # averaging over S_mu commutes with the projection onto the
+        # coinvariant algebra, so the invariants there are the classes of
+        # the orbit sums
+        for d in range(1, 6):
+            ring = get_ring(d)
+            for n in range(1, min(d, 3) + 1):
+                for mu in map(Composition, compositions(d, n)):
+                    transpositions = tuple(BlockStructure(mu).transpositions())
+                    for r in range(ring.top + 1):
+                        classes = [
+                            ring.class_of_polynomial(p).get(r, ring.zero(r))
+                            for p in invariant_monomial_basis(mu, 2 * r)
+                        ]
+                        assert span(classes, ring.dim(r)) == span(
+                            invariant_rows(ring, transpositions, r), ring.dim(r)
+                        )
 
 
 def free_generator_series(mu, degree):
