@@ -18,12 +18,12 @@ leading term of g_i is x_i^i, so the reduced monomials are the staircase
 monomials x^a with a_i <= i - 1; there are d! of them, matching dim C,
 which proves the set is a Groebner basis degree by degree.  Division is
 memoised per monomial, and multiplication by a single variable is cached
-as an integer matrix per degree; block symmetric functions then act
+as a sparse integer matrix per degree; block symmetric functions then act
 through short linear recurrences instead of polynomial expansion.
 
-All vectors are dense integer lists over the per-degree staircase basis,
-ordered lexicographically.  Degrees in this module are x-degrees; the
-public grading of the library doubles them.
+All vectors taken and returned are dense integer lists over the
+per-degree staircase basis, ordered lexicographically.  Degrees in this
+module are x-degrees; the public grading of the library doubles them.
 """
 
 from itertools import combinations_with_replacement, product
@@ -58,6 +58,7 @@ class CoinvariantRing:
             self._tails[i] = tuple(tails)
         self._nf = {}
         self._var_matrices = {}
+        self._pairs = {}
         self._swap_matrices = {}
         self._sym_classes = {}
 
@@ -139,20 +140,24 @@ class CoinvariantRing:
         return self.class_of_terms(p.terms)
 
     def var_matrix(self, v, r):
-        """Rows t -> class(x_v * t) for t in the degree-r basis."""
+        """Rows t -> class(x_v * t) for t in the degree-r basis, each row
+        stored sparse as a tuple of (column, entry) pairs over its non-zero
+        entries in the degree-(r+1) basis.  Equal pairs are stored once
+        per ring, to save memory."""
         key = (v, r)
         cached = self._var_matrices.get(key)
         if cached is None:
-            rows = []
+            rows, pairs = [], self._pairs
             for mono in self.basis[r]:
                 bumped = list(mono)
                 bumped[v - 1] += 1
-                rows.append(self.nf(tuple(bumped)))
+                vec = self.nf(tuple(bumped))
+                rows.append(tuple(pairs.setdefault(jw, jw) for jw in enumerate(vec) if jw[1]))
             cached = self._var_matrices[key] = rows
         return cached
 
     def apply_var(self, vec, v, r):
-        """Class of x_v times a degree-r class."""
+        """Class of x_v times a degree-r class, as a dense vector."""
         out_dim = self.dim(r + 1)
         out = [0] * out_dim
         if not out_dim:
@@ -160,10 +165,8 @@ class CoinvariantRing:
         rows = self.var_matrix(v, r)
         for pos, val in enumerate(vec):
             if val:
-                row = rows[pos]
-                for j, w in enumerate(row):
-                    if w:
-                        out[j] += val * w
+                for j, w in rows[pos]:
+                    out[j] += val * w
         return out
 
     def swap_matrix(self, i, r):

@@ -1,27 +1,19 @@
 """Fraction-free exact linear algebra over the rationals.
 
-Rows are dense lists of Python integers; every subspace is kept as a set
-of primitive integer rows, one per pivot column, each vanishing at all
-other pivot columns.  Elimination uses two-term integer
-cross-multiplication followed by division by the content, so no
-fractions ever appear and ranks are exact.  Rows are inserted in stream
-order and pivot columns are chosen as the first non-zero coordinate of
-the reduced row, which makes every computation deterministic.
+Every public function and method takes and returns dense rows (lists of
+Python integers or Fractions).  Inside RowSpace each basis row is stored
+sparse, as a dict {column: non-zero int}: the rows of the presentation
+layer are mostly zero, so elimination touches only their support.  A
+subspace is kept as a set of primitive integer rows, one per pivot
+column, each vanishing at all other pivot columns.  Elimination uses
+integer multiples followed by division by the content, so no fractions
+ever appear and ranks are exact.  Pivot columns are chosen as the first
+non-zero coordinate of the reduced row, which makes every computation
+deterministic.
 """
 
-from bisect import insort
 from fractions import Fraction
 from math import gcd
-
-
-def row_content(row):
-    g = 0
-    for v in row:
-        if v:
-            g = gcd(g, v)
-            if g == 1:
-                return 1
-    return g
 
 
 def scaled_int_row(row):
@@ -36,6 +28,36 @@ def scaled_int_row(row):
     return [int(v * lcm) for v in row]
 
 
+def _sparse_int(row):
+    """A dense row as {column: non-zero int}; a row holding Fractions is
+    first scaled to integers (scaling does not change the span)."""
+    sparse = {i: v for i, v in enumerate(row) if v}
+    if Fraction in map(type, sparse.values()):
+        sparse = {i: v for i, v in enumerate(scaled_int_row(row)) if v}
+    return sparse
+
+
+def _subtract(row, f, p):
+    """row -= f * p in place, keeping only non-zero entries."""
+    get = row.get
+    for k, y in p.items():
+        v = get(k, 0) - f * y
+        if v:
+            row[k] = v
+        else:
+            del row[k]
+
+
+def _primitive(row, pivot):
+    """A non-empty sparse row divided by its content, positive at pivot."""
+    g = gcd(*row.values())
+    if row[pivot] < 0:
+        g = -g
+    if g == 1:
+        return row
+    return {k: v // g for k, v in row.items()}
+
+
 class RowSpace:
     """A subspace of Q^width with exact rank and membership tests.
 
@@ -43,16 +65,26 @@ class RowSpace:
     entry sits in its pivot column and is positive, and it vanishes at
     every other pivot column.  So basis() is the unique reduced echelon
     basis of the span, each row scaled to a primitive integer row, and
-    two spaces of equal width are equal exactly when their basis() tuples
-    are equal; __eq__ compares them directly.
+    two spaces of equal width are equal exactly when their pivot_rows
+    are equal; __eq__ compares them directly, without densifying.
+
+    pivot_rows maps each pivot column to its row as {column: non-zero
+    int}.  A stored row dict is never changed in place (insert replaces
+    it), so copy() shares them.
+
+    Residual lemma: since the basis is reduced echelon, subtracting a
+    multiple of the row of pivot c changes column c and non-pivot columns
+    only, so clearing one pivot column never makes another pivot column
+    non-zero.  The pivots to clear are therefore exactly the pivot
+    columns in the support of the input row, known up front, and the
+    order of clearing does not matter.
     """
 
-    __slots__ = ("width", "pivot_rows", "_order")
+    __slots__ = ("width", "pivot_rows")
 
     def __init__(self, width):
         self.width = width
         self.pivot_rows = {}
-        self._order = []
 
     @property
     def rank(self):
@@ -60,69 +92,70 @@ class RowSpace:
 
     def copy(self):
         out = RowSpace(self.width)
-        out.pivot_rows = {c: list(r) for c, r in self.pivot_rows.items()}
-        out._order = list(self._order)
+        out.pivot_rows = dict(self.pivot_rows)
+        return out
+
+    def _reduce(self, row):
+        """Residual of a sparse int row (consumed), up to a non-zero
+        scalar: it vanishes at every pivot column."""
+        pivot_rows = self.pivot_rows
+        hits = [c for c in row if c in pivot_rows]
+        if not hits:
+            return row
+        scale = 1
+        for c in hits:
+            pv = pivot_rows[c][c]
+            scale = scale * pv // gcd(scale, pv)
+        if scale != 1:
+            row = {k: scale * v for k, v in row.items()}
+        for c in hits:
+            p = pivot_rows[c]
+            _subtract(row, row[c] // p[c], p)
+        return row
+
+    def _dense(self, row):
+        out = [0] * self.width
+        for k, v in row.items():
+            out[k] = v
         return out
 
     def residual(self, row):
         """Reduce a row against the basis; primitive integer row or None.
 
-        The residual vanishes at every pivot column.  Rows of Fractions
-        are scaled to integers first (scaling does not change the span).
+        The residual vanishes at every pivot column and is positive at
+        its first non-zero entry.
         """
-        row = list(row)
-        try:
-            return self._residual_int(row)
-        except TypeError:
-            return self._residual_int(scaled_int_row(row))
-
-    def _residual_int(self, row):
-        for c in self._order:
-            v = row[c]
-            if v:
-                p = self.pivot_rows[c]
-                pv = p[c]
-                g = gcd(pv, v)
-                a, b = pv // g, v // g
-                if a < 0:
-                    a, b = -a, -b
-                row = [a * x - b * y for x, y in zip(row, p)]
-        return self._primitive(row, None)
-
-    @staticmethod
-    def _primitive(row, pivot):
-        lead = next((i for i, v in enumerate(row) if v), None)
-        if lead is None:
+        res = self._reduce(_sparse_int(row))
+        if not res:
             return None
-        g = row_content(row)
-        if row[pivot if pivot is not None else lead] < 0:
-            g = -g
-        if g != 1:
-            row = [v // g for v in row]
-        return row
+        return self._dense(_primitive(res, min(res)))
 
     def insert(self, row):
-        """Add a row to the space; returns True when the rank grows."""
-        row = self.residual(row)
-        if row is None:
+        """Add a row to the space; returns True when the rank grows.
+
+        Back-substitution touches only the pivot rows that are non-zero
+        at the new pivot column.
+        """
+        res = self._reduce(_sparse_int(row))
+        if not res:
             return False
-        lead = next(i for i, v in enumerate(row) if v)
-        for c, p in list(self.pivot_rows.items()):
-            v = p[lead]
+        lead = min(res)
+        res = _primitive(res, lead)
+        pv = res[lead]
+        pivot_rows = self.pivot_rows
+        for c, p in list(pivot_rows.items()):
+            v = p.get(lead)
             if v:
-                pv = row[lead]
                 g = gcd(pv, v)
-                a, b = pv // g, v // g
-                if a < 0:
-                    a, b = -a, -b
-                p = [a * x - b * y for x, y in zip(p, row)]
-                self.pivot_rows[c] = self._primitive(p, c)
-        self.pivot_rows[lead] = row
-        insort(self._order, lead)
+                a = pv // g
+                q = {k: a * x for k, x in p.items()} if a != 1 else dict(p)
+                _subtract(q, v // g, res)
+                pivot_rows[c] = _primitive(q, c)
+        pivot_rows[lead] = res
         return True
 
     def contains(self, row):
-        return self.residual(row) is None
+        return not self._reduce(_sparse_int(row))
 
     def residual_fraction(self, row):
         """Exact residual row - (projection onto the space), as Fractions.
@@ -130,24 +163,25 @@ class RowSpace:
         Unlike residual this is linear in the input, which matters when
         residuals of several rows are assembled into a new linear system.
         """
-        row = [Fraction(v) for v in row]
-        for c in self._order:
-            v = row[c]
-            if v:
-                p = self.pivot_rows[c]
-                f = Fraction(v, p[c])
-                row = [x - f * y for x, y in zip(row, p)]
-        return row
+        res = {i: Fraction(v) for i, v in enumerate(row) if v}
+        pivot_rows = self.pivot_rows
+        for c in [c for c in res if c in pivot_rows]:
+            p = pivot_rows[c]
+            _subtract(res, res[c] / p[c], p)
+        out = [Fraction(0)] * len(row)
+        for k, v in res.items():
+            out[k] = v
+        return out
 
     def basis(self):
-        """Basis rows ordered by pivot column."""
-        return tuple(tuple(self.pivot_rows[c]) for c in self._order)
+        """Basis rows as dense tuples, ordered by pivot column."""
+        return tuple(tuple(self._dense(self.pivot_rows[c])) for c in sorted(self.pivot_rows))
 
     def __eq__(self, other):
         return (
             isinstance(other, RowSpace)
             and self.width == other.width
-            and self.basis() == other.basis()
+            and self.pivot_rows == other.pivot_rows
         )
 
 
@@ -168,14 +202,16 @@ def kernel_basis(rows, width):
     Deterministic: free coordinates are taken in increasing order.
     """
     echelon = span(rows, width)
-    pivots = sorted(echelon.pivot_rows)
-    free = [c for c in range(width) if c not in echelon.pivot_rows]
+    pivot_rows = echelon.pivot_rows
     vectors = []
-    for f in free:
-        x = [Fraction(0)] * width
-        x[f] = Fraction(1)
-        for c in pivots:
-            p = echelon.pivot_rows[c]
-            x[c] = Fraction(-p[f], p[c])
+    for f in range(width):
+        if f in pivot_rows:
+            continue
+        x = [0] * width
+        x[f] = 1
+        for c, p in pivot_rows.items():
+            v = p.get(f)
+            if v:
+                x[c] = Fraction(-v, p[c])
         vectors.append(scaled_int_row(x))
     return vectors

@@ -293,7 +293,13 @@ class GradedQuotient:
     def _build(self):
         """The core of this pair.  Generators are collected per degree as a
         set of block unions, keyed by (variables, r): inserting one vector
-        twice cannot change a span, and zero blocks repeat unions."""
+        twice cannot change a span, and zero blocks repeat unions.
+
+        Degree t is spanned by its generators and x_v * I_{t-1} for
+        v < d only.  Last-variable lemma: e_1 = 0 in the coinvariant
+        algebra, so apply_var(b, d, r) = -sum_{v<d} apply_var(b, v, r) for
+        every degree-r vector b, hence x_d * I_{t-1} lies in
+        sum_{v<d} x_v * I_{t-1}."""
         ring = self.ring
         max_alg = max([p for p in self.mu.parts if p > 0], default=1)
         first_above = max(0, self.top_x + 1)
@@ -310,7 +316,7 @@ class GradedQuotient:
                 space.insert(ring.sym_class(vars_, t, kind))
             if t:
                 prev = ideal[t - 1].basis()
-                for v in range(1, self.d + 1):
+                for v in range(1, self.d):
                     if space.rank == full:
                         break
                     for row in prev:
@@ -571,15 +577,14 @@ def _certificate_data(lam, mu, quotient, tableaux):
         # lies in the ideal
         tag_pivot = min((c for c in space.pivot_rows if c >= width), default=None)
         if tag_pivot is not None:
-            combo = space.pivot_rows[tag_pivot][width:]
+            combo = space.pivot_rows[tag_pivot]
             raise BasisError(
                 "tableau classes are dependent modulo the ideal",
                 witness={
                     "degree": 2 * t,
                     "combination": {
-                        str(tableaux[idx].to_json()): c
-                        for idx, c in zip(indices, combo)
-                        if c
+                        str(tableaux[indices[c - width]].to_json()): combo[c]
+                        for c in sorted(combo)
                     },
                 },
             )
@@ -635,13 +640,14 @@ def structure_constants(lam, mu, family="H", certificate=None):
 def rel_equivalence(lam, mu, qh=None, qe=None):
     """Whether the H and E families cut out the same ideal degreewise.
 
-    Each ideal_space(t) is a RowSpace in canonical form, whose basis() is
-    the unique reduced echelon basis of the span, so two ideal spaces are
-    equal exactly when their basis() tuples are.  The stopping degree
-    stop_x depends only on (lam, mu), and above it both quotients are
-    verified to vanish.  So the families are equivalent exactly when
-    they have the same stop_x and the same basis() in every degree up to
-    it; equal Hilbert series follow.  Quotients of two different pairs
+    Each ideal_space(t) is a RowSpace in canonical form (the unique
+    reduced echelon basis of the span), so two ideal spaces are equal
+    exactly when they compare equal with ==, which reads the stored rows
+    without densifying them.  The stopping degree stop_x depends only on
+    (lam, mu), and above it both quotients are verified to vanish.  So
+    the families are equivalent exactly when they have the same stop_x
+    and equal ideal spaces in every degree up to it; equal Hilbert series
+    follow.  Quotients of two different pairs
     with different stop_x compare unequal even when both ideals are the
     unit ideal.
     """
@@ -652,8 +658,7 @@ def rel_equivalence(lam, mu, qh=None, qe=None):
     if qh.stop_x != qe.stop_x:
         return False
     return all(
-        qh.ideal_space(t).basis() == qe.ideal_space(t).basis()
-        for t in range(qh.stop_x + 1)
+        qh.ideal_space(t) == qe.ideal_space(t) for t in range(qh.stop_x + 1)
     )
 
 

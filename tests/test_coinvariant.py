@@ -90,6 +90,33 @@ class TestRingBasics:
                 expected = pq_cls.get(rp + rq, [0] * ring.dim(rp + rq))
                 assert [Fraction(v) for v in got] == [Fraction(v) for v in expected]
 
+    def test_apply_var_matches_normal_form(self):
+        # the sparse variable matrices act as multiplication of monomials
+        for d in range(1, 6):
+            ring = get_ring(d)
+            for r in range(ring.top):
+                for pos, mono in enumerate(ring.basis[r]):
+                    unit = [0] * ring.dim(r)
+                    unit[pos] = 3
+                    for v in range(1, d + 1):
+                        bumped = tuple(e + (i == v - 1) for i, e in enumerate(mono))
+                        expected = [3 * c for c in ring.nf(bumped)]
+                        assert ring.apply_var(unit, v, r) == expected
+
+    def test_last_variable_is_minus_the_others(self):
+        # e_1 = 0, so x_d b = -(x_1 + ... + x_{d-1}) b for every class b;
+        # GradedQuotient._build relies on this to skip x_d
+        for d in range(1, 7):
+            ring = get_ring(d)
+            for r in range(ring.top):
+                for pos in range(ring.dim(r)):
+                    unit = [0] * ring.dim(r)
+                    unit[pos] = 1
+                    total = ring.apply_var(unit, d, r)
+                    for v in range(1, d):
+                        total = [a + b for a, b in zip(total, ring.apply_var(unit, v, r))]
+                    assert not any(total)
+
     def test_mul_block_h_matches_generic_product(self):
         ring = get_ring(4)
         vars_ = (3, 4)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,8 +7,20 @@ from hypothesis import strategies as st
 from spaltenstein.linalg import RowSpace, kernel_basis, scaled_int_row, span, transpose_rows
 
 
-def fraction_rank(rows, width):
-    """Plain Gaussian elimination over Fractions, the reference rank."""
+def primitive_int(row):
+    """A non-zero rational row scaled to a primitive integer row with a
+    positive first non-zero entry."""
+    ints = scaled_int_row(row)
+    g = gcd(*ints)
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return tuple(v // g for v in ints)
+
+
+def fraction_rref(rows, width):
+    """Plain Gauss-Jordan elimination over Fractions, the reference reduced
+    echelon basis: one row per pivot column, each a primitive integer row
+    with a positive lead."""
     mat = [[Fraction(v) for v in row] for row in rows]
     rank = 0
     for col in range(width):
@@ -15,12 +28,25 @@ def fraction_rank(rows, width):
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        lead = mat[rank][col]
+        mat[rank] = [v / lead for v in mat[rank]]
         for i in range(len(mat)):
             if i != rank and mat[i][col]:
-                f = mat[i][col] / mat[rank][col]
+                f = mat[i][col]
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
         rank += 1
-    return rank
+    return [primitive_int(row) for row in mat[:rank]]
+
+
+def fraction_residual(reduced, row):
+    """row minus its projection along the reduced echelon basis: the one
+    vector of row + span vanishing at every pivot column."""
+    out = [Fraction(v) for v in row]
+    for basis_row in reduced:
+        col = next(c for c, v in enumerate(basis_row) if v)
+        f = out[col] / basis_row[col]
+        out = [a - f * b for a, b in zip(out, basis_row)]
+    return out
 
 
 def matrix_strategy():
@@ -30,6 +56,28 @@ def matrix_strategy():
             min_size=1,
             max_size=7,
         ).map(lambda rows: (rows, w))
+    )
+
+
+def sparse_row(width):
+    """Mostly-zero rows of integers in -9..9, some divided by a common
+    denominator into Fractions."""
+    entry = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-9, 9))
+    ints = st.lists(entry, min_size=width, max_size=width)
+    fractions = st.tuples(ints, st.integers(2, 6)).map(
+        lambda pair: [Fraction(v, pair[1]) for v in pair[0]]
+    )
+    return st.one_of(ints, ints, ints, fractions)
+
+
+def sparse_strategy():
+    """(rows, probe rows, width) with widths up to 20."""
+    return st.integers(min_value=1, max_value=20).flatmap(
+        lambda w: st.tuples(
+            st.lists(sparse_row(w), min_size=1, max_size=12),
+            st.lists(sparse_row(w), min_size=1, max_size=4),
+            st.just(w),
+        )
     )
 
 
@@ -78,7 +126,40 @@ class TestRowSpace:
     @given(matrix_strategy())
     def test_rank_matches_fraction_oracle(self, data):
         rows, width = data
-        assert span(rows, width).rank == fraction_rank(rows, width)
+        assert span(rows, width).rank == len(fraction_rref(rows, width))
+
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_strategy())
+    def test_matches_dense_oracle(self, data):
+        rows, probes, width = data
+        space = span(rows, width)
+        reduced = fraction_rref(rows, width)
+        assert space.basis() == tuple(reduced)
+        assert space.rank == len(reduced)
+        for row in rows:
+            assert space.residual(row) is None
+            assert space.contains(row)
+        assert (space == span(probes, width)) == (reduced == fraction_rref(probes, width))
+        for probe in probes:
+            expected = fraction_residual(reduced, probe)
+            assert space.residual_fraction(probe) == expected
+            if any(expected):
+                assert space.residual(probe) == list(primitive_int(expected))
+                assert not space.contains(probe)
+            else:
+                assert space.residual(probe) is None
+
+    @settings(max_examples=80, deadline=None)
+    @given(sparse_strategy())
+    def test_copy_is_independent(self, data):
+        rows, probes, width = data
+        space = span(rows, width)
+        before = space.basis()
+        other = space.copy()
+        for probe in probes:
+            other.insert(probe)
+        assert space.basis() == before
+        assert other.basis() == tuple(fraction_rref(rows + probes, width))
 
     @settings(max_examples=80, deadline=None)
     @given(matrix_strategy())
@@ -107,7 +188,7 @@ class TestKernel:
         for v in kernel:
             for row in rows:
                 assert sum(a * b for a, b in zip(row, v)) == 0
-        assert len(kernel) == width - fraction_rank(rows, width)
+        assert len(kernel) == width - len(fraction_rref(rows, width))
 
     def test_scaled_int_row(self):
         assert scaled_int_row([Fraction(1, 2), Fraction(2, 3)]) == [3, 4]

@@ -283,6 +283,23 @@ class TestDependencyWitness:
         assert pairs == 56
 
 
+class TestLastVariableSkip:
+    def test_ideals_closed_under_last_variable_d5(self):
+        # _build propagates I_{t-1} by x_1..x_{d-1} only; the ideal it gets
+        # must still contain x_d * I_{t-1}
+        pairs = 0
+        for lam, mu in iter_pairs(5):
+            d = mu.size()
+            for family in ("H", "E"):
+                q = build_quotient(lam, mu, family)
+                for t in range(1, q.stop_x + 1):
+                    space = q.ideal_space(t)
+                    for row in q.ideal_space(t - 1).basis():
+                        assert space.contains(q.ring.apply_var(list(row), d, t - 1))
+            pairs += 1
+        assert pairs == 1641
+
+
 def membership_equivalence(qh, qe):
     """Oracle for rel_equivalence by membership instead of canonical bases:
     equal Hilbert series, equal ideal ranks through the common window, and
