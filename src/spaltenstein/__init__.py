@@ -18,11 +18,10 @@ from .presentation import (
     rel_equivalence,
     structure_constants,
 )
-from .reports import betti, components, paving_report, poset_dot, poset_edges
+from .reports import betti, components, poset_dot, poset_edges
 from .symring import (
     BlockStructure,
     Polynomial,
-    block_antisymmetrizer,
     complete_block,
     elementary_block,
     permute,

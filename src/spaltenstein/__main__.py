@@ -1,0 +1,8 @@
+"""Entry point of python -m spaltenstein: the command line interface."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

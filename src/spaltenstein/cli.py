@@ -4,13 +4,17 @@ Partitions and compositions are comma-separated integers; tableaux are
 semicolon-separated rows of comma-separated entries.  JSON output is
 compact with sorted keys, so identical invocations produce identical
 bytes.  Exit codes: 0 success, 1 failed mathematical verification
-(witness printed as JSON), 2 usage error.
+(witness printed as JSON), 2 usage error.  A command that needs the
+coinvariant ring of d > MAX_D (8) exits 2, and sweep refuses --d-max > 8
+before any output.  Without installing the package, run it as
+PYTHONPATH=src python -m spaltenstein <command> ...
 """
 
 import argparse
 import json
 import sys
 
+from .coinvariant import MAX_D
 from .presentation import (
     VerificationError,
     anti_invariant_transfer,
@@ -286,6 +290,8 @@ def main(argv=None, out=None):
     if args.command == "sweep":
         if args.d_max < 0:
             parser.error(f"--d-max must be non-negative, got {args.d_max}")
+        if args.d_max > MAX_D:
+            parser.error(f"--d-max {args.d_max} exceeds the limit d <= {MAX_D}")
         if args.n_max is not None and args.n_max < 0:
             parser.error(f"--n-max must be non-negative, got {args.n_max}")
     try:

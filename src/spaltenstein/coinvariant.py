@@ -21,18 +21,36 @@ memoised per monomial, and multiplication by a single variable is cached
 as a sparse integer matrix per degree; block symmetric functions then act
 through short linear recurrences instead of polynomial expansion.
 
-All vectors taken and returned are dense integer lists over the
-per-degree staircase basis, ordered lexicographically.  Degrees in this
-module are x-degrees; the public grading of the library doubles them.
+Vectors are taken and returned as dense integer lists over the
+per-degree staircase basis, ordered lexicographically, with one sparse
+exception: apply_var_sparse multiplies a row {position: non-zero int} by
+one variable and returns a row in the same form, and apply_var is its
+dense wrapper.  The variable and swap matrices are stored with sparse
+rows.  Degrees in this module are x-degrees; the public grading of the
+library doubles them.
+
+Rings are refused above d = MAX_D, before any monomial is generated: the
+staircase basis has d! monomials, so d = 9 already needs 362,880 of them
+and the variable matrices of every degree.
 """
 
 from itertools import combinations_with_replacement, product
 
+from .linalg import RowSpace
+
+# the largest d a CoinvariantRing is built for
+MAX_D = 8
+
 
 class CoinvariantRing:
-    """Staircase model of Q[x_1..x_d]/(positive-degree symmetric polynomials)."""
+    """Staircase model of Q[x_1..x_d]/(positive-degree symmetric polynomials).
+
+    Raises ValueError for d > MAX_D.
+    """
 
     def __init__(self, d):
+        if d > MAX_D:
+            raise ValueError(f"d = {d} exceeds the limit d <= {MAX_D} of the coinvariant ring")
         self.d = d
         self.top = d * (d - 1) // 2
         basis = [[] for _ in range(self.top + 1)]
@@ -139,54 +157,78 @@ class CoinvariantRing:
             raise ValueError(f"polynomial has {p.d} variables, ring has {self.d}")
         return self.class_of_terms(p.terms)
 
+    def _sparse_rows(self, monos):
+        """Normal forms of monomials, each as a tuple of (column, entry)
+        pairs over its non-zero entries; equal pairs are stored once per
+        ring, to save memory."""
+        pairs = self._pairs
+        return [
+            tuple(pairs.setdefault(jw, jw) for jw in enumerate(self.nf(mono)) if jw[1])
+            for mono in monos
+        ]
+
     def var_matrix(self, v, r):
         """Rows t -> class(x_v * t) for t in the degree-r basis, each row
-        stored sparse as a tuple of (column, entry) pairs over its non-zero
-        entries in the degree-(r+1) basis.  Equal pairs are stored once
-        per ring, to save memory."""
+        sparse over the degree-(r+1) basis (see _sparse_rows)."""
         key = (v, r)
         cached = self._var_matrices.get(key)
         if cached is None:
-            rows, pairs = [], self._pairs
+            bumped = []
             for mono in self.basis[r]:
-                bumped = list(mono)
-                bumped[v - 1] += 1
-                vec = self.nf(tuple(bumped))
-                rows.append(tuple(pairs.setdefault(jw, jw) for jw in enumerate(vec) if jw[1]))
-            cached = self._var_matrices[key] = rows
+                m = list(mono)
+                m[v - 1] += 1
+                bumped.append(tuple(m))
+            cached = self._var_matrices[key] = self._sparse_rows(bumped)
         return cached
+
+    def apply_var_sparse(self, row, v, r):
+        """Class of x_v times a degree-r class, both as {position: non-zero
+        int}.  The one multiplication loop: apply_var wraps it."""
+        if r >= self.top:
+            return {}
+        rows = self.var_matrix(v, r)
+        out = {}
+        get = out.get
+        for pos, val in row.items():
+            for j, w in rows[pos]:
+                out[j] = get(j, 0) + val * w
+        return {j: x for j, x in out.items() if x}
 
     def apply_var(self, vec, v, r):
         """Class of x_v times a degree-r class, as a dense vector."""
-        out_dim = self.dim(r + 1)
-        out = [0] * out_dim
-        if not out_dim:
-            return out
-        rows = self.var_matrix(v, r)
-        for pos, val in enumerate(vec):
-            if val:
-                for j, w in rows[pos]:
-                    out[j] += val * w
+        out = [0] * self.dim(r + 1)
+        row = {pos: x for pos, x in enumerate(vec) if x}
+        for j, x in self.apply_var_sparse(row, v, r).items():
+            out[j] = x
         return out
 
     def swap_matrix(self, i, r):
-        """Action of the adjacent transposition (i, i+1) on the degree-r basis."""
+        """Action of the adjacent transposition (i, i+1) on the degree-r
+        basis, one sparse row per basis monomial (see _sparse_rows)."""
         key = (i, r)
         cached = self._swap_matrices.get(key)
         if cached is None:
-            rows = []
+            swapped = []
             for mono in self.basis[r]:
                 m = list(mono)
                 m[i - 1], m[i] = m[i], m[i - 1]
-                rows.append(self.nf(tuple(m)))
-            cached = self._swap_matrices[key] = rows
+                swapped.append(tuple(m))
+            cached = self._swap_matrices[key] = self._sparse_rows(swapped)
         return cached
 
     def sym_classes(self, vars_, rmax, kind):
-        """Classes of e_r or h_r of the given variables for r = 0..rmax."""
-        key = (vars_, rmax, kind)
+        """Classes of e_r or h_r of the given variables for r = 0..rmax, as
+        a list of at least rmax + 1 dense vectors indexed by r.
+
+        Cached per (vars_, kind), whatever rmax: a cached list is returned
+        whenever it reaches rmax, and otherwise the recurrence runs again
+        up to rmax and its list replaces the cached one.  Class r does not
+        depend on rmax, so every call sees the same classes; a caller that
+        needs several degrees asks once for the largest.
+        """
+        key = (vars_, kind)
         cached = self._sym_classes.get(key)
-        if cached is not None:
+        if cached is not None and len(cached) > rmax:
             return cached
         classes = [self.unit()] + [self.zero(r) for r in range(1, rmax + 1)]
         for v in vars_:
@@ -200,15 +242,6 @@ class CoinvariantRing:
             classes = nxt
         self._sym_classes[key] = classes
         return classes
-
-    def sym_class(self, vars_, r, kind):
-        if r < 0:
-            return None
-        if r == 0:
-            return self.unit()
-        if r > self.top:
-            return self.zero(r)
-        return self.sym_classes(vars_, r, kind)[r]
 
     def mul_block_h(self, vec, r, vars_, s):
         """Class of (degree-r class) times h_s of the given variables.
@@ -249,7 +282,17 @@ class CoinvariantRing:
         return out
 
     def antisymmetrizer_class(self, block_pairs):
-        """Class of the product of (x_i - x_j) over the given pairs, unscaled."""
+        """Class of the product of (x_i - x_j) over the given pairs, unscaled,
+        and its x-degree (the number of pairs).
+
+        With the pairs i < j inside a common block of mu, this is |S_mu|
+        times the block antisymmetrizer, the product of the differences
+        scaled by 1/|S_mu|.  It is the product, not a sum: a sum of the
+        differences would be homogeneous of degree 2 and would not
+        alternate, while the product is homogeneous of exactly twice the
+        blockwise pair count and does alternate under S_mu, which is what
+        the rank-one transfer statement requires.
+        """
         vec, r = self.unit(), 0
         for i, j in block_pairs:
             vec = [
@@ -274,10 +317,13 @@ def invariant_rows(ring, transpositions, r):
     """Basis of the subspace of degree-r classes fixed by the transpositions.
 
     The transpositions must be adjacent pairs (i, i+1); the result is a
-    deterministic list of integer rows in the staircase coordinates.
+    deterministic list of integer rows in the staircase coordinates.  A
+    class x is fixed by the swap matrix S when x (S - 1) = 0, so each
+    transposition gives one equation per column of S - 1.  The equations
+    are gathered sparse from the rows of S, the identically zero ones are
+    dropped, and the kernel is read off their reduced echelon form, which
+    is canonical: the rows do not depend on the order of the equations.
     """
-    from .linalg import kernel_basis
-
     dim = ring.dim(r)
     if dim == 0:
         return []
@@ -288,10 +334,18 @@ def invariant_rows(ring, transpositions, r):
             row[pos] = 1
             rows.append(row)
         return rows
-    equations = []
+    space = RowSpace(dim)
     for i, _ in transpositions:
-        mat = ring.swap_matrix(i, r)
-        for coord in range(dim):
-            equations.append([mat[b][coord] - (1 if b == coord else 0) for b in range(dim)])
-    return [list(v) for v in kernel_basis(equations, dim)]
-
+        equations = [{} for _ in range(dim)]
+        for b, row in enumerate(ring.swap_matrix(i, r)):
+            for coord, w in row:
+                equations[coord][b] = w
+        for coord, eq in enumerate(equations):
+            w = eq.get(coord, 0) - 1
+            if w:
+                eq[coord] = w
+            else:
+                del eq[coord]
+            if eq:
+                space.insert_sparse(eq)
+    return space.kernel()

@@ -1,15 +1,16 @@
 """Fraction-free exact linear algebra over the rationals.
 
-Every public function and method takes and returns dense rows (lists of
-Python integers or Fractions).  Inside RowSpace each basis row is stored
-sparse, as a dict {column: non-zero int}: the rows of the presentation
-layer are mostly zero, so elimination touches only their support.  A
-subspace is kept as a set of primitive integer rows, one per pivot
-column, each vanishing at all other pivot columns.  Elimination uses
-integer multiples followed by division by the content, so no fractions
-ever appear and ranks are exact.  Pivot columns are chosen as the first
-non-zero coordinate of the reduced row, which makes every computation
-deterministic.
+Rows are passed in and out dense (lists of Python integers or
+Fractions), with two sparse exceptions: RowSpace.insert_sparse takes a
+row as a dict {column: non-zero int}, and pivot_rows holds the basis
+rows in that form.  Inside RowSpace every basis row is stored sparse:
+the rows of the presentation layer are mostly zero, so elimination
+touches only their support.  A subspace is kept as a set of primitive
+integer rows, one per pivot column, each vanishing at all other pivot
+columns.  Elimination uses integer multiples followed by division by the
+content, so no fractions ever appear and ranks are exact.  Pivot columns
+are chosen as the first non-zero coordinate of the reduced row, which
+makes every computation deterministic.
 """
 
 from fractions import Fraction
@@ -131,12 +132,19 @@ class RowSpace:
         return self._dense(_primitive(res, min(res)))
 
     def insert(self, row):
-        """Add a row to the space; returns True when the rank grows.
+        """Add a dense row to the space; returns True when the rank grows."""
+        return self.insert_sparse(_sparse_int(row))
 
+    def insert_sparse(self, row):
+        """Add a row given as {column: non-zero int}; returns True when the
+        rank grows.  This is the one insertion path.
+
+        The dict is consumed: it may be changed in place or kept as a
+        basis row, so the caller must not use it afterwards.
         Back-substitution touches only the pivot rows that are non-zero
         at the new pivot column.
         """
-        res = self._reduce(_sparse_int(row))
+        res = self._reduce(row)
         if not res:
             return False
         lead = min(res)
@@ -173,6 +181,37 @@ class RowSpace:
             out[k] = v
         return out
 
+    def kernel(self):
+        """Integer basis of {x in Q^width : row . x = 0 for every row of
+        the space}, one vector per non-pivot column f in increasing
+        order: the primitive integer multiple, positive at f, of the
+        vector with x[f] = 1, x[c] = -p[f] / p[c] for the row p of each
+        pivot c, and 0 elsewhere.  Every entry p[f] with f != c lies in a
+        non-pivot column, so the back-solve reads each row once; the
+        scale is the lcm of the reduced denominators p[c] / gcd(p[f], p[c]).
+        """
+        pivot_rows = self.pivot_rows
+        hits = {}
+        for c, p in pivot_rows.items():
+            for f, v in p.items():
+                if f != c:
+                    hits.setdefault(f, []).append((c, v, p[c]))
+        vectors = []
+        for f in range(self.width):
+            if f in pivot_rows:
+                continue
+            column = hits.get(f, ())
+            scale = 1
+            for _, v, pv in column:
+                den = pv // gcd(v, pv)
+                scale = scale * den // gcd(scale, den)
+            x = [0] * self.width
+            x[f] = scale
+            for c, v, pv in column:
+                x[c] = -v * scale // pv
+            vectors.append(x)
+        return vectors
+
     def basis(self):
         """Basis rows as dense tuples, ordered by pivot column."""
         return tuple(tuple(self._dense(self.pivot_rows[c])) for c in sorted(self.pivot_rows))
@@ -201,17 +240,4 @@ def kernel_basis(rows, width):
 
     Deterministic: free coordinates are taken in increasing order.
     """
-    echelon = span(rows, width)
-    pivot_rows = echelon.pivot_rows
-    vectors = []
-    for f in range(width):
-        if f in pivot_rows:
-            continue
-        x = [0] * width
-        x[f] = 1
-        for c, p in pivot_rows.items():
-            v = p.get(f)
-            if v:
-                x[c] = Fraction(-v, p[c])
-        vectors.append(scaled_int_row(x))
-    return vectors
+    return span(rows, width).kernel()

@@ -299,7 +299,10 @@ class GradedQuotient:
         v < d only.  Last-variable lemma: e_1 = 0 in the coinvariant
         algebra, so apply_var(b, d, r) = -sum_{v<d} apply_var(b, v, r) for
         every degree-r vector b, hence x_d * I_{t-1} lies in
-        sum_{v<d} x_v * I_{t-1}."""
+        sum_{v<d} x_v * I_{t-1}.  Propagation multiplies the sparse pivot
+        rows of I_{t-1}, in pivot order, and inserts the sparse products;
+        the classes of each block union come from one sym_classes call up
+        to stop_x."""
         ring = self.ring
         max_alg = max([p for p in self.mu.parts if p > 0], default=1)
         first_above = max(0, self.top_x + 1)
@@ -308,19 +311,22 @@ class GradedQuotient:
         for subset, r in _generator_items(self.lam, self.mu, self.family, stop_x):
             gens_by_deg.setdefault(r, {})[self.blocks.union(subset)] = None
         kind = "h" if self.family == "H" else "e"
+        unions = {vars_ for gens in gens_by_deg.values() for vars_ in gens}
+        classes = {vars_: ring.sym_classes(vars_, stop_x, kind) for vars_ in unions}
         ideal, qdim = {}, {}
         for t in range(stop_x + 1):
-            space = RowSpace(ring.dim(t))
             full = ring.dim(t)
+            space = RowSpace(full)
             for vars_ in gens_by_deg.get(t, ()):
-                space.insert(ring.sym_class(vars_, t, kind))
+                space.insert(classes[vars_][t])
             if t:
-                prev = ideal[t - 1].basis()
+                below = ideal[t - 1].pivot_rows
+                prev = [below[c] for c in sorted(below)]
                 for v in range(1, self.d):
                     if space.rank == full:
                         break
                     for row in prev:
-                        space.insert(ring.apply_var(row, v, t - 1))
+                        space.insert_sparse(ring.apply_var_sparse(row, v, t - 1))
                         if space.rank == full:
                             break
             ideal[t] = space
@@ -798,8 +804,9 @@ def _anti_invariant_dim(ring, reg, transpositions, e):
     for b in range(dim):
         col = []
         for i, _ in transpositions:
-            mat = ring.swap_matrix(i, e)
-            moved = list(mat[b])
+            moved = [0] * dim
+            for j, w in ring.swap_matrix(i, e)[b]:
+                moved[j] = w
             moved[b] += 1
             col.extend(ideal.residual_fraction(moved))
         columns.append(col)

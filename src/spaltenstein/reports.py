@@ -7,8 +7,6 @@ fibers collected from the straightening map, and the cell order is
 exported as a Hasse diagram.
 """
 
-from dataclasses import dataclass
-
 from .presentation import HilbertSeries
 from .tableaux import (
     cell_order,
@@ -28,10 +26,6 @@ def betti(lam, mu):
     for t in degrees:
         coeffs[t] += 1
     return HilbertSeries(coeffs)
-
-
-def euler_characteristic(lam, mu):
-    return betti(lam, mu).evaluate(1)
 
 
 def components(lam, mu):
@@ -87,45 +81,3 @@ def poset_dot(lam, mu):
         lines.append(f'  "{label(T)}" -> "{label(U)}";')
     lines.append("}")
     return "\n".join(lines)
-
-
-@dataclass(frozen=True)
-class PavingReport:
-    lam: object
-    mu: object
-    tableaux: tuple  # of (Tableau, degree)
-    betti: HilbertSeries
-    edges: tuple
-    components: tuple  # of (Tableau, dimension, fiber tuple)
-
-    def to_json(self):
-        return {
-            "lambda": self.lam.to_json(),
-            "mu": self.mu.to_json(),
-            "tableaux": [
-                {"tableau": T.to_json(), "degree": 2 * t} for T, t in self.tableaux
-            ],
-            "betti": self.betti.to_json(),
-            "edges": [[T.to_json(), U.to_json()] for T, U in self.edges],
-            "components": [
-                {
-                    "tableau": S.to_json(),
-                    "dimension": dim,
-                    "fiber": [T.to_json() for T in fiber],
-                }
-                for S, dim, fiber in self.components
-            ],
-        }
-
-
-def paving_report(lam, mu):
-    cols = enumerate_column_strict(lam, mu)
-    tabs = tuple((T, tableau_degree(T, mu)) for T in cols)
-    return PavingReport(
-        lam,
-        mu,
-        tabs,
-        betti(lam, mu),
-        tuple(poset_edges(lam, mu)),
-        tuple((S, dim, tuple(fiber)) for S, dim, fiber in components(lam, mu)),
-    )

@@ -15,7 +15,6 @@ r < 0.
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import factorial
 
 
 def _as_fraction(c):
@@ -186,14 +185,6 @@ class Polynomial:
             for exps, c in self.sorted_terms()
         ]
 
-    @classmethod
-    def from_json(cls, d, data):
-        terms = {}
-        for item in data:
-            num, den = item["coeff"].split("/")
-            terms[tuple(item["exps"])] = Fraction(int(num), int(den))
-        return cls(d, terms)
-
 
 class BlockStructure:
     """The variable blocks X_j = {x_k : mu_1+...+mu_{j-1} < k <= mu_1+...+mu_j}."""
@@ -230,13 +221,6 @@ class BlockStructure:
             blk = self.block(j)
             pairs.extend((blk[t], blk[t + 1]) for t in range(len(blk) - 1))
         return pairs
-
-    def order(self):
-        """The order of S_mu."""
-        out = 1
-        for p in self.mu.parts:
-            out *= factorial(p)
-        return out
 
 
 def _sym_from_vars(d, vars_, r, elementary):
@@ -294,26 +278,6 @@ def transposition(d, i, j):
     w = list(range(1, d + 1))
     w[i - 1], w[j - 1] = j, i
     return tuple(w)
-
-
-def block_antisymmetrizer(mu):
-    """The product of x_i - x_j over pairs i < j in a common block,
-    scaled by 1/|S_mu|.
-
-    This element is homogeneous of degree twice the half-sum of
-    mu_i*(mu_i - 1) and alternates under S_mu; it generates the
-    anti-invariants as a rank-one module over the invariants.  (A sum of
-    the differences would be homogeneous of degree 2 and not alternating,
-    so the product is the only reading consistent with those facts.)
-    """
-    blocks = BlockStructure(mu)
-    d = blocks.d
-    out = Polynomial.one(d)
-    for j in range(1, len(mu) + 1):
-        blk = blocks.block(j)
-        for a, b in combinations(blk, 2):
-            out = out * (Polynomial.variable(d, a) - Polynomial.variable(d, b))
-    return out * Fraction(1, blocks.order())
 
 
 def is_invariant(mu, p):

@@ -1,9 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 import spaltenstein.cli as cli
+import spaltenstein.coinvariant as coinvariant
 import spaltenstein.presentation as presentation
 from spaltenstein.cli import main
 from spaltenstein.presentation import HilbertSeries
@@ -160,3 +164,53 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as info:
             main(["hilbert", "--lambda", "1,1,1", "--mu", "3"])
         assert info.value.code == 2
+
+    def test_ring_above_limit_exits_2(self):
+        coinvariant._RINGS.pop(9, None)
+        with pytest.raises(SystemExit) as info:
+            main(["hilbert", "--lambda", "9", "--mu", "9"])
+        assert info.value.code == 2
+        assert 9 not in coinvariant._RINGS
+
+    def test_sweep_above_limit_exits_2_before_output(self):
+        out = io.StringIO()
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--d-max", "9"], out=out)
+        assert info.value.code == 2
+        assert out.getvalue() == ""
+
+    def test_degree_builds_no_ring(self):
+        # the README degree example has d = 12, above the ring limit
+        code, _ = run_cli(
+            [
+                "degree",
+                "--lambda", "4,3,3,2",
+                "--mu", "1,4,1,3,1,2",
+                "--tableau", "2,1,2,2;3,2,4;4,4,6;6,5",
+            ]
+        )
+        assert code == 0
+        assert 12 not in coinvariant._RINGS
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_module(argv):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, "-m", "spaltenstein", *argv], env=env, capture_output=True
+    )
+
+
+class TestModuleEntryPoint:
+    def test_same_bytes_as_main(self):
+        argv = ["hilbert", "--lambda", "3,2,1", "--mu", "2,2,2"]
+        proc = run_module(argv)
+        assert proc.returncode == 0
+        assert proc.stdout.decode() == run_cli(argv)[1]
+
+    def test_bad_pair_exits_2(self):
+        proc = run_module(["hilbert", "--lambda", "2,1", "--mu", "1,1"])
+        assert proc.returncode == 2
+        assert proc.stdout == b""

@@ -1,8 +1,14 @@
+import random
 from fractions import Fraction
 from itertools import permutations
 
-from spaltenstein.coinvariant import get_ring, invariant_rows
-from spaltenstein.symring import BlockStructure, Polynomial, block_antisymmetrizer
+import pytest
+
+from oracles import block_antisymmetrizer
+from spaltenstein import coinvariant, presentation
+from spaltenstein.coinvariant import MAX_D, CoinvariantRing, get_ring, invariant_rows
+from spaltenstein.linalg import kernel_basis
+from spaltenstein.symring import BlockStructure, Polynomial, complete_block, elementary_block
 from spaltenstein.tableaux import Composition, compositions
 
 
@@ -44,6 +50,36 @@ def _q_poly_divide(a, b):
     return out
 
 
+def dense_invariant_rows(ring, transpositions, r):
+    """Oracle for invariant_rows: the dense equations x (S - 1) = 0, one
+    per column of each swap matrix S, read from the normal forms of the
+    swapped monomials, solved by kernel_basis."""
+    dim = ring.dim(r)
+    if not transpositions:
+        return [[int(b == c) for c in range(dim)] for b in range(dim)]
+    equations = []
+    for i, _ in transpositions:
+        mat = []
+        for mono in ring.basis[r]:
+            m = list(mono)
+            m[i - 1], m[i] = m[i], m[i - 1]
+            mat.append(ring.nf(tuple(m)))
+        for coord in range(dim):
+            equations.append([mat[b][coord] - (b == coord) for b in range(dim)])
+    return kernel_basis(equations, dim)
+
+
+def product_by_normal_forms(ring, vec, v, r):
+    """Oracle for the variable products: x_v times sum c_b t_b is
+    sum c_b nf(x_v t_b), as a dense vector."""
+    out = [0] * ring.dim(r + 1)
+    for c, mono in zip(vec, ring.basis[r]):
+        bumped = tuple(e + (i == v - 1) for i, e in enumerate(mono))
+        for j, w in enumerate(ring.nf(bumped)):
+            out[j] += c * w
+    return out
+
+
 def inversion_counts(d):
     counts = {}
     for w in permutations(range(d)):
@@ -64,8 +100,8 @@ class TestRingBasics:
         ring = get_ring(4)
         allvars = (1, 2, 3, 4)
         for r in range(1, 5):
-            assert not any(ring.sym_class(allvars, r, "h"))
-            assert not any(ring.sym_class(allvars, r, "e"))
+            assert not any(ring.sym_classes(allvars, r, "h")[r])
+            assert not any(ring.sym_classes(allvars, r, "e")[r])
 
     def test_nf_agrees_with_polynomial_relations(self):
         # x1 + ... + xd reduces to zero
@@ -103,6 +139,25 @@ class TestRingBasics:
                         expected = [3 * c for c in ring.nf(bumped)]
                         assert ring.apply_var(unit, v, r) == expected
 
+    def test_sparse_product_matches_dense(self):
+        rng = random.Random(5)
+        for d in range(1, 6):
+            ring = get_ring(d)
+            for r in range(ring.top + 1):
+                dim = ring.dim(r)
+                vectors = [[int(b == c) for c in range(dim)] for b in range(dim)]
+                vectors += [
+                    [rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(dim)] for _ in range(8)
+                ]
+                for vec in vectors:
+                    row = {pos: x for pos, x in enumerate(vec) if x}
+                    for v in range(1, d + 1):
+                        dense = ring.apply_var(vec, v, r)
+                        assert dense == product_by_normal_forms(ring, vec, v, r)
+                        assert ring.apply_var_sparse(dict(row), v, r) == {
+                            j: x for j, x in enumerate(dense) if x
+                        }
+
     def test_last_variable_is_minus_the_others(self):
         # e_1 = 0, so x_d b = -(x_1 + ... + x_{d-1}) b for every class b;
         # GradedQuotient._build relies on this to skip x_d
@@ -123,7 +178,7 @@ class TestRingBasics:
         u = ring.nf((0, 1, 1, 0))
         for s in range(3):
             via_block = ring.mul_block_h(list(u), 2, vars_, s)
-            h_cls = ring.sym_class(vars_, s, "h")
+            h_cls = ring.sym_classes(vars_, s, "h")[s]
             via_generic = ring.mul_classes(u, 2, h_cls, s)
             assert via_block[0] == via_generic
             assert via_block[1] == 2 + s
@@ -143,6 +198,22 @@ class TestInvariants:
                         expected = series[r] if r < len(series) else 0
                         assert len(rows) == expected
 
+    def test_sparse_equations_match_dense_oracle(self):
+        # every transposition set of a composition with d <= 6
+        for d in range(1, 7):
+            ring = get_ring(d)
+            sets = {
+                tuple(BlockStructure(Composition(mu)).transpositions())
+                for n in range(1, d + 1)
+                for mu in compositions(d, n)
+            }
+            assert len(sets) == 2 ** (d - 1)
+            for transpositions in sorted(sets):
+                for r in range(ring.top + 1):
+                    assert invariant_rows(ring, transpositions, r) == dense_invariant_rows(
+                        ring, transpositions, r
+                    )
+
     def test_antisymmetrizer_class_matches_polynomial(self):
         ring = get_ring(4)
         mu = Composition([2, 2])
@@ -152,6 +223,56 @@ class TestInvariants:
         eps = block_antisymmetrizer(mu) * 4  # clear the 1/|S_mu| factor
         cls = ring.class_of_polynomial(eps)
         assert [Fraction(v) for v in vec] == [Fraction(v) for v in cls[2]]
+
+
+class TestSymClasses:
+    def test_same_classes_rising_falling_cold(self):
+        for d in range(1, 6):
+            top = get_ring(d).top
+            var_sets = [(1,), tuple(range(1, d + 1)), tuple(range(2, d + 1)), (1, d)]
+            for kind in ("h", "e"):
+                for vars_ in var_sets:
+                    runs = []
+                    for order in (range(top + 1), range(top, -1, -1), None):
+                        presentation.clear_caches()
+                        ring = get_ring(d)
+                        got = {}
+                        for r in order or range(top + 1):
+                            if order is None:
+                                presentation.clear_caches()
+                                ring = get_ring(d)
+                            classes = ring.sym_classes(vars_, r, kind)
+                            assert len(classes) > r
+                            got[r] = classes[: r + 1]
+                        runs.append(got)
+                    assert runs[0] == runs[1] == runs[2]
+
+    def test_classes_match_polynomials(self):
+        # the recurrence against the normal forms of the expanded polynomials
+        for d in range(1, 5):
+            ring = get_ring(d)
+            ones = Composition((1,) * d)
+            for vars_ in [(1,), tuple(range(1, d + 1)), tuple(range(2, d + 1)), (1, d)]:
+                for kind, builder in (("h", complete_block), ("e", elementary_block)):
+                    classes = ring.sym_classes(vars_, ring.top, kind)
+                    for r in range(1, ring.top + 1):
+                        expected = ring.class_of_polynomial(builder(ones, vars_, r))
+                        assert classes[r] == expected.get(r, ring.zero(r))
+
+
+class TestResourceGuard:
+    def test_refused_before_any_monomial(self, monkeypatch):
+        def no_monomials(*args):
+            raise AssertionError("monomials generated")
+
+        monkeypatch.setattr(coinvariant, "product", no_monomials)
+        coinvariant._RINGS.pop(MAX_D + 1, None)
+        with pytest.raises(ValueError, match=f"d <= {MAX_D}"):
+            CoinvariantRing(MAX_D + 1)
+        with pytest.raises(ValueError, match=f"d <= {MAX_D}"):
+            get_ring(MAX_D + 1)
+        assert MAX_D + 1 not in coinvariant._RINGS
+        assert MAX_D == 8
 
 
 class TestGaussianMultinomial:

@@ -190,6 +190,28 @@ class TestKernel:
                 assert sum(a * b for a, b in zip(row, v)) == 0
         assert len(kernel) == width - len(fraction_rref(rows, width))
 
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_strategy())
+    def test_kernel_matches_fraction_oracle(self, data):
+        # the back-solve on the Fraction reduced echelon basis: for each
+        # free column f, x[f] = 1 and x[c] = -R[f] / R[c] for the row R of
+        # pivot c, scaled to a primitive integer vector positive at f
+        rows, _, width = data
+        reduced = fraction_rref(rows, width)
+        pivots = {next(c for c, v in enumerate(row) if v): row for row in reduced}
+        expected = []
+        for f in range(width):
+            if f in pivots:
+                continue
+            x = [Fraction(int(i == f)) for i in range(width)]
+            for c, row in pivots.items():
+                x[c] = Fraction(-row[f], row[c])
+            ints = scaled_int_row(x)
+            g = gcd(*ints)
+            expected.append([v // g for v in ints])
+        assert kernel_basis(rows, width) == expected
+        assert span(rows, width).kernel() == expected
+
     def test_scaled_int_row(self):
         assert scaled_int_row([Fraction(1, 2), Fraction(2, 3)]) == [3, 4]
         assert scaled_int_row([1, 2]) == [1, 2]

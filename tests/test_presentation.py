@@ -20,8 +20,9 @@ from spaltenstein.presentation import (
     rel_equivalence,
     structure_constants,
 )
+from spaltenstein.linalg import RowSpace
 from spaltenstein.reports import betti
-from spaltenstein.symring import Polynomial, complete_block
+from spaltenstein.symring import Polynomial, complete_block, elementary_block
 from spaltenstein.tableaux import (
     Composition,
     Partition,
@@ -300,6 +301,44 @@ class TestLastVariableSkip:
         assert pairs == 1641
 
 
+class TestSparsePropagation:
+    def test_ideal_equals_dense_span_d5(self):
+        # I_t is the span of the degree-t generator classes, computed from
+        # the expanded polynomials, and of x_v * basis() of I_{t-1} for
+        # every v <= d, rebuilt with the dense insert
+        gen_classes = {}
+
+        def gen_class(q, subset, r, kind):
+            key = (q.d, q.blocks.union(subset), r, kind)
+            if key not in gen_classes:
+                builder = complete_block if kind == "h" else elementary_block
+                poly = builder(q.mu, subset, r)
+                gen_classes[key] = q.ring.class_of_polynomial(poly).get(r)
+            return gen_classes[key]
+
+        pairs = 0
+        for lam, mu in iter_pairs(5):
+            d = mu.size()
+            for family, kind in (("H", "h"), ("E", "e")):
+                q = build_quotient(lam, mu, family)
+                ring = q.ring
+                items = _generator_items(lam, mu, family, q.stop_x)
+                for t in range(q.stop_x + 1):
+                    dense = RowSpace(ring.dim(t))
+                    for subset, r in items:
+                        vec = gen_class(q, subset, r, kind) if r == t else None
+                        if vec is not None:
+                            dense.insert(list(vec))
+                    if t:
+                        for row in q.ideal_space(t - 1).basis():
+                            for v in range(1, d + 1):
+                                dense.insert(ring.apply_var(list(row), v, t - 1))
+                    assert q.ideal_space(t) == dense
+                    assert q.ideal_space(t).basis() == dense.basis()
+            pairs += 1
+        assert pairs == 1641
+
+
 def membership_equivalence(qh, qe):
     """Oracle for rel_equivalence by membership instead of canonical bases:
     equal Hilbert series, equal ideal ranks through the common window, and
@@ -312,7 +351,7 @@ def membership_equivalence(qh, qe):
     ring = qh.ring
     for source, target, kind in ((qh, qe, "h"), (qe, qh, "e")):
         for subset, r in _generator_items(source.lam, source.mu, source.family, source.stop_x):
-            vec = ring.sym_class(source.blocks.union(subset), r, kind)
+            vec = ring.sym_classes(source.blocks.union(subset), r, kind)[r]
             if any(vec) and not target.contains_class(vec, r):
                 return False
     return True

@@ -1,9 +1,7 @@
-from spaltenstein.presentation import HilbertSeries, build_quotient
+from spaltenstein.presentation import HilbertSeries
 from spaltenstein.reports import (
     betti,
     components,
-    euler_characteristic,
-    paving_report,
     poset_dot,
     poset_edges,
 )
@@ -35,7 +33,7 @@ class TestBetti:
                 for lam in partitions(d, n):
                     for mu in compositions(d, n):
                         lam_p, mu_c = Partition(lam), Composition(mu)
-                        assert euler_characteristic(lam_p, mu_c) == len(
+                        assert betti(lam_p, mu_c).evaluate(1) == len(
                             enumerate_column_strict(lam_p, mu_c)
                         )
 
@@ -106,18 +104,3 @@ class TestPoset:
                         for node in list(succ):
                             if node not in state:
                                 dfs(node)
-
-
-class TestPavingReport:
-    def test_json_shape(self):
-        report = paving_report(Partition([2, 0]), Composition([1, 1]))
-        data = report.to_json()
-        assert data["betti"] == [1, 1]
-        assert len(data["tableaux"]) == 2
-        assert len(data["components"]) == 1
-        assert data["components"][0]["dimension"] == 1
-
-    def test_betti_agrees_with_quotient(self):
-        report = paving_report(Partition([3, 1]), Composition([1, 1, 2]))
-        q = build_quotient(Partition([3, 1]), Composition([1, 1, 2]))
-        assert report.betti == q.hilbert
