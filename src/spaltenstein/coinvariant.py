@@ -17,17 +17,19 @@ h_i(x_i,...,x_d) over e_t(x_1,...,x_{i-1}) * h_{i-t}(x_1,...,x_d).  The
 leading term of g_i is x_i^i, so the reduced monomials are the staircase
 monomials x^a with a_i <= i - 1; there are d! of them, matching dim C,
 which proves the set is a Groebner basis degree by degree.  Division is
-memoised per monomial, and multiplication by a single variable is cached
-as a sparse integer matrix per degree; block symmetric functions then act
-through short linear recurrences instead of polynomial expansion.
+memoised per monomial as a sparse row, and multiplication by a single
+variable is cached as a sparse integer matrix per degree; block symmetric
+functions then act through short linear recurrences instead of polynomial
+expansion.
 
-Vectors are taken and returned as dense integer lists over the
-per-degree staircase basis, ordered lexicographically, with one sparse
-exception: apply_var_sparse multiplies a row {position: non-zero int} by
-one variable and returns a row in the same form, and apply_var is its
-dense wrapper.  The variable and swap matrices are stored with sparse
-rows.  Degrees in this module are x-degrees; the public grading of the
-library doubles them.
+Classes are taken and returned as dense integer lists over the
+per-degree staircase basis, ordered lexicographically, with two sparse
+exceptions: nf returns the normal form of a monomial as a tuple of
+(position, non-zero int) pairs, and apply_var_sparse multiplies a row
+{position: non-zero int} by one variable and returns a row in the same
+form (apply_var is its dense wrapper).  The variable and swap matrices
+are lists of nf rows.  Degrees in this module are x-degrees; the public
+grading of the library doubles them.
 
 Rings are refused above d = MAX_D, before any monomial is generated: the
 staircase basis has d! monomials, so d = 9 already needs 362,880 of them
@@ -35,6 +37,7 @@ and the variable matrices of every degree.
 """
 
 from itertools import combinations_with_replacement, product
+from operator import add
 
 from .linalg import RowSpace
 
@@ -96,11 +99,17 @@ class CoinvariantRing:
         return None
 
     def nf(self, mono):
-        """Class of a monomial as a dense integer vector in its degree."""
+        """Class of a monomial as a sparse row: a tuple of (position,
+        non-zero int) pairs over its degree, in increasing position.
+
+        Memoised per monomial, and equal pairs are stored once per ring,
+        to save memory; the rows are shared, so callers must not change
+        them."""
         memo = self._nf
         cached = memo.get(mono)
         if cached is not None:
             return cached
+        pairs = self._pairs
         stack = [mono]
         while stack:
             m = stack[-1]
@@ -109,14 +118,13 @@ class CoinvariantRing:
                 continue
             r = sum(m)
             if r > self.top:
-                memo[m] = []
+                memo[m] = ()
                 stack.pop()
                 continue
             i = self._first_reducible(m)
             if i is None:
-                vec = [0] * self.dim(r)
-                vec[self.index[m]] = 1
-                memo[m] = vec
+                jw = (self.index[m], 1)
+                memo[m] = (pairs.setdefault(jw, jw),)
                 stack.pop()
                 continue
             base = list(m)
@@ -126,13 +134,14 @@ class CoinvariantRing:
             if missing:
                 stack.extend(missing)
                 continue
-            vec = [0] * self.dim(r)
+            acc = {}
+            get = acc.get
             for dep in deps:
-                w = memo[dep]
-                for pos, val in enumerate(w):
-                    if val:
-                        vec[pos] -= val
-            memo[m] = vec
+                for pos, val in memo[dep]:
+                    acc[pos] = get(pos, 0) - val
+            memo[m] = tuple(
+                pairs.setdefault(jw, jw) for jw in sorted(acc.items()) if jw[1]
+            )
             stack.pop()
         return memo[mono]
 
@@ -146,10 +155,8 @@ class CoinvariantRing:
             vec = out.get(r)
             if vec is None:
                 vec = out[r] = [0 * coeff] * self.dim(r)
-            w = self.nf(mono)
-            for pos, val in enumerate(w):
-                if val:
-                    vec[pos] += coeff * val
+            for pos, val in self.nf(mono):
+                vec[pos] += coeff * val
         return {r: vec for r, vec in out.items() if any(vec)}
 
     def class_of_polynomial(self, p):
@@ -157,19 +164,9 @@ class CoinvariantRing:
             raise ValueError(f"polynomial has {p.d} variables, ring has {self.d}")
         return self.class_of_terms(p.terms)
 
-    def _sparse_rows(self, monos):
-        """Normal forms of monomials, each as a tuple of (column, entry)
-        pairs over its non-zero entries; equal pairs are stored once per
-        ring, to save memory."""
-        pairs = self._pairs
-        return [
-            tuple(pairs.setdefault(jw, jw) for jw in enumerate(self.nf(mono)) if jw[1])
-            for mono in monos
-        ]
-
     def var_matrix(self, v, r):
-        """Rows t -> class(x_v * t) for t in the degree-r basis, each row
-        sparse over the degree-(r+1) basis (see _sparse_rows)."""
+        """Rows t -> class(x_v * t) for t in the degree-r basis, each the
+        sparse nf row over the degree-(r+1) basis."""
         key = (v, r)
         cached = self._var_matrices.get(key)
         if cached is None:
@@ -178,7 +175,7 @@ class CoinvariantRing:
                 m = list(mono)
                 m[v - 1] += 1
                 bumped.append(tuple(m))
-            cached = self._var_matrices[key] = self._sparse_rows(bumped)
+            cached = self._var_matrices[key] = [self.nf(m) for m in bumped]
         return cached
 
     def apply_var_sparse(self, row, v, r):
@@ -204,7 +201,7 @@ class CoinvariantRing:
 
     def swap_matrix(self, i, r):
         """Action of the adjacent transposition (i, i+1) on the degree-r
-        basis, one sparse row per basis monomial (see _sparse_rows)."""
+        basis, one sparse nf row per basis monomial."""
         key = (i, r)
         cached = self._swap_matrices.get(key)
         if cached is None:
@@ -213,7 +210,7 @@ class CoinvariantRing:
                 m = list(mono)
                 m[i - 1], m[i] = m[i], m[i - 1]
                 swapped.append(tuple(m))
-            cached = self._swap_matrices[key] = self._sparse_rows(swapped)
+            cached = self._swap_matrices[key] = [self.nf(m) for m in swapped]
         return cached
 
     def sym_classes(self, vars_, rmax, kind):
@@ -264,21 +261,19 @@ class CoinvariantRing:
         out = [0] * out_dim
         if not out_dim:
             return out
-        basis_u = self.basis[ru]
-        basis_v = self.basis[rv]
-        for pu, cu in enumerate(u):
+        memo_get = self._nf.get
+        terms_v = [(mono, cv) for mono, cv in zip(self.basis[rv], v) if cv]
+        for mono_u, cu in zip(self.basis[ru], u):
             if not cu:
                 continue
-            mono_u = basis_u[pu]
-            for pv, cv in enumerate(v):
-                if not cv:
-                    continue
-                prod = tuple(a + b for a, b in zip(mono_u, basis_v[pv]))
-                w = self.nf(prod)
+            for mono_v, cv in terms_v:
+                prod = tuple(map(add, mono_u, mono_v))
+                row = memo_get(prod)
+                if row is None:
+                    row = self.nf(prod)
                 coeff = cu * cv
-                for j, val in enumerate(w):
-                    if val:
-                        out[j] += coeff * val
+                for j, val in row:
+                    out[j] += coeff * val
         return out
 
     def antisymmetrizer_class(self, block_pairs):

@@ -1,20 +1,23 @@
 """Fraction-free exact linear algebra over the rationals.
 
-Rows are passed in and out dense (lists of Python integers or
-Fractions), with two sparse exceptions: RowSpace.insert_sparse takes a
-row as a dict {column: non-zero int}, and pivot_rows holds the basis
-rows in that form.  Inside RowSpace every basis row is stored sparse:
+Rows go in dense (lists of Python integers or Fractions) or sparse (a
+dict {column: non-zero entry}): insert and contains take dense rows,
+insert_sparse a sparse integer row, and scaled_residual a sparse row
+that may hold Fractions.  Rows come out sparse (pivot_rows, and the
+residual of scaled_residual) or as dense integer tuples (basis, and the
+vectors of kernel).  Inside RowSpace every basis row is stored sparse:
 the rows of the presentation layer are mostly zero, so elimination
 touches only their support.  A subspace is kept as a set of primitive
 integer rows, one per pivot column, each vanishing at all other pivot
 columns.  Elimination uses integer multiples followed by division by the
-content, so no fractions ever appear and ranks are exact.  Pivot columns
-are chosen as the first non-zero coordinate of the reduced row, which
-makes every computation deterministic.
+content, so no fractions ever appear and ranks are exact; a Fraction
+input is cleared by the lcm of its denominators on the way in.  Pivot
+columns are chosen as the first non-zero coordinate of the reduced row,
+which makes every computation deterministic.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def scaled_int_row(row):
@@ -81,11 +84,13 @@ class RowSpace:
     order of clearing does not matter.
     """
 
-    __slots__ = ("width", "pivot_rows")
+    __slots__ = ("width", "pivot_rows", "_scale")
 
     def __init__(self, width):
         self.width = width
         self.pivot_rows = {}
+        # lcm of the pivot entries, computed on first use (scaled_residual)
+        self._scale = 1
 
     @property
     def rank(self):
@@ -94,6 +99,7 @@ class RowSpace:
     def copy(self):
         out = RowSpace(self.width)
         out.pivot_rows = dict(self.pivot_rows)
+        out._scale = self._scale
         return out
 
     def _reduce(self, row):
@@ -119,17 +125,6 @@ class RowSpace:
         for k, v in row.items():
             out[k] = v
         return out
-
-    def residual(self, row):
-        """Reduce a row against the basis; primitive integer row or None.
-
-        The residual vanishes at every pivot column and is positive at
-        its first non-zero entry.
-        """
-        res = self._reduce(_sparse_int(row))
-        if not res:
-            return None
-        return self._dense(_primitive(res, min(res)))
 
     def insert(self, row):
         """Add a dense row to the space; returns True when the rank grows."""
@@ -160,26 +155,42 @@ class RowSpace:
                 _subtract(q, v // g, res)
                 pivot_rows[c] = _primitive(q, c)
         pivot_rows[lead] = res
+        self._scale = None
         return True
 
     def contains(self, row):
         return not self._reduce(_sparse_int(row))
 
-    def residual_fraction(self, row):
-        """Exact residual row - (projection onto the space), as Fractions.
+    def scaled_residual(self, row):
+        """The residual row - (projection onto the space), scaled to
+        integers: (L, L * residual), the residual as {column: non-zero int}.
 
-        Unlike residual this is linear in the input, which matters when
-        residuals of several rows are assembled into a new linear system.
+        row is {column: non-zero int or Fraction} and is not changed.  For
+        an integer row, L is the lcm of the pivot entries of the space, so
+        it depends on the space only and row -> L * residual is linear on
+        integer rows, which matters when residuals of several rows are
+        assembled into a new linear system.  A row holding non-integral
+        Fractions is first multiplied by the lcm D of its denominators, and
+        the L returned includes the factor D.
+
+        Exactness: by the residual lemma, clearing pivot c leaves every
+        other pivot column unchanged, so when c is cleared its entry is
+        still the scaled input entry L * row[c], and the pivot entry p[c]
+        divides L; each multiple L * row[c] / p[c] is an exact integer.
         """
-        res = {i: Fraction(v) for i, v in enumerate(row) if v}
+        scale = self._scale
+        if scale is None:
+            scale = self._scale = lcm(*(p[c] for c, p in self.pivot_rows.items()))
+        den = 1
+        if Fraction in map(type, row.values()):
+            den = lcm(*(v.denominator for v in row.values()))
+            row = {k: int(v * den) for k, v in row.items()}
+        res = {k: scale * v for k, v in row.items()} if scale != 1 else dict(row)
         pivot_rows = self.pivot_rows
         for c in [c for c in res if c in pivot_rows]:
             p = pivot_rows[c]
-            _subtract(res, res[c] / p[c], p)
-        out = [Fraction(0)] * len(row)
-        for k, v in res.items():
-            out[k] = v
-        return out
+            _subtract(res, res[c] // p[c], p)
+        return scale * den, res
 
     def kernel(self):
         """Integer basis of {x in Q^width : row . x = 0 for every row of
@@ -229,10 +240,6 @@ def span(rows, width):
     for row in rows:
         space.insert(row)
     return space
-
-
-def transpose_rows(rows, width):
-    return [[row[c] for row in rows] for c in range(width)]
 
 
 def kernel_basis(rows, width):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coinvariant import _RINGS, get_ring, invariant_rows
-from .linalg import RowSpace, kernel_basis, transpose_rows
+from .linalg import RowSpace
 from .symring import (
     BlockStructure,
     Polynomial,
@@ -330,9 +330,12 @@ class GradedQuotient:
                         if space.rank == full:
                             break
             ideal[t] = space
-            inv = _invariant_data(ring, self.mu, t)
-            probe = space.copy()
-            qdim[t] = sum(1 for row in inv if probe.insert(list(row)))
+            # the residual map is linear with kernel I_t, so the quotient
+            # dimension is the rank of the residuals of the invariant rows
+            probe = RowSpace(full)
+            for row in _invariant_data(ring, self.mu, t):
+                probe.insert_sparse(space.scaled_residual(_sparse(row))[1])
+            qdim[t] = probe.rank
         for t in range(first_above, stop_x + 1):
             if qdim.get(t, 0):
                 raise TruncationError(
@@ -461,17 +464,19 @@ class BasisCertificate:
             )
         space, indices = data
         width = space.width - len(indices)
-        row = list(vec) + [0] * len(indices)
-        res = space.residual_fraction(row)
-        if any(res[:width]):
+        scale, res = space.scaled_residual(_sparse(vec))
+        if any(k < width for k in res):
             raise BasisError(
                 "class outside the certified span",
-                witness={"degree": 2 * t, "residual": [str(v) for v in res[:width]]},
+                witness={
+                    "degree": 2 * t,
+                    "residual": [str(Fraction(res.get(k, 0), scale)) for k in range(width)],
+                },
             )
         return {
-            idx: -res[width + pos]
+            idx: Fraction(-res[width + pos], scale)
             for pos, idx in enumerate(indices)
-            if res[width + pos]
+            if width + pos in res
         }
 
     def to_json(self):
@@ -784,12 +789,21 @@ def anti_invariant_transfer(lam, mu, quotient=None):
     )
 
 
+def _sparse(vec):
+    """A dense vector as {position: non-zero entry}."""
+    return {pos: x for pos, x in enumerate(vec) if x}
+
+
 def _anti_invariant_dim(ring, reg, transpositions, e):
     """Dimension of the sign-isotypic part of the regular quotient in degree 2e.
 
     A class v is anti-invariant in the quotient when (s + 1)v lies in the
-    ideal for every generating transposition s; the residual against the
-    ideal is linear in v, so this is one exact kernel computation.
+    ideal for every generating transposition s.  The scaled residual
+    against the ideal is linear in v (one scale L for the whole space), so
+    the classes with zero residuals form the kernel of one exact linear
+    system; its equations are gathered sparse, one per transposition and
+    residual column, as in invariant_rows.  The kernel has dimension dim
+    minus the rank of the equations, and it contains the ideal.
     """
     dim = ring.dim(e)
     if dim == 0:
@@ -800,18 +814,19 @@ def _anti_invariant_dim(ring, reg, transpositions, e):
         return 0
     if not transpositions:
         return dim - ideal.rank
-    columns = []
-    for b in range(dim):
-        col = []
-        for i, _ in transpositions:
-            moved = [0] * dim
-            for j, w in ring.swap_matrix(i, e)[b]:
-                moved[j] = w
-            moved[b] += 1
-            col.extend(ideal.residual_fraction(moved))
-        columns.append(col)
-    kernel = kernel_basis(transpose_rows(columns, len(columns[0])), dim)
-    return len(kernel) - ideal.rank
+    space = RowSpace(dim)
+    for i, _ in transpositions:
+        equations = {}
+        for b, row in enumerate(ring.swap_matrix(i, e)):
+            moved = dict(row)
+            w = moved.pop(b, 0) + 1
+            if w:
+                moved[b] = w
+            for j, w in ideal.scaled_residual(moved)[1].items():
+                equations.setdefault(j, {})[b] = w
+        for eq in equations.values():
+            space.insert_sparse(eq)
+    return dim - space.rank - ideal.rank
 
 
 def _transfer_kernel_matches(ring, quotient, reg, eps_vec, d_mu, t):
@@ -819,18 +834,15 @@ def _transfer_kernel_matches(ring, quotient, reg, eps_vec, d_mu, t):
     if not inv:
         return True
     target = reg.ideal_space(t + d_mu)
-    residuals = []
-    for row in inv:
-        prod = ring.mul_classes(list(row), t, eps_vec, d_mu)
-        if target is None:
-            residuals.append([Fraction(0)] * max(ring.dim(t + d_mu), 1))
-        else:
-            residuals.append(target.residual_fraction(prod))
     ideal_space = quotient.ideal_space(t)
-    members = [
-        ideal_space.residual_fraction(list(row)) if ideal_space else list(row)
-        for row in inv
-    ]
+    residuals, members = [], []
+    for row in inv:
+        prod = _sparse(ring.mul_classes(list(row), t, eps_vec, d_mu))
+        residuals.append(target.scaled_residual(prod)[1] if target is not None else {})
+        member = _sparse(row)
+        if ideal_space is not None:
+            member = ideal_space.scaled_residual(member)[1]
+        members.append(member)
     width = ring.dim(t)
     return _null_combinations(residuals, inv, width) == _null_combinations(
         members, inv, width
@@ -838,9 +850,17 @@ def _transfer_kernel_matches(ring, quotient, reg, eps_vec, d_mu, t):
 
 
 def _null_combinations(residuals, rows, width):
-    """Span of the combinations of rows whose residuals sum to zero."""
+    """Span of the combinations of rows whose residuals sum to zero; the
+    residuals are sparse rows of one linear map, so of one scale."""
+    equations = {}
+    for i, res in enumerate(residuals):
+        for j, w in res.items():
+            equations.setdefault(j, {})[i] = w
+    relations = RowSpace(len(rows))
+    for eq in equations.values():
+        relations.insert_sparse(eq)
     space = RowSpace(width)
-    for combo in kernel_basis(transpose_rows(residuals, len(residuals[0])), len(rows)):
+    for combo in relations.kernel():
         vec = [0] * width
         for ci, row in zip(combo, rows):
             if ci:

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
@@ -50,6 +50,14 @@ def _q_poly_divide(a, b):
     return out
 
 
+def dense_nf(ring, mono):
+    """The sparse normal form of a monomial as a dense vector."""
+    out = [0] * ring.dim(sum(mono))
+    for pos, val in ring.nf(mono):
+        out[pos] = val
+    return out
+
+
 def dense_invariant_rows(ring, transpositions, r):
     """Oracle for invariant_rows: the dense equations x (S - 1) = 0, one
     per column of each swap matrix S, read from the normal forms of the
@@ -63,7 +71,7 @@ def dense_invariant_rows(ring, transpositions, r):
         for mono in ring.basis[r]:
             m = list(mono)
             m[i - 1], m[i] = m[i], m[i - 1]
-            mat.append(ring.nf(tuple(m)))
+            mat.append(dense_nf(ring, tuple(m)))
         for coord in range(dim):
             equations.append([mat[b][coord] - (b == coord) for b in range(dim)])
     return kernel_basis(equations, dim)
@@ -75,7 +83,7 @@ def product_by_normal_forms(ring, vec, v, r):
     out = [0] * ring.dim(r + 1)
     for c, mono in zip(vec, ring.basis[r]):
         bumped = tuple(e + (i == v - 1) for i, e in enumerate(mono))
-        for j, w in enumerate(ring.nf(bumped)):
+        for j, w in enumerate(dense_nf(ring, bumped)):
             out[j] += c * w
     return out
 
@@ -109,9 +117,33 @@ class TestRingBasics:
         total = [0] * ring.dim(1)
         for v in range(1, 4):
             mono = tuple(1 if i == v - 1 else 0 for i in range(3))
-            for pos, c in enumerate(ring.nf(mono)):
+            for pos, c in ring.nf(mono):
                 total[pos] += c
         assert not any(total)
+
+    def test_nf_matches_groebner_remainder(self):
+        # sympy's remainder on division by h_i(x_i, ..., x_d), the reduced
+        # lex Groebner basis, against the memoised sparse rows; every
+        # monomial with exponents up to d and degree up to top + 1
+        sympy = pytest.importorskip("sympy")
+        for d in range(1, 5):
+            ring = get_ring(d)
+            xs = sympy.symbols(f"x1:{d + 1}")
+            basis = [
+                sympy.Add(*(sympy.Mul(*c) for c in combinations_with_replacement(xs[i - 1 :], i)))
+                for i in range(1, d + 1)
+            ]
+            for mono in product(range(d + 1), repeat=d):
+                if sum(mono) > ring.top + 1:
+                    continue
+                term = sympy.Mul(*(x**e for x, e in zip(xs, mono)))
+                _, rem = sympy.reduced(term, basis, *xs, order="lex")
+                expected = [0] * ring.dim(sum(mono))
+                for exps, c in sympy.Poly(rem, *xs).terms():
+                    if c:
+                        expected[ring.index[exps]] = int(c)
+                assert dense_nf(ring, mono) == expected
+                assert all(val for _, val in ring.nf(mono))
 
     def test_class_of_polynomial_multiplicative(self):
         ring = get_ring(3)
@@ -136,7 +168,7 @@ class TestRingBasics:
                     unit[pos] = 3
                     for v in range(1, d + 1):
                         bumped = tuple(e + (i == v - 1) for i, e in enumerate(mono))
-                        expected = [3 * c for c in ring.nf(bumped)]
+                        expected = [3 * c for c in dense_nf(ring, bumped)]
                         assert ring.apply_var(unit, v, r) == expected
 
     def test_sparse_product_matches_dense(self):
@@ -175,7 +207,7 @@ class TestRingBasics:
     def test_mul_block_h_matches_generic_product(self):
         ring = get_ring(4)
         vars_ = (3, 4)
-        u = ring.nf((0, 1, 1, 0))
+        u = dense_nf(ring, (0, 1, 1, 0))
         for s in range(3):
             via_block = ring.mul_block_h(list(u), 2, vars_, s)
             h_cls = ring.sym_classes(vars_, s, "h")[s]

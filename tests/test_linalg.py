@@ -1,10 +1,10 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spaltenstein.linalg import RowSpace, kernel_basis, scaled_int_row, span, transpose_rows
+from spaltenstein.linalg import RowSpace, kernel_basis, scaled_int_row, span
 
 
 def primitive_int(row):
@@ -47,6 +47,10 @@ def fraction_residual(reduced, row):
         f = out[col] / basis_row[col]
         out = [a - f * b for a, b in zip(out, basis_row)]
     return out
+
+
+def sparse(row):
+    return {k: v for k, v in enumerate(row) if v}
 
 
 def matrix_strategy():
@@ -102,18 +106,20 @@ class TestRowSpace:
 
     def test_residual_vanishes_at_pivots(self):
         space = span([[1, 1, 1], [0, 2, 5]], 3)
-        res = space.residual([7, 1, 3])
-        assert res is not None
+        scale, res = space.scaled_residual({0: 7, 1: 1, 2: 3})
+        assert scale == 2
+        assert res
         for c in space.pivot_rows:
-            assert res[c] == 0
+            assert c not in res
 
-    def test_residual_fraction_is_linear(self):
+    def test_scaled_residual_is_linear(self):
         space = span([[1, 0, 2], [0, 1, 1]], 3)
         u, v = [3, 1, 4], [0, 2, 2]
-        ru = space.residual_fraction(u)
-        rv = space.residual_fraction(v)
-        rsum = space.residual_fraction([a + b for a, b in zip(u, v)])
-        assert rsum == [a + b for a, b in zip(ru, rv)]
+        su, ru = space.scaled_residual(sparse(u))
+        sv, rv = space.scaled_residual(sparse(v))
+        ssum, rsum = space.scaled_residual(sparse([a + b for a, b in zip(u, v)]))
+        assert su == sv == ssum
+        assert rsum == sparse([ru.get(k, 0) + rv.get(k, 0) for k in range(3)])
 
     def test_equality_of_spans(self):
         a = span([[1, 0], [0, 1]], 2)
@@ -137,17 +143,38 @@ class TestRowSpace:
         assert space.basis() == tuple(reduced)
         assert space.rank == len(reduced)
         for row in rows:
-            assert space.residual(row) is None
+            assert not space.scaled_residual(sparse(row))[1]
             assert space.contains(row)
         assert (space == span(probes, width)) == (reduced == fraction_rref(probes, width))
         for probe in probes:
             expected = fraction_residual(reduced, probe)
-            assert space.residual_fraction(probe) == expected
-            if any(expected):
-                assert space.residual(probe) == list(primitive_int(expected))
-                assert not space.contains(probe)
-            else:
-                assert space.residual(probe) is None
+            scale, res = space.scaled_residual(sparse(probe))
+            assert [Fraction(res.get(k, 0), scale) for k in range(width)] == expected
+            assert space.contains(probe) == (not any(expected))
+
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_strategy(), st.integers(-5, 5), st.integers(-5, 5))
+    def test_scaled_residual_matches_fraction_oracle(self, data, a, b):
+        # (L, L * residual) with L the lcm of the pivot entries of the
+        # reduced echelon basis, times the denominator lcm of a Fraction row
+        rows, probes, width = data
+        space = span(rows, width)
+        reduced = fraction_rref(rows, width)
+        pivot_lcm = lcm(*(next(v for v in row if v) for row in reduced))
+        for probe in probes:
+            den = lcm(*(Fraction(v).denominator for v in probe))
+            scale, res = space.scaled_residual(sparse(probe))
+            assert scale == pivot_lcm * den
+            assert all(type(v) is int and v for v in res.values())
+            assert res == sparse([scale * v for v in fraction_residual(reduced, probe)])
+        # linear on integer rows: one scale, and residuals add
+        ints = [scaled_int_row(probe) for probe in probes]
+        u, v = ints[0], ints[-1]
+        combo = [a * x + b * y for x, y in zip(u, v)]
+        (su, ru), (sv, rv) = space.scaled_residual(sparse(u)), space.scaled_residual(sparse(v))
+        sc, rc = space.scaled_residual(sparse(combo))
+        assert su == sv == sc == pivot_lcm
+        assert rc == sparse([a * ru.get(k, 0) + b * rv.get(k, 0) for k in range(width)])
 
     @settings(max_examples=80, deadline=None)
     @given(sparse_strategy())
@@ -216,5 +243,3 @@ class TestKernel:
         assert scaled_int_row([Fraction(1, 2), Fraction(2, 3)]) == [3, 4]
         assert scaled_int_row([1, 2]) == [1, 2]
 
-    def test_transpose(self):
-        assert transpose_rows([[1, 2, 3], [4, 5, 6]], 3) == [[1, 4], [2, 5], [3, 6]]

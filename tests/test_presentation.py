@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from spaltenstein.presentation import (
     structure_constants,
 )
 from spaltenstein.linalg import RowSpace
+from test_linalg import fraction_residual, fraction_rref
 from spaltenstein.reports import betti
 from spaltenstein.symring import Polynomial, complete_block, elementary_block
 from spaltenstein.tableaux import (
@@ -28,6 +30,7 @@ from spaltenstein.tableaux import (
     Partition,
     Tableau,
     compositions,
+    dominance_leq,
     enumerate_column_strict,
     iter_pairs,
     partitions,
@@ -164,6 +167,42 @@ class TestTableauBasis:
             assert p.degree() == 2 * tableau_degree(T, ANEX_MU)
 
 
+def dominated_pairs(d_max):
+    return [(lam, mu) for lam, mu in iter_pairs(d_max) if dominance_leq(mu.sorted(), lam)]
+
+
+def augmented_oracle(cert, t):
+    """Gauss-Jordan over Fractions on the degree-t ideal rows and the basis
+    classes of degree t, each class tagged by a unit vector: (reduced
+    basis, class width, tableau indices of degree t)."""
+    width = cert.quotient.ring.dim(t)
+    indices = [i for i, s in enumerate(cert.degrees) if s == t]
+    tags = len(indices)
+    ideal = cert.quotient.ideal_space(t)
+    rows = [list(row) + [0] * tags for row in (ideal.basis() if ideal else ())]
+    for pos, i in enumerate(indices):
+        rows.append(list(cert.classes[i]) + [int(k == pos) for k in range(tags)])
+    return fraction_rref(rows, width + tags), width, indices
+
+
+def fraction_normal_form(p, cert):
+    """Oracle for normal_form: each degree-t class reduced by the Fraction
+    residual against the augmented Gauss-Jordan basis; the tag entries are
+    minus the coordinates.  Above the stopping degree every class lies in
+    the ideal."""
+    coords = {}
+    for t, vec in cert.quotient.ring.class_of_polynomial(p).items():
+        if cert.quotient.ideal_space(t) is None:
+            continue
+        reduced, width, indices = augmented_oracle(cert, t)
+        res = fraction_residual(reduced, list(vec) + [0] * len(indices))
+        assert not any(res[:width])
+        for pos, i in enumerate(indices):
+            T = cert.tableaux[i]
+            coords[T] = coords.get(T, 0) - res[width + pos]
+    return {T: c for T, c in coords.items() if c}
+
+
 class TestNormalForm:
     def setup_method(self):
         self.cert = certify_basis(Partition([2, 0]), Composition([1, 1]))
@@ -195,6 +234,50 @@ class TestNormalForm:
             coords = normal_form(h_of_tableau(T, mu), cert)
             assert coords == {T: Fraction(1)}
 
+    def test_rational_combinations_match_fraction_oracle(self):
+        # non-integral coefficients are cleared before the integer residual
+        # (a floor division on Fractions would give wrong coordinates)
+        checked = 0
+        for lam, mu in dominated_pairs(4):
+            cert = certify_basis(lam, mu)
+            polys = [h_of_tableau(T, mu) for T in cert.tableaux]
+            for a, pa in enumerate(polys):
+                pb = polys[(a + 1) % len(polys)]
+                p = pa * Fraction(1, 2) + pb * Fraction(3, 7) + pa * pb * Fraction(-5, 3)
+                got = normal_form(p, cert)
+                assert got == fraction_normal_form(p, cert)
+                assert all(type(c) is Fraction for c in got.values())
+                checked += 1
+        assert checked == 603
+
+
+class TestEscapeWitness:
+    def test_residual_strings_match_fraction_path(self):
+        # classes outside the certified span: unit vectors and a rational
+        # vector of every certified degree; the witness lists the Fraction
+        # residual of the class part, as str
+        escapes = 0
+        for lam, mu in dominated_pairs(4):
+            cert = certify_basis(lam, mu)
+            for t in sorted(set(cert.degrees)):
+                reduced, width, indices = augmented_oracle(cert, t)
+                probes = [[int(k == pos) for k in range(width)] for pos in range(width)]
+                probes.append([Fraction(k + 1, 3) for k in range(width)])
+                for vec in probes:
+                    res = fraction_residual(reduced, vec + [0] * len(indices))
+                    if not any(res[:width]):
+                        cert.coordinates_of_class(vec, t)
+                        continue
+                    with pytest.raises(BasisError) as err:
+                        cert.coordinates_of_class(vec, t)
+                    assert str(err.value) == "class outside the certified span"
+                    assert err.value.witness == {
+                        "degree": 2 * t,
+                        "residual": [str(v) for v in res[:width]],
+                    }
+                    escapes += 1
+        assert escapes == 1016
+
 
 class TestStructureConstants:
     def test_unit_acts_as_identity(self):
@@ -220,6 +303,23 @@ class TestStructureConstants:
                     assert tensor[(i, j)] == tensor[(j, i)]
                     for c in tensor[(i, j)].values():
                         assert c.denominator == 1
+
+    def test_tensors_pinned_d4(self):
+        # every tensor value of the 177 dominated pairs with d <= 4, hashed;
+        # the digest was recorded from the Fraction-residual implementation
+        digest = hashlib.sha256()
+        entries = 0
+        for lam, mu in dominated_pairs(4):
+            tabs, tensor = structure_constants(lam, mu)
+            digest.update(repr((lam.parts, mu.parts, len(tabs))).encode())
+            for key in sorted(tensor):
+                entries += len(tensor[key])
+                row = sorted((k, c.numerator, c.denominator) for k, c in tensor[key].items())
+                digest.update(repr((key, row)).encode())
+        assert entries == 2501
+        assert digest.hexdigest() == (
+            "642859cec9ff218da87746e0b2f958580b4db66de72c559f364f00df59670028"
+        )
 
     def test_associativity_small(self):
         lam, mu = Partition([2, 1]), Composition([1, 1, 1])
@@ -297,6 +397,22 @@ class TestLastVariableSkip:
                     space = q.ideal_space(t)
                     for row in q.ideal_space(t - 1).basis():
                         assert space.contains(q.ring.apply_var(list(row), d, t - 1))
+            pairs += 1
+        assert pairs == 1641
+
+
+class TestQuotientDimension:
+    def test_qdim_equals_copy_and_insert_d5(self):
+        # the rank of the invariant residuals against the copy-and-insert
+        # count: insert every invariant row into a copy of the ideal
+        pairs = 0
+        for lam, mu in iter_pairs(5):
+            for family in ("H", "E"):
+                q = build_quotient(lam, mu, family)
+                for t in range(q.stop_x + 1):
+                    probe = q.ideal_space(t).copy()
+                    gains = sum(1 for row in q.invariant_basis_rows(t) if probe.insert(list(row)))
+                    assert q.core.qdim[t] == gains
             pairs += 1
         assert pairs == 1641
 
