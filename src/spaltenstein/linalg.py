@@ -89,7 +89,8 @@ class RowSpace:
     def __init__(self, width):
         self.width = width
         self.pivot_rows = {}
-        # lcm of the pivot entries, computed on first use (scaled_residual)
+        # lcm of the pivot entries; an insert that raises the rank resets it
+        # to None, and scaled_residual computes it again when it is needed
         self._scale = 1
 
     @property
