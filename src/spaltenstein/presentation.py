@@ -12,10 +12,10 @@ Both families contain every full symmetric function of positive degree
 (the bound for the full index set is zero), so the quotient is computed
 inside the coinvariant algebra: the ideal grows degree by degree through
 multiplication by single variables, and the quotient dimension in each
-degree is read off by inserting a basis of the invariants into the ideal
-row space.  Degrees above twice (d_lam - d_mu) are verified to vanish on
-a window wide enough to force vanishing in all higher degrees, instead
-of being assumed.
+degree is read off as the rank of the residuals of a basis of the
+invariants against the ideal row space.  Degrees above twice
+(d_lam - d_mu) are verified to vanish on a window wide enough to force
+vanishing in all higher degrees, instead of being assumed.
 
 All computations are exact.  The x-degree of a polynomial is half its
 grading degree; public interfaces use the grading degree throughout.
@@ -125,6 +125,11 @@ def _subsets(n):
         out.append(tuple(i + 1 for i in range(n) if mask >> i & 1))
     out.sort(key=lambda s: (len(s), s))
     return out
+
+
+def _sparse(vec):
+    """A dense vector as {position: non-zero entry}."""
+    return {pos: x for pos, x in enumerate(vec) if x}
 
 
 def generator_bound(lam, mu, family, subset):
@@ -787,11 +792,6 @@ def anti_invariant_transfer(lam, mu, quotient=None):
     return TransferReport(
         lam, mu, 2 * d_mu, tuple(degrees), tuple(anti_dims), tuple(quotient_dims)
     )
-
-
-def _sparse(vec):
-    """A dense vector as {position: non-zero entry}."""
-    return {pos: x for pos, x in enumerate(vec) if x}
 
 
 def _anti_invariant_dim(ring, reg, transpositions, e):

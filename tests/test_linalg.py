@@ -147,10 +147,7 @@ class TestRowSpace:
             assert space.contains(row)
         assert (space == span(probes, width)) == (reduced == fraction_rref(probes, width))
         for probe in probes:
-            expected = fraction_residual(reduced, probe)
-            scale, res = space.scaled_residual(sparse(probe))
-            assert [Fraction(res.get(k, 0), scale) for k in range(width)] == expected
-            assert space.contains(probe) == (not any(expected))
+            assert space.contains(probe) == (not any(fraction_residual(reduced, probe)))
 
     @settings(max_examples=200, deadline=None)
     @given(sparse_strategy(), st.integers(-5, 5), st.integers(-5, 5))

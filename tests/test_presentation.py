@@ -266,7 +266,9 @@ class TestEscapeWitness:
                 for vec in probes:
                     res = fraction_residual(reduced, vec + [0] * len(indices))
                     if not any(res[:width]):
-                        cert.coordinates_of_class(vec, t)
+                        assert cert.coordinates_of_class(vec, t) == {
+                            i: -res[width + pos] for pos, i in enumerate(indices) if res[width + pos]
+                        }
                         continue
                     with pytest.raises(BasisError) as err:
                         cert.coordinates_of_class(vec, t)
