@@ -22,14 +22,15 @@ variable is cached as a sparse integer matrix per degree; block symmetric
 functions then act through short linear recurrences instead of polynomial
 expansion.
 
-Classes are taken and returned as dense integer lists over the
-per-degree staircase basis, ordered lexicographically, with two sparse
-exceptions: nf returns the normal form of a monomial as a tuple of
-(position, non-zero int) pairs, and apply_var_sparse multiplies a row
-{position: non-zero int} by one variable and returns a row in the same
-form (apply_var is its dense wrapper).  The variable and swap matrices
-are lists of nf rows.  Degrees in this module are x-degrees; the public
-grading of the library doubles them.
+A class is a row {position: non-zero entry} over the per-degree
+staircase basis, ordered lexicographically, as in linalg, whose
+ownership rule holds here too: the rows returned may be shared with the
+caches of the ring.  Entries are integers, except that class_of_terms
+and class_of_polynomial return the Fractions of the coefficients.  nf
+returns the normal form of a monomial as a tuple of (position, non-zero
+int) pairs, and the variable and swap matrices are lists of nf rows.
+Degrees in this module are x-degrees; the public grading of the library
+doubles them.
 
 Rings are refused above d = MAX_D, before any monomial is generated: the
 staircase basis has d! monomials, so d = 9 already needs 362,880 of them
@@ -39,7 +40,7 @@ and the variable matrices of every degree.
 from itertools import combinations_with_replacement, product
 from operator import add
 
-from .linalg import RowSpace
+from .linalg import RowSpace, _subtract
 
 # the largest d a CoinvariantRing is built for
 MAX_D = 8
@@ -70,10 +71,7 @@ class CoinvariantRing:
         for i in range(1, d + 1):
             tails = []
             for combo in combinations_with_replacement(range(i, d + 1), i):
-                exps = [0] * d
-                for v in combo:
-                    exps[v - 1] += 1
-                exps = tuple(exps)
+                exps = tuple(combo.count(v) for v in range(1, d + 1))
                 if exps[i - 1] != i:
                     tails.append(exps)
             self._tails[i] = tuple(tails)
@@ -86,11 +84,8 @@ class CoinvariantRing:
     def dim(self, r):
         return len(self.basis[r]) if 0 <= r <= self.top else 0
 
-    def zero(self, r):
-        return [0] * self.dim(r)
-
     def unit(self):
-        return [1]
+        return {0: 1}
 
     def _first_reducible(self, mono):
         for i in range(1, self.d + 1):
@@ -146,18 +141,22 @@ class CoinvariantRing:
         return memo[mono]
 
     def class_of_terms(self, terms):
-        """Classes of a {exponent tuple: coefficient} map, one vector per degree."""
+        """Classes of a {exponent tuple: coefficient} map, one non-zero row
+        per degree."""
         out = {}
         for mono, coeff in terms.items():
             r = sum(mono)
             if r > self.top or not coeff:
                 continue
-            vec = out.get(r)
-            if vec is None:
-                vec = out[r] = [0 * coeff] * self.dim(r)
+            row = out.setdefault(r, {})
+            get = row.get
             for pos, val in self.nf(mono):
-                vec[pos] += coeff * val
-        return {r: vec for r, vec in out.items() if any(vec)}
+                x = get(pos, 0) + coeff * val
+                if x:
+                    row[pos] = x
+                else:
+                    del row[pos]
+        return {r: row for r, row in out.items() if row}
 
     def class_of_polynomial(self, p):
         if p.d != self.d:
@@ -178,9 +177,8 @@ class CoinvariantRing:
             cached = self._var_matrices[key] = [self.nf(m) for m in bumped]
         return cached
 
-    def apply_var_sparse(self, row, v, r):
-        """Class of x_v times a degree-r class, both as {position: non-zero
-        int}.  The one multiplication loop: apply_var wraps it."""
+    def apply_var(self, row, v, r):
+        """Class of x_v times a degree-r class."""
         if r >= self.top:
             return {}
         rows = self.var_matrix(v, r)
@@ -190,14 +188,6 @@ class CoinvariantRing:
             for j, w in rows[pos]:
                 out[j] = get(j, 0) + val * w
         return {j: x for j, x in out.items() if x}
-
-    def apply_var(self, vec, v, r):
-        """Class of x_v times a degree-r class, as a dense vector."""
-        out = [0] * self.dim(r + 1)
-        row = {pos: x for pos, x in enumerate(vec) if x}
-        for j, x in self.apply_var_sparse(row, v, r).items():
-            out[j] = x
-        return out
 
     def swap_matrix(self, i, r):
         """Action of the adjacent transposition (i, i+1) on the degree-r
@@ -215,7 +205,7 @@ class CoinvariantRing:
 
     def sym_classes(self, vars_, rmax, kind):
         """Classes of e_r or h_r of the given variables for r = 0..rmax, as
-        a list of at least rmax + 1 dense vectors indexed by r.
+        a list of at least rmax + 1 rows indexed by r.
 
         Cached per (vars_, kind), whatever rmax: a cached list is returned
         whenever it reaches rmax, and otherwise the recurrence runs again
@@ -227,15 +217,16 @@ class CoinvariantRing:
         cached = self._sym_classes.get(key)
         if cached is not None and len(cached) > rmax:
             return cached
-        classes = [self.unit()] + [self.zero(r) for r in range(1, rmax + 1)]
+        classes = [self.unit()] + [{} for _ in range(rmax)]
         for v in vars_:
             # adding v: e_r += x_v e_{r-1} of the old variables, while
             # h_r += x_v h_{r-1} of the new ones
             nxt = [classes[0]]
             lower = classes if kind == "e" else nxt
             for r in range(1, rmax + 1):
-                bump = self.apply_var(lower[r - 1], v, r - 1)
-                nxt.append([a + b for a, b in zip(classes[r], bump)])
+                row = dict(classes[r])
+                _subtract(row, -1, self.apply_var(lower[r - 1], v, r - 1))
+                nxt.append(row)
             classes = nxt
         self._sym_classes[key] = classes
         return classes
@@ -246,26 +237,24 @@ class CoinvariantRing:
         Uses h_s(V) = h_s(V minus v) + x_v h_{s-1}(V) columnwise, so the cost
         is |V| * s applications of variable matrices.
         """
-        if s == 0:
-            return list(vec), r
-        table = [list(vec)] + [self.zero(r + j) for j in range(1, s + 1)]
+        table = [vec] + [{} for _ in range(s)]
         for v in vars_:
             for j in range(1, s + 1):
-                bump = self.apply_var(table[j - 1], v, r + j - 1)
-                table[j] = [a + b for a, b in zip(table[j], bump)]
+                # table[j] was built here, so it may change in place
+                _subtract(table[j], -1, self.apply_var(table[j - 1], v, r + j - 1))
         return table[s], r + s
 
     def mul_classes(self, u, ru, v, rv):
         """Product of two classes of x-degrees ru and rv."""
-        out_dim = self.dim(ru + rv)
-        out = [0] * out_dim
-        if not out_dim:
-            return out
+        if not self.dim(ru + rv):
+            return {}
         memo_get = self._nf.get
-        terms_v = [(mono, cv) for mono, cv in zip(self.basis[rv], v) if cv]
-        for mono_u, cu in zip(self.basis[ru], u):
-            if not cu:
-                continue
+        basis_u, basis_v = self.basis[ru], self.basis[rv]
+        terms_v = [(basis_v[pos], cv) for pos, cv in v.items()]
+        out = {}
+        get = out.get
+        for pos, cu in u.items():
+            mono_u = basis_u[pos]
             for mono_v, cv in terms_v:
                 prod = tuple(map(add, mono_u, mono_v))
                 row = memo_get(prod)
@@ -273,8 +262,8 @@ class CoinvariantRing:
                     row = self.nf(prod)
                 coeff = cu * cv
                 for j, val in row:
-                    out[j] += coeff * val
-        return out
+                    out[j] = get(j, 0) + coeff * val
+        return {j: x for j, x in out.items() if x}
 
     def antisymmetrizer_class(self, block_pairs):
         """Class of the product of (x_i - x_j) over the given pairs, unscaled,
@@ -290,11 +279,9 @@ class CoinvariantRing:
         """
         vec, r = self.unit(), 0
         for i, j in block_pairs:
-            vec = [
-                a - b
-                for a, b in zip(self.apply_var(vec, i, r), self.apply_var(vec, j, r))
-            ]
-            r += 1
+            diff = dict(self.apply_var(vec, i, r))
+            _subtract(diff, 1, self.apply_var(vec, j, r))
+            vec, r = diff, r + 1
         return vec, r
 
 
@@ -312,23 +299,18 @@ def invariant_rows(ring, transpositions, r):
     """Basis of the subspace of degree-r classes fixed by the transpositions.
 
     The transpositions must be adjacent pairs (i, i+1); the result is a
-    deterministic list of integer rows in the staircase coordinates.  A
-    class x is fixed by the swap matrix S when x (S - 1) = 0, so each
-    transposition gives one equation per column of S - 1.  The equations
-    are gathered sparse from the rows of S, the identically zero ones are
-    dropped, and the kernel is read off their reduced echelon form, which
-    is canonical: the rows do not depend on the order of the equations.
+    deterministic list of integer rows.  A class x is fixed by the swap
+    matrix S when x (S - 1) = 0, so each transposition gives one equation
+    per column of S - 1.  The equations are gathered sparse from the rows
+    of S, the identically zero ones are dropped, and the kernel is read
+    off their reduced echelon form, which is canonical: the rows do not
+    depend on the order of the equations.
     """
     dim = ring.dim(r)
     if dim == 0:
         return []
     if not transpositions:
-        rows = []
-        for pos in range(dim):
-            row = [0] * dim
-            row[pos] = 1
-            rows.append(row)
-        return rows
+        return [{pos: 1} for pos in range(dim)]
     space = RowSpace(dim)
     for i, _ in transpositions:
         equations = [{} for _ in range(dim)]
@@ -342,5 +324,5 @@ def invariant_rows(ring, transpositions, r):
             else:
                 del eq[coord]
             if eq:
-                space.insert_sparse(eq)
+                space.insert(eq)
     return space.kernel()

@@ -1,44 +1,26 @@
 """Fraction-free exact linear algebra over the rationals.
 
-Rows go in dense (lists of Python integers or Fractions) or sparse (a
-dict {column: non-zero entry}): insert and contains take dense rows,
-insert_sparse a sparse integer row, and scaled_residual a sparse row
-that may hold Fractions.  Rows come out sparse (pivot_rows, and the
-residual of scaled_residual) or as dense integer tuples (basis, and the
-vectors of kernel).  Inside RowSpace every basis row is stored sparse:
-the rows of the presentation layer are mostly zero, so elimination
-touches only their support.  A subspace is kept as a set of primitive
-integer rows, one per pivot column, each vanishing at all other pivot
-columns.  Elimination uses integer multiples followed by division by the
-content, so no fractions ever appear and ranks are exact; a Fraction
-input is cleared by the lcm of its denominators on the way in.  Pivot
-columns are chosen as the first non-zero coordinate of the reduced row,
-which makes every computation deterministic.
+A row is a dict {column: non-zero entry}, the one vector format of the
+library: the rows of the presentation layer are mostly zero, so
+elimination touches only their support.  Entries are Python integers,
+except that contains and scaled_residual also take rows holding
+Fractions; scaled_residual clears their denominators on the way in.
+
+Ownership rule: no function changes a row it is given, and a returned
+row may be shared (with a cache, a stored pivot row, or the argument
+itself).  So a caller changes only a row it built itself and has not
+handed on yet; a row given to insert may become a basis row as it is.
+
+A subspace is kept as a set of primitive integer rows, one per pivot
+column, each vanishing at all other pivot columns.  Elimination uses
+integer multiples followed by division by the content, so no fractions
+ever appear and ranks are exact.  Pivot columns are chosen as the first
+non-zero coordinate of the reduced row, which makes every computation
+deterministic.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
-
-
-def scaled_int_row(row):
-    """Clear denominators of a row of Fractions or ints."""
-    lcm = 1
-    for v in row:
-        if isinstance(v, Fraction):
-            den = v.denominator
-            lcm = lcm * den // gcd(lcm, den)
-    if lcm == 1:
-        return [int(v) for v in row]
-    return [int(v * lcm) for v in row]
-
-
-def _sparse_int(row):
-    """A dense row as {column: non-zero int}; a row holding Fractions is
-    first scaled to integers (scaling does not change the span)."""
-    sparse = {i: v for i, v in enumerate(row) if v}
-    if Fraction in map(type, sparse.values()):
-        sparse = {i: v for i, v in enumerate(scaled_int_row(row)) if v}
-    return sparse
 
 
 def _subtract(row, f, p):
@@ -67,14 +49,12 @@ class RowSpace:
 
     Canonical form: each stored row is primitive, its first non-zero
     entry sits in its pivot column and is positive, and it vanishes at
-    every other pivot column.  So basis() is the unique reduced echelon
-    basis of the span, each row scaled to a primitive integer row, and
-    two spaces of equal width are equal exactly when their pivot_rows
-    are equal; __eq__ compares them directly, without densifying.
-
-    pivot_rows maps each pivot column to its row as {column: non-zero
-    int}.  A stored row dict is never changed in place (insert replaces
-    it), so copy() shares them.
+    every other pivot column.  So pivot_rows, which maps each pivot
+    column to its row, holds the unique reduced echelon basis of the
+    span, each row scaled to a primitive integer row, and two spaces of
+    equal width are equal exactly when their pivot_rows are equal, which
+    __eq__ compares.  A stored row is never changed in place (insert
+    replaces it), so copy() shares them.
 
     Residual lemma: since the basis is reduced echelon, subtracting a
     multiple of the row of pivot c changes column c and non-pivot columns
@@ -104,8 +84,8 @@ class RowSpace:
         return out
 
     def _reduce(self, row):
-        """Residual of a sparse int row (consumed), up to a non-zero
-        scalar: it vanishes at every pivot column."""
+        """Residual of an int row, up to a non-zero scalar: it vanishes at
+        every pivot column.  It is row itself when no pivot column is hit."""
         pivot_rows = self.pivot_rows
         hits = [c for c in row if c in pivot_rows]
         if not hits:
@@ -114,32 +94,16 @@ class RowSpace:
         for c in hits:
             pv = pivot_rows[c][c]
             scale = scale * pv // gcd(scale, pv)
-        if scale != 1:
-            row = {k: scale * v for k, v in row.items()}
+        row = {k: scale * v for k, v in row.items()} if scale != 1 else dict(row)
         for c in hits:
             p = pivot_rows[c]
             _subtract(row, row[c] // p[c], p)
         return row
 
-    def _dense(self, row):
-        out = [0] * self.width
-        for k, v in row.items():
-            out[k] = v
-        return out
-
     def insert(self, row):
-        """Add a dense row to the space; returns True when the rank grows."""
-        return self.insert_sparse(_sparse_int(row))
-
-    def insert_sparse(self, row):
-        """Add a row given as {column: non-zero int}; returns True when the
-        rank grows.  This is the one insertion path.
-
-        The dict is consumed: it may be changed in place or kept as a
-        basis row, so the caller must not use it afterwards.
-        Back-substitution touches only the pivot rows that are non-zero
-        at the new pivot column.
-        """
+        """Add an int row; returns True when the rank grows.
+        Back-substitution touches only the pivot rows that are non-zero at
+        the new pivot column."""
         res = self._reduce(row)
         if not res:
             return False
@@ -160,19 +124,18 @@ class RowSpace:
         return True
 
     def contains(self, row):
-        return not self._reduce(_sparse_int(row))
+        return not self.scaled_residual(row)[1]
 
     def scaled_residual(self, row):
         """The residual row - (projection onto the space), scaled to
         integers: (L, L * residual), the residual as {column: non-zero int}.
 
-        row is {column: non-zero int or Fraction} and is not changed.  For
-        an integer row, L is the lcm of the pivot entries of the space, so
-        it depends on the space only and row -> L * residual is linear on
-        integer rows, which matters when residuals of several rows are
-        assembled into a new linear system.  A row holding non-integral
-        Fractions is first multiplied by the lcm D of its denominators, and
-        the L returned includes the factor D.
+        row may hold Fractions.  For an integer row, L is the lcm of the
+        pivot entries of the space, so it depends on the space only and
+        row -> L * residual is linear on integer rows, which matters when
+        residuals of several rows are assembled into a new linear system.
+        A row holding non-integral Fractions is first multiplied by the lcm
+        D of its denominators, and the L returned includes the factor D.
 
         Exactness: by the residual lemma, clearing pivot c leaves every
         other pivot column unchanged, so when c is cleared its entry is
@@ -194,7 +157,7 @@ class RowSpace:
         return scale * den, res
 
     def kernel(self):
-        """Integer basis of {x in Q^width : row . x = 0 for every row of
+        """Integer row basis of {x in Q^width : row . x = 0 for every row of
         the space}, one vector per non-pivot column f in increasing
         order: the primitive integer multiple, positive at f, of the
         vector with x[f] = 1, x[c] = -p[f] / p[c] for the row p of each
@@ -217,16 +180,11 @@ class RowSpace:
             for _, v, pv in column:
                 den = pv // gcd(v, pv)
                 scale = scale * den // gcd(scale, den)
-            x = [0] * self.width
-            x[f] = scale
+            x = {f: scale}
             for c, v, pv in column:
                 x[c] = -v * scale // pv
             vectors.append(x)
         return vectors
-
-    def basis(self):
-        """Basis rows as dense tuples, ordered by pivot column."""
-        return tuple(tuple(self._dense(self.pivot_rows[c])) for c in sorted(self.pivot_rows))
 
     def __eq__(self, other):
         return (
@@ -235,17 +193,3 @@ class RowSpace:
             and self.pivot_rows == other.pivot_rows
         )
 
-
-def span(rows, width):
-    space = RowSpace(width)
-    for row in rows:
-        space.insert(row)
-    return space
-
-
-def kernel_basis(rows, width):
-    """Integer basis of {x in Q^width : row . x = 0 for all rows}.
-
-    Deterministic: free coordinates are taken in increasing order.
-    """
-    return span(rows, width).kernel()

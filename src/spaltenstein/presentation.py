@@ -127,11 +127,6 @@ def _subsets(n):
     return out
 
 
-def _sparse(vec):
-    """A dense vector as {position: non-zero entry}."""
-    return {pos: x for pos, x in enumerate(vec) if x}
-
-
 def generator_bound(lam, mu, family, subset):
     """Strict lower bound on r for the (subset, r) members of the family."""
     m = len(subset)
@@ -264,8 +259,8 @@ class GradedQuotient:
         subset of zero blocks only also gives the unit e_0() exactly when
         lam has more parts than mu'; then every pair of the key has a
         zero part and that unit.  Equal generator sets span equal
-        ideals, and RowSpace is canonical, so the basis() of each degree
-        agrees.
+        ideals, and RowSpace is canonical, so the pivot_rows of each
+        degree agree.
     A pair whose mu has a zero part looks its core up in _CORES and builds
     it on a miss; a zero-free pair builds its own and stores nothing.
     This is the one place that decides what is shared.
@@ -302,12 +297,11 @@ class GradedQuotient:
 
         Degree t is spanned by its generators and x_v * I_{t-1} for
         v < d only.  Last-variable lemma: e_1 = 0 in the coinvariant
-        algebra, so apply_var(b, d, r) = -sum_{v<d} apply_var(b, v, r) for
-        every degree-r vector b, hence x_d * I_{t-1} lies in
-        sum_{v<d} x_v * I_{t-1}.  Propagation multiplies the sparse pivot
-        rows of I_{t-1}, in pivot order, and inserts the sparse products;
-        the classes of each block union come from one sym_classes call up
-        to stop_x."""
+        algebra, so x_d b = -sum_{v<d} x_v b for every degree-r class b,
+        hence x_d * I_{t-1} lies in sum_{v<d} x_v * I_{t-1}.  Propagation
+        multiplies the pivot rows of I_{t-1}, in pivot order, and inserts
+        the products; the classes of each block union come from one
+        sym_classes call up to stop_x and are inserted as they are."""
         ring = self.ring
         max_alg = max([p for p in self.mu.parts if p > 0], default=1)
         first_above = max(0, self.top_x + 1)
@@ -331,7 +325,7 @@ class GradedQuotient:
                     if space.rank == full:
                         break
                     for row in prev:
-                        space.insert_sparse(ring.apply_var_sparse(row, v, t - 1))
+                        space.insert(ring.apply_var(row, v, t - 1))
                         if space.rank == full:
                             break
             ideal[t] = space
@@ -339,7 +333,7 @@ class GradedQuotient:
             # dimension is the rank of the residuals of the invariant rows
             probe = RowSpace(full)
             for row in _invariant_data(ring, self.mu, t):
-                probe.insert_sparse(space.scaled_residual(_sparse(row))[1])
+                probe.insert(space.scaled_residual(row)[1])
             qdim[t] = probe.rank
         for t in range(first_above, stop_x + 1):
             if qdim.get(t, 0):
@@ -377,13 +371,11 @@ class GradedQuotient:
 
     def contains_class(self, vec, t):
         """Membership of a degree-2t class in the ideal."""
-        if t > self.ring.top:
-            return True
         space = self.core.ideal.get(t)
         if space is None:
             # beyond the verified window every invariant class is in the ideal
             return True
-        return space.contains(list(vec))
+        return space.contains(vec)
 
     def to_json(self):
         return {
@@ -469,7 +461,7 @@ class BasisCertificate:
             )
         space, indices = data
         width = space.width - len(indices)
-        scale, res = space.scaled_residual(_sparse(vec))
+        scale, res = space.scaled_residual(vec)
         if any(k < width for k in res):
             raise BasisError(
                 "class outside the certified span",
@@ -582,10 +574,10 @@ def _certificate_data(lam, mu, quotient, tableaux):
         tags = len(indices)
         space = RowSpace(width + tags)
         if ideal is not None:
-            for row in ideal.basis():
-                space.insert(list(row) + [0] * tags)
+            for row in ideal.pivot_rows.values():
+                space.insert(row)
         for pos, idx in enumerate(indices):
-            row = list(classes[idx]) + [0] * tags
+            row = dict(classes[idx])
             row[width + pos] = 1
             space.insert(row)
         # a dependence modulo the ideal shows up as a pivot in the tag region;
@@ -658,14 +650,13 @@ def rel_equivalence(lam, mu, qh=None, qe=None):
 
     Each ideal_space(t) is a RowSpace in canonical form (the unique
     reduced echelon basis of the span), so two ideal spaces are equal
-    exactly when they compare equal with ==, which reads the stored rows
-    without densifying them.  The stopping degree stop_x depends only on
-    (lam, mu), and above it both quotients are verified to vanish.  So
-    the families are equivalent exactly when they have the same stop_x
-    and equal ideal spaces in every degree up to it; equal Hilbert series
-    follow.  Quotients of two different pairs
-    with different stop_x compare unequal even when both ideals are the
-    unit ideal.
+    exactly when they compare equal with ==, which reads the stored rows.
+    The stopping degree stop_x depends only on (lam, mu), and above it
+    both quotients are verified to vanish.  So the families are
+    equivalent exactly when they have the same stop_x and equal ideal
+    spaces in every degree up to it; equal Hilbert series follow.
+    Quotients of two different pairs with different stop_x compare
+    unequal even when both ideals are the unit ideal.
     """
     if qh is None:
         qh = build_quotient(lam, mu, "H")
@@ -825,7 +816,7 @@ def _anti_invariant_dim(ring, reg, transpositions, e):
             for j, w in ideal.scaled_residual(moved)[1].items():
                 equations.setdefault(j, {})[b] = w
         for eq in equations.values():
-            space.insert_sparse(eq)
+            space.insert(eq)
     return dim - space.rank - ideal.rank
 
 
@@ -837,34 +828,30 @@ def _transfer_kernel_matches(ring, quotient, reg, eps_vec, d_mu, t):
     ideal_space = quotient.ideal_space(t)
     residuals, members = [], []
     for row in inv:
-        prod = _sparse(ring.mul_classes(list(row), t, eps_vec, d_mu))
+        prod = ring.mul_classes(row, t, eps_vec, d_mu)
         residuals.append(target.scaled_residual(prod)[1] if target is not None else {})
-        member = _sparse(row)
-        if ideal_space is not None:
-            member = ideal_space.scaled_residual(member)[1]
-        members.append(member)
-    width = ring.dim(t)
-    return _null_combinations(residuals, inv, width) == _null_combinations(
-        members, inv, width
-    )
+        members.append(ideal_space.scaled_residual(row)[1] if ideal_space is not None else row)
+    return _relations(residuals) == _relations(members)
 
 
-def _null_combinations(residuals, rows, width):
-    """Span of the combinations of rows whose residuals sum to zero; the
-    residuals are sparse rows of one linear map, so of one scale."""
+def _relations(residuals):
+    """The relations sum_i c_i residuals[i] = 0 on the coefficients c, as
+    the RowSpace of their equations, one per residual column; the
+    residuals are sparse rows of one linear map, so of one scale.
+
+    Kernel lemma: the invariant rows are linearly independent, so two
+    sets of combinations of them are equal exactly when their coefficient
+    sets are, and two solution sets {c : E c = 0} are equal exactly when
+    the row spaces of their equations are (U equals the orthogonal
+    complement of its orthogonal complement).  So comparing the two
+    canonical RowSpaces decides whether multiplication by eps and the
+    block ideal have the same kernel on the invariants, without solving.
+    """
     equations = {}
     for i, res in enumerate(residuals):
         for j, w in res.items():
             equations.setdefault(j, {})[i] = w
-    relations = RowSpace(len(rows))
+    relations = RowSpace(len(residuals))
     for eq in equations.values():
-        relations.insert_sparse(eq)
-    space = RowSpace(width)
-    for combo in relations.kernel():
-        vec = [0] * width
-        for ci, row in zip(combo, rows):
-            if ci:
-                for pos, val in enumerate(row):
-                    vec[pos] += ci * val
-        space.insert(vec)
-    return space
+        relations.insert(eq)
+    return relations

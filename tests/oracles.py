@@ -2,9 +2,43 @@
 
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, prod
+from math import factorial, lcm, prod
 
+from spaltenstein.linalg import RowSpace
 from spaltenstein.symring import BlockStructure, Polynomial
+
+
+def dense(row, width):
+    """A row {column: entry} as a list of width entries."""
+    out = [0] * width
+    for k, v in row.items():
+        out[k] = v
+    return out
+
+
+def sparse(row):
+    """A list of entries as the row {column: non-zero entry}."""
+    return {k: v for k, v in enumerate(row) if v}
+
+
+def scaled_int_row(row):
+    """A list of Fractions or ints times the lcm of its denominators."""
+    den = lcm(*(Fraction(v).denominator for v in row))
+    return [int(v * den) for v in row]
+
+
+def span(rows, width):
+    """The RowSpace of a list of rational lists."""
+    space = RowSpace(width)
+    for row in rows:
+        space.insert(sparse(scaled_int_row(row)))
+    return space
+
+
+def kernel_basis(rows, width):
+    """Integer basis of {x in Q^width : row . x = 0 for all rows}, as lists;
+    free coordinates are taken in increasing order."""
+    return [dense(x, width) for x in span(rows, width).kernel()]
 
 
 def block_antisymmetrizer(mu):

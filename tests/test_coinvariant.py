@@ -1,13 +1,16 @@
 import random
+from copy import deepcopy
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import block_antisymmetrizer
+from oracles import block_antisymmetrizer, dense, kernel_basis, sparse
 from spaltenstein import coinvariant, presentation
 from spaltenstein.coinvariant import MAX_D, CoinvariantRing, get_ring, invariant_rows
-from spaltenstein.linalg import kernel_basis
+from spaltenstein.linalg import RowSpace
 from spaltenstein.symring import BlockStructure, Polynomial, complete_block, elementary_block
 from spaltenstein.tableaux import Composition, compositions
 
@@ -108,8 +111,8 @@ class TestRingBasics:
         ring = get_ring(4)
         allvars = (1, 2, 3, 4)
         for r in range(1, 5):
-            assert not any(ring.sym_classes(allvars, r, "h")[r])
-            assert not any(ring.sym_classes(allvars, r, "e")[r])
+            assert ring.sym_classes(allvars, r, "h")[r] == {}
+            assert ring.sym_classes(allvars, r, "e")[r] == {}
 
     def test_nf_agrees_with_polynomial_relations(self):
         # x1 + ... + xd reduces to zero
@@ -155,8 +158,7 @@ class TestRingBasics:
         for (rp, vp) in p_cls.items():
             for (rq, vq) in q_cls.items():
                 got = ring.mul_classes(vp, rp, vq, rq)
-                expected = pq_cls.get(rp + rq, [0] * ring.dim(rp + rq))
-                assert [Fraction(v) for v in got] == [Fraction(v) for v in expected]
+                assert got == pq_cls.get(rp + rq, {})
 
     def test_apply_var_matches_normal_form(self):
         # the sparse variable matrices act as multiplication of monomials
@@ -164,12 +166,10 @@ class TestRingBasics:
             ring = get_ring(d)
             for r in range(ring.top):
                 for pos, mono in enumerate(ring.basis[r]):
-                    unit = [0] * ring.dim(r)
-                    unit[pos] = 3
                     for v in range(1, d + 1):
                         bumped = tuple(e + (i == v - 1) for i, e in enumerate(mono))
                         expected = [3 * c for c in dense_nf(ring, bumped)]
-                        assert ring.apply_var(unit, v, r) == expected
+                        assert ring.apply_var({pos: 3}, v, r) == sparse(expected)
 
     def test_sparse_product_matches_dense(self):
         rng = random.Random(5)
@@ -182,13 +182,9 @@ class TestRingBasics:
                     [rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(dim)] for _ in range(8)
                 ]
                 for vec in vectors:
-                    row = {pos: x for pos, x in enumerate(vec) if x}
                     for v in range(1, d + 1):
-                        dense = ring.apply_var(vec, v, r)
-                        assert dense == product_by_normal_forms(ring, vec, v, r)
-                        assert ring.apply_var_sparse(dict(row), v, r) == {
-                            j: x for j, x in enumerate(dense) if x
-                        }
+                        got = dense(ring.apply_var(sparse(vec), v, r), ring.dim(r + 1))
+                        assert got == product_by_normal_forms(ring, vec, v, r)
 
     def test_last_variable_is_minus_the_others(self):
         # e_1 = 0, so x_d b = -(x_1 + ... + x_{d-1}) b for every class b;
@@ -197,19 +193,18 @@ class TestRingBasics:
             ring = get_ring(d)
             for r in range(ring.top):
                 for pos in range(ring.dim(r)):
-                    unit = [0] * ring.dim(r)
-                    unit[pos] = 1
-                    total = ring.apply_var(unit, d, r)
-                    for v in range(1, d):
-                        total = [a + b for a, b in zip(total, ring.apply_var(unit, v, r))]
+                    total = [0] * ring.dim(r + 1)
+                    for v in range(1, d + 1):
+                        product = dense(ring.apply_var({pos: 1}, v, r), ring.dim(r + 1))
+                        total = [a + b for a, b in zip(total, product)]
                     assert not any(total)
 
     def test_mul_block_h_matches_generic_product(self):
         ring = get_ring(4)
         vars_ = (3, 4)
-        u = dense_nf(ring, (0, 1, 1, 0))
+        u = sparse(dense_nf(ring, (0, 1, 1, 0)))
         for s in range(3):
-            via_block = ring.mul_block_h(list(u), 2, vars_, s)
+            via_block = ring.mul_block_h(u, 2, vars_, s)
             h_cls = ring.sym_classes(vars_, s, "h")[s]
             via_generic = ring.mul_classes(u, 2, h_cls, s)
             assert via_block[0] == via_generic
@@ -242,19 +237,17 @@ class TestInvariants:
             assert len(sets) == 2 ** (d - 1)
             for transpositions in sorted(sets):
                 for r in range(ring.top + 1):
-                    assert invariant_rows(ring, transpositions, r) == dense_invariant_rows(
-                        ring, transpositions, r
-                    )
+                    expected = dense_invariant_rows(ring, transpositions, r)
+                    assert invariant_rows(ring, transpositions, r) == list(map(sparse, expected))
 
     def test_antisymmetrizer_class_matches_polynomial(self):
         ring = get_ring(4)
         mu = Composition([2, 2])
         pairs = [(1, 2), (3, 4)]
-        vec, deg = ring.antisymmetrizer_class(pairs)
+        row, deg = ring.antisymmetrizer_class(pairs)
         assert deg == 2
         eps = block_antisymmetrizer(mu) * 4  # clear the 1/|S_mu| factor
-        cls = ring.class_of_polynomial(eps)
-        assert [Fraction(v) for v in vec] == [Fraction(v) for v in cls[2]]
+        assert row == ring.class_of_polynomial(eps)[2]
 
 
 class TestSymClasses:
@@ -289,7 +282,44 @@ class TestSymClasses:
                     classes = ring.sym_classes(vars_, ring.top, kind)
                     for r in range(1, ring.top + 1):
                         expected = ring.class_of_polynomial(builder(ones, vars_, r))
-                        assert classes[r] == expected.get(r, ring.zero(r))
+                        assert classes[r] == expected.get(r, {})
+
+
+class TestOwnership:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_products_leave_arguments_unchanged(self, data):
+        d = data.draw(st.integers(1, 5))
+        ring = get_ring(d)
+        degree = st.integers(0, ring.top)
+        ru, rw, v = data.draw(degree), data.draw(degree), data.draw(st.integers(1, d))
+
+        def row(r):
+            entry = st.sampled_from((0, 0, 0, 1, -1, 2, -3))
+            return data.draw(st.lists(entry, min_size=ring.dim(r), max_size=ring.dim(r)).map(sparse))
+
+        u, w = row(ru), row(rw)
+        before = deepcopy((u, w))
+        ring.apply_var(u, v, ru)
+        ring.mul_classes(u, ru, w, rw)
+        assert (u, w) == before
+
+    def test_cached_class_in_two_spaces(self):
+        # one cached sym_classes row: kept as it is as a basis row of the
+        # first space, reduced against a pivot entry 1 (so without scaling)
+        # in the second, then back-substituted in the first
+        ring = get_ring(4)
+        row = ring.sym_classes((3, 4), 2, "h")[2]
+        assert row == {0: 1, 1: 1, 2: 1}
+        before = deepcopy(ring._sym_classes)
+        first, second = RowSpace(ring.dim(2)), RowSpace(ring.dim(2))
+        assert first.insert(row)
+        assert first.pivot_rows[0] is row
+        assert second.insert({0: 1})
+        assert second.insert(row)
+        assert first.insert({1: 1})
+        assert first.pivot_rows[0] == {0: 1, 2: 1}
+        assert ring._sym_classes == before
 
 
 class TestResourceGuard:

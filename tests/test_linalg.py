@@ -1,10 +1,12 @@
+from copy import deepcopy
 from fractions import Fraction
 from math import gcd, lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spaltenstein.linalg import RowSpace, kernel_basis, scaled_int_row, span
+from oracles import kernel_basis, scaled_int_row, span, sparse
+from spaltenstein.linalg import RowSpace
 
 
 def primitive_int(row):
@@ -49,8 +51,10 @@ def fraction_residual(reduced, row):
     return out
 
 
-def sparse(row):
-    return {k: v for k, v in enumerate(row) if v}
+def oracle_pivot_rows(reduced):
+    """The rows of fraction_rref keyed by pivot column, as pivot_rows
+    holds them."""
+    return {min(row): row for row in map(sparse, reduced)}
 
 
 def matrix_strategy():
@@ -89,20 +93,21 @@ class TestRowSpace:
     def test_basic_membership(self):
         space = span([[1, 2, 0], [0, 0, 3]], 3)
         assert space.rank == 2
-        assert space.contains([2, 4, 5])
-        assert not space.contains([0, 1, 0])
+        assert space.contains({0: 2, 1: 4, 2: 5})
+        assert not space.contains({1: 1})
 
     def test_duplicate_rows_do_not_grow(self):
         space = RowSpace(2)
-        assert space.insert([2, 4])
-        assert not space.insert([1, 2])
-        assert not space.insert([-3, -6])
+        assert space.insert({0: 2, 1: 4})
+        assert not space.insert({0: 1, 1: 2})
+        assert not space.insert({0: -3, 1: -6})
         assert space.rank == 1
 
     def test_fraction_rows_scaled(self):
         space = RowSpace(2)
-        space.insert([Fraction(1, 2), Fraction(1, 3)])
-        assert space.contains([3, 2])
+        space.insert({0: 3, 1: 2})
+        assert space.contains({0: Fraction(1, 2), 1: Fraction(1, 3)})
+        assert not space.contains({0: Fraction(1, 2), 1: Fraction(1, 2)})
 
     def test_residual_vanishes_at_pivots(self):
         space = span([[1, 1, 1], [0, 2, 5]], 3)
@@ -140,14 +145,14 @@ class TestRowSpace:
         rows, probes, width = data
         space = span(rows, width)
         reduced = fraction_rref(rows, width)
-        assert space.basis() == tuple(reduced)
+        assert space.pivot_rows == oracle_pivot_rows(reduced)
         assert space.rank == len(reduced)
         for row in rows:
             assert not space.scaled_residual(sparse(row))[1]
-            assert space.contains(row)
+            assert space.contains(sparse(row))
         assert (space == span(probes, width)) == (reduced == fraction_rref(probes, width))
         for probe in probes:
-            assert space.contains(probe) == (not any(fraction_residual(reduced, probe)))
+            assert space.contains(sparse(probe)) == (not any(fraction_residual(reduced, probe)))
 
     @settings(max_examples=200, deadline=None)
     @given(sparse_strategy(), st.integers(-5, 5), st.integers(-5, 5))
@@ -178,12 +183,32 @@ class TestRowSpace:
     def test_copy_is_independent(self, data):
         rows, probes, width = data
         space = span(rows, width)
-        before = space.basis()
+        before = deepcopy(space.pivot_rows)
         other = space.copy()
         for probe in probes:
-            other.insert(probe)
-        assert space.basis() == before
-        assert other.basis() == tuple(fraction_rref(rows + probes, width))
+            other.insert(sparse(scaled_int_row(probe)))
+        assert space.pivot_rows == before
+        assert other.pivot_rows == oracle_pivot_rows(fraction_rref(rows + probes, width))
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_strategy())
+    def test_arguments_unchanged(self, data):
+        # ownership rule: insert, contains and scaled_residual change no row
+        # they are given, though insert may keep it as a basis row and a
+        # later insert back-substitutes into that basis row
+        rows, probes, width = data
+        given_rows = [sparse(scaled_int_row(row)) for row in rows + probes]
+        given_probes = [sparse(probe) for probe in probes]
+        before = deepcopy((given_rows, given_probes))
+        space = RowSpace(width)
+        for row in given_rows[: len(rows)]:
+            space.insert(row)
+        for probe in given_probes:
+            space.contains(probe)
+            space.scaled_residual(probe)
+        for row in given_rows[len(rows) :]:
+            space.insert(row)
+        assert (given_rows, given_probes) == before
 
     @settings(max_examples=80, deadline=None)
     @given(matrix_strategy())
@@ -191,7 +216,6 @@ class TestRowSpace:
         rows, width = data
         forward, backward = span(rows, width), span(list(reversed(rows)), width)
         assert forward == backward
-        assert forward.basis() == backward.basis()
 
 
 class TestKernel:
@@ -234,7 +258,7 @@ class TestKernel:
             g = gcd(*ints)
             expected.append([v // g for v in ints])
         assert kernel_basis(rows, width) == expected
-        assert span(rows, width).kernel() == expected
+        assert span(rows, width).kernel() == [sparse(x) for x in expected]
 
     def test_scaled_int_row(self):
         assert scaled_int_row([Fraction(1, 2), Fraction(2, 3)]) == [3, 4]

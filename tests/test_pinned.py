@@ -1,0 +1,54 @@
+"""Outputs pinned by digest: a change to the internal row format must not
+move any of them.  The digests were recorded from the dense-list
+implementation; the structure constants are pinned separately in
+test_presentation.py (test_tensors_pinned_d4)."""
+
+import hashlib
+import io
+import json
+
+from spaltenstein.cli import main
+from spaltenstein.presentation import anti_invariant_transfer, build_quotient, certify_basis
+from spaltenstein.tableaux import iter_pairs
+
+# the README examples
+README_COMMANDS = (
+    ["enumerate", "--lambda", "2,1", "--mu", "1,1,1"],
+    ["degree", "--lambda", "4,3,3,2", "--mu", "1,4,1,3,1,2", "--tableau", "2,1,2,2;3,2,4;4,4,6;6,5"],
+    ["basis", "--lambda", "2,0", "--mu", "1,1"],
+    ["present", "--lambda", "2,0", "--mu", "1,1", "--family", "H", "--format", "json"],
+    ["hilbert", "--lambda", "3,2,1", "--mu", "2,2,2"],
+    ["verify", "--lambda", "3,1", "--mu", "1,2,1"],
+    ["components", "--lambda", "2,1", "--mu", "1,1,1", "--format", "dot"],
+    ["transfer", "--lambda", "2,0", "--mu", "2"],
+    ["sweep", "--d-max", "4"],
+)
+
+
+def _dump(value):
+    return json.dumps(value, sort_keys=True).encode() + b"\n"
+
+
+def test_outputs_pinned_d4():
+    # per pair: the H certificate JSON, the transfer JSON, and the
+    # canonical ideal rows of every degree of both families; then the exit
+    # code and stdout of each README command
+    digest = hashlib.sha256()
+    pairs = 0
+    for lam, mu in iter_pairs(4):
+        qh, qe = build_quotient(lam, mu, "H"), build_quotient(lam, mu, "E")
+        digest.update(_dump(certify_basis(lam, mu, quotient=qh).to_json()))
+        digest.update(_dump(anti_invariant_transfer(lam, mu, quotient=qh).to_json()))
+        for q in (qh, qe):
+            for t in range(q.stop_x + 1):
+                rows = q.ideal_space(t).pivot_rows
+                digest.update(_dump(sorted((c, sorted(rows[c].items())) for c in rows)))
+        pairs += 1
+    assert pairs == 299
+    for argv in README_COMMANDS:
+        out = io.StringIO()
+        code = main(list(argv), out=out)
+        digest.update(_dump([code, out.getvalue()]))
+    assert digest.hexdigest() == (
+        "78c40293ed689a893df47738ca5c4141b2e37727b702388b0425e5fefa2a2994"
+    )

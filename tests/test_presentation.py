@@ -1,9 +1,11 @@
 import hashlib
 import json
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from oracles import dense, kernel_basis, scaled_int_row, span, sparse
 from spaltenstein import presentation
 from spaltenstein.presentation import (
     BasisError,
@@ -24,7 +26,7 @@ from spaltenstein.presentation import (
 from spaltenstein.linalg import RowSpace
 from test_linalg import fraction_residual, fraction_rref
 from spaltenstein.reports import betti
-from spaltenstein.symring import Polynomial, complete_block, elementary_block
+from spaltenstein.symring import BlockStructure, Polynomial, complete_block, elementary_block
 from spaltenstein.tableaux import (
     Composition,
     Partition,
@@ -179,9 +181,9 @@ def augmented_oracle(cert, t):
     indices = [i for i, s in enumerate(cert.degrees) if s == t]
     tags = len(indices)
     ideal = cert.quotient.ideal_space(t)
-    rows = [list(row) + [0] * tags for row in (ideal.basis() if ideal else ())]
+    rows = [dense(row, width) + [0] * tags for row in (ideal.pivot_rows.values() if ideal else ())]
     for pos, i in enumerate(indices):
-        rows.append(list(cert.classes[i]) + [int(k == pos) for k in range(tags)])
+        rows.append(dense(cert.classes[i], width) + [int(k == pos) for k in range(tags)])
     return fraction_rref(rows, width + tags), width, indices
 
 
@@ -191,11 +193,11 @@ def fraction_normal_form(p, cert):
     minus the coordinates.  Above the stopping degree every class lies in
     the ideal."""
     coords = {}
-    for t, vec in cert.quotient.ring.class_of_polynomial(p).items():
+    for t, row in cert.quotient.ring.class_of_polynomial(p).items():
         if cert.quotient.ideal_space(t) is None:
             continue
         reduced, width, indices = augmented_oracle(cert, t)
-        res = fraction_residual(reduced, list(vec) + [0] * len(indices))
+        res = fraction_residual(reduced, dense(row, width) + [0] * len(indices))
         assert not any(res[:width])
         for pos, i in enumerate(indices):
             T = cert.tableaux[i]
@@ -266,12 +268,12 @@ class TestEscapeWitness:
                 for vec in probes:
                     res = fraction_residual(reduced, vec + [0] * len(indices))
                     if not any(res[:width]):
-                        assert cert.coordinates_of_class(vec, t) == {
+                        assert cert.coordinates_of_class(sparse(vec), t) == {
                             i: -res[width + pos] for pos, i in enumerate(indices) if res[width + pos]
                         }
                         continue
                     with pytest.raises(BasisError) as err:
-                        cert.coordinates_of_class(vec, t)
+                        cert.coordinates_of_class(sparse(vec), t)
                     assert str(err.value) == "class outside the certified span"
                     assert err.value.witness == {
                         "degree": 2 * t,
@@ -368,9 +370,9 @@ class TestDependencyWitness:
                 continue
             t, (first, second) = repeated[0][0], repeated[0][1][:2]
             q = build_quotient(lam, mu)
-            base = real(q.ring, first, mu, {})[0]
+            base = dense(real(q.ring, first, mu, {})[0], q.ring.dim(t))
             fake.clear()
-            fake[second, mu] = ([2 * v for v in base], t)
+            fake[second, mu] = (sparse([2 * v for v in base]), t)
             with pytest.raises(BasisError) as err:
                 presentation._certificate_data(lam, mu, q, tabs)
             witness = err.value.witness
@@ -381,7 +383,7 @@ class TestDependencyWitness:
                 combo[str(first.to_json())] * v + combo[str(second.to_json())] * 2 * v
                 for v in base
             ]
-            assert q.contains_class(total, t)
+            assert q.contains_class(sparse(total), t)
             pairs += 1
         assert pairs == 56
 
@@ -397,8 +399,8 @@ class TestLastVariableSkip:
                 q = build_quotient(lam, mu, family)
                 for t in range(1, q.stop_x + 1):
                     space = q.ideal_space(t)
-                    for row in q.ideal_space(t - 1).basis():
-                        assert space.contains(q.ring.apply_var(list(row), d, t - 1))
+                    for row in q.ideal_space(t - 1).pivot_rows.values():
+                        assert space.contains(q.ring.apply_var(row, d, t - 1))
             pairs += 1
         assert pairs == 1641
 
@@ -413,7 +415,7 @@ class TestQuotientDimension:
                 q = build_quotient(lam, mu, family)
                 for t in range(q.stop_x + 1):
                     probe = q.ideal_space(t).copy()
-                    gains = sum(1 for row in q.invariant_basis_rows(t) if probe.insert(list(row)))
+                    gains = sum(1 for row in q.invariant_basis_rows(t) if probe.insert(row))
                     assert q.core.qdim[t] == gains
             pairs += 1
         assert pairs == 1641
@@ -422,8 +424,7 @@ class TestQuotientDimension:
 class TestSparsePropagation:
     def test_ideal_equals_dense_span_d5(self):
         # I_t is the span of the degree-t generator classes, computed from
-        # the expanded polynomials, and of x_v * basis() of I_{t-1} for
-        # every v <= d, rebuilt with the dense insert
+        # the expanded polynomials, and of x_v * I_{t-1} for every v <= d
         gen_classes = {}
 
         def gen_class(q, subset, r, kind):
@@ -431,7 +432,8 @@ class TestSparsePropagation:
             if key not in gen_classes:
                 builder = complete_block if kind == "h" else elementary_block
                 poly = builder(q.mu, subset, r)
-                gen_classes[key] = q.ring.class_of_polynomial(poly).get(r)
+                row = q.ring.class_of_polynomial(poly).get(r, {})
+                gen_classes[key] = sparse(scaled_int_row(dense(row, q.ring.dim(r))))
             return gen_classes[key]
 
         pairs = 0
@@ -442,17 +444,15 @@ class TestSparsePropagation:
                 ring = q.ring
                 items = _generator_items(lam, mu, family, q.stop_x)
                 for t in range(q.stop_x + 1):
-                    dense = RowSpace(ring.dim(t))
+                    oracle = RowSpace(ring.dim(t))
                     for subset, r in items:
-                        vec = gen_class(q, subset, r, kind) if r == t else None
-                        if vec is not None:
-                            dense.insert(list(vec))
+                        if r == t:
+                            oracle.insert(gen_class(q, subset, r, kind))
                     if t:
-                        for row in q.ideal_space(t - 1).basis():
+                        for row in q.ideal_space(t - 1).pivot_rows.values():
                             for v in range(1, d + 1):
-                                dense.insert(ring.apply_var(list(row), v, t - 1))
-                    assert q.ideal_space(t) == dense
-                    assert q.ideal_space(t).basis() == dense.basis()
+                                oracle.insert(ring.apply_var(row, v, t - 1))
+                    assert q.ideal_space(t) == oracle
             pairs += 1
         assert pairs == 1641
 
@@ -469,8 +469,8 @@ def membership_equivalence(qh, qe):
     ring = qh.ring
     for source, target, kind in ((qh, qe, "h"), (qe, qh, "e")):
         for subset, r in _generator_items(source.lam, source.mu, source.family, source.stop_x):
-            vec = ring.sym_classes(source.blocks.union(subset), r, kind)[r]
-            if any(vec) and not target.contains_class(vec, r):
+            row = ring.sym_classes(source.blocks.union(subset), r, kind)[r]
+            if row and not target.contains_class(row, r):
                 return False
     return True
 
@@ -524,7 +524,57 @@ class TestRelEquivalence:
         assert not rel_equivalence(Partition([3, 2, 1]), mu, qh=qe, qe=qh)
 
 
+def kernel_match_oracle(q, reg, eps, e, t):
+    """Oracle for _transfer_kernel_matches: the combinations of the
+    invariant rows whose product with eps lies in the degree-(t + e)
+    regular ideal, and those that lie in the block ideal, each found by
+    Fraction Gauss-Jordan and kernel_basis and compared as spans of dense
+    classes.  Where reg has no ideal space, its quotient is zero."""
+    ring, width = q.ring, q.ring.dim(t)
+    inv = [dense(row, width) for row in q.invariant_basis_rows(t)]
+
+    def null_span(images, space, image_width):
+        rows = [dense(row, image_width) for row in space.pivot_rows.values()] if space else []
+        reduced = fraction_rref(rows, image_width)
+        residuals = [fraction_residual(reduced, image) if space else [0] * image_width
+                     for image in images]
+        equations = [[res[j] for res in residuals] for j in range(image_width)]
+        combos = kernel_basis(equations, len(inv))
+        return span([[sum(c * row[k] for c, row in zip(combo, inv)) for k in range(width)]
+                     for combo in combos], width)
+
+    products = [dense(ring.mul_classes(sparse(row), t, eps, e), ring.dim(t + e)) for row in inv]
+    return null_span(products, reg.ideal_space(t + e), ring.dim(t + e)) == null_span(
+        inv, q.ideal_space(t), width
+    )
+
+
 class TestTransfer:
+    def test_kernel_check_matches_combination_oracle_d4(self):
+        # the relation-space comparison against the spans of the null
+        # combinations, for the antisymmetrizer and for three wrong
+        # multipliers: x_1 times it, 1, and x_d^e (which gives kernels
+        # of equal dimension that differ)
+        outcomes = []
+        for lam, mu in iter_pairs(4):
+            q = build_quotient(lam, mu)
+            ring, reg = q.ring, regular_quotient(lam, mu.size())
+            blocks = BlockStructure(mu)
+            pairs = [p for j in range(1, len(mu) + 1) for p in combinations(blocks.block(j), 2)]
+            eps, e = ring.antisymmetrizer_class(pairs)
+            power = ring.unit()
+            for r in range(e):
+                power = ring.apply_var(power, mu.size(), r)
+            wrong = ((ring.apply_var(eps, 1, e), e + 1), (ring.unit(), 0), (power, e))
+            for t in range(q.stop_x + 1):
+                assert presentation._transfer_kernel_matches(ring, q, reg, eps, e, t)
+                assert kernel_match_oracle(q, reg, eps, e, t)
+                for mult, deg in wrong:
+                    got = presentation._transfer_kernel_matches(ring, q, reg, mult, deg, t)
+                    assert got == kernel_match_oracle(q, reg, mult, deg, t)
+                    outcomes.append(got)
+        assert (outcomes.count(True), outcomes.count(False)) == (2836, 695)
+
     def test_hand_example(self):
         report = anti_invariant_transfer(Partition([2, 0]), Composition([2]))
         assert report.shift == 2
@@ -564,14 +614,14 @@ class TestBettiAgainstQuotient:
 
 def _pipeline_record(lam, mu):
     """What a shared build must reproduce: both families' to_json and ideal
-    bases, the certificate JSON bytes, and the coordinates of every basis
+    spaces, the certificate JSON bytes, and the coordinates of every basis
     class."""
     qh, qe = build_quotient(lam, mu, "H"), build_quotient(lam, mu, "E")
     cert = certify_basis(lam, mu, quotient=qh)
     return (
         qh.to_json(),
         qe.to_json(),
-        [[q.ideal_space(t).basis() for t in range(q.stop_x + 1)] for q in (qh, qe)],
+        [[q.ideal_space(t) for t in range(q.stop_x + 1)] for q in (qh, qe)],
         json.dumps(cert.to_json(), sort_keys=True).encode(),
         [cert.coordinates_of_class(v, t) for v, t in zip(cert.classes, cert.degrees)],
     )
