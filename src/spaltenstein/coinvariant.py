@@ -311,7 +311,7 @@ def invariant_rows(ring, transpositions, r):
         return []
     if not transpositions:
         return [{pos: 1} for pos in range(dim)]
-    space = RowSpace(dim)
+    batch = []
     for i, _ in transpositions:
         equations = [{} for _ in range(dim)]
         for b, row in enumerate(ring.swap_matrix(i, r)):
@@ -323,6 +323,7 @@ def invariant_rows(ring, transpositions, r):
                 eq[coord] = w
             else:
                 del eq[coord]
-            if eq:
-                space.insert(eq)
+        batch += equations
+    space = RowSpace(dim)
+    space.extend(batch)
     return space.kernel()

@@ -62,9 +62,17 @@ class RowSpace:
     non-zero.  The pivots to clear are therefore exactly the pivot
     columns in the support of the input row, known up front, and the
     order of clearing does not matter.
+
+    Order lemma: the reduced echelon basis of a span is unique, so the
+    order in which rows are inserted cannot change pivot_rows; it changes
+    only the cost.  The stored row of pivot c is zero left of column c,
+    so a gain whose lead lies left of every pivot column finds no stored
+    row to back-substitute into.  extend therefore inserts a batch in
+    descending order of first column, and insert skips its scan when the
+    new lead is left of the smallest pivot column.
     """
 
-    __slots__ = ("width", "pivot_rows", "_scale")
+    __slots__ = ("width", "pivot_rows", "_scale", "_first")
 
     def __init__(self, width):
         self.width = width
@@ -72,15 +80,21 @@ class RowSpace:
         # lcm of the pivot entries; an insert that raises the rank resets it
         # to None, and scaled_residual computes it again when it is needed
         self._scale = 1
+        # the smallest pivot column, width while the space is zero
+        self._first = width
 
     @property
     def rank(self):
         return len(self.pivot_rows)
 
-    def copy(self):
-        out = RowSpace(self.width)
+    def copy(self, width=None):
+        """An independent copy, in Q^width for a width of at least
+        self.width: the stored rows are zero in the added columns, so they
+        stay canonical there."""
+        out = RowSpace(self.width if width is None else width)
         out.pivot_rows = dict(self.pivot_rows)
         out._scale = self._scale
+        out._first = min(out.pivot_rows, default=out.width)
         return out
 
     def _reduce(self, row):
@@ -103,25 +117,46 @@ class RowSpace:
     def insert(self, row):
         """Add an int row; returns True when the rank grows.
         Back-substitution touches only the pivot rows that are non-zero at
-        the new pivot column."""
+        the new pivot column; when that column is left of every pivot
+        column there are none (order lemma), and the scan is skipped."""
         res = self._reduce(row)
         if not res:
             return False
         lead = min(res)
         res = _primitive(res, lead)
-        pv = res[lead]
         pivot_rows = self.pivot_rows
-        for c, p in list(pivot_rows.items()):
-            v = p.get(lead)
-            if v:
-                g = gcd(pv, v)
-                a = pv // g
-                q = {k: a * x for k, x in p.items()} if a != 1 else dict(p)
-                _subtract(q, v // g, res)
-                pivot_rows[c] = _primitive(q, c)
+        if lead < self._first:
+            self._first = lead
+        else:
+            pv = res[lead]
+            for c, p in list(pivot_rows.items()):
+                v = p.get(lead)
+                if v:
+                    g = gcd(pv, v)
+                    a = pv // g
+                    q = {k: a * x for k, x in p.items()} if a != 1 else dict(p)
+                    _subtract(q, v // g, res)
+                    pivot_rows[c] = _primitive(q, c)
         pivot_rows[lead] = res
         self._scale = None
         return True
+
+    def extend(self, rows):
+        """Insert a batch of int rows; returns the rank gain.  The rows go
+        in descending order of first column (a stable sort), so that most
+        gains lead left of every pivot column and back-substitute into no
+        stored row, and the batch stops once the space is full.  By the
+        order lemma the result is the span of the batch and the space,
+        whatever the order of rows."""
+        pivot_rows = self.pivot_rows
+        before = len(pivot_rows)
+        width = self.width
+        insert = self.insert
+        for row in sorted(filter(None, rows), key=min, reverse=True):
+            if len(pivot_rows) == width:
+                break
+            insert(row)
+        return len(pivot_rows) - before
 
     def contains(self, row):
         return not self.scaled_residual(row)[1]

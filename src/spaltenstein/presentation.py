@@ -298,10 +298,13 @@ class GradedQuotient:
         Degree t is spanned by its generators and x_v * I_{t-1} for
         v < d only.  Last-variable lemma: e_1 = 0 in the coinvariant
         algebra, so x_d b = -sum_{v<d} x_v b for every degree-r class b,
-        hence x_d * I_{t-1} lies in sum_{v<d} x_v * I_{t-1}.  Propagation
-        multiplies the pivot rows of I_{t-1}, in pivot order, and inserts
-        the products; the classes of each block union come from one
-        sym_classes call up to stop_x and are inserted as they are."""
+        hence x_d * I_{t-1} lies in sum_{v<d} x_v * I_{t-1}.  The classes
+        of each block union come from one sym_classes call up to stop_x.
+        Each degree gathers its generator classes and the products of the
+        pivot rows of I_{t-1} by x_1..x_{d-1} into one batch and extends
+        an empty space by it: by the order lemma of RowSpace the batch
+        order cannot change the canonical basis, and extend's order
+        leaves little back-substitution."""
         ring = self.ring
         max_alg = max([p for p in self.mu.parts if p > 0], default=1)
         first_above = max(0, self.top_x + 1)
@@ -315,26 +318,18 @@ class GradedQuotient:
         ideal, qdim = {}, {}
         for t in range(stop_x + 1):
             full = ring.dim(t)
-            space = RowSpace(full)
-            for vars_ in gens_by_deg.get(t, ()):
-                space.insert(classes[vars_][t])
+            batch = [classes[vars_][t] for vars_ in gens_by_deg.get(t, ())]
             if t:
-                below = ideal[t - 1].pivot_rows
-                prev = [below[c] for c in sorted(below)]
-                for v in range(1, self.d):
-                    if space.rank == full:
-                        break
-                    for row in prev:
-                        space.insert(ring.apply_var(row, v, t - 1))
-                        if space.rank == full:
-                            break
-            ideal[t] = space
+                below = ideal[t - 1].pivot_rows.values()
+                batch += [ring.apply_var(row, v, t - 1) for v in range(1, self.d) for row in below]
+            space = ideal[t] = RowSpace(full)
+            space.extend(batch)
             # the residual map is linear with kernel I_t, so the quotient
             # dimension is the rank of the residuals of the invariant rows
             probe = RowSpace(full)
-            for row in _invariant_data(ring, self.mu, t):
-                probe.insert(space.scaled_residual(row)[1])
-            qdim[t] = probe.rank
+            qdim[t] = probe.extend(
+                space.scaled_residual(row)[1] for row in _invariant_data(ring, self.mu, t)
+            )
         for t in range(first_above, stop_x + 1):
             if qdim.get(t, 0):
                 raise TruncationError(
@@ -572,14 +567,9 @@ def _certificate_data(lam, mu, quotient, tableaux):
         ideal = quotient.ideal_space(t)
         width = ring.dim(t)
         tags = len(indices)
-        space = RowSpace(width + tags)
-        if ideal is not None:
-            for row in ideal.pivot_rows.values():
-                space.insert(row)
-        for pos, idx in enumerate(indices):
-            row = dict(classes[idx])
-            row[width + pos] = 1
-            space.insert(row)
+        # the ideal rows are zero in the tag columns, so they stay canonical
+        space = ideal.copy(width + tags) if ideal is not None else RowSpace(width + tags)
+        space.extend({**classes[idx], width + pos: 1} for pos, idx in enumerate(indices))
         # a dependence modulo the ideal shows up as a pivot in the tag region;
         # its row (0, c) is a combination of inserted rows, so sum c_k class_k
         # lies in the ideal
@@ -805,7 +795,7 @@ def _anti_invariant_dim(ring, reg, transpositions, e):
         return 0
     if not transpositions:
         return dim - ideal.rank
-    space = RowSpace(dim)
+    batch = []
     for i, _ in transpositions:
         equations = {}
         for b, row in enumerate(ring.swap_matrix(i, e)):
@@ -815,9 +805,8 @@ def _anti_invariant_dim(ring, reg, transpositions, e):
                 moved[b] = w
             for j, w in ideal.scaled_residual(moved)[1].items():
                 equations.setdefault(j, {})[b] = w
-        for eq in equations.values():
-            space.insert(eq)
-    return dim - space.rank - ideal.rank
+        batch += equations.values()
+    return dim - RowSpace(dim).extend(batch) - ideal.rank
 
 
 def _transfer_kernel_matches(ring, quotient, reg, eps_vec, d_mu, t):
@@ -852,6 +841,5 @@ def _relations(residuals):
         for j, w in res.items():
             equations.setdefault(j, {})[i] = w
     relations = RowSpace(len(residuals))
-    for eq in equations.values():
-        relations.insert(eq)
+    relations.extend(equations.values())
     return relations

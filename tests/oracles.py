@@ -5,6 +5,7 @@ from itertools import combinations
 from math import factorial, lcm, prod
 
 from spaltenstein.linalg import RowSpace
+from spaltenstein.presentation import _generator_items
 from spaltenstein.symring import BlockStructure, Polynomial
 
 
@@ -57,3 +58,28 @@ def block_antisymmetrizer(mu):
         for a, b in combinations(blocks.block(j), 2):
             out = out * (Polynomial.variable(d, a) - Polynomial.variable(d, b))
     return out * Fraction(1, prod(factorial(p) for p in mu.parts))
+
+
+def ideal_by_insertion(quotient):
+    """The ideal spaces of a quotient, one per x-degree up to stop_x, grown
+    one insert at a time in the order that precedes batching: the degree's
+    generator classes first, then x_v times the pivot rows of I_{t-1} in
+    pivot order, for v = 1..d-1 in turn.  Each degree is propagated from
+    this oracle's own I_{t-1}, not from the library's."""
+    ring = quotient.ring
+    kind = "h" if quotient.family == "H" else "e"
+    gens = {}
+    for subset, r in _generator_items(quotient.lam, quotient.mu, quotient.family, quotient.stop_x):
+        gens.setdefault(r, {})[quotient.blocks.union(subset)] = None
+    ideal = []
+    for t in range(quotient.stop_x + 1):
+        space = RowSpace(ring.dim(t))
+        for vars_ in gens.get(t, ()):
+            space.insert(ring.sym_classes(vars_, quotient.stop_x, kind)[t])
+        if t:
+            below = ideal[-1].pivot_rows
+            for v in range(1, quotient.d):
+                for c in sorted(below):
+                    space.insert(ring.apply_var(below[c], v, t - 1))
+        ideal.append(space)
+    return ideal

@@ -218,6 +218,86 @@ class TestRowSpace:
         assert forward == backward
 
 
+class CountingSpace(RowSpace):
+    """A RowSpace that records (its rank, the row) for every insert."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self, width):
+        super().__init__(width)
+        self.calls = []
+
+    def insert(self, row):
+        self.calls.append((self.rank, row))
+        return super().insert(row)
+
+
+class TestExtend:
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_strategy(), st.randoms(use_true_random=False))
+    def test_extend_matches_one_by_one_insert(self, data, rng):
+        # a shuffled batch on top of some start rows: the same pivot_rows
+        # as inserting the rows one by one in the given order, the rank
+        # gain as return value, no argument row changed, and no insert
+        # into a full space
+        rows, probes, width = data
+        start = [sparse(scaled_int_row(row)) for row in probes]
+        batch = [sparse(scaled_int_row(row)) for row in rows]
+        rng.shuffle(batch)
+        before = deepcopy((start, batch))
+        one_by_one = RowSpace(width)
+        for row in start + batch:
+            one_by_one.insert(row)
+        space = CountingSpace(width)
+        for row in start:
+            space.insert(row)
+        rank = space.rank
+        space.calls.clear()
+        gain = space.extend(batch)
+        assert space.pivot_rows == one_by_one.pivot_rows
+        assert gain == space.rank - rank
+        assert (start, batch) == before
+        assert all(seen < width for seen, _ in space.calls)
+        if space.rank < width:
+            assert len(space.calls) == sum(1 for row in batch if row)
+
+    def test_full_space_inserts_nothing(self):
+        space = CountingSpace(2)
+        assert space.extend([{0: 1, 1: 1}, {1: 2}, {0: 3}, {0: 1, 1: 5}]) == 2
+        assert len(space.calls) == 2
+        assert space.extend([{0: 1}, {1: 1}]) == 0
+        assert len(space.calls) == 2
+
+    def test_zero_rows_skipped(self):
+        space = CountingSpace(3)
+        assert space.extend([{}, {2: 4}, {}]) == 1
+        assert space.calls == [(0, {2: 4})]
+        assert space.pivot_rows == {2: {2: 1}}
+
+    def test_descending_lead_order(self):
+        # leads 2, 1, 1, 0 in that order; equal leads keep the given order
+        space = CountingSpace(3)
+        rows = [{0: 1}, {1: 1, 2: 1}, {2: 1}, {1: 2}]
+        space.extend(rows)
+        assert [row for _, row in space.calls] == [rows[2], rows[1], rows[3], rows[0]]
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_strategy())
+    def test_widened_copy_stays_canonical(self, data):
+        # copy(width) embeds the space in a wider one: inserting rows that
+        # use the new columns gives the span of everything, canonically
+        rows, probes, width = data
+        space = span(rows, width)
+        wide = space.copy(width + 2)
+        tagged = [{**sparse(scaled_int_row(p)), width + i % 2: 1} for i, p in enumerate(probes)]
+        wide.extend(tagged)
+        oracle = RowSpace(width + 2)
+        for row in list(space.pivot_rows.values()) + tagged:
+            oracle.insert(row)
+        assert wide == oracle
+        assert space.width == width
+
+
 class TestKernel:
     def test_simple_kernel(self):
         vecs = kernel_basis([[1, 1, 0]], 3)

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from oracles import dense, kernel_basis, scaled_int_row, span, sparse
+from oracles import dense, ideal_by_insertion, kernel_basis, scaled_int_row, span, sparse
 from spaltenstein import presentation
 from spaltenstein.presentation import (
     BasisError,
@@ -455,6 +455,25 @@ class TestSparsePropagation:
                     assert q.ideal_space(t) == oracle
             pairs += 1
         assert pairs == 1641
+
+
+class TestBatchedBuild:
+    def test_ideal_equals_one_at_a_time_build_d5(self):
+        # _build extends each degree by one batch in descending lead order;
+        # by the order lemma its pivot_rows equal those of the one-at-a-time
+        # build, degree by degree, on every zero-free key
+        keys = 0
+        for lam, mu in iter_pairs(5):
+            if 0 in mu.parts:
+                continue
+            for family in ("H", "E"):
+                q = build_quotient(lam, mu, family)
+                oracle = ideal_by_insertion(q)
+                assert len(oracle) == q.stop_x + 1
+                for t, space in enumerate(oracle):
+                    assert q.ideal_space(t).pivot_rows == space.pivot_rows
+            keys += 1
+        assert keys == 114
 
 
 def membership_equivalence(qh, qe):
