@@ -52,3 +52,16 @@ def test_outputs_pinned_d4():
     assert digest.hexdigest() == (
         "78c40293ed689a893df47738ca5c4141b2e37727b702388b0425e5fefa2a2994"
     )
+
+
+def test_transfer_reports_pinned_d5():
+    # the anti-invariant transfer report of every pair with d <= 5
+    digest = hashlib.sha256()
+    pairs = 0
+    for lam, mu in iter_pairs(5):
+        digest.update(_dump(anti_invariant_transfer(lam, mu).to_json()))
+        pairs += 1
+    assert pairs == 1641
+    assert digest.hexdigest() == (
+        "5de4fedcf9a054299cdd83e0bd45bcf32270daaee0f2836296e06cdb9713ff60"
+    )
