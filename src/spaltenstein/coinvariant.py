@@ -295,22 +295,23 @@ def get_ring(d):
     return ring
 
 
-def invariant_rows(ring, transpositions, r):
-    """Basis of the subspace of degree-r classes fixed by the transpositions.
+def invariant_rows(ring, transpositions, r, sign=1):
+    """Basis of the degree-r classes x with x S = sign * x for the swap
+    matrix S of every transposition: the invariants for sign 1, the
+    anti-invariants for sign -1.
 
     The transpositions must be adjacent pairs (i, i+1); the result is a
-    deterministic list of integer rows.  A class x is fixed by the swap
-    matrix S when x (S - 1) = 0, so each transposition gives one equation
-    per column of S - 1.  The equations are gathered sparse from the rows
-    of S, the identically zero ones are dropped, and the kernel is read
-    off their reduced echelon form, which is canonical: the rows do not
-    depend on the order of the equations.
+    deterministic list of integer rows.  Each transposition gives one
+    equation per column of S - sign.  The equations are gathered sparse
+    from the rows of S, the identically zero ones are dropped, and the
+    kernel is read off their reduced echelon form, which is canonical:
+    the rows do not depend on the order of the equations.  With no
+    transposition the space of equations is zero and its kernel is the
+    unit rows.
     """
     dim = ring.dim(r)
     if dim == 0:
         return []
-    if not transpositions:
-        return [{pos: 1} for pos in range(dim)]
     batch = []
     for i, _ in transpositions:
         equations = [{} for _ in range(dim)]
@@ -318,7 +319,7 @@ def invariant_rows(ring, transpositions, r):
             for coord, w in row:
                 equations[coord][b] = w
         for coord, eq in enumerate(equations):
-            w = eq.get(coord, 0) - 1
+            w = eq.get(coord, 0) - sign
             if w:
                 eq[coord] = w
             else:

@@ -11,11 +11,16 @@ truncated families of block symmetric functions:
 Both families contain every full symmetric function of positive degree
 (the bound for the full index set is zero), so the quotient is computed
 inside the coinvariant algebra: the ideal grows degree by degree through
-multiplication by single variables, and the quotient dimension in each
-degree is read off as the rank of the residuals of a basis of the
-invariants against the ideal row space.  Degrees above twice
+multiplication by single variables.  Degrees above twice
 (d_lam - d_mu) are verified to vanish on a window wide enough to force
 vanishing in all higher degrees, instead of being assumed.
+
+Every isotypic count of a quotient is one probe, _residual_rank: the
+rank of the scaled residuals of a cached basis of the invariant (or
+anti-invariant) classes against the ideal row space.  It gives the
+quotient dimensions, the anti-invariant dimensions of the regular
+quotient and, on concatenated residuals, the kernel check of the
+transfer.
 
 All computations are exact.  The x-degree of a polynomial is half its
 grading degree; public interfaces use the grading degree throughout.
@@ -195,16 +200,35 @@ def _generator_items(lam, mu, family, max_xdeg):
 _INV_CACHE = {}
 
 
-def _invariant_data(ring, mu, t):
-    # the invariant subspace depends on mu only through the generated
-    # subgroup, so key the cache by the transposition set
+def _invariant_data(ring, mu, t, sign=1):
+    # the (anti-)invariant subspace depends on mu only through the
+    # generated subgroup, so key the cache by the transposition set
     transpositions = tuple(BlockStructure(mu).transpositions())
-    key = (ring.d, transpositions, t)
+    key = (ring.d, transpositions, t, sign)
     rows = _INV_CACHE.get(key)
     if rows is None:
-        rows = invariant_rows(ring, transpositions, t)
+        rows = invariant_rows(ring, transpositions, t, sign)
         _INV_CACHE[key] = rows
     return rows
+
+
+def _residual_rank(space, rows):
+    """Rank of the images of rows in the quotient by space, 0 where space
+    is None (a degree where the quotient is proven zero).
+
+    The scaled residual is linear on integer rows, with one scale L for
+    the whole space, and its kernel is the space; so the rank of the
+    residuals is the dimension of the image of the span of rows.
+
+    Isotypic lemma: when the ideal is stable under a group G, over Q the
+    isotypic projector of a character of G commutes with C -> C/I, so
+    the isotypic part of C/I is the image of the isotypic part of C.
+    With rows a basis of the invariants (or anti-invariants) of C, the
+    rank is the dimension of the invariants (or anti-invariants) of C/I.
+    """
+    if space is None:
+        return 0
+    return RowSpace(space.width).extend(space.scaled_residual(row)[1] for row in rows)
 
 
 def _zero_free_key(family, lam, mu):
@@ -304,7 +328,10 @@ class GradedQuotient:
         pivot rows of I_{t-1} by x_1..x_{d-1} into one batch and extends
         an empty space by it: by the order lemma of RowSpace the batch
         order cannot change the canonical basis, and extend's order
-        leaves little back-substitution."""
+        leaves little back-substitution.  The quotient dimension is the
+        residual rank of the S_mu-invariant rows (_residual_rank): the
+        generators are S_mu-invariant, so the ideal is S_mu-stable and
+        the isotypic lemma applies."""
         ring = self.ring
         max_alg = max([p for p in self.mu.parts if p > 0], default=1)
         first_above = max(0, self.top_x + 1)
@@ -324,12 +351,7 @@ class GradedQuotient:
                 batch += [ring.apply_var(row, v, t - 1) for v in range(1, self.d) for row in below]
             space = ideal[t] = RowSpace(full)
             space.extend(batch)
-            # the residual map is linear with kernel I_t, so the quotient
-            # dimension is the rank of the residuals of the invariant rows
-            probe = RowSpace(full)
-            qdim[t] = probe.extend(
-                space.scaled_residual(row)[1] for row in _invariant_data(ring, self.mu, t)
-            )
+            qdim[t] = _residual_rank(space, _invariant_data(ring, self.mu, t))
         for t in range(first_above, stop_x + 1):
             if qdim.get(t, 0):
                 raise TruncationError(
@@ -677,13 +699,14 @@ def clear_caches():
 
     Policy: caches are per process and grow without bound until this is
     called.  Each is keyed as documented where it is defined: coinvariant
-    rings by d (_RINGS), invariant rows by (d, transpositions, t)
-    (_INV_CACHE), regular quotients by (d, lam) (_REGULAR_CACHE),
-    quotient cores, with their certificate data, by the zero-free key
-    (_CORES), and the tableau reduction step by (tableau, content)
-    (_reduce_raw).  The values are read-only: callers copy() a RowSpace
-    before inserting into it.  Objects built before the call stay valid;
-    later builds start cold and give equal results.
+    rings by d (_RINGS), invariant and anti-invariant rows by
+    (d, transpositions, t, sign) (_INV_CACHE), regular quotients by
+    (d, lam) (_REGULAR_CACHE), quotient cores, with their certificate
+    data, by the zero-free key (_CORES), and the tableau reduction step
+    by (tableau, content) (_reduce_raw).  The values are read-only:
+    callers copy() a RowSpace before inserting into it.  Objects built
+    before the call stay valid; later builds start cold and give equal
+    results.
     """
     for cache in (_RINGS, _INV_CACHE, _REGULAR_CACHE, _CORES):
         cache.clear()
@@ -711,19 +734,27 @@ class TransferReport:
         }
 
 
-def anti_invariant_transfer(lam, mu, quotient=None):
-    """Verify the algebraic shadow of the push-forward isomorphism.
+def anti_invariant_transfer(lam, mu):
+    """Verify the algebraic shadow of the push-forward isomorphism: the
+    H quotient of (lam, mu) is the sign-isotypic part of the regular
+    quotient of lam under S_mu, shifted by twice d_mu.
 
     (a) well-definedness: an invariant class v has v * eps in the regular
-        ideal exactly when v lies in the block ideal, degree by degree;
+        ideal exactly when v lies in the block ideal, degree by degree
+        (_transfer_kernel_matches);
     (b) the anti-invariants of the regular quotient match the block
         quotient dimensions after the degree shift by twice d_mu.
+
+    The anti-invariant dimension is the residual rank of the
+    anti-invariant rows of C against the regular ideal (_residual_rank).
+    The regular ideal is S_d-stable, because S_d permutes its generators
+    h_r of the variable subsets of one size, so the isotypic lemma
+    applies to S_mu and its sign character.
 
     Any failure raises TransferError with the offending degree.
     """
     n, d = _validate_pair(lam, mu)
-    if quotient is None:
-        quotient = build_quotient(lam, mu, "H")
+    quotient = build_quotient(lam, mu, "H")
     ring = quotient.ring
     d_mu = quotient.d_mu
     reg = regular_quotient(lam, d)
@@ -743,11 +774,10 @@ def anti_invariant_transfer(lam, mu, quotient=None):
     degrees = []
     anti_dims = []
     quotient_dims = []
-    transpositions = blocks.transpositions()
     for t in range(0, max(top, reg_reach) + 1):
         e = t + d_mu
         # (b) anti-invariant dimension of the regular quotient in degree 2e
-        a_dim = _anti_invariant_dim(ring, reg, transpositions, e)
+        a_dim = _residual_rank(reg.ideal_space(e), _invariant_data(ring, mu, e, -1))
         q_dim = quotient.dimension(2 * t)
         degrees.append(2 * t)
         anti_dims.append(a_dim)
@@ -775,71 +805,28 @@ def anti_invariant_transfer(lam, mu, quotient=None):
     )
 
 
-def _anti_invariant_dim(ring, reg, transpositions, e):
-    """Dimension of the sign-isotypic part of the regular quotient in degree 2e.
-
-    A class v is anti-invariant in the quotient when (s + 1)v lies in the
-    ideal for every generating transposition s.  The scaled residual
-    against the ideal is linear in v (one scale L for the whole space), so
-    the classes with zero residuals form the kernel of one exact linear
-    system; its equations are gathered sparse, one per transposition and
-    residual column, as in invariant_rows.  The kernel has dimension dim
-    minus the rank of the equations, and it contains the ideal.
-    """
-    dim = ring.dim(e)
-    if dim == 0:
-        return 0
-    ideal = reg.ideal_space(e)
-    if ideal is None:
-        # quotient proven zero in this degree, so no anti-invariants either
-        return 0
-    if not transpositions:
-        return dim - ideal.rank
-    batch = []
-    for i, _ in transpositions:
-        equations = {}
-        for b, row in enumerate(ring.swap_matrix(i, e)):
-            moved = dict(row)
-            w = moved.pop(b, 0) + 1
-            if w:
-                moved[b] = w
-            for j, w in ideal.scaled_residual(moved)[1].items():
-                equations.setdefault(j, {})[b] = w
-        batch += equations.values()
-    return dim - RowSpace(dim).extend(batch) - ideal.rank
-
-
 def _transfer_kernel_matches(ring, quotient, reg, eps_vec, d_mu, t):
-    inv = quotient.invariant_basis_rows(t)
-    if not inv:
-        return True
-    target = reg.ideal_space(t + d_mu)
-    ideal_space = quotient.ideal_space(t)
-    residuals, members = [], []
-    for row in inv:
-        prod = ring.mul_classes(row, t, eps_vec, d_mu)
-        residuals.append(target.scaled_residual(prod)[1] if target is not None else {})
-        members.append(ideal_space.scaled_residual(row)[1] if ideal_space is not None else row)
-    return _relations(residuals) == _relations(members)
+    """Whether phi(v) = v * eps modulo the regular ideal in degree t + d_mu
+    and psi(v) = v modulo the block ideal in degree t have the same kernel
+    on the invariant classes v of degree t.
 
-
-def _relations(residuals):
-    """The relations sum_i c_i residuals[i] = 0 on the coefficients c, as
-    the RowSpace of their equations, one per residual column; the
-    residuals are sparse rows of one linear map, so of one scale.
-
-    Kernel lemma: the invariant rows are linearly independent, so two
-    sets of combinations of them are equal exactly when their coefficient
-    sets are, and two solution sets {c : E c = 0} are equal exactly when
-    the row spaces of their equations are (U equals the orthogonal
-    complement of its orthogonal complement).  So comparing the two
-    canonical RowSpaces decides whether multiplication by eps and the
-    block ideal have the same kernel on the invariants, without solving.
+    Rank lemma: ker phi = ker psi exactly when rank phi = rank psi =
+    rank (phi, psi), since ker (phi, psi) is their intersection.  On the
+    invariant rows, phi and psi are the scaled residuals, linear with one
+    scale per space, so the rows (phi_i, psi_i) concatenated column-wise
+    have the rank of (phi, psi); rank psi is the quotient dimension.
+    Where the regular ideal has no space, its quotient is zero and phi
+    is zero.
     """
-    equations = {}
-    for i, res in enumerate(residuals):
-        for j, w in res.items():
-            equations.setdefault(j, {})[i] = w
-    relations = RowSpace(len(residuals))
-    relations.extend(equations.values())
-    return relations
+    target = reg.ideal_space(t + d_mu)
+    ideal = quotient.ideal_space(t)
+    width = ring.dim(t + d_mu)
+    phi, both = [], []
+    for row in quotient.invariant_basis_rows(t):
+        prod = ring.mul_classes(row, t, eps_vec, d_mu)
+        phi_i = target.scaled_residual(prod)[1] if target is not None else {}
+        psi_i = ideal.scaled_residual(row)[1]
+        phi.append(phi_i)
+        both.append({**phi_i, **{width + k: w for k, w in psi_i.items()}})
+    rank_phi = RowSpace(width).extend(phi)
+    return rank_phi == quotient.dimension(2 * t) == RowSpace(width + ring.dim(t)).extend(both)

@@ -67,10 +67,6 @@ class Polynomial:
         exps[i - 1] = 1
         return cls(d, {tuple(exps): Fraction(1)})
 
-    @classmethod
-    def monomial(cls, d, exps, coeff=1):
-        return cls(d, {tuple(exps): _as_fraction(coeff)})
-
     def is_zero(self):
         return not self.terms
 
@@ -130,18 +126,6 @@ class Polynomial:
         return Polynomial(self.d, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative power")
-        result = Polynomial.one(self.d)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
 
     def degree(self):
         """Top grading degree (2 per exponent unit); -1 for the zero polynomial."""

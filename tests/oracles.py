@@ -83,3 +83,38 @@ def ideal_by_insertion(quotient):
                     space.insert(ring.apply_var(below[c], v, t - 1))
         ideal.append(space)
     return ideal
+
+
+def anti_invariant_dim_by_equations(ring, reg, transpositions, e):
+    """Oracle for the anti-invariant count of the transfer: the dimension
+    of the sign-isotypic part of the regular quotient in degree 2e.
+
+    A class v is anti-invariant in the quotient when (s + 1)v lies in the
+    ideal for every generating transposition s.  The scaled residual
+    against the ideal is linear in v (one scale L for the whole space), so
+    the classes with zero residuals form the kernel of one exact linear
+    system; its equations are gathered sparse, one per transposition and
+    residual column.  The kernel has dimension dim minus the rank of the
+    equations, and it contains the ideal.
+    """
+    dim = ring.dim(e)
+    if dim == 0:
+        return 0
+    ideal = reg.ideal_space(e)
+    if ideal is None:
+        # quotient proven zero in this degree, so no anti-invariants either
+        return 0
+    if not transpositions:
+        return dim - ideal.rank
+    batch = []
+    for i, _ in transpositions:
+        equations = {}
+        for b, row in enumerate(ring.swap_matrix(i, e)):
+            moved = dict(row)
+            w = moved.pop(b, 0) + 1
+            if w:
+                moved[b] = w
+            for j, w in ideal.scaled_residual(moved)[1].items():
+                equations.setdefault(j, {})[b] = w
+        batch += equations.values()
+    return dim - RowSpace(dim).extend(batch) - ideal.rank

@@ -61,22 +61,28 @@ def dense_nf(ring, mono):
     return out
 
 
-def dense_invariant_rows(ring, transpositions, r):
-    """Oracle for invariant_rows: the dense equations x (S - 1) = 0, one
-    per column of each swap matrix S, read from the normal forms of the
-    swapped monomials, solved by kernel_basis."""
+def dense_swap_matrix(ring, i, r):
+    """The transposition (i, i+1) on the degree-r basis, as dense rows
+    read from the normal forms of the swapped monomials."""
+    mat = []
+    for mono in ring.basis[r]:
+        m = list(mono)
+        m[i - 1], m[i] = m[i], m[i - 1]
+        mat.append(dense_nf(ring, tuple(m)))
+    return mat
+
+
+def dense_invariant_rows(ring, transpositions, r, sign=1):
+    """Oracle for invariant_rows: the dense equations x (S - sign) = 0, one
+    per column of each swap matrix S, solved by kernel_basis."""
     dim = ring.dim(r)
     if not transpositions:
         return [[int(b == c) for c in range(dim)] for b in range(dim)]
     equations = []
     for i, _ in transpositions:
-        mat = []
-        for mono in ring.basis[r]:
-            m = list(mono)
-            m[i - 1], m[i] = m[i], m[i - 1]
-            mat.append(dense_nf(ring, tuple(m)))
+        mat = dense_swap_matrix(ring, i, r)
         for coord in range(dim):
-            equations.append([mat[b][coord] - (b == coord) for b in range(dim)])
+            equations.append([mat[b][coord] - sign * (b == coord) for b in range(dim)])
     return kernel_basis(equations, dim)
 
 
@@ -226,7 +232,10 @@ class TestInvariants:
                         assert len(rows) == expected
 
     def test_sparse_equations_match_dense_oracle(self):
-        # every transposition set of a composition with d <= 6
+        # every transposition set of a composition with d <= 6, for the
+        # invariants and the anti-invariants: row for row against the
+        # dense oracle, and x S = sign * x for every returned row x and
+        # the swap matrix S of every transposition
         for d in range(1, 7):
             ring = get_ring(d)
             sets = {
@@ -235,10 +244,18 @@ class TestInvariants:
                 for mu in compositions(d, n)
             }
             assert len(sets) == 2 ** (d - 1)
-            for transpositions in sorted(sets):
-                for r in range(ring.top + 1):
-                    expected = dense_invariant_rows(ring, transpositions, r)
-                    assert invariant_rows(ring, transpositions, r) == list(map(sparse, expected))
+            for transpositions, r, sign in product(sorted(sets), range(ring.top + 1), (1, -1)):
+                rows = invariant_rows(ring, transpositions, r, sign)
+                assert rows == list(map(sparse, dense_invariant_rows(ring, transpositions, r, sign)))
+                dim = ring.dim(r)
+                for i, _ in transpositions:
+                    mat = dense_swap_matrix(ring, i, r)
+                    for row in rows:
+                        image = [0] * dim
+                        for b, x in row.items():
+                            for c, w in enumerate(mat[b]):
+                                image[c] += x * w
+                        assert image == [sign * v for v in dense(row, dim)]
 
     def test_antisymmetrizer_class_matches_polynomial(self):
         ring = get_ring(4)

@@ -5,8 +5,17 @@ from itertools import combinations
 
 import pytest
 
-from oracles import dense, ideal_by_insertion, kernel_basis, scaled_int_row, span, sparse
+from oracles import (
+    anti_invariant_dim_by_equations,
+    dense,
+    ideal_by_insertion,
+    kernel_basis,
+    scaled_int_row,
+    span,
+    sparse,
+)
 from spaltenstein import presentation
+from spaltenstein.coinvariant import get_ring, invariant_rows
 from spaltenstein.presentation import (
     BasisError,
     HilbertSeries,
@@ -593,6 +602,28 @@ class TestTransfer:
                     assert got == kernel_match_oracle(q, reg, mult, deg, t)
                     outcomes.append(got)
         assert (outcomes.count(True), outcomes.count(False)) == (2836, 695)
+
+    def test_anti_invariant_count_matches_equation_oracle_d6(self):
+        # the residual rank of the anti-invariant rows against the
+        # (s + 1)v equation system, for every lam, every transposition
+        # set and every degree 0..top+1 with d <= 6
+        cases = 0
+        for d in range(1, 7):
+            ring = get_ring(d)
+            sets = {
+                tuple(BlockStructure(Composition(mu)).transpositions())
+                for n in range(1, d + 1)
+                for mu in compositions(d, n)
+            }
+            for lam in partitions(d):
+                reg = regular_quotient(Partition(lam), d)
+                for transpositions in sorted(sets):
+                    for e in range(ring.top + 2):
+                        rows = invariant_rows(ring, transpositions, e, -1)
+                        got = presentation._residual_rank(reg.ideal_space(e), rows)
+                        assert got == anti_invariant_dim_by_equations(ring, reg, transpositions, e)
+                        cases += 1
+        assert cases == 7722
 
     def test_hand_example(self):
         report = anti_invariant_transfer(Partition([2, 0]), Composition([2]))
