@@ -15,12 +15,10 @@ multiplication by single variables.  Degrees above twice
 (d_lam - d_mu) are verified to vanish on a window wide enough to force
 vanishing in all higher degrees, instead of being assumed.
 
-Every isotypic count of a quotient is one probe, _residual_rank: the
-rank of the scaled residuals of a cached basis of the invariant (or
-anti-invariant) classes against the ideal row space.  It gives the
+Every isotypic count is one probe, _residual_rank: the rank of the
+scaled residuals of a cached basis against an ideal.  It gives the
 quotient dimensions, the anti-invariant dimensions of the regular
-quotient and, on concatenated residuals, the kernel check of the
-transfer.
+quotient and the kernel check of the transfer.
 
 All computations are exact.  The x-degree of a polynomial is half its
 grading degree; public interfaces use the grading degree throughout.
