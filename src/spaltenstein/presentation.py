@@ -37,6 +37,7 @@ from .symring import (
     is_invariant,
 )
 from .tableaux import (
+    _TABLEAU_KEYS,
     Composition,
     Partition,
     _reduce_raw,
@@ -44,6 +45,7 @@ from .tableaux import (
     enumerate_column_strict,
     reduce_tableau,
     tableau_degree,
+    zero_free_key,
 )
 
 
@@ -230,10 +232,10 @@ def _residual_rank(space, rows):
 
 
 def _zero_free_key(family, lam, mu):
-    """(family, lam, the non-zero parts of mu in order): the data that the
-    core of a quotient and the certificate data depend on (zero-block
-    lemma in GradedQuotient)."""
-    return (family, lam.parts, tuple(p for p in mu.parts if p))
+    """(family, lam, the non-zero parts of mu in order): the family and the
+    tableau layer's zero_free_key, the data that the core of a quotient and
+    the certificate data depend on (zero-block lemma in GradedQuotient)."""
+    return (family, *zero_free_key(lam, mu))
 
 
 # zero-free key -> QuotientCore, filled only by pairs whose mu has a zero part
@@ -516,13 +518,14 @@ def certify_basis(lam, mu, family="H", quotient=None):
     when a quotient is given, so the basis is certified against that
     quotient's own family.  The degrees, classes and coordinate spaces are
     computed once per core and kept on it, so the pairs of one zero-free
-    key that share a core share them too.  Lemma: the order-preserving
-    relabelling of the non-zero labels of mu maps the column-strict
-    tableaux of one pair of a key onto those of another and keeps the
-    reading-word order; the reduction chain strips an empty gamma at a
-    zero level, so the degrees and the h-classes agree position by
-    position.  Every call still enumerates the tableaux of its own pair
-    and checks their number against the core's data.
+    key that share a core share them too.  Lemma (relabelling lemma in
+    enumerate_column_strict): the order-preserving relabelling of the
+    non-zero labels of mu maps the column-strict tableaux of one pair of a
+    key onto those of another and keeps the reading-word order; the
+    reduction chain strips an empty gamma at a zero level, so the degrees
+    and the h-classes agree position by position.  Every call still
+    enumerates the tableaux of its own pair and checks their number
+    against the core's data.
     """
     if quotient is None:
         quotient = build_quotient(lam, mu, family)
@@ -700,13 +703,15 @@ def clear_caches():
     rings by d (_RINGS), invariant and anti-invariant rows by
     (d, transpositions, t, sign) (_INV_CACHE), regular quotients by
     (d, lam) (_REGULAR_CACHE), quotient cores, with their certificate
-    data, by the zero-free key (_CORES), and the tableau reduction step
-    by (tableau, content) (_reduce_raw).  The values are read-only:
-    callers copy() a RowSpace before inserting into it.  Objects built
-    before the call stay valid; later builds start cold and give equal
-    results.
+    data, by the zero-free key (_CORES), the tableaux, Betti series and
+    components of a zero-free key's own pair, by the tableau layer's
+    zero_free_key (_TABLEAU_KEYS), and the tableau reduction step by
+    (tableau, content) (_reduce_raw).  The values are read-only: callers
+    copy() a RowSpace before inserting into it, and the tableau data is
+    relabelled into new lists.  Objects built before the call stay valid;
+    later builds start cold and give equal results.
     """
-    for cache in (_RINGS, _INV_CACHE, _REGULAR_CACHE, _CORES):
+    for cache in (_RINGS, _INV_CACHE, _REGULAR_CACHE, _CORES, _TABLEAU_KEYS):
         cache.clear()
     _reduce_raw.cache_clear()
 

@@ -4,11 +4,15 @@ Everything here is tableau combinatorics; the quotient algebra is not
 touched.  Betti numbers count column-strict tableaux by degree, the
 irreducible components are indexed by semi-standard tableaux with their
 fibers collected from the straightening map, and the cell order is
-exported as a Hasse diagram.
+exported as a Hasse diagram.  Betti numbers and components of a pair
+whose mu has a zero part are those of its zero-free key, computed once
+per key (relabelling lemma in enumerate_column_strict).
 """
 
 from .presentation import HilbertSeries
 from .tableaux import (
+    _relabelling,
+    _shared,
     cell_order,
     dims,
     enumerate_column_strict,
@@ -18,7 +22,13 @@ from .tableaux import (
 
 
 def betti(lam, mu):
-    """Betti series: coefficient at degree 2r counts degree-r tableaux."""
+    """Betti series: coefficient at degree 2r counts degree-r tableaux.
+
+    The label map of a zero part keeps every degree (relabelling lemma in
+    enumerate_column_strict), so a pair whose mu has a zero part returns
+    the series of its zero-free key, computed once per key."""
+    if 0 in mu.parts:
+        return _shared("betti", lam, mu, betti)
     degrees = [tableau_degree(T, mu) for T in enumerate_column_strict(lam, mu)]
     if not degrees:
         return HilbertSeries(())
@@ -34,7 +44,21 @@ def components(lam, mu):
     The fibers partition the column-strict tableaux and S is their unique
     maximal element in the cell order; all components share the dimension
     d_lam - d_mu.
+
+    Relabelling lemma (enumerate_column_strict): the label map iota of the
+    zero parts of mu is a bijection from the tableaux of the zero-free key
+    (lam, mu') onto those of (lam, mu), it commutes with straighten and
+    keeps semi-standardness, and d_mu = d_mu'.  So the triples of (lam, mu)
+    are those of (lam, mu') with iota applied to S and to every fiber
+    element.  A pair whose mu has a zero part computes the key's triples
+    once, through this same function, and relabels them.
     """
+    if 0 in mu.parts:
+        relabel = _relabelling(mu)
+        return [
+            (relabel(S), dim, [relabel(T) for T in fiber])
+            for S, dim, fiber in _shared("components", lam, mu, components)
+        ]
     d_lam, d_mu = dims(lam, mu)
     cols = enumerate_column_strict(lam, mu)
     fibers = {}

@@ -7,7 +7,10 @@ semi-standard if rows additionally increase weakly left to right.  The
 content of a tableau is the vector counting occurrences of each entry.
 
 Every object here is an immutable value; all operations are pure
-functions, so everything is safe to share between threads.
+functions, so everything is safe to share between threads.  The two
+caches, the reduction step (_reduce_raw) and the tableau data of
+zero-free keys (_TABLEAU_KEYS), hold only values that a recomputation
+gives equal.
 """
 
 from functools import lru_cache
@@ -34,6 +37,15 @@ class Partition:
         while parts and parts[-1] == 0:
             parts = parts[:-1]
         object.__setattr__(self, "parts", parts)
+
+    @classmethod
+    def _trusted(cls, parts):
+        """The partition of a tuple of positive ints, weakly decreasing,
+        built without the checks of __init__: only for parts the library
+        has built valid."""
+        out = _new(cls)
+        _set_parts(out, parts)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
@@ -127,6 +139,10 @@ class Composition:
         return list(self.parts)
 
 
+_new = object.__new__
+_set_parts = Partition.parts.__set__
+
+
 class Tableau:
     """A filling of a Young diagram by positive integers, stored row-major."""
 
@@ -141,6 +157,17 @@ class Tableau:
             raise ValueError("tableau entries must be positive integers")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "shape", shape)
+
+    @classmethod
+    def _trusted(cls, rows, shape):
+        """The tableau of rows (non-empty tuples of positive ints, of weakly
+        decreasing lengths) with shape their lengths, built without the
+        checks of __init__: only for data the library has built valid.  It
+        equals Tableau(rows) in rows and shape."""
+        out = _new(cls)
+        _set_rows(out, rows)
+        _set_shape(out, shape)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("Tableau is immutable")
@@ -191,6 +218,10 @@ class Tableau:
         return {"shape": self.shape.to_json(), "rows": [list(r) for r in self.rows]}
 
 
+_set_rows = Tableau.rows.__set__
+_set_shape = Tableau.shape.__set__
+
+
 def partitions(d, max_parts=None):
     """Part tuples of the partitions of d with at most max_parts parts
     (default d), in decreasing lexicographic order."""
@@ -233,12 +264,11 @@ def iter_pairs(d_max, n_max=None):
 
 
 def _columns_to_tableau(columns):
-    columns = [col for col in columns if col]
-    height = max((len(c) for c in columns), default=0)
-    rows = []
-    for i in range(height):
-        rows.append(tuple(col[i] for col in columns if len(col) > i))
-    return Tableau(rows)
+    """The tableau of non-empty columns of positive labels, top to bottom,
+    in weakly decreasing order of height, built without checks."""
+    height = len(columns[0]) if columns else 0
+    rows = tuple(tuple(col[i] for col in columns if len(col) > i) for i in range(height))
+    return Tableau._trusted(rows, Partition._trusted(tuple(map(len, rows))))
 
 
 def dominance_leq(a, b):
@@ -302,14 +332,83 @@ def _check_member(T, mu):
         raise ValueError(f"tableau content is not {mu}")
 
 
+def zero_free_key(lam, mu):
+    """(lam parts, the non-zero parts of mu in order): the one datum that
+    the tableaux, Betti numbers and components of a pair (relabelling
+    lemma in enumerate_column_strict), and its quotient core and
+    certificate data (zero-block lemma in GradedQuotient), depend on."""
+    return lam.parts, tuple(p for p in mu.parts if p)
+
+
+# zero-free key -> {kind: value of the key's own pair}, for the kinds
+# "enumerate" (enumerate_column_strict), "betti" and "components" (reports);
+# filled only by pairs whose mu has a zero part
+_TABLEAU_KEYS = {}
+
+
+def _shared(kind, lam, mu, compute):
+    """compute(lam, mu') for the zero-free pair (lam, mu') of the key of
+    (lam, mu), run on the first call per key and kind and kept in
+    _TABLEAU_KEYS.  Called only for a mu with a zero part; a zero-free pair
+    runs its own computation and stores nothing, as quotient cores do."""
+    key = zero_free_key(lam, mu)
+    data = _TABLEAU_KEYS.setdefault(key, {})
+    if kind not in data:
+        data[kind] = compute(lam, Composition(key[1]))
+    return data[kind]
+
+
+def _relabelling(mu):
+    """The label map iota of mu, applied entry by entry: the tableaux of the
+    zero-free key of mu onto those of mu (lemma in enumerate_column_strict).
+    When the zero parts of mu all trail, iota is the identity and so is
+    this map."""
+    iota = (0,) + tuple(i for i, p in enumerate(mu.parts, start=1) if p)
+    if iota == tuple(range(len(iota))):
+        return lambda T: T
+    label = iota.__getitem__
+
+    def relabel(T):
+        return Tableau._trusted(tuple(tuple(map(label, row)) for row in T.rows), T.shape)
+
+    return relabel
+
+
 def enumerate_column_strict(lam, mu):
     """All column-strict fillings of shape lam with content mu.
 
     Returned in increasing lexicographic order of the column reading word.
     The list is empty exactly when mu sorted is not dominated by lam.
+
+    The search picks the columns left to right, each a combination of the
+    labels still available, in increasing lexicographic order.  Column j
+    has the fixed height lam'_j, so this is the lexicographic order of the
+    reading words and the list needs no sort.
+
+    Relabelling lemma.  Let mu' be mu with its zero parts deleted, and iota
+    the order-preserving injection of the labels 1..len(mu') onto the
+    labels of mu of non-zero multiplicity.  Labels of multiplicity zero
+    never occur in a filling of content mu, so iota, applied entry by
+    entry, is a bijection from the column-strict fillings of (lam, mu')
+    onto those of (lam, mu).  Being order-preserving, it keeps column
+    strictness both ways, semi-standardness and the order of reading
+    words.  In the reduction chain of iota(T), a zero level strips no box,
+    so its gamma is empty, and the stable re-sort by height leaves the
+    columns as they are; every other level is the matching level of T
+    with its labels moved by iota, at the same column positions, so with
+    the same gamma.  Hence tableau_degree(iota(T), mu) equals
+    tableau_degree(T, mu'), and iota commutes with straighten and keeps
+    cell_order.  This is the lemma of certify_basis, extended to fibers.
+
+    So a pair whose mu has a zero part runs this function on its zero-free
+    key once, keeps the list in _TABLEAU_KEYS and returns it relabelled by
+    iota; a zero-free pair enumerates by search and stores nothing.
     """
     if lam.size() != mu.size():
         raise ValueError(f"|lam|={lam.size()} and |mu|={mu.size()} differ")
+    if 0 in mu.parts:
+        relabel = _relabelling(mu)
+        return [relabel(T) for T in _shared("enumerate", lam, mu, enumerate_column_strict)]
     heights = transpose(lam).parts
     n = len(mu)
     results = []
@@ -330,7 +429,6 @@ def enumerate_column_strict(lam, mu):
                 counts[v - 1] += 1
 
     fill(0, [])
-    results.sort(key=Tableau.reading_word)
     return results
 
 
@@ -446,15 +544,33 @@ def tableau_degree(T, mu):
 
 
 def _degree_from_columns(columns, mu_parts):
-    """Degree of a valid filling given as columns; no validation."""
+    """Degree of a valid filling given as columns; no validation.
+
+    One pass over the levels n = len(mu_parts)..1 that keeps each column's
+    current height and reads its bottom entry in place, instead of
+    stripping and re-sorting tuples as _reduce_columns does.  Lemma: the
+    stable sort by height at each level depends only on the heights and
+    the previous order, so sorting the column indices by height gives the
+    order of the stripped columns; a column emptied sorts to the end, where
+    it fills no position before a non-empty one.  A level that strips
+    nothing changes no height, so after the first level, which takes the
+    columns in their given order, it keeps the order.
+    """
+    heights = [len(col) for col in columns]
+    order = range(len(columns))
     total = 0
     for n in range(len(mu_parts), 0, -1):
-        cols_of_n, columns = _reduce_columns(columns, n)
-        if len(cols_of_n) != mu_parts[n - 1]:
-            raise ValueError(
-                f"entry {n} fills {len(cols_of_n)} columns, expected {mu_parts[n - 1]}"
-            )
-        total += sum(c - i for i, c in enumerate(cols_of_n, start=1))
+        found = 0
+        for pos, j in enumerate(order, start=1):
+            h = heights[j]
+            if h and columns[j][h - 1] == n:
+                found += 1
+                total += pos - found
+                heights[j] = h - 1
+        if found != mu_parts[n - 1]:
+            raise ValueError(f"entry {n} fills {found} columns, expected {mu_parts[n - 1]}")
+        if found or n == len(mu_parts):
+            order = sorted(order, key=heights.__getitem__, reverse=True)
     return total
 
 
@@ -474,12 +590,12 @@ def _straighten(T, mu):
     gamma, Tbar, lambar, mubar = _reduce_raw(T, mu)
     S = _straighten(Tbar, mubar)
     lam = T.shape
-    rows = []
-    for i in range(1, lam.height() + 1):
-        row = list(S.rows[i - 1]) if i <= S.shape.height() else []
-        row.extend([n] * (lam.part(i) - lambar.part(i)))
-        rows.append(row)
-    return Tableau(rows)
+    rows = S.rows + ((),) * (lam.height() - len(S.rows))
+    rows = tuple(
+        row + (n,) * (part - lambar.part(i))
+        for i, (row, part) in enumerate(zip(rows, lam.parts), start=1)
+    )
+    return Tableau._trusted(rows, lam)
 
 
 def cell_order(T, Tp, mu):

@@ -7,6 +7,7 @@ from math import factorial, lcm, prod
 from spaltenstein.linalg import RowSpace
 from spaltenstein.presentation import _generator_items
 from spaltenstein.symring import BlockStructure, Polynomial
+from spaltenstein.tableaux import Tableau, _reduce_columns, transpose
 
 
 def dense(row, width):
@@ -118,3 +119,46 @@ def anti_invariant_dim_by_equations(ring, reg, transpositions, e):
                 equations.setdefault(j, {})[b] = w
         batch += equations.values()
     return dim - RowSpace(dim).extend(batch) - ideal.rank
+
+
+def degree_by_reduction(columns, mu_parts):
+    """Oracle for tableaux._degree_from_columns: at each level n, from
+    len(mu_parts) down to 1, strip the boxes labelled n from the bottoms
+    of the columns and re-sort the stripped column tuples stably by height
+    (_reduce_columns), adding the positions of the stripped columns minus
+    1, 2, ..., k."""
+    total = 0
+    for n in range(len(mu_parts), 0, -1):
+        cols_of_n, columns = _reduce_columns(columns, n)
+        if len(cols_of_n) != mu_parts[n - 1]:
+            raise ValueError(
+                f"entry {n} fills {len(cols_of_n)} columns, expected {mu_parts[n - 1]}"
+            )
+        total += sum(c - i for i, c in enumerate(cols_of_n, start=1))
+    return total
+
+
+def column_strict_by_search(lam, mu):
+    """Oracle for enumerate_column_strict without the zero-free key: a
+    search over every label of mu, zero parts included, that builds each
+    filling through the validating Tableau(...) and sorts the list by
+    reading word."""
+    heights = transpose(lam).parts
+    counts = list(mu.parts)
+    found = []
+
+    def fill(j, cols):
+        if j == len(heights):
+            rows = [[col[i] for col in cols if len(col) > i] for i in range(max(heights, default=0))]
+            found.append(Tableau(rows))
+            return
+        avail = [v for v in range(1, len(mu) + 1) if counts[v - 1] > 0]
+        for chosen in combinations(avail, heights[j]):
+            for v in chosen:
+                counts[v - 1] -= 1
+            fill(j + 1, cols + [chosen])
+            for v in chosen:
+                counts[v - 1] += 1
+
+    fill(0, [])
+    return sorted(found, key=Tableau.reading_word)

@@ -1,4 +1,7 @@
-from spaltenstein.presentation import HilbertSeries
+from oracles import column_strict_by_search
+
+from spaltenstein import tableaux
+from spaltenstein.presentation import HilbertSeries, clear_caches
 from spaltenstein.reports import (
     betti,
     components,
@@ -13,7 +16,12 @@ from spaltenstein.tableaux import (
     dims,
     enumerate_column_strict,
     enumerate_semistandard,
+    iter_pairs,
     partitions,
+    reduce_tableau,
+    straighten,
+    tableau_degree,
+    zero_free_key,
 )
 
 
@@ -104,3 +112,76 @@ class TestPoset:
                         for node in list(succ):
                             if node not in state:
                                 dfs(node)
+
+
+def _cold_record(lam, mu):
+    """Enumeration rows, Betti coefficients and (S rows, dimension, fiber
+    rows) triples of one pair, computed on the pair itself from the
+    search oracle, with no zero-free key."""
+    tabs = column_strict_by_search(lam, mu)
+    coeffs = [0] * (max((tableau_degree(T, mu) for T in tabs), default=-1) + 1)
+    fibers = {}
+    for T in tabs:
+        coeffs[tableau_degree(T, mu)] += 1
+        fibers.setdefault(straighten(T, mu), []).append(T)
+    d_lam, d_mu = dims(lam, mu)
+    triples = [
+        (S.rows, d_lam - d_mu, [T.rows for T in fibers[S]]) for S in tabs if S.is_semistandard()
+    ]
+    return [T.rows for T in tabs], HilbertSeries(coeffs).coeffs, triples
+
+
+def _shared_record(lam, mu):
+    """The record of _cold_record from the library's own calls; checks on
+    the way that every tableau it returns or builds equals the validating
+    Tableau(T.rows) in rows and shape."""
+    tabs = enumerate_column_strict(lam, mu)
+    comps = components(lam, mu)
+    built = tabs + [S for S, _, _ in comps] + [T for _, _, fiber in comps for T in fiber]
+    built += [straighten(T, mu) for T in tabs]
+    built += [reduce_tableau(T, mu)[1] for T in tabs if len(mu)]
+    for T in built:
+        checked = Tableau(T.rows)
+        assert (T.rows, T.shape) == (checked.rows, checked.shape), T
+    triples = [(S.rows, dim, [T.rows for T in fiber]) for S, dim, fiber in comps]
+    return [T.rows for T in tabs], betti(lam, mu).coeffs, triples
+
+
+class TestSharedTableaux:
+    def test_shared_equals_cold_d5(self):
+        pairs = list(iter_pairs(5))
+        cold = {(lam, mu): _cold_record(lam, mu) for lam, mu in pairs}
+        padded_keys = {zero_free_key(lam, mu) for lam, mu in pairs if 0 in mu.parts}
+        # iter_pairs lists each zero-free pair before the padded pairs of its
+        # key, so the reversed list reaches a key through a padded pair first
+        for order in (pairs, pairs[::-1]):
+            clear_caches()
+            for lam, mu in order:
+                assert _shared_record(lam, mu) == cold[lam, mu], (lam, mu)
+            assert set(tableaux._TABLEAU_KEYS) == padded_keys
+            for data in tableaux._TABLEAU_KEYS.values():
+                assert set(data) == {"enumerate", "betti", "components"}
+
+    def test_padded_pairs_relabel_the_key(self):
+        clear_caches()
+        lam = Partition([2, 1])
+        key = enumerate_column_strict(lam, Composition([1, 2]))
+        got = enumerate_column_strict(lam, Composition([0, 1, 0, 2]))
+        assert [T.rows for T in got] == [
+            tuple(tuple({1: 2, 2: 4}[v] for v in row) for row in T.rows) for T in key
+        ]
+        assert list(tableaux._TABLEAU_KEYS) == [((2, 1), (1, 2))]
+        # trailing zeros relabel by the identity and still return a new list
+        trailing = enumerate_column_strict(lam, Composition([1, 2, 0]))
+        assert trailing == key
+        trailing.clear()
+        assert enumerate_column_strict(lam, Composition([1, 2, 0])) == key
+
+    def test_zero_free_pairs_store_nothing(self):
+        clear_caches()
+        for lam, mu in iter_pairs(4):
+            if 0 not in mu.parts:
+                enumerate_column_strict(lam, mu)
+                betti(lam, mu)
+                components(lam, mu)
+        assert not tableaux._TABLEAU_KEYS

@@ -4,11 +4,13 @@ from math import comb
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import degree_by_reduction
 
 from spaltenstein.tableaux import (
     Composition,
     Partition,
     Tableau,
+    _degree_from_columns,
     cell_order,
     column_sequence_to_partition,
     compositions,
@@ -276,6 +278,55 @@ class TestDegree:
                             deg = tableau_degree(T, mu_c)
                             assert deg <= d_lam - d_mu
                             assert (deg == d_lam - d_mu) == T.is_semistandard()
+
+
+class TestDegreeOnePass:
+    @staticmethod
+    def _fillings(d_max):
+        """Every filling of every shape with d <= d_max by labels 1..d that
+        is strictly increasing down each column, as (columns, content)."""
+        for d in range(d_max + 1):
+            for lam in partitions(d):
+                heights = transpose(Partition(lam)).parts
+                per_column = [list(combinations(range(1, d + 1), h)) for h in heights]
+                for cols in product(*per_column):
+                    content = [0] * d
+                    for col in cols:
+                        for v in col:
+                            content[v - 1] += 1
+                    yield cols, tuple(content)
+
+    def test_matches_reduction_oracle_d6(self):
+        count = 0
+        for cols, content in self._fillings(6):
+            want = degree_by_reduction(list(cols), content)
+            assert _degree_from_columns([list(c) for c in cols], content) == want
+            assert _degree_from_columns(cols, content) == want
+            count += 1
+        assert count == 90593
+
+    def test_wrong_content_raises_like_oracle(self):
+        def outcome(f, cols, content):
+            try:
+                return f(cols, content)
+            except ValueError as exc:
+                return str(exc)
+
+        raised = 0
+        for cols, content in self._fillings(4):
+            if not content:
+                continue
+            for shifted in (content[1:] + content[:1], content[:-1] + (content[-1] + 1,)):
+                want = outcome(degree_by_reduction, list(cols), shifted)
+                assert outcome(_degree_from_columns, cols, shifted) == want
+                raised += isinstance(want, str)
+        assert raised
+
+    def test_columns_of_unsorted_heights(self):
+        # the first level takes the columns in their given order
+        cases = (([[1], [1, 2]], (2, 1)), ([[1], [1, 2]], (2, 1, 0)), ([[2], [1, 3], [1]], (2, 1, 1)))
+        for cols, content in cases:
+            assert _degree_from_columns(cols, content) == degree_by_reduction(cols, content)
 
 
 class TestStraighten:
