@@ -40,11 +40,11 @@ from .tableaux import (
     _TABLEAU_KEYS,
     Composition,
     Partition,
-    _reduce_raw,
+    _chain,
+    _degree_from_columns,
     dims,
     enumerate_column_strict,
     reduce_tableau,
-    tableau_degree,
     zero_free_key,
 )
 
@@ -423,24 +423,28 @@ def h_of_tableau(T, mu):
 
 
 def _h_class_chain(ring, T, mu, memo):
-    """Class of h_of_tableau(T, mu) in the coinvariant algebra, with the
-    reduction chain memoised per (tableau, content)."""
-    key = (T.rows, mu.parts)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if len(mu) == 0:
-        result = (ring.unit(), 0)
-        memo[key] = result
-        return result
-    gamma, Tbar, _, mubar = _reduce_raw(T, mu)
-    vec, t = _h_class_chain(ring, Tbar, mubar, memo)
-    if gamma.parts:
-        base = mu.size() - mu.part(len(mu))
-        vars_ = tuple(range(base + 1, mu.size() + 1))
-        for part in gamma.parts:
-            vec, t = ring.mul_block_h(vec, t, vars_, part)
-    memo[key] = (vec, t)
+    """Class of h_of_tableau(T, mu) in the coinvariant algebra: from level 1
+    up, the product of h_{gamma_1}, h_{gamma_2}, ... of each level's block,
+    gamma read from the reduction chain of T (tableaux._chain).  The class
+    of levels 1..m depends only on those levels of the chain, so memo, one
+    per content mu, maps each run of lower levels to its class, and the
+    tableaux that share lower levels share their product."""
+    chain = _chain(T.columns(), mu.parts)
+    vec, t = ring.unit(), 0
+    key = ()
+    base = 0
+    for k, level in zip(mu.parts, reversed(chain)):
+        key += (level,)
+        hit = memo.get(key)
+        if hit is None:
+            vars_ = tuple(range(base + 1, base + k + 1))
+            for i in range(k, 0, -1):
+                if level[i - 1] > i:
+                    vec, t = ring.mul_block_h(vec, t, vars_, level[i - 1] - i)
+            memo[key] = (vec, t)
+        else:
+            vec, t = hit
+        base += k
     return vec, t
 
 
@@ -521,8 +525,8 @@ def certify_basis(lam, mu, family="H", quotient=None):
     key that share a core share them too.  Lemma (relabelling lemma in
     enumerate_column_strict): the order-preserving relabelling of the
     non-zero labels of mu maps the column-strict tableaux of one pair of a
-    key onto those of another and keeps the reading-word order; the
-    reduction chain strips an empty gamma at a zero level, so the degrees
+    key onto those of another and keeps the reading-word order; a zero
+    part of mu adds an empty level to the reduction chain, so the degrees
     and the h-classes agree position by position.  Every call still
     enumerates the tableaux of its own pair and checks their number
     against the core's data.
@@ -561,7 +565,7 @@ def _certificate_data(lam, mu, quotient, tableaux):
     classes = []
     for T in tableaux:
         vec, t = _h_class_chain(ring, T, mu, memo)
-        expected = tableau_degree(T, mu)
+        expected = _degree_from_columns(T.columns(), mu.parts)
         if t != expected:
             raise BasisError(
                 "basis element degree mismatch",
@@ -705,15 +709,13 @@ def clear_caches():
     (d, lam) (_REGULAR_CACHE), quotient cores, with their certificate
     data, by the zero-free key (_CORES), the tableaux, Betti series and
     components of a zero-free key's own pair, by the tableau layer's
-    zero_free_key (_TABLEAU_KEYS), and the tableau reduction step by
-    (tableau, content) (_reduce_raw).  The values are read-only: callers
+    zero_free_key (_TABLEAU_KEYS).  The values are read-only: callers
     copy() a RowSpace before inserting into it, and the tableau data is
     relabelled into new lists.  Objects built before the call stay valid;
     later builds start cold and give equal results.
     """
     for cache in (_RINGS, _INV_CACHE, _REGULAR_CACHE, _CORES, _TABLEAU_KEYS):
         cache.clear()
-    _reduce_raw.cache_clear()
 
 
 @dataclass(frozen=True)

@@ -11,25 +11,28 @@ per key (relabelling lemma in enumerate_column_strict).
 
 from .presentation import HilbertSeries
 from .tableaux import (
+    _cell_leq,
+    _chain,
+    _degree_from_columns,
     _relabelling,
     _shared,
-    cell_order,
+    _straighten,
     dims,
     enumerate_column_strict,
-    straighten,
-    tableau_degree,
 )
 
 
 def betti(lam, mu):
     """Betti series: coefficient at degree 2r counts degree-r tableaux.
 
-    The label map of a zero part keeps every degree (relabelling lemma in
-    enumerate_column_strict), so a pair whose mu has a zero part returns
-    the series of its zero-free key, computed once per key."""
+    A zero part of mu adds an empty level to the reduction chain, which
+    keeps every degree (relabelling lemma in enumerate_column_strict), so a
+    pair whose mu has a zero part returns the series of its zero-free key,
+    computed once per key."""
     if 0 in mu.parts:
         return _shared("betti", lam, mu, betti)
-    degrees = [tableau_degree(T, mu) for T in enumerate_column_strict(lam, mu)]
+    tabs = enumerate_column_strict(lam, mu)
+    degrees = [_degree_from_columns(T.columns(), mu.parts) for T in tabs]
     if not degrees:
         return HilbertSeries(())
     coeffs = [0] * (max(degrees) + 1)
@@ -47,8 +50,9 @@ def components(lam, mu):
 
     Relabelling lemma (enumerate_column_strict): the label map iota of the
     zero parts of mu is a bijection from the tableaux of the zero-free key
-    (lam, mu') onto those of (lam, mu), it commutes with straighten and
-    keeps semi-standardness, and d_mu = d_mu'.  So the triples of (lam, mu)
+    (lam, mu') onto those of (lam, mu) that keeps semi-standardness; a zero
+    part of mu adds an empty level to the reduction chain, so iota commutes
+    with straightening; and d_mu = d_mu'.  So the triples of (lam, mu)
     are those of (lam, mu') with iota applied to S and to every fiber
     element.  A pair whose mu has a zero part computes the key's triples
     once, through this same function, and relabels them.
@@ -63,7 +67,7 @@ def components(lam, mu):
     cols = enumerate_column_strict(lam, mu)
     fibers = {}
     for T in cols:
-        fibers.setdefault(straighten(T, mu), []).append(T)
+        fibers.setdefault(_straighten(_chain(T.columns(), mu.parts), T.shape), []).append(T)
     out = [(S, d_lam - d_mu, fibers.pop(S)) for S in cols if S.is_semistandard()]
     if fibers:
         stray = next(iter(fibers))
@@ -72,16 +76,20 @@ def components(lam, mu):
 
 
 def poset_edges(lam, mu):
-    """Hasse diagram edges (covers) of the cell order, in enumeration order."""
+    """Hasse diagram edges (covers) of the cell order, in enumeration order.
+
+    Each tableau's reduction chain is computed once and the chains are
+    compared directly (_cell_leq), as cell_order does for two distinct
+    tableaux."""
     cols = enumerate_column_strict(lam, mu)
+    chains = [_chain(T.columns(), mu.parts) for T in cols]
     less = {T: set() for T in cols}
     for i, T in enumerate(cols):
-        for U in cols[i + 1 :]:
-            rel = cell_order(T, U, mu)
-            if rel == "less":
-                less[T].add(U)
-            elif rel == "greater":
-                less[U].add(T)
+        for j in range(i + 1, len(cols)):
+            if _cell_leq(chains[i], chains[j]):
+                less[T].add(cols[j])
+            elif _cell_leq(chains[j], chains[i]):
+                less[cols[j]].add(T)
     edges = []
     for T in cols:
         for U in sorted(less[T], key=lambda V: V.reading_word()):

@@ -6,11 +6,14 @@ is column-strict if entries strictly increase down each column, and
 semi-standard if rows additionally increase weakly left to right.  The
 content of a tableau is the vector counting occurrences of each entry.
 
+The degree statistic, straightening and the cell order all read one
+recursion, the reduction chain (_chain): strip the largest label n,
+record the columns it fills as gamma, recurse on the reduced tableau.
+
 Every object here is an immutable value; all operations are pure
-functions, so everything is safe to share between threads.  The two
-caches, the reduction step (_reduce_raw) and the tableau data of
-zero-free keys (_TABLEAU_KEYS), hold only values that a recomputation
-gives equal.
+functions, so everything is safe to share between threads.  The one
+cache, the tableau data of zero-free keys (_TABLEAU_KEYS), holds only
+values that a recomputation gives equal.
 """
 
 from functools import lru_cache
@@ -326,10 +329,13 @@ def partition_to_column_sequence(gamma, k, d):
 
 
 def _check_member(T, mu):
-    if not T.is_column_strict():
+    """The columns of T, once T is checked column-strict with content mu."""
+    columns = T.columns()
+    if not all(a < b for col in columns for a, b in zip(col, col[1:])):
         raise ValueError(f"tableau {T} is not column-strict")
     if T.content(len(mu)) != mu:
         raise ValueError(f"tableau content is not {mu}")
+    return columns
 
 
 def zero_free_key(lam, mu):
@@ -392,12 +398,14 @@ def enumerate_column_strict(lam, mu):
     entry, is a bijection from the column-strict fillings of (lam, mu')
     onto those of (lam, mu).  Being order-preserving, it keeps column
     strictness both ways, semi-standardness and the order of reading
-    words.  In the reduction chain of iota(T), a zero level strips no box,
-    so its gamma is empty, and the stable re-sort by height leaves the
-    columns as they are; every other level is the matching level of T
-    with its labels moved by iota, at the same column positions, so with
-    the same gamma.  Hence tableau_degree(iota(T), mu) equals
-    tableau_degree(T, mu'), and iota commutes with straighten and keeps
+    words.  A zero part of mu adds an empty level to the reduction chain
+    (_chain): the level strips no box and leaves the column order as it
+    is, and every other level of iota(T) is the matching level of T, at
+    the same positions.  So the degree, the straightening (replay lemma in
+    _straighten: an empty level writes nothing, the others write iota(n)
+    where T's replay writes n) and the cell order (_cell_leq: empty levels
+    never differ) do not change: tableau_degree(iota(T), mu) equals
+    tableau_degree(T, mu'), iota commutes with straighten and keeps
     cell_order.  This is the lemma of certify_basis, extended to fibers.
 
     So a pair whose mu has a zero part runs this function on its zero-free
@@ -516,62 +524,67 @@ def reduce_tableau(T, mu):
 
     Returns (gamma, Tbar, lambar, mubar): the partition encoded by the
     columns containing n, the reduced tableau, its shape, and mu without
-    its last part.
+    its last part.  This is the one-step definition; the library reads
+    the whole recursion from _chain.
     """
     if len(mu) == 0:
         raise ValueError("mu must have at least one part")
-    _check_member(T, mu)
-    return _reduce_raw(T, mu)
-
-
-@lru_cache(maxsize=1 << 18)
-def _reduce_raw(T, mu):
     n = len(mu)
-    d = mu.size()
-    k = mu.part(n)
-    cols_of_n, stripped = _reduce_columns(list(T.columns()), n)
-    if len(cols_of_n) != k:
-        raise ValueError(f"entry {n} fills {len(cols_of_n)} columns, expected {k}")
-    gamma = column_sequence_to_partition(cols_of_n, k, d) if k else Partition(())
+    cols_of_n, stripped = _reduce_columns(list(_check_member(T, mu)), n)
+    gamma = column_sequence_to_partition(cols_of_n, mu.part(n), mu.size())
     Tbar = _columns_to_tableau(stripped)
     return gamma, Tbar, Tbar.shape, mu.drop_last()
 
 
+def _chain(columns, mu_parts):
+    """The reduction chain of a filling given as columns; no validation.
+
+    For each level n = len(mu_parts)..1, in that order, the tuple of the
+    increasing positions c_1 < ... < c_k of the columns whose bottom entry
+    is n, in the column order of that level; they encode
+    gamma_{k+1-i} = c_i - i (column_sequence_to_partition).  ValueError
+    when n fills other than mu_parts[n - 1] columns.
+
+    Chain lemma: this is the sequence of gammas of reduce_tableau applied
+    len(mu_parts) times.  The loop keeps each column's current height and
+    bottom entry (0 once empty), instead of stripping and re-sorting
+    tuples as _reduce_columns does.  The stable sort by height at each
+    level depends only on the heights and the previous order, so sorting
+    the column indices by height gives the order of the stripped columns;
+    a column emptied sorts to the end, where it fills no position before a
+    non-empty one.  A level that strips nothing changes no height, so
+    after the first level, which takes the columns in their given order,
+    it keeps the order.
+    """
+    heights = [len(col) for col in columns]
+    bottoms = [col[-1] if col else 0 for col in columns]
+    order = range(len(columns))
+    chain = []
+    for n in range(len(mu_parts), 0, -1):
+        level = []
+        if n in bottoms:
+            for pos, j in enumerate(order, start=1):
+                if bottoms[j] == n:
+                    level.append(pos)
+                    h = heights[j] = heights[j] - 1
+                    bottoms[j] = columns[j][h - 1] if h else 0
+        if len(level) != mu_parts[n - 1]:
+            raise ValueError(f"entry {n} fills {len(level)} columns, expected {mu_parts[n - 1]}")
+        if level or n == len(mu_parts):
+            order = sorted(order, key=heights.__getitem__, reverse=True)
+        chain.append(tuple(level))
+    return chain
+
+
 def tableau_degree(T, mu):
     """Cell dimension statistic: sum of |gamma| over the reduction chain."""
-    _check_member(T, mu)
-    return _degree_from_columns(list(T.columns()), mu.parts)
+    return _degree_from_columns(_check_member(T, mu), mu.parts)
 
 
 def _degree_from_columns(columns, mu_parts):
-    """Degree of a valid filling given as columns; no validation.
-
-    One pass over the levels n = len(mu_parts)..1 that keeps each column's
-    current height and reads its bottom entry in place, instead of
-    stripping and re-sorting tuples as _reduce_columns does.  Lemma: the
-    stable sort by height at each level depends only on the heights and
-    the previous order, so sorting the column indices by height gives the
-    order of the stripped columns; a column emptied sorts to the end, where
-    it fills no position before a non-empty one.  A level that strips
-    nothing changes no height, so after the first level, which takes the
-    columns in their given order, it keeps the order.
-    """
-    heights = [len(col) for col in columns]
-    order = range(len(columns))
-    total = 0
-    for n in range(len(mu_parts), 0, -1):
-        found = 0
-        for pos, j in enumerate(order, start=1):
-            h = heights[j]
-            if h and columns[j][h - 1] == n:
-                found += 1
-                total += pos - found
-                heights[j] = h - 1
-        if found != mu_parts[n - 1]:
-            raise ValueError(f"entry {n} fills {found} columns, expected {mu_parts[n - 1]}")
-        if found or n == len(mu_parts):
-            order = sorted(order, key=heights.__getitem__, reverse=True)
-    return total
+    """Degree of a valid filling given as columns; no validation: the sum
+    of |gamma| = c_1 + ... + c_k - k(k+1)/2 over the levels of _chain."""
+    return sum(sum(c) - len(c) * (len(c) + 1) // 2 for c in _chain(columns, mu_parts))
 
 
 def straighten(T, mu):
@@ -579,23 +592,36 @@ def straighten(T, mu):
 
     Fixed points are exactly the semi-standard tableaux.
     """
-    _check_member(T, mu)
-    return _straighten(T, mu)
+    return _straighten(_chain(_check_member(T, mu), mu.parts), T.shape)
 
 
-def _straighten(T, mu):
-    n = len(mu)
-    if n == 0:
-        return T
-    gamma, Tbar, lambar, mubar = _reduce_raw(T, mu)
-    S = _straighten(Tbar, mubar)
-    lam = T.shape
-    rows = S.rows + ((),) * (lam.height() - len(S.rows))
-    rows = tuple(
-        row + (n,) * (part - lambar.part(i))
-        for i, (row, part) in enumerate(zip(rows, lam.parts), start=1)
-    )
-    return Tableau._trusted(rows, lam)
+def _straighten(chain, shape):
+    """straighten of the filling of this shape with this reduction chain.
+
+    The recursion: S(T) is S(Tbar) with n appended to row i once for each
+    box of row i stripped at level n, lam_i - lambar_i times.
+
+    Replay lemma: a box stripped from the bottom of a column of height h
+    lies in row h, so row h of S gains one n for each column of height h
+    stripped at level n.  The heights in the column order of a level are
+    the column heights of the shape sorted decreasingly, with the columns
+    stripped so far shortened: the chain's positions index them.  So the
+    replay keeps that sorted height list, lowers the heights at the
+    positions of each level, re-sorts, and fills each row from the right,
+    the largest label first.
+    """
+    heights = list(transpose(shape).parts)
+    rows = [[0] * p for p in shape.parts]
+    ends = list(shape.parts)
+    for n, level in zip(range(len(chain), 0, -1), chain):
+        for c in level:
+            h = heights[c - 1]
+            heights[c - 1] = h - 1
+            ends[h - 1] -= 1
+            rows[h - 1][ends[h - 1]] = n
+        if level:
+            heights.sort(reverse=True)
+    return Tableau._trusted(tuple(map(tuple, rows)), shape)
 
 
 def cell_order(T, Tp, mu):
@@ -605,28 +631,31 @@ def cell_order(T, Tp, mu):
     is genuinely partial: it refines strict containment of the partitions
     produced along the reduction chain.
     """
-    _check_member(T, mu)
-    _check_member(Tp, mu)
+    columns, columnsp = _check_member(T, mu), _check_member(Tp, mu)
     if T.shape != Tp.shape:
         raise ValueError(f"shapes {T.shape} and {Tp.shape} differ")
     if T == Tp:
         return "equal"
-    if _cell_leq(T, Tp, mu):
+    chain, chainp = _chain(columns, mu.parts), _chain(columnsp, mu.parts)
+    if _cell_leq(chain, chainp):
         return "less"
-    if _cell_leq(Tp, T, mu):
+    if _cell_leq(chainp, chain):
         return "greater"
     return "incomparable"
 
 
-def _cell_leq(T, Tp, mu):
-    n = len(mu)
-    if n == 0:
-        return True
-    gamma, Tbar, _, mubar = _reduce_raw(T, mu)
-    gammap, Tbarp, _, _ = _reduce_raw(Tp, mu)
-    if gamma == gammap:
-        return _cell_leq(Tbar, Tbarp, mubar)
-    return gammap.contains(gamma)
+def _cell_leq(chain, chainp):
+    """Whether the tableau of chain lies below that of chainp in the cell
+    order: the gamma of the first level where the chains differ is
+    contained in that of chainp; True when no level differs.
+
+    Containment lemma: with gamma_{k+1-i} = c_i - i and gamma'_{k+1-i} =
+    c'_i - i, gamma is contained in gamma' exactly when c_i <= c'_i for
+    every i, and equal positions give equal gammas."""
+    for level, levelp in zip(chain, chainp):
+        if level != levelp:
+            return all(c <= cp for c, cp in zip(level, levelp))
+    return True
 
 
 def half_pair_sum(parts):

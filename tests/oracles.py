@@ -7,7 +7,7 @@ from math import factorial, lcm, prod
 from spaltenstein.linalg import RowSpace
 from spaltenstein.presentation import _generator_items
 from spaltenstein.symring import BlockStructure, Polynomial
-from spaltenstein.tableaux import Tableau, _reduce_columns, transpose
+from spaltenstein.tableaux import Tableau, _reduce_columns, reduce_tableau, transpose
 
 
 def dense(row, width):
@@ -136,6 +136,38 @@ def degree_by_reduction(columns, mu_parts):
             )
         total += sum(c - i for i, c in enumerate(cols_of_n, start=1))
     return total
+
+
+def straighten_by_reduction(T, mu, reduce=reduce_tableau):
+    """Oracle for tableaux.straighten: the recursion on reduced tableaux.
+    Straighten Tbar of one reduction step (reduce, by default
+    reduce_tableau), then append n = len(mu) to row i lam_i - lambar_i
+    times."""
+    n = len(mu)
+    if n == 0:
+        return T
+    _, Tbar, lambar, mubar = reduce(T, mu)
+    S = straighten_by_reduction(Tbar, mubar, reduce)
+    lam = T.shape
+    rows = S.rows + ((),) * (lam.height() - len(S.rows))
+    rows = tuple(
+        row + (n,) * (part - lambar.part(i))
+        for i, (row, part) in enumerate(zip(rows, lam.parts), start=1)
+    )
+    return Tableau._trusted(rows, lam)
+
+
+def cell_leq_by_reduction(T, Tp, mu, reduce=reduce_tableau):
+    """Oracle for tableaux._cell_leq on the chains of T and Tp: compare the
+    gammas of one reduction step of each, as partitions, and recurse on
+    the reduced tableaux while they are equal."""
+    if len(mu) == 0:
+        return True
+    gamma, Tbar, _, mubar = reduce(T, mu)
+    gammap, Tbarp, _, _ = reduce(Tp, mu)
+    if gamma == gammap:
+        return cell_leq_by_reduction(Tbar, Tbarp, mubar, reduce)
+    return gammap.contains(gamma)
 
 
 def column_strict_by_search(lam, mu):

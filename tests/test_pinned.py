@@ -9,7 +9,8 @@ import json
 
 from spaltenstein.cli import main
 from spaltenstein.presentation import anti_invariant_transfer, build_quotient, certify_basis
-from spaltenstein.tableaux import iter_pairs
+from spaltenstein.reports import components, poset_edges
+from spaltenstein.tableaux import enumerate_column_strict, iter_pairs, straighten
 
 # the README examples
 README_COMMANDS = (
@@ -64,4 +65,26 @@ def test_transfer_reports_pinned_d5():
     assert pairs == 1641
     assert digest.hexdigest() == (
         "5de4fedcf9a054299cdd83e0bd45bcf32270daaee0f2836296e06cdb9713ff60"
+    )
+
+
+def test_tableau_layer_pinned_d5():
+    # per pair with d <= 5: the components as the CLI prints them in JSON,
+    # the straighten image of every column-strict tableau, and the Hasse
+    # edges of the cell order; recorded from the recursive reduction step
+    # that the one-pass reduction chain replaced
+    digest = hashlib.sha256()
+    pairs = 0
+    for lam, mu in iter_pairs(5):
+        digest.update(_dump([
+            {"tableau": S.to_json(), "dimension": dim, "fiber": [T.to_json() for T in fiber]}
+            for S, dim, fiber in components(lam, mu)
+        ]))
+        tabs = enumerate_column_strict(lam, mu)
+        digest.update(_dump([straighten(T, mu).to_json() for T in tabs]))
+        digest.update(_dump([[T.to_json(), U.to_json()] for T, U in poset_edges(lam, mu)]))
+        pairs += 1
+    assert pairs == 1641
+    assert digest.hexdigest() == (
+        "d1793ef2105326d5a2304451000adb126bb70969af46b956c4b5d201886a2281"
     )

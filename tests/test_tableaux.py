@@ -1,15 +1,17 @@
+from functools import lru_cache
 from itertools import combinations, product
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import degree_by_reduction
+from oracles import cell_leq_by_reduction, degree_by_reduction, straighten_by_reduction
 
 from spaltenstein.tableaux import (
     Composition,
     Partition,
     Tableau,
+    _chain,
     _degree_from_columns,
     cell_order,
     column_sequence_to_partition,
@@ -406,6 +408,46 @@ class TestCellOrder:
                             for U in below[T]:
                                 assert T not in below[U]
                                 assert below[U] <= below[T]
+
+
+class TestReductionChain:
+    def test_worked_example(self):
+        # level 6 fills columns 1 and 3 (TestReduce), and level n fills mu_n columns
+        chain = _chain(ANEX_T.columns(), ANEX_MU.parts)
+        assert chain[0] == (1, 3)
+        assert [len(level) for level in chain] == list(ANEX_MU.parts[::-1])
+
+    def test_straighten_and_degree_match_oracles_d6(self):
+        tableaux = 0
+        for lam, mu in iter_pairs(6):
+            reduce = lru_cache(maxsize=None)(reduce_tableau)
+            for T in enumerate_column_strict(lam, mu):
+                S, want = straighten(T, mu), straighten_by_reduction(T, mu, reduce)
+                assert (S.rows, S.shape) == (want.rows, want.shape)
+                assert tableau_degree(T, mu) == degree_by_reduction(list(T.columns()), mu.parts)
+                tableaux += 1
+        assert tableaux == 128219
+
+    def test_cell_order_matches_oracle_d4(self):
+        # every ordered pair within each pair; d <= 5 (206,694 comparisons,
+        # about 12 s) agrees too, but is left out of the default run for time
+        comparisons = 0
+        for lam, mu in iter_pairs(4):
+            reduce = lru_cache(maxsize=None)(reduce_tableau)
+            tabs = enumerate_column_strict(lam, mu)
+            for T in tabs:
+                for U in tabs:
+                    if T == U:
+                        want = "equal"
+                    elif cell_leq_by_reduction(T, U, mu, reduce):
+                        want = "less"
+                    elif cell_leq_by_reduction(U, T, mu, reduce):
+                        want = "greater"
+                    else:
+                        want = "incomparable"
+                    assert cell_order(T, U, mu) == want
+                    comparisons += 1
+        assert comparisons == 4285
 
 
 class TestDims:
