@@ -26,6 +26,7 @@ grading degree; public interfaces use the grading degree throughout.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .coinvariant import _RINGS, get_ring, invariant_rows
 from .linalg import RowSpace
@@ -245,18 +246,28 @@ _CORES = {}
 class QuotientCore:
     """The pair-independent part of a quotient: the verified stopping
     x-degree, the ideal RowSpace of each x-degree up to it, the quotient
-    dimensions and, once certify_basis has run against it, the
-    certificate data (degrees, classes, coordinate spaces).  Shared by
-    every quotient of one zero-free key, so it is read-only apart from
-    that one fill: copy() an ideal space before inserting into it."""
+    dimensions, and three slots that are filled once each:
+      - certificate: (degrees, classes, coordinate spaces), by the first
+        certify_basis against the core;
+      - transfer: the verified (shift, degrees, anti_dims, quotient_dims)
+        of anti_invariant_transfer, on an H core;
+      - tensor: the multiplication tensor of the certificate, packed by
+        _pack_tensor, by the first structure_constants that used it.
+    Each slot holds data that agrees across the zero-free key (the
+    lemmas are in certify_basis, anti_invariant_transfer and
+    structure_constants), and only the cold computation fills it.  Shared
+    by every quotient of one zero-free key, so it is read-only apart from
+    those fills: copy() an ideal space before inserting into it."""
 
-    __slots__ = ("stop_x", "ideal", "qdim", "certificate")
+    __slots__ = ("stop_x", "ideal", "qdim", "certificate", "transfer", "tensor")
 
     def __init__(self, stop_x, ideal, qdim):
         self.stop_x = stop_x
         self.ideal = ideal
         self.qdim = qdim
         self.certificate = None
+        self.transfer = None
+        self.tensor = None
 
 
 class GradedQuotient:
@@ -642,12 +653,30 @@ def structure_constants(lam, mu, family="H", certificate=None):
 
     Returns (tableaux, tensor) with tensor[(i, j)][k] the coefficient of
     basis element k in the product of elements i and j, as exact
-    rationals.  The tensor is symmetric in (i, j).
+    rationals.  The tensor is symmetric in (i, j), and tensor[(i, j)] is
+    tensor[(j, i)].
+
+    A given certificate must be of exactly (lam, mu), else ValueError;
+    family is then ignored, and the tensor is that of the certificate's
+    own quotient, as in certify_basis.  The tensor is computed once per
+    core and kept on it, packed (_pack_tensor); each call gets a fresh
+    dict of dicts.  Lemma (relabelling lemma in certify_basis): the pairs
+    of one zero-free key have the same classes, degrees and coordinate
+    spaces position by position, so their tensors agree position by
+    position.
     """
     if certificate is None:
         certificate = certify_basis(lam, mu, family)
-    ring = certificate.quotient.ring
+    elif (certificate.lam, certificate.mu) != (lam, mu):
+        raise ValueError(
+            f"the certificate of ({certificate.lam}, {certificate.mu}) is not "
+            f"one of ({lam}, {mu})"
+        )
     tabs = certificate.tableaux
+    core = certificate.quotient.core
+    if core.tensor is not None:
+        return tabs, _unpack_tensor(core.tensor, len(tabs))
+    ring = certificate.quotient.ring
     tensor = {}
     for i in range(len(tabs)):
         vi, ti = certificate.classes[i], certificate.degrees[i]
@@ -659,7 +688,41 @@ def structure_constants(lam, mu, family="H", certificate=None):
             entry = certificate.coordinates_of_class(product, ti + tj)
             tensor[(i, j)] = entry
             tensor[(j, i)] = entry
+    core.tensor = _pack_tensor(tensor, len(tabs))
     return tabs, tensor
+
+
+def _pack_tensor(tensor, size):
+    """(D, flat): D the lcm of the denominators of the tensor and flat one
+    tuple of ints that lists, for i <= j in order, the number m of
+    non-zero entries of tensor[(i, j)] and then m pairs (k, D * entry),
+    k increasing.  By tracemalloc, about 18 times smaller than the dict of
+    dicts."""
+    denom = lcm(*(c.denominator for entry in tensor.values() for c in entry.values()))
+    flat = []
+    for i in range(size):
+        for j in range(i, size):
+            entry = tensor[(i, j)]
+            flat.append(len(entry))
+            for k in sorted(entry):
+                flat += (k, entry[k].numerator * (denom // entry[k].denominator))
+    return denom, tuple(flat)
+
+
+def _unpack_tensor(packed, size):
+    """The dict of dicts of _pack_tensor's input, built fresh."""
+    denom, flat = packed
+    tensor = {}
+    pos = 0
+    for i in range(size):
+        for j in range(i, size):
+            end = pos + 1 + 2 * flat[pos]
+            entry = {
+                flat[p]: Fraction(flat[p + 1], denom) for p in range(pos + 1, end, 2)
+            }
+            tensor[(i, j)] = tensor[(j, i)] = entry
+            pos = end
+    return tensor
 
 
 def rel_equivalence(lam, mu, qh=None, qe=None):
@@ -707,12 +770,14 @@ def clear_caches():
     rings by d (_RINGS), invariant and anti-invariant rows by
     (d, transpositions, t, sign) (_INV_CACHE), regular quotients by
     (d, lam) (_REGULAR_CACHE), quotient cores, with their certificate
-    data, by the zero-free key (_CORES), the tableaux, Betti series and
-    components of a zero-free key's own pair, by the tableau layer's
-    zero_free_key (_TABLEAU_KEYS).  The values are read-only: callers
-    copy() a RowSpace before inserting into it, and the tableau data is
-    relabelled into new lists.  Objects built before the call stay valid;
-    later builds start cold and give equal results.
+    data, transfer report and packed multiplication tensor, by the
+    zero-free key (_CORES), the tableaux, Betti series and components of
+    a zero-free key's own pair, by the tableau layer's zero_free_key
+    (_TABLEAU_KEYS).  The values are read-only: callers copy() a RowSpace
+    before inserting into it, the tableau data is relabelled into new
+    lists, a transfer report is rebuilt with the caller's pair and a
+    tensor is unpacked into new dicts.  Objects built before the call stay
+    valid; later builds start cold and give equal results.
     """
     for cache in (_RINGS, _INV_CACHE, _REGULAR_CACHE, _CORES, _TABLEAU_KEYS):
         cache.clear()
@@ -756,16 +821,33 @@ def anti_invariant_transfer(lam, mu):
     h_r of the variable subsets of one size, so the isotypic lemma
     applies to S_mu and its sign character.
 
-    Any failure raises TransferError with the offending degree.
+    The verified (shift, degrees, anti_dims, quotient_dims) is kept on
+    the H core, and a later pair of the same zero-free key returns it
+    with its own lam and mu.  Lemma: a zero block adds no variables and
+    no block pairs, so d_mu, eps, the invariant and anti-invariant rows
+    (one transposition set), the H core (zero-block lemma in
+    GradedQuotient) and regular_quotient(lam, d) agree across the key,
+    and so does every number the check computes.
+
+    Any failure raises TransferError with the offending degree and stores
+    nothing.
     """
-    n, d = _validate_pair(lam, mu)
     quotient = build_quotient(lam, mu, "H")
+    core = quotient.core
+    if core.transfer is None:
+        core.transfer = _transfer_data(lam, mu, quotient)
+    return TransferReport(lam, mu, *core.transfer)
+
+
+def _transfer_data(lam, mu, quotient):
+    """The checks (a) and (b) of anti_invariant_transfer on the H quotient
+    of (lam, mu); returns (shift, degrees, anti_dims, quotient_dims)."""
     ring = quotient.ring
     d_mu = quotient.d_mu
-    reg = regular_quotient(lam, d)
-    blocks = BlockStructure(mu)
+    reg = regular_quotient(lam, quotient.d)
+    blocks = quotient.blocks
     pairs = []
-    for j in range(1, n + 1):
+    for j in range(1, len(mu) + 1):
         blk = blocks.block(j)
         pairs.extend(
             (blk[a], blk[b]) for a in range(len(blk)) for b in range(a + 1, len(blk))
@@ -805,9 +887,7 @@ def anti_invariant_transfer(lam, mu):
                     "multiplication by the antisymmetrizer has the wrong kernel",
                     witness={"lambda": lam.to_json(), "mu": mu.to_json(), "degree": 2 * t},
                 )
-    return TransferReport(
-        lam, mu, 2 * d_mu, tuple(degrees), tuple(anti_dims), tuple(quotient_dims)
-    )
+    return 2 * d_mu, tuple(degrees), tuple(anti_dims), tuple(quotient_dims)
 
 
 def _transfer_kernel_matches(ring, quotient, reg, eps_vec, d_mu, t):

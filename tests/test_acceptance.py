@@ -158,7 +158,7 @@ def test_criterion_5_nonvanishing_iff_dominance(sweep_d6):
 def test_criterion_6_anti_invariant_transfer():
     t0 = time.perf_counter()
     pairs = 0
-    for lam, mu in iter_pairs(5):
+    for lam, mu in iter_pairs(6):
         anti_invariant_transfer(lam, mu)
         pairs += 1
     elapsed = time.perf_counter() - t0

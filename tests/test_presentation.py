@@ -334,6 +334,19 @@ class TestStructureConstants:
             "642859cec9ff218da87746e0b2f958580b4db66de72c559f364f00df59670028"
         )
 
+    def test_certificate_of_another_pair_is_rejected(self):
+        cert = certify_basis(Partition([2, 1]), Composition([1, 1, 1]))
+        with pytest.raises(ValueError):
+            structure_constants(Partition([3]), Composition([3]), certificate=cert)
+        padded = certify_basis(Partition([2, 1]), Composition([1, 0, 2]))
+        with pytest.raises(ValueError):
+            structure_constants(Partition([2, 1]), Composition([0, 1, 2]), certificate=padded)
+        tabs, tensor = structure_constants(
+            Partition([2, 1]), Composition([1, 0, 2]), certificate=padded
+        )
+        assert tabs == padded.tableaux
+        assert tensor == structure_constants(Partition([2, 1]), Composition([1, 2]))[1]
+
     def test_associativity_small(self):
         lam, mu = Partition([2, 1]), Composition([1, 1, 1])
         tabs, tensor = structure_constants(lam, mu)
@@ -664,8 +677,8 @@ class TestBettiAgainstQuotient:
 
 def _pipeline_record(lam, mu):
     """What a shared build must reproduce: both families' to_json and ideal
-    spaces, the certificate JSON bytes, and the coordinates of every basis
-    class."""
+    spaces, the certificate JSON bytes, the coordinates of every basis
+    class, the transfer JSON and the multiplication tensor."""
     qh, qe = build_quotient(lam, mu, "H"), build_quotient(lam, mu, "E")
     cert = certify_basis(lam, mu, quotient=qh)
     return (
@@ -674,6 +687,8 @@ def _pipeline_record(lam, mu):
         [[q.ideal_space(t) for t in range(q.stop_x + 1)] for q in (qh, qe)],
         json.dumps(cert.to_json(), sort_keys=True).encode(),
         [cert.coordinates_of_class(v, t) for v, t in zip(cert.classes, cert.degrees)],
+        anti_invariant_transfer(lam, mu).to_json(),
+        structure_constants(lam, mu, certificate=cert),
     )
 
 
@@ -693,15 +708,19 @@ class TestSharedCore:
             (lam.parts, tuple(p for p in mu.parts if p)) for lam, mu in pairs if 0 in mu.parts
         }
         # iter_pairs lists each zero-free pair before the padded pairs of its
-        # key, so the reversed list builds a padded pair first
+        # key, so the reversed list builds a padded pair first; the first
+        # pair of a key returns its transfer report and tensor as computed,
+        # later pairs get them relabelled and unpacked from the core
         for order in (pairs, pairs[::-1]):
             clear_caches()
             for lam, mu in order:
                 assert _pipeline_record(lam, mu) == cold[lam, mu], (lam, mu)
             assert len(presentation._CORES) == 2 * len(padded_keys)
-            # every pair certifies against its H quotient and none against E
+            # every pair certifies, transfers and multiplies against its H
+            # quotient and none against E
             for (family, _, _), core in presentation._CORES.items():
-                assert (core.certificate is not None) == (family == "H")
+                slots = (core.certificate, core.transfer, core.tensor)
+                assert [slot is not None for slot in slots] == [family == "H"] * 3
 
     def test_padded_pairs_share_one_core_and_certificate(self):
         clear_caches()
@@ -749,6 +768,29 @@ class TestSharedCore:
         assert cert.to_json() == certify_basis(lam, mu, "E").to_json()
         assert cert.classes == certify_basis(lam, mu, "H").classes
 
+    def test_shared_tensor_is_fresh_per_call(self):
+        clear_caches()
+        lam = Partition([2, 1])
+        _, first = structure_constants(lam, Composition([1, 0, 2]))
+        first[(0, 0)][0] = Fraction(7)
+        _, second = structure_constants(lam, Composition([0, 1, 2]))
+        assert second[(0, 0)] == {0: Fraction(1)}
+        assert all(second[(i, j)] is second[(j, i)] for i, j in second)
+
+    def test_failed_transfer_stores_nothing(self, monkeypatch):
+        lam, mu, other = Partition([2, 1]), Composition([1, 0, 2]), Composition([0, 1, 2])
+        clear_caches()
+        cold = anti_invariant_transfer(lam, other).to_json()
+        clear_caches()
+        monkeypatch.setattr(presentation, "_transfer_kernel_matches", lambda *args: False)
+        with pytest.raises(presentation.TransferError):
+            anti_invariant_transfer(lam, mu)
+        core = build_quotient(lam, mu).core
+        assert core.transfer is None
+        monkeypatch.undo()
+        assert anti_invariant_transfer(lam, other).to_json() == cold
+        assert core.transfer is not None
+
     def test_shared_count_mismatch_raises(self):
         clear_caches()
         lam, mu = Partition([2, 1]), Composition([1, 0, 2])
@@ -766,9 +808,7 @@ class TestClearCaches:
     def test_tables_empty_and_rebuild_equal(self):
         lam, mu = Partition([2, 1]), Composition([1, 0, 2])
         before = _pipeline_record(lam, mu)
-        transfer = anti_invariant_transfer(lam, mu).to_json()
         assert all(_cache_sizes())
         clear_caches()
         assert _cache_sizes() == [0] * 5
         assert _pipeline_record(lam, mu) == before
-        assert anti_invariant_transfer(lam, mu).to_json() == transfer
