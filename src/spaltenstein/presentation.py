@@ -38,7 +38,7 @@ from .symring import (
     is_invariant,
 )
 from .tableaux import (
-    _TABLEAU_KEYS,
+    _KEYS,
     Composition,
     Partition,
     _chain,
@@ -46,6 +46,7 @@ from .tableaux import (
     dims,
     enumerate_column_strict,
     reduce_tableau,
+    shared,
     zero_free_key,
 )
 
@@ -232,44 +233,6 @@ def _residual_rank(space, rows):
     return RowSpace(space.width).extend(space.scaled_residual(row)[1] for row in rows)
 
 
-def _zero_free_key(family, lam, mu):
-    """(family, lam, the non-zero parts of mu in order): the family and the
-    tableau layer's zero_free_key, the data that the core of a quotient and
-    the certificate data depend on (zero-block lemma in GradedQuotient)."""
-    return (family, *zero_free_key(lam, mu))
-
-
-# zero-free key -> QuotientCore, filled only by pairs whose mu has a zero part
-_CORES = {}
-
-
-class QuotientCore:
-    """The pair-independent part of a quotient: the verified stopping
-    x-degree, the ideal RowSpace of each x-degree up to it, the quotient
-    dimensions, and three slots that are filled once each:
-      - certificate: (degrees, classes, coordinate spaces), by the first
-        certify_basis against the core;
-      - transfer: the verified (shift, degrees, anti_dims, quotient_dims)
-        of anti_invariant_transfer, on an H core;
-      - tensor: the multiplication tensor of the certificate, packed by
-        _pack_tensor, by the first structure_constants that used it.
-    Each slot holds data that agrees across the zero-free key (the
-    lemmas are in certify_basis, anti_invariant_transfer and
-    structure_constants), and only the cold computation fills it.  Shared
-    by every quotient of one zero-free key, so it is read-only apart from
-    those fills: copy() an ideal space before inserting into it."""
-
-    __slots__ = ("stop_x", "ideal", "qdim", "certificate", "transfer", "tensor")
-
-    def __init__(self, stop_x, ideal, qdim):
-        self.stop_x = stop_x
-        self.ideal = ideal
-        self.qdim = qdim
-        self.certificate = None
-        self.transfer = None
-        self.tensor = None
-
-
 class GradedQuotient:
     """Per-degree presentation data for one (lam, mu, family) triple.
 
@@ -278,10 +241,9 @@ class GradedQuotient:
     dimension.  Quotient dimensions above the stopping degree are zero;
     this is forced by the verified vanishing window, not assumed.
 
-    The quotient is a per-pair shell (lam, mu, family, blocks, hilbert,
-    to_json) around a QuotientCore (stop_x, the ideal spaces, the quotient
-    dimensions, the certificate data).  The core depends only on the
-    zero-free key (family, lam, non-zero parts of mu in order).  Zero-block
+    Its core, (stop_x, the ideal spaces, the Hilbert series), is kept by
+    tableaux.shared under ("core", family): it depends only on the family
+    and the zero-free key (lam, non-zero parts of mu in order).  Zero-block
     lemma: let mu' be mu with its zero parts deleted.
       - A zero block adds no variables, so every block union, the
         transpositions() of the blocks (hence the invariant rows), d_mu,
@@ -295,13 +257,12 @@ class GradedQuotient:
         lam has more parts than mu'; then every pair of the key has a
         zero part and that unit.  Equal generator sets span equal
         ideals, and RowSpace is canonical, so the pivot_rows of each
-        degree agree.
-    A pair whose mu has a zero part looks its core up in _CORES and builds
-    it on a miss; a zero-free pair builds its own and stores nothing.
-    This is the one place that decides what is shared.
+        degree agree, and so do the quotient dimensions.
     """
 
     def __init__(self, lam, mu, family):
+        if family not in ("H", "E"):
+            raise ValueError(f"unknown family {family!r}")
         self.lam = lam
         self.mu = mu
         self.family = family
@@ -310,25 +271,13 @@ class GradedQuotient:
         self.top_x = d_lambda - self.d_mu
         self.ring = get_ring(self.d)
         self.blocks = BlockStructure(mu)
-        if 0 in mu.parts:
-            key = _zero_free_key(family, lam, mu)
-            core = _CORES.get(key)
-            if core is None:
-                core = _CORES[key] = self._build()
-        else:
-            core = self._build()
-        self.core = core
-        coeffs = [core.qdim.get(t, 0) for t in range(max(self.top_x, -1) + 1)]
-        self.hilbert = HilbertSeries(coeffs)
-
-    @property
-    def stop_x(self):
-        return self.core.stop_x
+        self.stop_x, self._ideal, self.hilbert = shared(("core", family), lam, mu, self._build)
 
     def _build(self):
-        """The core of this pair.  Generators are collected per degree as a
-        set of block unions, keyed by (variables, r): inserting one vector
-        twice cannot change a span, and zero blocks repeat unions.
+        """The core (stop_x, ideal spaces by x-degree, Hilbert series) of
+        this pair.  Generators are collected per degree as a set of block
+        unions, keyed by (variables, r): inserting one vector twice cannot
+        change a span, and zero blocks repeat unions.
 
         Degree t is spanned by its generators and x_v * I_{t-1} for
         v < d only.  Last-variable lemma: e_1 = 0 in the coinvariant
@@ -353,7 +302,7 @@ class GradedQuotient:
         kind = "h" if self.family == "H" else "e"
         unions = {vars_ for gens in gens_by_deg.values() for vars_ in gens}
         classes = {vars_: ring.sym_classes(vars_, stop_x, kind) for vars_ in unions}
-        ideal, qdim = {}, {}
+        ideal, qdim = {}, []
         for t in range(stop_x + 1):
             full = ring.dim(t)
             batch = [classes[vars_][t] for vars_ in gens_by_deg.get(t, ())]
@@ -362,9 +311,9 @@ class GradedQuotient:
                 batch += [ring.apply_var(row, v, t - 1) for v in range(1, self.d) for row in below]
             space = ideal[t] = RowSpace(full)
             space.extend(batch)
-            qdim[t] = _residual_rank(space, _invariant_data(ring, self.mu, t))
+            qdim.append(_residual_rank(space, _invariant_data(ring, self.mu, t)))
         for t in range(first_above, stop_x + 1):
-            if qdim.get(t, 0):
+            if qdim[t]:
                 raise TruncationError(
                     "quotient does not vanish above its top degree",
                     witness={
@@ -374,32 +323,30 @@ class GradedQuotient:
                         "dimension": qdim[t],
                     },
                 )
-        return QuotientCore(stop_x, ideal, qdim)
+        return stop_x, ideal, HilbertSeries(qdim[: max(self.top_x, -1) + 1])
 
     def ideal_space(self, t):
         """Ideal row space at x-degree t; above the stop degree the quotient
         vanishes, so membership of invariant classes is automatic.  The
         space may be shared with other quotients: copy() it before any
         insert."""
-        return self.core.ideal.get(t)
+        return self._ideal.get(t)
 
     def invariant_basis_rows(self, t):
         return _invariant_data(self.ring, self.mu, t)
 
     def dimension(self, degree):
-        if degree < 0 or degree % 2:
-            return 0
-        return self.core.qdim.get(degree // 2, 0)
+        return self.hilbert.coefficient(degree)
 
     def total_dimension(self):
-        return sum(self.core.qdim.get(t, 0) for t in range(max(self.top_x, -1) + 1))
+        return self.hilbert.total()
 
     def is_trivial(self):
         return self.total_dimension() == 0
 
     def contains_class(self, vec, t):
         """Membership of a degree-2t class in the ideal."""
-        space = self.core.ideal.get(t)
+        space = self._ideal.get(t)
         if space is None:
             # beyond the verified window every invariant class is in the ideal
             return True
@@ -532,30 +479,24 @@ def certify_basis(lam, mu, family="H", quotient=None):
     the family (see GradedQuotient), else ValueError; family is ignored
     when a quotient is given, so the basis is certified against that
     quotient's own family.  The degrees, classes and coordinate spaces are
-    computed once per core and kept on it, so the pairs of one zero-free
-    key that share a core share them too.  Lemma (relabelling lemma in
-    enumerate_column_strict): the order-preserving relabelling of the
-    non-zero labels of mu maps the column-strict tableaux of one pair of a
-    key onto those of another and keeps the reading-word order; a zero
-    part of mu adds an empty level to the reduction chain, so the degrees
-    and the h-classes agree position by position.  Every call still
-    enumerates the tableaux of its own pair and checks their number
-    against the core's data.
+    kept by tableaux.shared under ("certificate", family).  Lemma
+    (relabelling lemma in enumerate_column_strict): the order-preserving
+    relabelling of the non-zero labels of mu maps the column-strict
+    tableaux of one pair of a key onto those of another and keeps the
+    reading-word order; a zero part of mu adds an empty level to the
+    reduction chain, so the degrees and the h-classes agree position by
+    position.  Every call still enumerates the tableaux of its own pair
+    and checks their number against the shared data.
     """
     if quotient is None:
         quotient = build_quotient(lam, mu, family)
-    elif _zero_free_key(quotient.family, lam, mu) != _zero_free_key(
-        quotient.family, quotient.lam, quotient.mu
-    ):
-        raise ValueError(
-            f"the quotient of ({quotient.lam}, {quotient.mu}) has another "
-            f"zero-free key than ({lam}, {mu})"
-        )
+    else:
+        _check_key(quotient, lam, mu)
     tableaux = enumerate_column_strict(lam, mu)
-    core = quotient.core
-    if core.certificate is None:
-        core.certificate = _certificate_data(lam, mu, quotient, tableaux)
-    degrees, classes, spaces = core.certificate
+    degrees, classes, spaces = shared(
+        ("certificate", quotient.family), lam, mu,
+        lambda: _certificate_data(lam, mu, quotient, tableaux),
+    )
     if len(tableaux) != len(degrees):
         raise BasisError(
             "tableau count differs from the shared certificate",
@@ -567,6 +508,17 @@ def certify_basis(lam, mu, family="H", quotient=None):
             },
         )
     return BasisCertificate(quotient, lam, mu, tableaux, degrees, classes, spaces)
+
+
+def _check_key(quotient, lam, mu):
+    """ValueError unless (lam, mu) is a valid pair and the quotient has its
+    zero-free key."""
+    _validate_pair(lam, mu)
+    if zero_free_key(quotient.lam, quotient.mu) != zero_free_key(lam, mu):
+        raise ValueError(
+            f"the quotient of ({quotient.lam}, {quotient.mu}) has another "
+            f"zero-free key than ({lam}, {mu})"
+        )
 
 
 def _certificate_data(lam, mu, quotient, tableaux):
@@ -658,12 +610,12 @@ def structure_constants(lam, mu, family="H", certificate=None):
 
     A given certificate must be of exactly (lam, mu), else ValueError;
     family is then ignored, and the tensor is that of the certificate's
-    own quotient, as in certify_basis.  The tensor is computed once per
-    core and kept on it, packed (_pack_tensor); each call gets a fresh
-    dict of dicts.  Lemma (relabelling lemma in certify_basis): the pairs
-    of one zero-free key have the same classes, degrees and coordinate
-    spaces position by position, so their tensors agree position by
-    position.
+    own quotient, as in certify_basis.  The tensor is kept packed
+    (_tensor_data) by tableaux.shared under ("tensor", family), and each
+    call unpacks a fresh dict of dicts.  Lemma (relabelling lemma in
+    certify_basis): the pairs of one zero-free key have the same classes,
+    degrees and coordinate spaces position by position, so their tensors
+    agree position by position.
     """
     if certificate is None:
         certificate = certify_basis(lam, mu, family)
@@ -673,53 +625,52 @@ def structure_constants(lam, mu, family="H", certificate=None):
             f"one of ({lam}, {mu})"
         )
     tabs = certificate.tableaux
-    core = certificate.quotient.core
-    if core.tensor is not None:
-        return tabs, _unpack_tensor(core.tensor, len(tabs))
+    packed = shared(
+        ("tensor", certificate.quotient.family), lam, mu, lambda: _tensor_data(certificate)
+    )
+    return tabs, _unpack_tensor(packed, len(tabs))
+
+
+def _tensor_data(certificate):
+    """The tensor of structure_constants, packed as (D, flat): D the lcm of
+    the denominators of its entries and flat one tuple of ints that lists,
+    for i <= j in order, the number m of non-zero entries of tensor[(i, j)]
+    and then m pairs (k, D * entry), k increasing.  By tracemalloc, about
+    18 times smaller than the dict of dicts."""
     ring = certificate.quotient.ring
-    tensor = {}
-    for i in range(len(tabs)):
-        vi, ti = certificate.classes[i], certificate.degrees[i]
-        for j in range(i, len(tabs)):
-            vj, tj = certificate.classes[j], certificate.degrees[j]
+    classes, degrees = certificate.classes, certificate.degrees
+    entries = []
+    for i in range(len(classes)):
+        for j in range(i, len(classes)):
             # above top_x no tableau has degree t, so coordinates_of_class
             # falls back to ideal membership and raises on an escape
-            product = ring.mul_classes(vi, ti, vj, tj)
-            entry = certificate.coordinates_of_class(product, ti + tj)
-            tensor[(i, j)] = entry
-            tensor[(j, i)] = entry
-    core.tensor = _pack_tensor(tensor, len(tabs))
-    return tabs, tensor
-
-
-def _pack_tensor(tensor, size):
-    """(D, flat): D the lcm of the denominators of the tensor and flat one
-    tuple of ints that lists, for i <= j in order, the number m of
-    non-zero entries of tensor[(i, j)] and then m pairs (k, D * entry),
-    k increasing.  By tracemalloc, about 18 times smaller than the dict of
-    dicts."""
-    denom = lcm(*(c.denominator for entry in tensor.values() for c in entry.values()))
+            product = ring.mul_classes(classes[i], degrees[i], classes[j], degrees[j])
+            entries.append(certificate.coordinates_of_class(product, degrees[i] + degrees[j]))
+    denom = lcm(*(c.denominator for entry in entries for c in entry.values()))
     flat = []
-    for i in range(size):
-        for j in range(i, size):
-            entry = tensor[(i, j)]
-            flat.append(len(entry))
-            for k in sorted(entry):
-                flat += (k, entry[k].numerator * (denom // entry[k].denominator))
+    for entry in entries:
+        flat.append(len(entry))
+        for k in sorted(entry):
+            flat += (k, entry[k].numerator * (denom // entry[k].denominator))
     return denom, tuple(flat)
 
 
 def _unpack_tensor(packed, size):
-    """The dict of dicts of _pack_tensor's input, built fresh."""
+    """The tensor packed by _tensor_data, as a fresh dict of dicts.  Equal
+    entries share one Fraction, which is immutable."""
     denom, flat = packed
+    fractions = {}
     tensor = {}
     pos = 0
     for i in range(size):
         for j in range(i, size):
             end = pos + 1 + 2 * flat[pos]
-            entry = {
-                flat[p]: Fraction(flat[p + 1], denom) for p in range(pos + 1, end, 2)
-            }
+            entry = {}
+            for p in range(pos + 1, end, 2):
+                c = fractions.get(flat[p + 1])
+                if c is None:
+                    c = fractions[flat[p + 1]] = Fraction(flat[p + 1], denom)
+                entry[flat[p]] = c
             tensor[(i, j)] = tensor[(j, i)] = entry
             pos = end
     return tensor
@@ -731,19 +682,22 @@ def rel_equivalence(lam, mu, qh=None, qe=None):
     Each ideal_space(t) is a RowSpace in canonical form (the unique
     reduced echelon basis of the span), so two ideal spaces are equal
     exactly when they compare equal with ==, which reads the stored rows.
-    The stopping degree stop_x depends only on (lam, mu), and above it
-    both quotients are verified to vanish.  So the families are
-    equivalent exactly when they have the same stop_x and equal ideal
-    spaces in every degree up to it; equal Hilbert series follow.
-    Quotients of two different pairs with different stop_x compare
-    unequal even when both ideals are the unit ideal.
+    The stopping degree stop_x depends only on the zero-free key of
+    (lam, mu), and above it both quotients are verified to vanish.  So the
+    families are equivalent exactly when they have equal ideal spaces in
+    every degree up to stop_x; equal Hilbert series follow.
+
+    qh must be an H quotient and qe an E quotient, both of the zero-free
+    key of (lam, mu), else ValueError.
     """
     if qh is None:
         qh = build_quotient(lam, mu, "H")
     if qe is None:
         qe = build_quotient(lam, mu, "E")
-    if qh.stop_x != qe.stop_x:
-        return False
+    if (qh.family, qe.family) != ("H", "E"):
+        raise ValueError(f"expected an H and an E quotient, got {qh.family} and {qe.family}")
+    _check_key(qh, lam, mu)
+    _check_key(qe, lam, mu)
     return all(
         qh.ideal_space(t) == qe.ideal_space(t) for t in range(qh.stop_x + 1)
     )
@@ -769,17 +723,12 @@ def clear_caches():
     called.  Each is keyed as documented where it is defined: coinvariant
     rings by d (_RINGS), invariant and anti-invariant rows by
     (d, transpositions, t, sign) (_INV_CACHE), regular quotients by
-    (d, lam) (_REGULAR_CACHE), quotient cores, with their certificate
-    data, transfer report and packed multiplication tensor, by the
-    zero-free key (_CORES), the tableaux, Betti series and components of
-    a zero-free key's own pair, by the tableau layer's zero_free_key
-    (_TABLEAU_KEYS).  The values are read-only: callers copy() a RowSpace
-    before inserting into it, the tableau data is relabelled into new
-    lists, a transfer report is rebuilt with the caller's pair and a
-    tensor is unpacked into new dicts.  Objects built before the call stay
-    valid; later builds start cold and give equal results.
+    (d, lam) (_REGULAR_CACHE), and everything shared across the pairs of
+    one zero-free key by (key, kind) (tableaux._KEYS, written only by
+    tableaux.shared).  The values are read-only.  Objects built before
+    the call stay valid; later builds start cold and give equal results.
     """
-    for cache in (_RINGS, _INV_CACHE, _REGULAR_CACHE, _CORES, _TABLEAU_KEYS):
+    for cache in (_RINGS, _INV_CACHE, _REGULAR_CACHE, _KEYS):
         cache.clear()
 
 
@@ -821,9 +770,9 @@ def anti_invariant_transfer(lam, mu):
     h_r of the variable subsets of one size, so the isotypic lemma
     applies to S_mu and its sign character.
 
-    The verified (shift, degrees, anti_dims, quotient_dims) is kept on
-    the H core, and a later pair of the same zero-free key returns it
-    with its own lam and mu.  Lemma: a zero block adds no variables and
+    The verified (shift, degrees, anti_dims, quotient_dims) is kept by
+    tableaux.shared under "transfer", and each call returns it with its
+    own lam and mu.  Lemma: a zero block adds no variables and
     no block pairs, so d_mu, eps, the invariant and anti-invariant rows
     (one transposition set), the H core (zero-block lemma in
     GradedQuotient) and regular_quotient(lam, d) agree across the key,
@@ -833,10 +782,8 @@ def anti_invariant_transfer(lam, mu):
     nothing.
     """
     quotient = build_quotient(lam, mu, "H")
-    core = quotient.core
-    if core.transfer is None:
-        core.transfer = _transfer_data(lam, mu, quotient)
-    return TransferReport(lam, mu, *core.transfer)
+    data = shared("transfer", lam, mu, lambda: _transfer_data(lam, mu, quotient))
+    return TransferReport(lam, mu, *data)
 
 
 def _transfer_data(lam, mu, quotient):

@@ -5,20 +5,21 @@ touched.  Betti numbers count column-strict tableaux by degree, the
 irreducible components are indexed by semi-standard tableaux with their
 fibers collected from the straightening map, and the cell order is
 exported as a Hasse diagram.  Betti numbers and components of a pair
-whose mu has a zero part are those of its zero-free key, computed once
-per key (relabelling lemma in enumerate_column_strict).
+whose mu has a zero part are those of its zero-free pair, kept by
+tableaux.shared (relabelling lemma in enumerate_column_strict).
 """
 
 from .presentation import HilbertSeries
 from .tableaux import (
+    Composition,
     _cell_leq,
     _chain,
     _degree_from_columns,
     _relabelling,
-    _shared,
     _straighten,
     dims,
     enumerate_column_strict,
+    shared,
 )
 
 
@@ -27,10 +28,10 @@ def betti(lam, mu):
 
     A zero part of mu adds an empty level to the reduction chain, which
     keeps every degree (relabelling lemma in enumerate_column_strict), so a
-    pair whose mu has a zero part returns the series of its zero-free key,
-    computed once per key."""
+    pair whose mu has a zero part returns the series of its zero-free pair,
+    kept by shared."""
     if 0 in mu.parts:
-        return _shared("betti", lam, mu, betti)
+        return shared("betti", lam, mu, lambda: betti(lam, Composition(p for p in mu.parts if p)))
     tabs = enumerate_column_strict(lam, mu)
     degrees = [_degree_from_columns(T.columns(), mu.parts) for T in tabs]
     if not degrees:
@@ -54,15 +55,16 @@ def components(lam, mu):
     part of mu adds an empty level to the reduction chain, so iota commutes
     with straightening; and d_mu = d_mu'.  So the triples of (lam, mu)
     are those of (lam, mu') with iota applied to S and to every fiber
-    element.  A pair whose mu has a zero part computes the key's triples
-    once, through this same function, and relabels them.
+    element.  A pair whose mu has a zero part relabels the triples of its
+    zero-free pair, kept by shared.
     """
     if 0 in mu.parts:
         relabel = _relabelling(mu)
-        return [
-            (relabel(S), dim, [relabel(T) for T in fiber])
-            for S, dim, fiber in _shared("components", lam, mu, components)
-        ]
+        triples = shared(
+            "components", lam, mu,
+            lambda: components(lam, Composition(p for p in mu.parts if p)),
+        )
+        return [(relabel(S), dim, [relabel(T) for T in fiber]) for S, dim, fiber in triples]
     d_lam, d_mu = dims(lam, mu)
     cols = enumerate_column_strict(lam, mu)
     fibers = {}

@@ -12,8 +12,8 @@ record the columns it fills as gamma, recurse on the reduced tableau.
 
 Every object here is an immutable value; all operations are pure
 functions, so everything is safe to share between threads.  The one
-cache, the tableau data of zero-free keys (_TABLEAU_KEYS), holds only
-values that a recomputation gives equal.
+table of data shared per zero-free key (_KEYS, written only by shared)
+holds only values that a recomputation gives equal.
 """
 
 from functools import lru_cache
@@ -340,28 +340,42 @@ def _check_member(T, mu):
 
 def zero_free_key(lam, mu):
     """(lam parts, the non-zero parts of mu in order): the one datum that
-    the tableaux, Betti numbers and components of a pair (relabelling
-    lemma in enumerate_column_strict), and its quotient core and
-    certificate data (zero-block lemma in GradedQuotient), depend on."""
+    everything kept in _KEYS depends on (see shared)."""
     return lam.parts, tuple(p for p in mu.parts if p)
 
 
-# zero-free key -> {kind: value of the key's own pair}, for the kinds
-# "enumerate" (enumerate_column_strict), "betti" and "components" (reports);
-# filled only by pairs whose mu has a zero part
-_TABLEAU_KEYS = {}
+# (zero-free key, kind) -> the value of that kind for every pair of the key;
+# written only by shared
+_KEYS = {}
 
 
-def _shared(kind, lam, mu, compute):
-    """compute(lam, mu') for the zero-free pair (lam, mu') of the key of
-    (lam, mu), run on the first call per key and kind and kept in
-    _TABLEAU_KEYS.  Called only for a mu with a zero part; a zero-free pair
-    runs its own computation and stores nothing, as quotient cores do."""
-    key = zero_free_key(lam, mu)
-    data = _TABLEAU_KEYS.setdefault(key, {})
-    if kind not in data:
-        data[kind] = compute(lam, Composition(key[1]))
-    return data[kind]
+def shared(kind, lam, mu, compute):
+    """compute(), a value other than None, kept once per (zero-free key,
+    kind) of (lam, mu).
+
+    The rule for everything the library shares across pairs: a pair whose
+    mu is zero-free returns compute() and stores nothing, so nothing of its
+    own outlives it; any other pair computes the value on the first call
+    per key and kind and reads it back after.  A compute() that raises
+    leaves _KEYS as it was.  compute must give, for every pair of the key,
+    a value equal to the one kept; each caller states the lemma that
+    makes it so:
+      - "enumerate", "betti", "components": the value of the zero-free pair
+        of the key (relabelling lemma in enumerate_column_strict);
+      - ("core", family): the quotient data (zero-block lemma in
+        GradedQuotient);
+      - ("certificate", family), "transfer", ("tensor", family): the data of
+        certify_basis, anti_invariant_transfer and structure_constants.
+    Values are read-only: callers relabel, rebuild or unpack them, and
+    copy() a RowSpace before inserting into it.
+    """
+    if 0 not in mu.parts:
+        return compute()
+    key = (zero_free_key(lam, mu), kind)
+    value = _KEYS.get(key)
+    if value is None:
+        value = _KEYS[key] = compute()
+    return value
 
 
 def _relabelling(mu):
@@ -408,15 +422,18 @@ def enumerate_column_strict(lam, mu):
     tableau_degree(T, mu'), iota commutes with straighten and keeps
     cell_order.  This is the lemma of certify_basis, extended to fibers.
 
-    So a pair whose mu has a zero part runs this function on its zero-free
-    key once, keeps the list in _TABLEAU_KEYS and returns it relabelled by
-    iota; a zero-free pair enumerates by search and stores nothing.
+    So a pair whose mu has a zero part returns the list of its zero-free
+    pair, kept by shared, relabelled by iota.
     """
     if lam.size() != mu.size():
         raise ValueError(f"|lam|={lam.size()} and |mu|={mu.size()} differ")
     if 0 in mu.parts:
         relabel = _relabelling(mu)
-        return [relabel(T) for T in _shared("enumerate", lam, mu, enumerate_column_strict)]
+        tabs = shared(
+            "enumerate", lam, mu,
+            lambda: enumerate_column_strict(lam, Composition(p for p in mu.parts if p)),
+        )
+        return [relabel(T) for T in tabs]
     heights = transpose(lam).parts
     n = len(mu)
     results = []

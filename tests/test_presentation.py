@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -14,7 +15,7 @@ from oracles import (
     span,
     sparse,
 )
-from spaltenstein import presentation
+from spaltenstein import presentation, tableaux
 from spaltenstein.coinvariant import get_ring, invariant_rows
 from spaltenstein.presentation import (
     BasisError,
@@ -34,7 +35,7 @@ from spaltenstein.presentation import (
 )
 from spaltenstein.linalg import RowSpace
 from test_linalg import fraction_residual, fraction_rref
-from spaltenstein.reports import betti
+from spaltenstein.reports import betti, components
 from spaltenstein.symring import BlockStructure, Polynomial, complete_block, elementary_block
 from spaltenstein.tableaux import (
     Composition,
@@ -46,6 +47,7 @@ from spaltenstein.tableaux import (
     iter_pairs,
     partitions,
     tableau_degree,
+    zero_free_key,
 )
 
 ANEX_LAM = Partition([4, 3, 3, 2])
@@ -438,7 +440,7 @@ class TestQuotientDimension:
                 for t in range(q.stop_x + 1):
                     probe = q.ideal_space(t).copy()
                     gains = sum(1 for row in q.invariant_basis_rows(t) if probe.insert(row))
-                    assert q.core.qdim[t] == gains
+                    assert q.dimension(2 * t) == gains
             pairs += 1
         assert pairs == 1641
 
@@ -540,9 +542,19 @@ class TestRelEquivalence:
                         for b in lams:
                             qh = build_quotient(a, mu, "H")
                             qe = build_quotient(b, mu, "E")
-                            assert rel_equivalence(a, mu, qh=qh, qe=qe) == (
-                                membership_equivalence(qh, qe)
+                            if a == b:
+                                assert rel_equivalence(a, mu, qh=qh, qe=qe)
+                                assert membership_equivalence(qh, qe)
+                                continue
+                            with pytest.raises(ValueError):
+                                rel_equivalence(a, mu, qh=qh, qe=qe)
+                            # the canonical spaces still tell the two
+                            # ideals apart exactly as membership does
+                            same = qh.stop_x == qe.stop_x and all(
+                                qh.ideal_space(t) == qe.ideal_space(t)
+                                for t in range(qh.stop_x + 1)
                             )
+                            assert same == membership_equivalence(qh, qe)
 
     def test_equal_ranks_different_ideals(self):
         mu = Composition([1, 2, 3])
@@ -551,18 +563,35 @@ class TestRelEquivalence:
         assert qh.stop_x == qe.stop_x and qh.hilbert == qe.hilbert
         for t in range(qh.stop_x + 1):
             assert qh.ideal_space(t).rank == qe.ideal_space(t).rank
-        assert not rel_equivalence(Partition([4, 1, 1]), mu, qh=qh, qe=qe)
+        assert any(qh.ideal_space(t) != qe.ideal_space(t) for t in range(qh.stop_x + 1))
         assert not membership_equivalence(qh, qe)
+        with pytest.raises(ValueError):
+            rel_equivalence(Partition([4, 1, 1]), mu, qh=qh, qe=qe)
 
     def test_stop_degrees_differ(self):
-        # both ideals are the unit ideal and agree up to the lower stop
-        # degree, so only the stop degrees tell the two windows apart
+        # quotients of two keys, with different stop degrees, are refused
+        # in either order
         mu = Composition([1, 1, 4])
         qh = build_quotient(Partition([3, 3]), mu, "H")
         qe = build_quotient(Partition([3, 2, 1]), mu, "E")
         assert qh.stop_x > qe.stop_x
-        assert not rel_equivalence(Partition([3, 3]), mu, qh=qh, qe=qe)
-        assert not rel_equivalence(Partition([3, 2, 1]), mu, qh=qe, qe=qh)
+        with pytest.raises(ValueError):
+            rel_equivalence(Partition([3, 3]), mu, qh=qh, qe=qe)
+        with pytest.raises(ValueError):
+            rel_equivalence(Partition([3, 2, 1]), mu, qh=qe, qe=qh)
+
+    def test_quotients_of_another_family_or_key_are_rejected(self):
+        lam, mu = Partition([2, 1]), Composition([1, 2])
+        qh, qe = build_quotient(lam, mu, "H"), build_quotient(lam, mu, "E")
+        with pytest.raises(ValueError):
+            rel_equivalence(lam, mu, qh=qh, qe=qh)
+        with pytest.raises(ValueError):
+            rel_equivalence(lam, mu, qh=qe, qe=qe)
+        other = Partition([3]), Composition([3])
+        with pytest.raises(ValueError):
+            rel_equivalence(lam, mu, qh=build_quotient(*other, "H"), qe=build_quotient(*other, "E"))
+        # another pair of the same zero-free key is accepted
+        assert rel_equivalence(lam, Composition([0, 1, 2]), qh=qh, qe=qe)
 
 
 def kernel_match_oracle(q, reg, eps, e, t):
@@ -692,9 +721,15 @@ def _pipeline_record(lam, mu):
     )
 
 
-def _cache_sizes():
-    tables = ("_RINGS", "_INV_CACHE", "_REGULAR_CACHE", "_CORES", "_TABLEAU_KEYS")
-    return [len(getattr(presentation, name)) for name in tables]
+def _module_dicts():
+    """Every module-level dict of the spaltenstein modules, by (module, name)."""
+    return {
+        (name, attr): value
+        for name, module in list(sys.modules.items())
+        if name == "spaltenstein" or name.startswith("spaltenstein.")
+        for attr, value in vars(module).items()
+        if isinstance(value, dict) and not attr.startswith("__")
+    }
 
 
 class TestSharedCore:
@@ -704,43 +739,53 @@ class TestSharedCore:
         for lam, mu in pairs:
             clear_caches()
             cold[lam, mu] = _pipeline_record(lam, mu)
-        padded_keys = {
-            (lam.parts, tuple(p for p in mu.parts if p)) for lam, mu in pairs if 0 in mu.parts
-        }
+        padded_keys = {zero_free_key(lam, mu) for lam, mu in pairs if 0 in mu.parts}
         # iter_pairs lists each zero-free pair before the padded pairs of its
         # key, so the reversed list builds a padded pair first; the first
-        # pair of a key returns its transfer report and tensor as computed,
-        # later pairs get them relabelled and unpacked from the core
+        # pair of a key computes its transfer report and tensor, later pairs
+        # get them rebuilt and unpacked from the table
         for order in (pairs, pairs[::-1]):
             clear_caches()
             for lam, mu in order:
                 assert _pipeline_record(lam, mu) == cold[lam, mu], (lam, mu)
-            assert len(presentation._CORES) == 2 * len(padded_keys)
             # every pair certifies, transfers and multiplies against its H
             # quotient and none against E
-            for (family, _, _), core in presentation._CORES.items():
-                slots = (core.certificate, core.transfer, core.tensor)
-                assert [slot is not None for slot in slots] == [family == "H"] * 3
+            kinds = ("enumerate", ("core", "H"), ("core", "E"), ("certificate", "H"),
+                     "transfer", ("tensor", "H"))
+            assert set(tableaux._KEYS) == {(key, kind) for key in padded_keys for kind in kinds}
 
     def test_padded_pairs_share_one_core_and_certificate(self):
         clear_caches()
         lam = Partition([2, 1])
         a, b = Composition([1, 0, 2]), Composition([0, 1, 2, 0])
         qa, qb = build_quotient(lam, a), build_quotient(lam, b)
-        assert qa.core is qb.core
+        assert qa.hilbert is qb.hilbert and qa.ideal_space(1) is qb.ideal_space(1)
         ca, cb = certify_basis(lam, a, quotient=qa), certify_basis(lam, b, quotient=qb)
         assert ca.classes is cb.classes and ca.tableaux != cb.tableaux
         # a different family, or a non-zero part order, is a different key
-        assert build_quotient(lam, a, "E").core is not qa.core
-        assert build_quotient(lam, Composition([2, 0, 1])).core is not qa.core
+        assert build_quotient(lam, a, "E").ideal_space(1) is not qa.ideal_space(1)
+        assert build_quotient(lam, Composition([2, 0, 1])).ideal_space(1) is not qa.ideal_space(1)
 
     def test_zero_free_pairs_store_nothing(self):
         clear_caches()
         for lam, mu in iter_pairs(4):
             if 0 not in mu.parts:
-                certify_basis(lam, mu, quotient=build_quotient(lam, mu, "H"))
+                qh = build_quotient(lam, mu, "H")
                 build_quotient(lam, mu, "E")
-        assert not presentation._CORES
+                cert = certify_basis(lam, mu, quotient=qh)
+                anti_invariant_transfer(lam, mu)
+                structure_constants(lam, mu, certificate=cert)
+                enumerate_column_strict(lam, mu)
+                betti(lam, mu)
+                components(lam, mu)
+        assert not tableaux._KEYS
+
+    def test_unknown_family_is_rejected(self):
+        clear_caches()
+        for lam, mu in ((Partition(()), Composition(())), (Partition([1]), Composition([1, 0]))):
+            with pytest.raises(ValueError, match="unknown family"):
+                build_quotient(lam, mu, "X")
+        assert not tableaux._KEYS
 
     def test_quotient_of_another_key_is_rejected(self):
         lam, mu = Partition([2, 1]), Composition([1, 2])
@@ -749,13 +794,26 @@ class TestSharedCore:
         with pytest.raises(ValueError):
             certify_basis(lam, mu, quotient=build_quotient(Partition([3]), mu))
 
+    def test_invalid_pair_of_a_valid_key_is_rejected(self):
+        # (1,1,1)/(3,0) has more lam parts than mu parts; (1,1,1)/(3,0,0)
+        # is valid and has the same zero-free key
+        lam, mu, padded = Partition([1, 1, 1]), Composition([3, 0]), Composition([3, 0, 0])
+        qh, qe = build_quotient(lam, padded, "H"), build_quotient(lam, padded, "E")
+        with pytest.raises(ValueError):
+            certify_basis(lam, mu, quotient=qh)
+        with pytest.raises(ValueError):
+            rel_equivalence(lam, mu, qh=qh, qe=qe)
+
     def test_quotient_of_the_zero_free_pair_is_accepted(self):
         lam, mu = Partition([2, 1]), Composition([1, 0, 2])
         clear_caches()
-        cold = certify_basis(lam, mu)
         q = build_quotient(lam, Composition([1, 2]))
         cert = certify_basis(lam, mu, quotient=q)
-        assert cert.quotient is q and q.core.certificate is not None
+        assert cert.quotient is q
+        assert set(tableaux._KEYS) == {(zero_free_key(lam, mu), kind) for kind in (
+            "enumerate", ("certificate", "H"))}
+        clear_caches()
+        cold = certify_basis(lam, mu)
         assert cert.to_json() == cold.to_json()
         assert (cert.classes, cert.degrees) == (cold.classes, cold.degrees)
 
@@ -779,24 +837,25 @@ class TestSharedCore:
 
     def test_failed_transfer_stores_nothing(self, monkeypatch):
         lam, mu, other = Partition([2, 1]), Composition([1, 0, 2]), Composition([0, 1, 2])
+        entry = (zero_free_key(lam, mu), "transfer")
         clear_caches()
         cold = anti_invariant_transfer(lam, other).to_json()
         clear_caches()
         monkeypatch.setattr(presentation, "_transfer_kernel_matches", lambda *args: False)
         with pytest.raises(presentation.TransferError):
             anti_invariant_transfer(lam, mu)
-        core = build_quotient(lam, mu).core
-        assert core.transfer is None
+        assert entry not in tableaux._KEYS
         monkeypatch.undo()
         assert anti_invariant_transfer(lam, other).to_json() == cold
-        assert core.transfer is not None
+        assert entry in tableaux._KEYS
 
     def test_shared_count_mismatch_raises(self):
         clear_caches()
         lam, mu = Partition([2, 1]), Composition([1, 0, 2])
-        core = certify_basis(lam, mu).quotient.core
-        degrees, classes, spaces = core.certificate
-        core.certificate = (degrees[:-1], classes, spaces)
+        certify_basis(lam, mu)
+        entry = (zero_free_key(lam, mu), ("certificate", "H"))
+        degrees, classes, spaces = tableaux._KEYS[entry]
+        tableaux._KEYS[entry] = (degrees[:-1], classes, spaces)
         try:
             with pytest.raises(BasisError):
                 certify_basis(lam, Composition([0, 1, 2]))
@@ -806,9 +865,15 @@ class TestSharedCore:
 
 class TestClearCaches:
     def test_tables_empty_and_rebuild_equal(self):
+        # every module-level dict that a pipeline run grows is a cache, and
+        # clear_caches must empty it
         lam, mu = Partition([2, 1]), Composition([1, 0, 2])
-        before = _pipeline_record(lam, mu)
-        assert all(_cache_sizes())
         clear_caches()
-        assert _cache_sizes() == [0] * 5
+        sizes = {name: len(table) for name, table in _module_dicts().items()}
+        before = _pipeline_record(lam, mu)
+        grown = [name for name, table in _module_dicts().items() if len(table) > sizes.get(name, 0)]
+        assert {attr for _, attr in grown} >= {"_RINGS", "_INV_CACHE", "_REGULAR_CACHE", "_KEYS"}
+        clear_caches()
+        tables = _module_dicts()
+        assert [name for name in grown if tables[name]] == []
         assert _pipeline_record(lam, mu) == before

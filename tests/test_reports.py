@@ -1,3 +1,4 @@
+import pytest
 from oracles import column_strict_by_search
 
 from spaltenstein import tableaux
@@ -19,6 +20,7 @@ from spaltenstein.tableaux import (
     iter_pairs,
     partitions,
     reduce_tableau,
+    shared,
     straighten,
     tableau_degree,
     zero_free_key,
@@ -158,9 +160,9 @@ class TestSharedTableaux:
             clear_caches()
             for lam, mu in order:
                 assert _shared_record(lam, mu) == cold[lam, mu], (lam, mu)
-            assert set(tableaux._TABLEAU_KEYS) == padded_keys
-            for data in tableaux._TABLEAU_KEYS.values():
-                assert set(data) == {"enumerate", "betti", "components"}
+            assert set(tableaux._KEYS) == {
+                (key, kind) for key in padded_keys for kind in ("enumerate", "betti", "components")
+            }
 
     def test_padded_pairs_relabel_the_key(self):
         clear_caches()
@@ -170,12 +172,28 @@ class TestSharedTableaux:
         assert [T.rows for T in got] == [
             tuple(tuple({1: 2, 2: 4}[v] for v in row) for row in T.rows) for T in key
         ]
-        assert list(tableaux._TABLEAU_KEYS) == [((2, 1), (1, 2))]
+        assert list(tableaux._KEYS) == [(((2, 1), (1, 2)), "enumerate")]
         # trailing zeros relabel by the identity and still return a new list
         trailing = enumerate_column_strict(lam, Composition([1, 2, 0]))
         assert trailing == key
         trailing.clear()
         assert enumerate_column_strict(lam, Composition([1, 2, 0])) == key
+
+    def test_failed_compute_leaves_the_table_unchanged(self):
+        lam, mu = Partition([2, 1]), Composition([1, 0, 2])
+
+        def fail():
+            raise RuntimeError("compute failed")
+
+        clear_caches()
+        for kept in ({}, {(zero_free_key(lam, mu), "kept"): 1}):
+            tableaux._KEYS.update(kept)
+            with pytest.raises(RuntimeError):
+                shared("failed", lam, mu, fail)
+            assert tableaux._KEYS == kept
+        assert shared("failed", lam, mu, lambda: 2) == 2
+        assert shared("failed", lam, Composition([0, 1, 2]), fail) == 2
+        clear_caches()
 
     def test_zero_free_pairs_store_nothing(self):
         clear_caches()
@@ -184,4 +202,4 @@ class TestSharedTableaux:
                 enumerate_column_strict(lam, mu)
                 betti(lam, mu)
                 components(lam, mu)
-        assert not tableaux._TABLEAU_KEYS
+        assert not tableaux._KEYS
