@@ -24,7 +24,6 @@ All computations are exact.  The x-degree of a polynomial is half its
 grading degree; public interfaces use the grading degree throughout.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -149,13 +148,44 @@ def generator_bound(lam, mu, family, subset):
     raise ValueError(f"unknown family {family!r}")
 
 
-@dataclass(frozen=True)
-class GeneratorFamily:
-    family: str
-    lam: Partition
-    mu: Composition
-    max_degree: int
-    entries: tuple  # of (subset, r, Polynomial)
+class _Record:
+    """An immutable record of the fields named in __slots__, in that order;
+    equal and hashed as the tuple of its field values."""
+
+    __slots__ = ()
+
+    def _init(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class GeneratorFamily(_Record):
+    """The members of one family up to max_degree; entries is a tuple of
+    (subset, r, Polynomial)."""
+
+    __slots__ = ("family", "lam", "mu", "max_degree", "entries")
+
+    def __init__(self, family, lam, mu, max_degree, entries):
+        self._init(family, lam, mu, max_degree, entries)
 
     def to_json(self):
         return {
@@ -732,14 +762,13 @@ def clear_caches():
         cache.clear()
 
 
-@dataclass(frozen=True)
-class TransferReport:
-    lam: Partition
-    mu: Composition
-    shift: int
-    degrees: tuple
-    anti_dims: tuple
-    quotient_dims: tuple
+class TransferReport(_Record):
+    """The verified data of anti_invariant_transfer for (lam, mu)."""
+
+    __slots__ = ("lam", "mu", "shift", "degrees", "anti_dims", "quotient_dims")
+
+    def __init__(self, lam, mu, shift, degrees, anti_dims, quotient_dims):
+        self._init(lam, mu, shift, degrees, anti_dims, quotient_dims)
 
     def to_json(self):
         return {

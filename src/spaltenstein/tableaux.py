@@ -16,7 +16,6 @@ table of data shared per zero-free key (_KEYS, written only by shared)
 holds only values that a recomputation gives equal.
 """
 
-from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -403,7 +402,9 @@ def enumerate_column_strict(lam, mu):
     The search picks the columns left to right, each a combination of the
     labels still available, in increasing lexicographic order.  Column j
     has the fixed height lam'_j, so this is the lexicographic order of the
-    reading words and the list needs no sort.
+    reading words and the list needs no sort.  The backtracking keeps one
+    iterator of candidates per column on an explicit stack, so a wide lam
+    meets no recursion limit.
 
     Relabelling lemma.  Let mu' be mu with its zero parts deleted, and iota
     the order-preserving injection of the labels 1..len(mu') onto the
@@ -435,26 +436,30 @@ def enumerate_column_strict(lam, mu):
         )
         return [relabel(T) for T in tabs]
     heights = transpose(lam).parts
-    n = len(mu)
-    results = []
     counts = list(mu.parts)
-
-    def fill(j, cols):
-        if j == len(heights):
+    results = []
+    # cols holds the columns chosen so far; levels[j] iterates the
+    # candidates of column j, and cols[j] is its current one
+    cols, levels = [], []
+    while True:
+        if len(cols) == len(heights):
             results.append(_columns_to_tableau(cols))
-            return
-        avail = [v for v in range(1, n + 1) if counts[v - 1] > 0]
-        for chosen in combinations(avail, heights[j]):
-            for v in chosen:
-                counts[v - 1] -= 1
-            cols.append(chosen)
-            fill(j + 1, cols)
-            cols.pop()
-            for v in chosen:
-                counts[v - 1] += 1
-
-    fill(0, [])
-    return results
+        else:
+            avail = [v for v, c in enumerate(counts, start=1) if c]
+            levels.append(combinations(avail, heights[len(cols)]))
+        while levels:
+            if len(cols) == len(levels):
+                for v in cols.pop():
+                    counts[v - 1] += 1
+            chosen = next(levels[-1], None)
+            if chosen is not None:
+                break
+            levels.pop()
+        else:
+            return results
+        for v in chosen:
+            counts[v - 1] -= 1
+        cols.append(chosen)
 
 
 def enumerate_semistandard(lam, mu):
@@ -467,43 +472,36 @@ def count_column_strict(lam, mu):
 
     Counts 0/1 matrices with column sums the column lengths of lam and row
     sums mu, which is an enumeration-free oracle for len(enumerate_column_strict).
+    The programme runs forward over the columns of lam, one loop step each.
     """
     if lam.size() != mu.size():
         raise ValueError(f"|lam|={lam.size()} and |mu|={mu.size()} differ")
-    heights = transpose(lam).parts
-
-    @lru_cache(maxsize=None)
-    def ways(j, state):
-        if j == len(heights):
-            return 1 if not state else 0
-        h = heights[j]
-        # state is the sorted tuple of positive remaining counts; values with
-        # equal count are interchangeable, so group them.
-        groups = []
-        prev = None
-        for v in state:
-            if v == prev:
-                groups[-1][1] += 1
-            else:
-                groups.append([v, 1])
-                prev = v
-        total = 0
-        for picks in _group_choices(groups, h):
-            nxt = []
-            for (val, size), take in zip(groups, picks):
-                nxt.extend([val] * (size - take))
-                nxt.extend([val - 1] * take)
-            nxt = tuple(sorted(v for v in nxt if v > 0))
-            mult = 1
-            for (val, size), take in zip(groups, picks):
-                mult *= comb(size, take)
-            total += mult * ways(j + 1, nxt)
-        return total
-
-    state = tuple(sorted(p for p in mu.parts if p > 0))
-    result = ways(0, state)
-    ways.cache_clear()
-    return result
+    # states maps the sorted tuple of positive remaining counts, after the
+    # columns so far, to the number of ways to reach it; labels with equal
+    # count are interchangeable, so a column picks how many of each group
+    states = {tuple(sorted(p for p in mu.parts if p > 0)): 1}
+    for h in transpose(lam).parts:
+        after = {}
+        for state, ways in states.items():
+            groups = []
+            prev = None
+            for v in state:
+                if v == prev:
+                    groups[-1][1] += 1
+                else:
+                    groups.append([v, 1])
+                    prev = v
+            for picks in _group_choices(groups, h):
+                nxt = []
+                mult = ways
+                for (val, size), take in zip(groups, picks):
+                    nxt.extend([val] * (size - take))
+                    nxt.extend([val - 1] * take)
+                    mult *= comb(size, take)
+                nxt = tuple(sorted(v for v in nxt if v > 0))
+                after[nxt] = after.get(nxt, 0) + mult
+        states = after
+    return states.get((), 0)
 
 
 def _group_choices(groups, h):

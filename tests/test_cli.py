@@ -214,3 +214,57 @@ class TestModuleEntryPoint:
         proc = run_module(["hilbert", "--lambda", "2,1", "--mu", "1,1"])
         assert proc.returncode == 2
         assert proc.stdout == b""
+
+
+class TestWideInput:
+    # lam = mu = (1000) has 1000 columns, more than the recursion limit
+    def test_enumerate_one_tableau(self):
+        code, text = run_cli(["enumerate", "--lambda", "1000", "--mu", "1000"])
+        assert code == 0
+        assert json.loads(text) == [{"rows": [[1] * 1000], "shape": [1000]}]
+
+    def test_components(self):
+        code, text = run_cli(["components", "--lambda", "1000", "--mu", "1000"])
+        assert code == 0
+        (triple,) = json.loads(text)
+        assert triple["dimension"] == 0
+
+
+# What importing the CLI may load beyond a bare interpreter: the library;
+# the modules the CLI uses, which are fractions (with decimal and
+# numbers), argparse (with gettext) and json; and the core modules that
+# the library and those modules import, which a site that preloads less
+# than this one would leave to the CLI to load.
+CLI_MODULES = {"fractions", "decimal", "_decimal", "numbers", "argparse", "gettext", "_json"}
+CORE_MODULES = {
+    "itertools", "math", "operator", "_operator", "functools", "_functools",
+    "collections", "collections.abc", "_collections", "keyword", "reprlib",
+    "_sre", "enum", "types", "copyreg", "warnings",
+}
+PACKAGES = ("spaltenstein", "json", "re")
+# loaded by the dataclasses -> inspect chain or by type annotations
+UNUSED = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
+
+
+def loaded_modules(statement):
+    """The names in sys.modules of a fresh interpreter, with the test's own
+    interpreter and environment, after running statement."""
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{statement}\nimport sys\nprint(*sorted(sys.modules))"],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, check=True,
+    )
+    return set(proc.stdout.split())
+
+
+class TestImportBudget:
+    def test_cli_loads_only_what_it_uses(self):
+        bare = loaded_modules("")
+        added = loaded_modules("import spaltenstein.cli") - bare
+        assert "spaltenstein.cli" in added
+        stray = {
+            name for name in added
+            if name not in CLI_MODULES | CORE_MODULES and name.split(".")[0] not in PACKAGES
+        }
+        assert not stray
+        # a name the environment preloads cannot show what the CLI loads
+        assert not added & {name for name in UNUSED if name not in bare}

@@ -19,7 +19,9 @@ from spaltenstein import presentation, tableaux
 from spaltenstein.coinvariant import get_ring, invariant_rows
 from spaltenstein.presentation import (
     BasisError,
+    GeneratorFamily,
     HilbertSeries,
+    TransferReport,
     _generator_items,
     anti_invariant_transfer,
     build_quotient,
@@ -101,6 +103,81 @@ class TestGenerators:
         fam_e = generators(lam, mu, "E", 2)
         assert any(r == 0 for _, r, _ in fam_h.entries)
         assert any(r == 0 for _, r, _ in fam_e.entries)
+
+
+class TestRecords:
+    """GeneratorFamily and TransferReport behave as frozen records."""
+
+    FIELDS = {
+        GeneratorFamily: ("family", "lam", "mu", "max_degree", "entries"),
+        TransferReport: ("lam", "mu", "shift", "degrees", "anti_dims", "quotient_dims"),
+    }
+
+    def fields(self, record):
+        return [getattr(record, name) for name in self.FIELDS[type(record)]]
+
+    @staticmethod
+    def examples():
+        # the pairs of the README present and transfer examples
+        return (
+            generators(Partition([2, 0]), Composition([1, 1]), "H"),
+            anti_invariant_transfer(Partition([2, 0]), Composition([2])),
+        )
+
+    def test_equal_fields_equal_objects(self):
+        for record in self.examples():
+            twin = type(record)(*self.fields(record))
+            assert twin is not record
+            assert twin == record and hash(twin) == hash(record)
+
+    def test_field_names(self):
+        family, report = self.examples()
+        assert (family.family, family.max_degree, len(family.entries)) == ("H", 4, 4)
+        assert (report.lam, report.mu) == (Partition([2]), Composition([2]))
+        assert (report.shift, report.degrees) == (2, (0,))
+        assert report == TransferReport(
+            lam=report.lam, mu=report.mu, shift=2, degrees=(0,), anti_dims=(1,), quotient_dims=(1,)
+        )
+
+    def test_different_field_unequal(self):
+        family, report = self.examples()
+        assert family != GeneratorFamily("E", *self.fields(family)[1:])
+        assert report != TransferReport(report.lam, report.mu, 0, (0,), (1,), (1,))
+        assert report != tuple(self.fields(report))
+
+    def test_immutable(self):
+        for record in self.examples():
+            with pytest.raises(AttributeError):
+                record.lam = Partition([1, 1])
+            with pytest.raises(AttributeError):
+                record.extra = 1
+            with pytest.raises(AttributeError):
+                del record.mu
+
+    def test_repr_names_the_class(self):
+        family, report = self.examples()
+        assert repr(family).startswith("GeneratorFamily(family='H', lam=Partition([2]), ")
+        assert repr(report) == (
+            "TransferReport(lam=Partition([2]), mu=Composition([2]), shift=2, "
+            "degrees=(0,), anti_dims=(1,), quotient_dims=(1,))"
+        )
+
+    def test_to_json_unchanged(self):
+        # the bytes of the frozen-dataclass versions, key order included
+        family, report = self.examples()
+        assert json.dumps(report.to_json()) == (
+            '{"lambda": [2], "mu": [2], "shift": 2, "degrees": [0], "anti_dims": [1], '
+            '"quotient_dims": [1], "certified": true}'
+        )
+        assert json.dumps(family.to_json()) == (
+            '{"family": "H", "lambda": [2], "mu": [1, 1], "max_degree": 4, "entries": ['
+            '{"subset": [1], "r": 2, "poly": [{"coeff": "1/1", "exps": [2, 0]}]}, '
+            '{"subset": [2], "r": 2, "poly": [{"coeff": "1/1", "exps": [0, 2]}]}, '
+            '{"subset": [1, 2], "r": 1, "poly": [{"coeff": "1/1", "exps": [1, 0]}, '
+            '{"coeff": "1/1", "exps": [0, 1]}]}, '
+            '{"subset": [1, 2], "r": 2, "poly": [{"coeff": "1/1", "exps": [2, 0]}, '
+            '{"coeff": "1/1", "exps": [1, 1]}, {"coeff": "1/1", "exps": [0, 2]}]}]}'
+        )
 
 
 class TestQuotient:

@@ -77,6 +77,18 @@ class TestComponents:
                             assert S in fiber
 
 
+class TestWideInput:
+    def test_wider_than_the_recursion_limit(self):
+        # lam = mu = (1000): 1000 columns, one enumeration step each
+        lam, mu = Partition([1000]), Composition([1000])
+        T = Tableau([[1] * 1000])
+        assert betti(lam, mu) == HilbertSeries([1])
+        assert components(lam, mu) == [(T, 0, [T])]
+        padded = Composition([0, 1000])
+        assert betti(lam, padded) == HilbertSeries([1])
+        assert components(lam, padded) == [(Tableau([[2] * 1000]), 0, [Tableau([[2] * 1000])])]
+
+
 class TestPoset:
     def test_singleton_no_edges(self):
         assert poset_edges(Partition([2, 1]), Composition([2, 1])) == []

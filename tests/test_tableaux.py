@@ -190,14 +190,17 @@ class TestEnumeration:
                         assert nonempty == dominance_leq(mu_c.sorted(), lam_p)
 
     def test_count_matches_enumeration(self):
-        for d in range(6):
-            for n in range(1, d + 1):
-                for lam in partitions(d, n):
-                    for mu in compositions(d, n):
-                        lam_p, mu_c = Partition(lam), Composition(mu)
-                        assert count_column_strict(lam_p, mu_c) == len(
-                            enumerate_column_strict(lam_p, mu_c)
-                        )
+        for lam, mu in iter_pairs(6):
+            assert count_column_strict(lam, mu) == len(enumerate_column_strict(lam, mu))
+
+    def test_wider_than_the_recursion_limit(self):
+        # one column per loop step, not per stack frame
+        lam, mu = Partition([1000]), Composition([1000])
+        assert enumerate_column_strict(lam, mu) == [Tableau([[1] * 1000])]
+        assert count_column_strict(lam, mu) == 1
+        lam, mu = Partition([600, 600]), Composition([600, 600])
+        assert enumerate_column_strict(lam, mu) == [Tableau([[1] * 600, [2] * 600])]
+        assert count_column_strict(lam, mu) == 1
 
     def test_count_invariant_under_content_permutation(self):
         # enumeration is order-sensitive, so this is a real check, unlike
