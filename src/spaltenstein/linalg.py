@@ -3,8 +3,8 @@
 A row is a dict {column: non-zero entry}, the one vector format of the
 library: the rows of the presentation layer are mostly zero, so
 elimination touches only their support.  Entries are Python integers,
-except that contains and scaled_residual also take rows holding
-Fractions; scaled_residual clears their denominators on the way in.
+except that scaled_residual also takes rows holding Fractions and
+clears their denominators on the way in.
 
 Ownership rule: no function changes a row it is given, and a returned
 row may be shared (with a cache, a stored pivot row, or the argument
@@ -45,7 +45,7 @@ def _primitive(row, pivot):
 
 
 class RowSpace:
-    """A subspace of Q^width with exact rank and membership tests.
+    """A subspace of Q^width with exact rank and residuals.
 
     Canonical form: each stored row is primitive, its first non-zero
     entry sits in its pivot column and is positive, and it vanishes at
@@ -157,9 +157,6 @@ class RowSpace:
                 break
             insert(row)
         return len(pivot_rows) - before
-
-    def contains(self, row):
-        return not self.scaled_residual(row)[1]
 
     def scaled_residual(self, row):
         """The residual row - (projection onto the space), scaled to

@@ -25,7 +25,7 @@ grading degree; public interfaces use the grading degree throughout.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 from .coinvariant import _RINGS, get_ring, invariant_rows
 from .linalg import RowSpace
@@ -41,10 +41,10 @@ from .tableaux import (
     Composition,
     Partition,
     _chain,
+    _check_member,
     _degree_from_columns,
     dims,
     enumerate_column_strict,
-    reduce_tableau,
     shared,
     zero_free_key,
 )
@@ -91,9 +91,6 @@ class HilbertSeries:
             return 0
         k = degree // 2
         return self.coeffs[k] if k < len(self.coeffs) else 0
-
-    def evaluate(self, q=1):
-        return sum(c * q ** (2 * k) for k, c in enumerate(self.coeffs))
 
     def total(self):
         return sum(self.coeffs)
@@ -362,26 +359,6 @@ class GradedQuotient:
         insert."""
         return self._ideal.get(t)
 
-    def invariant_basis_rows(self, t):
-        return _invariant_data(self.ring, self.mu, t)
-
-    def dimension(self, degree):
-        return self.hilbert.coefficient(degree)
-
-    def total_dimension(self):
-        return self.hilbert.total()
-
-    def is_trivial(self):
-        return self.total_dimension() == 0
-
-    def contains_class(self, vec, t):
-        """Membership of a degree-2t class in the ideal."""
-        space = self._ideal.get(t)
-        if space is None:
-            # beyond the verified window every invariant class is in the ideal
-            return True
-        return space.contains(vec)
-
     def to_json(self):
         return {
             "lambda": self.lam.to_json(),
@@ -389,7 +366,7 @@ class GradedQuotient:
             "family": self.family,
             "hilbert": self.hilbert.to_json(),
             "top_degree": 2 * self.top_x,
-            "total_dimension": self.total_dimension(),
+            "total_dimension": self.hilbert.total(),
         }
 
 
@@ -399,15 +376,30 @@ def build_quotient(lam, mu, family="H"):
 
 def h_of_tableau(T, mu):
     """The basis element attached to a column-strict tableau, as an honest
-    polynomial: the product over the reduction chain of the complete
-    symmetric functions h_{gamma_i} of the current last block."""
+    polynomial: the product over the reduction chain of T (tableaux._chain)
+    of the complete symmetric functions h_{gamma_i} of each level's block.
+    As in _h_class_chain, at level n each position c_i > i gives the factor
+    h_{c_i - i}(X_n), since gamma_{k+1-i} = c_i - i."""
     out = Polynomial.one(mu.size())
-    current, current_mu = T, mu
-    for level in range(len(mu), 0, -1):
-        gamma, current, _, current_mu = reduce_tableau(current, current_mu)
-        for part in gamma.parts:
-            out = out * complete_block(mu, (level,), part)
+    chain = _chain(_check_member(T, mu), mu.parts)
+    for n, level in zip(range(len(mu), 0, -1), chain):
+        for i, c in enumerate(level, start=1):
+            if c > i:
+                out = out * complete_block(mu, (n,), c - i)
     return out
+
+
+def _h_term_count(T, mu):
+    """The number of terms of h_of_tableau(T, mu), T valid, without the
+    expansion: the factors of level n are complete symmetric functions of
+    the mu_n variables of block n, of total degree |gamma_n|, so their
+    product has every monomial of that degree, C(|gamma_n| + mu_n - 1,
+    mu_n - 1) of them, and no two blocks share a variable."""
+    count = 1
+    for k, level in zip(reversed(mu.parts), _chain(T.columns(), mu.parts)):
+        if k:
+            count *= comb(sum(level) - k * (k + 1) // 2 + k - 1, k - 1)
+    return count
 
 
 def _h_class_chain(ring, T, mu, memo):
@@ -441,9 +433,9 @@ class BasisCertificate:
 
     lam and mu are the pair of the tableaux, which the quotient may share
     only its zero-free key with.  tableaux are listed in reading-word
-    order; for each x-degree the augmented row space stores the ideal rows
-    together with the tagged basis classes, which turns coordinate
-    extraction into row reduction.
+    order; for each x-degree with tableaux the augmented row space stores
+    the ideal rows together with the tagged basis classes, which turns
+    coordinate extraction into row reduction.
     """
 
     def __init__(self, quotient, lam, mu, tableaux, degrees, classes, coordinate_spaces):
@@ -459,16 +451,13 @@ class BasisCertificate:
         return len(self.tableaux)
 
     def coordinates_of_class(self, vec, t):
-        """Coordinates of a degree-2t invariant class in the basis."""
-        data = self._spaces.get(t)
-        if data is None:
-            if self.quotient.contains_class(vec, t):
-                return {}
-            raise BasisError(
-                "class outside the certified span",
-                witness={"degree": 2 * t},
-            )
-        space, indices = data
+        """Coordinates of a degree-2t invariant class in the basis.  A degree
+        without tableaux reads the ideal space alone, with no tag columns;
+        above stop_x there is none, and every invariant class lies in the
+        ideal, since the quotient is verified to vanish there."""
+        space, indices = self._spaces.get(t) or (self.quotient.ideal_space(t), ())
+        if space is None:
+            return {}
         width = space.width - len(indices)
         scale, res = space.scaled_residual(vec)
         if any(k < width for k in res):
@@ -571,7 +560,7 @@ def _certificate_data(lam, mu, quotient, tableaux):
         by_degree.setdefault(t, []).append(idx)
     for t in range(max(quotient.top_x, -1) + 1):
         count = len(by_degree.get(t, []))
-        if count != quotient.dimension(2 * t):
+        if count != quotient.hilbert.coefficient(2 * t):
             raise BasisError(
                 "tableau count does not match quotient dimension",
                 witness={
@@ -579,7 +568,7 @@ def _certificate_data(lam, mu, quotient, tableaux):
                     "mu": mu.to_json(),
                     "degree": 2 * t,
                     "tableaux": count,
-                    "dimension": quotient.dimension(2 * t),
+                    "dimension": quotient.hilbert.coefficient(2 * t),
                 },
             )
     spaces = {}
@@ -673,7 +662,7 @@ def _tensor_data(certificate):
     for i in range(len(classes)):
         for j in range(i, len(classes)):
             # above top_x no tableau has degree t, so coordinates_of_class
-            # falls back to ideal membership and raises on an escape
+            # reads the bare ideal space and raises on an escape
             product = ring.mul_classes(classes[i], degrees[i], classes[j], degrees[j])
             entries.append(certificate.coordinates_of_class(product, degrees[i] + degrees[j]))
     denom = lcm(*(c.denominator for entry in entries for c in entry.values()))
@@ -841,7 +830,7 @@ def _transfer_data(lam, mu, quotient):
         e = t + d_mu
         # (b) anti-invariant dimension of the regular quotient in degree 2e
         a_dim = _residual_rank(reg.ideal_space(e), _invariant_data(ring, mu, e, -1))
-        q_dim = quotient.dimension(2 * t)
+        q_dim = quotient.hilbert.coefficient(2 * t)
         degrees.append(2 * t)
         anti_dims.append(a_dim)
         quotient_dims.append(q_dim)
@@ -883,11 +872,11 @@ def _transfer_kernel_matches(ring, quotient, reg, eps_vec, d_mu, t):
     ideal = quotient.ideal_space(t)
     width = ring.dim(t + d_mu)
     phi, both = [], []
-    for row in quotient.invariant_basis_rows(t):
+    for row in _invariant_data(ring, quotient.mu, t):
         prod = ring.mul_classes(row, t, eps_vec, d_mu)
         phi_i = target.scaled_residual(prod)[1] if target is not None else {}
         psi_i = ideal.scaled_residual(row)[1]
         phi.append(phi_i)
         both.append({**phi_i, **{width + k: w for k, w in psi_i.items()}})
     rank_phi = RowSpace(width).extend(phi)
-    return rank_phi == quotient.dimension(2 * t) == RowSpace(width + ring.dim(t)).extend(both)
+    return rank_phi == quotient.hilbert.coefficient(2 * t) == RowSpace(width + ring.dim(t)).extend(both)

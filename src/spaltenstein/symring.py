@@ -133,17 +133,6 @@ class Polynomial:
             return -1
         return 2 * max(sum(e) for e in self.terms)
 
-    def is_homogeneous(self):
-        degrees = {sum(e) for e in self.terms}
-        return len(degrees) <= 1
-
-    def homogeneous_components(self):
-        """Map from grading degree to homogeneous part."""
-        buckets = {}
-        for exps, c in self.terms.items():
-            buckets.setdefault(2 * sum(exps), {})[exps] = c
-        return {deg: Polynomial(self.d, t) for deg, t in sorted(buckets.items())}
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda item: term_sort_key(item[0]))
 

@@ -6,9 +6,10 @@ is column-strict if entries strictly increase down each column, and
 semi-standard if rows additionally increase weakly left to right.  The
 content of a tableau is the vector counting occurrences of each entry.
 
-The degree statistic, straightening and the cell order all read one
-recursion, the reduction chain (_chain): strip the largest label n,
-record the columns it fills as gamma, recurse on the reduced tableau.
+The degree statistic, straightening, the cell order and the basis
+polynomials of presentation all read one recursion, the reduction chain
+(_chain): strip the largest label n, record the columns it fills as
+gamma, recurse on the reduced tableau.
 
 Every object here is an immutable value; all operations are pure
 functions, so everything is safe to share between threads.  The one
@@ -82,10 +83,6 @@ class Partition:
         if len(self.parts) > n:
             raise ValueError(f"partition {self.parts} has more than {n} parts")
         return self.parts + (0,) * (n - len(self.parts))
-
-    def contains(self, other):
-        """Containment of Young diagrams: other_i <= self_i for all i."""
-        return all(other.part(i) <= self.part(i) for i in range(1, len(other) + 1))
 
     def to_json(self):
         return list(self.parts)

@@ -5,7 +5,9 @@ import pytest
 from spaltenstein.presentation import build_quotient, certify_basis, rel_equivalence
 from spaltenstein.reports import components
 from spaltenstein.tableaux import (
-    cell_order,
+    _cell_leq,
+    _chain,
+    _check_member,
     dims,
     dominance_leq,
     enumerate_semistandard,
@@ -42,8 +44,8 @@ def sweep_d6():
             "cols": cert.size(),
             "degrees": tuple(cert.degrees),
             "top": d_lam - d_mu,
-            "vanish_above_top": qh.dimension(2 * (d_lam - d_mu) + 2) == 0
-            and qe.dimension(2 * (d_lam - d_mu) + 2) == 0,
+            "vanish_above_top": qh.hilbert.coefficient(2 * (d_lam - d_mu) + 2) == 0
+            and qe.hilbert.coefficient(2 * (d_lam - d_mu) + 2) == 0,
             "equivalent": equivalent,
             "std": len(enumerate_semistandard(lam, mu)),
         }
@@ -55,8 +57,12 @@ def sweep_d6():
                 total += len(fiber)
                 if dim != d_lam - d_mu:
                     fibers_ok = False
+                # cell_order(T, S, mu) == "less" for T != S, with S and each
+                # T validated and chained once instead of once per pair
+                chain_s = _chain(_check_member(S, mu), mu.parts)
                 for T in fiber:
-                    if T != S and cell_order(T, S, mu) != "less":
+                    chain_t = _chain(_check_member(T, mu), mu.parts)
+                    if T != S and not (T.shape == S.shape and _cell_leq(chain_t, chain_s)):
                         fibers_ok = False
             if total != record["cols"]:
                 fibers_ok = False

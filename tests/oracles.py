@@ -6,7 +6,7 @@ from math import factorial, lcm, prod
 
 from spaltenstein.linalg import RowSpace
 from spaltenstein.presentation import _generator_items
-from spaltenstein.symring import BlockStructure, Polynomial
+from spaltenstein.symring import BlockStructure, Polynomial, complete_block
 from spaltenstein.tableaux import Tableau, _reduce_columns, reduce_tableau, transpose
 
 
@@ -167,7 +167,20 @@ def cell_leq_by_reduction(T, Tp, mu, reduce=reduce_tableau):
     gammap, Tbarp, _, _ = reduce(Tp, mu)
     if gamma == gammap:
         return cell_leq_by_reduction(Tbar, Tbarp, mubar, reduce)
-    return gammap.contains(gamma)
+    return all(g <= gammap.part(i) for i, g in enumerate(gamma.parts, start=1))
+
+
+def h_by_reduction(T, mu):
+    """Oracle for presentation.h_of_tableau: one validated reduce_tableau
+    step per level, from len(mu) down, multiplying by h_part of that
+    level's block for each part of the step's gamma."""
+    out = Polynomial.one(mu.size())
+    current, current_mu = T, mu
+    for level in range(len(mu), 0, -1):
+        gamma, current, _, current_mu = reduce_tableau(current, current_mu)
+        for part in gamma.parts:
+            out = out * complete_block(mu, (level,), part)
+    return out
 
 
 def column_strict_by_search(lam, mu):
@@ -194,3 +207,113 @@ def column_strict_by_search(lam, mu):
 
     fill(0, [])
     return sorted(found, key=Tableau.reading_word)
+
+
+def _horizontal_strips(inner, outer, size):
+    """The partitions inside outer, as tuples of len(outer) parts, that
+    grow inner by a horizontal strip of size boxes: row i grows to at most
+    row i - 1 of inner, so no two new boxes share a column."""
+
+    def grow(i, left):
+        if i == len(inner):
+            if left == 0:
+                yield ()
+            return
+        cap = outer[i] if i == 0 else min(outer[i], inner[i - 1])
+        for n in range(inner[i], min(cap, inner[i] + left) + 1):
+            for rest in grow(i + 1, left - (n - inner[i])):
+                yield (n,) + rest
+
+    return grow(0, size)
+
+
+def semistandard_by_strips(shape, content):
+    """The semistandard tableaux of a shape and a content (tuples of
+    parts), as lists of rows: label i fills a horizontal strip of
+    content[i - 1] boxes.  Independent of the library's enumeration."""
+    found = []
+
+    def fill(label, current, rows):
+        if label > len(content):
+            if current == tuple(shape):
+                found.append(rows)
+            return
+        for nxt in _horizontal_strips(current, shape, content[label - 1]):
+            fill(label + 1, nxt, [row + [label] * (n - c) for row, c, n in zip(rows, current, nxt)])
+
+    fill(1, (0,) * len(shape), [[] for _ in shape])
+    return found
+
+
+def charge(word):
+    """Lascoux-Schutzenberger charge of a word whose content is a partition:
+    the sum of the charges of its standard subwords.  A subword is read
+    leftwards from the right end, cyclically: the rightmost 1 remaining,
+    then the first 2 to its left, wrapping to the right end if there is
+    none, and so on; the letter r + 1 has the index of r, plus one when
+    the search for it wrapped, and 1 has index 0."""
+    left = list(enumerate(word))
+    total = 0
+    while left:
+        top = max(v for _, v in left)
+        pos, index, picked = len(word), 0, []
+        for r in range(1, top + 1):
+            before = [p for p, v in left if v == r and p < pos]
+            if before:
+                pos = max(before)
+            else:
+                pos = max(p for p, v in left if v == r)
+                index += 1
+            total += index
+            picked.append(pos)
+        left = [(p, v) for p, v in left if p not in picked]
+    return total
+
+
+def _partitions(d):
+    if d == 0:
+        return [()]
+    out = []
+
+    def gen(left, cap, parts):
+        if left == 0:
+            out.append(tuple(parts))
+        for p in range(min(left, cap), 0, -1):
+            gen(left - p, p, parts + [p])
+
+    gen(d, d, [])
+    return out
+
+
+def _conjugate(parts):
+    return tuple(sum(1 for p in parts if p > j) for j in range(parts[0])) if parts else ()
+
+
+def hilbert_by_charge(lam, mu, springer_shape=_conjugate):
+    """Oracle for the Hilbert series of the quotient of (lam, mu), from
+    charge alone, as {x-degree: coefficient}:
+
+      q^(-sum C(mu_i, 2)) sum_rho K_{rho^T, mu+} q^(n(nu)) K_{rho, nu}(1/q),
+
+    nu = lam^T, mu+ the non-zero parts of mu sorted, n(nu) = sum (i - 1)
+    nu_i, K_{rho, nu}(q) the sum of q^charge over the semistandard
+    tableaux of shape rho and content nu, their reading word taken row by
+    row from the bottom row to the top, and K_{rho^T, mu+} a count of
+    semistandard tableaux (Lascoux-Schutzenberger, Hotta-Springer,
+    Garsia-Procesi, Borho-MacPherson).  The shape of the Kostka number is
+    springer_shape(rho), so that a test can try the wrong convention."""
+    d = sum(lam.parts)
+    nu = _conjugate(lam.parts)
+    mu_plus = tuple(sorted((p for p in mu.parts if p), reverse=True))
+    n_nu = sum(i * p for i, p in enumerate(nu))
+    shift = sum(p * (p - 1) // 2 for p in mu.parts)
+    out = {}
+    for rho in _partitions(d):
+        kostka = len(semistandard_by_strips(springer_shape(rho), mu_plus))
+        if not kostka:
+            continue
+        for rows in semistandard_by_strips(rho, nu):
+            word = [v for row in reversed(rows) for v in row]
+            k = n_nu - charge(word) - shift
+            out[k] = out.get(k, 0) + kostka
+    return out

@@ -10,7 +10,13 @@ import spaltenstein.cli as cli
 import spaltenstein.coinvariant as coinvariant
 import spaltenstein.presentation as presentation
 from spaltenstein.cli import main
-from spaltenstein.presentation import HilbertSeries
+from spaltenstein.presentation import HilbertSeries, h_of_tableau
+from spaltenstein.tableaux import (
+    Composition,
+    Partition,
+    count_column_strict,
+    enumerate_column_strict,
+)
 
 
 def run_cli(argv):
@@ -191,6 +197,62 @@ class TestUsageErrors:
         )
         assert code == 0
         assert 12 not in coinvariant._RINGS
+
+
+class TestWorkCap:
+    LAM, MU = Partition([3, 2]), Composition([2, 2, 1])
+
+    def work(self, command, fmt):
+        count = count_column_strict(self.LAM, self.MU)
+        if command == "components" and fmt == "dot":
+            return count * count
+        if command == "basis":
+            return sum(len(h_of_tableau(T, self.MU).terms)
+                       for T in enumerate_column_strict(self.LAM, self.MU))
+        return count
+
+    @pytest.mark.parametrize("command, fmt", [
+        ("enumerate", "json"), ("enumerate", "table"), ("enumerate", "semistandard"),
+        ("components", "json"), ("components", "table"), ("components", "dot"),
+        ("basis", "json"), ("basis", "table"),
+    ])
+    def test_exit_0_at_the_cap_and_2_above(self, command, fmt, monkeypatch, capsys):
+        argv = [command, "--lambda", "3,2", "--mu", "2,2,1"]
+        argv += ["--semistandard"] if fmt == "semistandard" else ["--format", fmt]
+        work = self.work(command, fmt)
+        monkeypatch.setattr(cli, "MAX_WORK", work)
+        code, text = run_cli(argv)
+        assert code == 0 and text
+        monkeypatch.setattr(cli, "MAX_WORK", work - 1)
+        out = io.StringIO()
+        with pytest.raises(SystemExit) as info:
+            main(argv, out=out)
+        assert info.value.code == 2
+        assert out.getvalue() == ""
+        err = capsys.readouterr().err
+        assert f"{work} " in err and "Traceback" not in err
+
+    def test_basis_checks_the_count_first(self, monkeypatch, capsys):
+        count = count_column_strict(self.LAM, self.MU)
+        monkeypatch.setattr(cli, "MAX_WORK", count - 1)
+        with pytest.raises(SystemExit) as info:
+            main(["basis", "--lambda", "3,2", "--mu", "2,2,1"], out=io.StringIO())
+        assert info.value.code == 2
+        assert f"{count} fillings" in capsys.readouterr().err
+
+    def test_huge_enumeration_refused_by_count(self, capsys):
+        # 137,846,528,820 fillings; the count takes milliseconds
+        with pytest.raises(SystemExit) as info:
+            main(["enumerate", "--lambda", "40", "--mu", "20,20"], out=io.StringIO())
+        assert info.value.code == 2
+        assert "137846528820 fillings" in capsys.readouterr().err
+
+    def test_term_count_refuses_a_small_count(self, capsys):
+        # 1,860 fillings, under the cap, but 2,227,530 polynomial terms
+        with pytest.raises(SystemExit) as info:
+            main(["basis", "--lambda", "6,6", "--mu", "3,3,3,3"], out=io.StringIO())
+        assert info.value.code == 2
+        assert "2227530 polynomial terms" in capsys.readouterr().err
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

@@ -9,6 +9,7 @@ import pytest
 from oracles import (
     anti_invariant_dim_by_equations,
     dense,
+    h_by_reduction,
     ideal_by_insertion,
     kernel_basis,
     scaled_int_row,
@@ -61,13 +62,12 @@ class TestHilbertSeries:
     def test_trailing_zeros_stripped(self):
         assert HilbertSeries([1, 2, 0]) == HilbertSeries([1, 2])
 
-    def test_coefficient_and_evaluate(self):
+    def test_coefficient_and_total(self):
         h = HilbertSeries([1, 2, 1])
         assert h.coefficient(0) == 1
         assert h.coefficient(2) == 2
         assert h.coefficient(3) == 0
         assert h.coefficient(8) == 0
-        assert h.evaluate(1) == 4
         assert h.total() == 4
         assert h.top_degree() == 4
 
@@ -188,7 +188,8 @@ class TestQuotient:
     def test_projective_line(self):
         q = build_quotient(Partition([2, 0]), Composition([1, 1]))
         assert q.hilbert == HilbertSeries([1, 1])
-        assert q.total_dimension() == 2
+        assert q.hilbert.total() == 2
+        assert q.to_json()["total_dimension"] == 2
 
     def test_two_cell_springer_fiber(self):
         q = build_quotient(Partition([2, 1]), Composition([1, 1, 1]))
@@ -197,14 +198,14 @@ class TestQuotient:
     def test_not_dominated_gives_zero(self):
         q = build_quotient(Partition([1, 1]), Composition([2, 0]))
         assert q.hilbert == HilbertSeries([])
-        assert q.is_trivial()
+        assert q.hilbert.total() == 0
 
     def test_dimension_vanishes_beyond_top(self):
         q = build_quotient(Partition([3, 1]), Composition([1, 1, 1, 1]))
         top = 2 * q.top_x
-        assert q.dimension(top + 2) == 0
-        assert q.dimension(top + 4) == 0
-        assert q.dimension(1) == 0
+        assert q.hilbert.coefficient(top + 2) == 0
+        assert q.hilbert.coefficient(top + 4) == 0
+        assert q.hilbert.coefficient(1) == 0
 
     def test_total_matches_tableau_count(self):
         for d in range(5):
@@ -213,7 +214,7 @@ class TestQuotient:
                     for mu in compositions(d, n):
                         lam_p, mu_c = Partition(lam), Composition(mu)
                         q = build_quotient(lam_p, mu_c)
-                        assert q.total_dimension() == len(
+                        assert q.hilbert.total() == len(
                             enumerate_column_strict(lam_p, mu_c)
                         )
 
@@ -241,6 +242,25 @@ class TestTableauBasis:
         polys = sorted(str(h_of_tableau(T, mu)) for T in tabs)
         assert polys == ["1", "x2"]
 
+    def test_chain_product_matches_reduction_oracle_d5(self):
+        # h_of_tableau reads the chain once; the oracle multiplies the gammas
+        # of validated reduce_tableau steps; _h_term_count counts the terms
+        # without expanding the product
+        tableaux = 0
+        for lam, mu in iter_pairs(5):
+            for T in enumerate_column_strict(lam, mu):
+                p = h_of_tableau(T, mu)
+                assert p == h_by_reduction(T, mu)
+                assert len(p.terms) == presentation._h_term_count(T, mu)
+                tableaux += 1
+        assert tableaux == 7904
+
+    def test_invalid_tableau_rejected(self):
+        with pytest.raises(ValueError):
+            h_of_tableau(Tableau([[1], [1]]), Composition([2]))
+        with pytest.raises(ValueError):
+            h_of_tableau(Tableau([[1, 2]]), Composition([2, 0]))
+
     def test_certify_small(self):
         cert = certify_basis(Partition([2, 0]), Composition([1, 1]))
         assert cert.size() == 2
@@ -253,8 +273,7 @@ class TestTableauBasis:
     def test_homogeneity(self):
         for T in enumerate_column_strict(ANEX_LAM, ANEX_MU)[:20]:
             p = h_of_tableau(T, ANEX_MU)
-            assert p.is_homogeneous()
-            assert p.degree() == 2 * tableau_degree(T, ANEX_MU)
+            assert {2 * sum(e) for e in p.terms} == {2 * tableau_degree(T, ANEX_MU)}
 
 
 def dominated_pairs(d_max):
@@ -370,6 +389,41 @@ class TestEscapeWitness:
                     escapes += 1
         assert escapes == 1016
 
+    def test_degrees_without_tableaux(self):
+        # such a degree reads the bare ideal space: a class in the ideal has
+        # no coordinates, one outside it escapes with the residual witness
+        # of a certified degree; above stop_x every class lies in the ideal
+        inside = escapes = 0
+        for lam, mu in iter_pairs(4):
+            cert = certify_basis(lam, mu)
+            ring, stop_x = cert.quotient.ring, cert.quotient.stop_x
+            for t in range(stop_x + 2):
+                if t in cert.degrees:
+                    continue
+                width = ring.dim(t)
+                probes = [[int(k == pos) for k in range(width)] for pos in range(width)]
+                probes.append([Fraction(k + 1, 3) for k in range(width)])
+                if t > stop_x:
+                    assert all(cert.coordinates_of_class(sparse(vec), t) == {} for vec in probes)
+                    continue
+                ideal = cert.quotient.ideal_space(t)
+                probes += [dense(row, width) for row in ideal.pivot_rows.values()]
+                reduced = augmented_oracle(cert, t)[0]
+                for vec in probes:
+                    res = fraction_residual(reduced, vec)
+                    if not any(res):
+                        assert cert.coordinates_of_class(sparse(vec), t) == {}
+                        inside += 1
+                        continue
+                    with pytest.raises(BasisError) as err:
+                        cert.coordinates_of_class(sparse(vec), t)
+                    assert err.value.witness == {
+                        "degree": 2 * t,
+                        "residual": [str(v) for v in res],
+                    }
+                    escapes += 1
+        assert (inside, escapes) == (3847, 1180)
+
 
 class TestStructureConstants:
     def test_unit_acts_as_identity(self):
@@ -484,7 +538,7 @@ class TestDependencyWitness:
                 combo[str(first.to_json())] * v + combo[str(second.to_json())] * 2 * v
                 for v in base
             ]
-            assert q.contains_class(sparse(total), t)
+            assert not q.ideal_space(t).scaled_residual(sparse(total))[1]
             pairs += 1
         assert pairs == 56
 
@@ -501,7 +555,7 @@ class TestLastVariableSkip:
                 for t in range(1, q.stop_x + 1):
                     space = q.ideal_space(t)
                     for row in q.ideal_space(t - 1).pivot_rows.values():
-                        assert space.contains(q.ring.apply_var(row, d, t - 1))
+                        assert not space.scaled_residual(q.ring.apply_var(row, d, t - 1))[1]
             pairs += 1
         assert pairs == 1641
 
@@ -514,10 +568,12 @@ class TestQuotientDimension:
         for lam, mu in iter_pairs(5):
             for family in ("H", "E"):
                 q = build_quotient(lam, mu, family)
+                transpositions = BlockStructure(mu).transpositions()
                 for t in range(q.stop_x + 1):
                     probe = q.ideal_space(t).copy()
-                    gains = sum(1 for row in q.invariant_basis_rows(t) if probe.insert(row))
-                    assert q.dimension(2 * t) == gains
+                    rows = invariant_rows(q.ring, transpositions, t)
+                    gains = sum(1 for row in rows if probe.insert(row))
+                    assert q.hilbert.coefficient(2 * t) == gains
             pairs += 1
         assert pairs == 1641
 
@@ -590,7 +646,7 @@ def membership_equivalence(qh, qe):
     for source, target, kind in ((qh, qe, "h"), (qe, qh, "e")):
         for subset, r in _generator_items(source.lam, source.mu, source.family, source.stop_x):
             row = ring.sym_classes(source.blocks.union(subset), r, kind)[r]
-            if row and not target.contains_class(row, r):
+            if row and target.ideal_space(r).scaled_residual(row)[1]:
                 return False
     return True
 
@@ -678,7 +734,8 @@ def kernel_match_oracle(q, reg, eps, e, t):
     Fraction Gauss-Jordan and kernel_basis and compared as spans of dense
     classes.  Where reg has no ideal space, its quotient is zero."""
     ring, width = q.ring, q.ring.dim(t)
-    inv = [dense(row, width) for row in q.invariant_basis_rows(t)]
+    inv = [dense(row, width)
+           for row in invariant_rows(ring, BlockStructure(q.mu).transpositions(), t)]
 
     def null_span(images, space, image_width):
         rows = [dense(row, image_width) for row in space.pivot_rows.values()] if space else []
@@ -756,7 +813,7 @@ class TestTransfer:
         assert report.shift == 0
         q = regular_quotient(lam, 3)
         for degree, a, b in zip(report.degrees, report.anti_dims, report.quotient_dims):
-            assert a == b == q.dimension(degree)
+            assert a == b == q.hilbert.coefficient(degree)
 
     def test_point_pair(self):
         report = anti_invariant_transfer(Partition([2, 1]), Composition([2, 1]))

@@ -1,8 +1,8 @@
 import pytest
-from oracles import column_strict_by_search
+from oracles import column_strict_by_search, hilbert_by_charge
 
 from spaltenstein import tableaux
-from spaltenstein.presentation import HilbertSeries, clear_caches
+from spaltenstein.presentation import HilbertSeries, build_quotient, clear_caches
 from spaltenstein.reports import (
     betti,
     components,
@@ -15,6 +15,7 @@ from spaltenstein.tableaux import (
     Tableau,
     compositions,
     dims,
+    dominance_leq,
     enumerate_column_strict,
     enumerate_semistandard,
     iter_pairs,
@@ -43,9 +44,40 @@ class TestBetti:
                 for lam in partitions(d, n):
                     for mu in compositions(d, n):
                         lam_p, mu_c = Partition(lam), Composition(mu)
-                        assert betti(lam_p, mu_c).evaluate(1) == len(
+                        assert betti(lam_p, mu_c).total() == len(
                             enumerate_column_strict(lam_p, mu_c)
                         )
+
+
+def zero_free_dominated_keys(d_max):
+    return [(lam, mu) for lam, mu in iter_pairs(d_max)
+            if 0 not in mu.parts and dominance_leq(mu.sorted(), lam)]
+
+
+def as_degrees(series):
+    return {k: c for k, c in enumerate(series.coeffs) if c}
+
+
+class TestChargeOracle:
+    def test_every_key_d6_matches_betti_and_quotient(self):
+        # the charge formula uses neither the tableau degree nor linear
+        # algebra, and it sees mu only through its sorted non-zero parts
+        keys = zero_free_dominated_keys(6)
+        for lam, mu in keys:
+            expected = hilbert_by_charge(lam, mu)
+            assert as_degrees(betti(lam, mu)) == expected
+            assert as_degrees(build_quotient(lam, mu).hilbert) == expected
+        assert len(keys) == 320
+
+    def test_wrong_kostka_convention_fails_d4(self):
+        # K_{rho, mu+} in place of K_{rho^T, mu+} gives negative x-degrees
+        keys = zero_free_dominated_keys(4)
+        wrong = [(lam, mu) for lam, mu in keys
+                 if hilbert_by_charge(lam, mu, springer_shape=lambda rho: rho)
+                 != as_degrees(betti(lam, mu))]
+        assert (len(keys), len(wrong)) == (38, 26)
+        assert all(min(hilbert_by_charge(lam, mu, springer_shape=lambda rho: rho)) < 0
+                   for lam, mu in wrong)
 
 
 class TestComponents:

@@ -94,12 +94,6 @@ class TestPolynomial:
         assert p.degree() == 2
         assert (p * p).degree() == 4
 
-    def test_components(self):
-        p = Polynomial(2, {(1, 0): 1, (1, 1): 2, (0, 2): 3})
-        comps = p.homogeneous_components()
-        assert sorted(comps) == [2, 4]
-        assert comps[4].terms == {(1, 1): Fraction(2), (0, 2): Fraction(3)}
-
     def test_json_round_trip_and_order(self):
         p = Polynomial(2, {(0, 2): Fraction(1, 3), (2, 0): 2, (1, 0): -1})
         data = p.to_json()
