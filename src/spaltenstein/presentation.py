@@ -15,17 +15,24 @@ multiplication by single variables.  Degrees above twice
 (d_lam - d_mu) are verified to vanish on a window wide enough to force
 vanishing in all higher degrees, instead of being assumed.
 
-Every isotypic count is one probe, _residual_rank: the rank of the
-scaled residuals of a cached basis against an ideal.  It gives the
-quotient dimensions, the anti-invariant dimensions of the regular
-quotient and the kernel check of the transfer.
+The quotient dimensions are read off the ideal ranks: the coinvariant
+algebra is free over its S_mu-invariants, with Hilbert series
+P_mu(q) = prod_j [mu_j]_q!, so each dimension is dim C_t - rank I_t
+less the lower dimensions weighted by P_mu (Hilbert lemma in
+GradedQuotient._build).  The one isotypic probe, _residual_rank (the
+rank of the scaled residuals of a cached basis against an ideal),
+serves the transfer only: it gives the anti-invariant dimensions of the
+regular quotient and the kernel check, whose invariant-row rank is
+compared with the divided quotient dimension.
 
 All computations are exact.  The x-degree of a polynomial is half its
 grading degree; public interfaces use the grading degree throughout.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb, lcm
+from operator import mul
 
 from .coinvariant import _RINGS, get_ring, invariant_rows
 from .linalg import RowSpace
@@ -122,14 +129,6 @@ def _validate_pair(lam, mu):
     return n, mu.size()
 
 
-def _subsets(n):
-    out = []
-    for mask in range(1, 1 << n):
-        out.append(tuple(i + 1 for i in range(n) if mask >> i & 1))
-    out.sort(key=lambda s: (len(s), s))
-    return out
-
-
 def generator_bound(lam, mu, family, subset):
     """Strict lower bound on r for the (subset, r) members of the family."""
     m = len(subset)
@@ -217,19 +216,44 @@ def generators(lam, mu, family="H", max_degree=None):
     return GeneratorFamily(family, lam, mu, max_degree, entries)
 
 
-def _generator_items(lam, mu, family, max_xdeg):
+def _generator_items(lam, mu, family, max_xdeg, indices=None):
+    """The (subset, r) of the family members of x-degree at most max_xdeg,
+    over the non-empty subsets of indices (default: every index of mu),
+    ordered by subset size, then subset, then r."""
+    if indices is None:
+        indices = range(1, len(mu) + 1)
     items = []
-    for subset in _subsets(len(mu)):
-        bound = generator_bound(lam, mu, family, subset)
-        for r in range(max(0, bound + 1), max_xdeg + 1):
-            items.append((subset, r))
+    for size in range(1, len(indices) + 1):
+        for subset in combinations(indices, size):
+            bound = generator_bound(lam, mu, family, subset)
+            for r in range(max(0, bound + 1), max_xdeg + 1):
+                items.append((subset, r))
     return items
+
+
+def _poincare(parts):
+    """Coefficients of P_mu(q) = prod_j [mu_j]_q!, where [m]_q! = prod over
+    i = 1..m of 1 + q + ... + q^(i-1): the Hilbert series of Q[x] as a
+    free Q[x]^{S_mu}-module (Chevalley).  A zero part gives the factor 1,
+    and the degree is d_mu."""
+    coeffs = [1]
+    for m in parts:
+        for i in range(2, m + 1):
+            out = [0] * (len(coeffs) + i - 1)
+            for k, c in enumerate(coeffs):
+                for j in range(k, k + i):
+                    out[j] += c
+            coeffs = out
+    return coeffs
 
 
 _INV_CACHE = {}
 
 
 def _invariant_data(ring, mu, t, sign=1):
+    """The invariant (sign 1) or anti-invariant (sign -1) rows of degree t,
+    cached in _INV_CACHE for the transfer, their one reader; the build
+    reads no invariant rows."""
     # the (anti-)invariant subspace depends on mu only through the
     # generated subgroup, so key the cache by the transposition set
     transpositions = tuple(BlockStructure(mu).transpositions())
@@ -243,7 +267,10 @@ def _invariant_data(ring, mu, t, sign=1):
 
 def _residual_rank(space, rows):
     """Rank of the images of rows in the quotient by space, 0 where space
-    is None (a degree where the quotient is proven zero).
+    is None (a degree where the quotient is proven zero).  The transfer
+    reads the anti-invariant dimensions of the regular quotient with it;
+    the quotient dimensions come from the Poincare division instead
+    (Hilbert lemma in GradedQuotient._build).
 
     The scaled residual is linear on integer rows, with one scale L for
     the whole space, and its kernel is the space; so the rank of the
@@ -273,18 +300,21 @@ class GradedQuotient:
     and the zero-free key (lam, non-zero parts of mu in order).  Zero-block
     lemma: let mu' be mu with its zero parts deleted.
       - A zero block adds no variables, so every block union, the
-        transpositions() of the blocks (hence the invariant rows), d_mu,
-        max_alg and stop_x agree for all pairs of one key.
+        transpositions() of the blocks, d_mu, max_alg, stop_x and the
+        Poincare polynomial P_mu agree for all pairs of one key.
       - Adding zero blocks to a subset raises the H bound (lam gains
         parts, the mu sum does not change) or leaves it unchanged, and
         leaves the E bound unchanged (the non-zero parts outside the
-        subset and the tail of lam are the same).  So the (variables, r)
-        generators agree up to zero vectors h_r(), e_r() with r > 0.  A
-        subset of zero blocks only also gives the unit e_0() exactly when
-        lam has more parts than mu'; then every pair of the key has a
-        zero part and that unit.  Equal generator sets span equal
-        ideals, and RowSpace is canonical, so the pivot_rows of each
-        degree agree, and so do the quotient dimensions.
+        subset and the tail of lam are the same).  So the subsets of the
+        non-zero blocks alone give every (variables, r) generator but the
+        zero-only ones: h_r(), e_r() with r > 0, which are zero vectors,
+        and the unit e_0(), given by a subset of zero blocks only exactly
+        when lam has more parts than mu'; then every pair of the key has
+        a zero part and that unit.  _build reads the subsets of the
+        non-zero blocks and adds that unit, so every pair of the key has
+        one generator set; equal generator sets span equal ideals, and
+        RowSpace is canonical, so the pivot_rows of each degree agree,
+        and so do the quotient dimensions.
     """
 
     def __init__(self, lam, mu, family):
@@ -303,8 +333,9 @@ class GradedQuotient:
     def _build(self):
         """The core (stop_x, ideal spaces by x-degree, Hilbert series) of
         this pair.  Generators are collected per degree as a set of block
-        unions, keyed by (variables, r): inserting one vector twice cannot
-        change a span, and zero blocks repeat unions.
+        unions, keyed by (variables, r), over the subsets of the non-zero
+        blocks (zero-block lemma): inserting one vector twice cannot
+        change a span.
 
         Degree t is spanned by its generators and x_v * I_{t-1} for
         v < d only.  Last-variable lemma: e_1 = 0 in the coinvariant
@@ -315,30 +346,73 @@ class GradedQuotient:
         pivot rows of I_{t-1} by x_1..x_{d-1} into one batch and extends
         an empty space by it: by the order lemma of RowSpace the batch
         order cannot change the canonical basis, and extend's order
-        leaves little back-substitution.  The quotient dimension is the
-        residual rank of the S_mu-invariant rows (_residual_rank): the
-        generators are S_mu-invariant, so the ideal is S_mu-stable and
-        the isotypic lemma applies."""
+        leaves little back-substitution.
+
+        Full-degree lemma: C is generated by x_1..x_{d-1} (x_d is minus
+        their sum), so C_t = sum_{v<d} x_v C_{t-1} for 1 <= t <= top.
+        Hence I_{t-1} = C_{t-1} gives I_t = C_t, and that degree is the
+        space of unit rows, with no product formed.
+
+        Hilbert lemma: let R = C^{S_mu}, and let P_mu(q) = prod_j
+        [mu_j]_q! (_poincare).
+          - Freeness (Chevalley): Q[x] is a free Q[x]^{S_mu}-module on a
+            homogeneous basis with Hilbert series P_mu.  Tensoring over
+            Q[x]^{S_d} with Q keeps the basis, so C is a free R-module
+            with the same series.
+          - Reynolds: over Q the projector C -> R is R-linear and fixes
+            the generators, which are S_mu-invariant; so it maps
+            I = C * G onto R * G, and I_R = I meet R equals R * G, so
+            I = C * I_R.
+        So C/I = C tensor_R R/I_R is free over R/I_R with the same basis,
+        and Hilb(C/I) = P_mu(q) * Hilb(R/I_R), where R/I_R is the
+        quotient: its invariants (isotypic lemma in _residual_rank).  With
+        F_t = dim C_t - rank I_t and P_mu[0] = 1, the coefficient of q^t
+        reads H_t = F_t - sum_{k=1..t} P_mu[k] * H_{t-k}: H_t needs F_0..F_t
+        only, the degrees the loop has built.  A negative H_t cannot
+        occur for an ideal generated by invariants, and raises
+        VerificationError."""
         ring = self.ring
         max_alg = max([p for p in self.mu.parts if p > 0], default=1)
         first_above = max(0, self.top_x + 1)
         stop_x = min(ring.top, first_above + max_alg - 1)
+        nonzero = [i for i, p in enumerate(self.mu.parts, start=1) if p]
         gens_by_deg = {}
-        for subset, r in _generator_items(self.lam, self.mu, self.family, stop_x):
+        for subset, r in _generator_items(self.lam, self.mu, self.family, stop_x, nonzero):
             gens_by_deg.setdefault(r, {})[self.blocks.union(subset)] = None
+        if self.family == "E" and self.lam.height() > len(nonzero):
+            gens_by_deg.setdefault(0, {})[()] = None
         kind = "h" if self.family == "H" else "e"
         unions = {vars_ for gens in gens_by_deg.values() for vars_ in gens}
         classes = {vars_: ring.sym_classes(vars_, stop_x, kind) for vars_ in unions}
+        poincare = _poincare(self.mu.parts)
         ideal, qdim = {}, []
         for t in range(stop_x + 1):
             full = ring.dim(t)
-            batch = [classes[vars_][t] for vars_ in gens_by_deg.get(t, ())]
-            if t:
-                below = ideal[t - 1].pivot_rows.values()
-                batch += [ring.apply_var(row, v, t - 1) for v in range(1, self.d) for row in below]
             space = ideal[t] = RowSpace(full)
-            space.extend(batch)
-            qdim.append(_residual_rank(space, _invariant_data(ring, self.mu, t)))
+            if t and ideal[t - 1].rank == ring.dim(t - 1):
+                space.extend({c: 1} for c in range(full))
+            else:
+                batch = [classes[vars_][t] for vars_ in gens_by_deg.get(t, ())]
+                if t:
+                    below = ideal[t - 1].pivot_rows.values()
+                    batch += [ring.apply_var(row, v, t - 1) for v in range(1, self.d) for row in below]
+                space.extend(batch)
+            # sum over k >= 1 of P_mu[k] * H_{t-k}
+            dim = full - space.rank - sum(map(mul, poincare[1:], reversed(qdim)))
+            if dim < 0:
+                raise VerificationError(
+                    "negative quotient dimension from the Poincare division",
+                    witness={
+                        "lambda": self.lam.to_json(),
+                        "mu": self.mu.to_json(),
+                        "family": self.family,
+                        "degree": 2 * t,
+                        "ring_dimension": full,
+                        "ideal_rank": space.rank,
+                        "dimension": dim,
+                    },
+                )
+            qdim.append(dim)
         for t in range(first_above, stop_x + 1):
             if qdim[t]:
                 raise TruncationError(
@@ -864,7 +938,9 @@ def _transfer_kernel_matches(ring, quotient, reg, eps_vec, d_mu, t):
     rank (phi, psi), since ker (phi, psi) is their intersection.  On the
     invariant rows, phi and psi are the scaled residuals, linear with one
     scale per space, so the rows (phi_i, psi_i) concatenated column-wise
-    have the rank of (phi, psi); rank psi is the quotient dimension.
+    have the rank of (phi, psi); rank psi is the quotient dimension, so
+    comparing it with the Hilbert series checks the Poincare division of
+    the build against an independent invariant-row rank.
     Where the regular ideal has no space, its quotient is zero and phi
     is zero.
     """

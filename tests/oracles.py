@@ -4,8 +4,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial, lcm, prod
 
+from spaltenstein.coinvariant import invariant_rows
 from spaltenstein.linalg import RowSpace
-from spaltenstein.presentation import _generator_items
+from spaltenstein.presentation import _generator_items, _residual_rank
 from spaltenstein.symring import BlockStructure, Polynomial, complete_block
 from spaltenstein.tableaux import Tableau, _reduce_columns, reduce_tableau, transpose
 
@@ -84,6 +85,20 @@ def ideal_by_insertion(quotient):
                     space.insert(ring.apply_var(below[c], v, t - 1))
         ideal.append(space)
     return ideal
+
+
+def qdim_by_invariant_rows(quotient):
+    """The quotient dimensions by x-degree up to stop_x, read the way the
+    build read them before the Poincare division: in each degree, the
+    residual rank of the S_mu-invariant rows of the coinvariant algebra
+    against the ideal (isotypic lemma in presentation._residual_rank).
+    The rows are computed afresh, outside the library's cache."""
+    ring = quotient.ring
+    transpositions = quotient.blocks.transpositions()
+    return [
+        _residual_rank(quotient.ideal_space(t), invariant_rows(ring, transpositions, t))
+        for t in range(quotient.stop_x + 1)
+    ]
 
 
 def anti_invariant_dim_by_equations(ring, reg, transpositions, e):

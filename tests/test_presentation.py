@@ -3,6 +3,7 @@ import json
 import sys
 from fractions import Fraction
 from itertools import combinations
+from math import factorial, prod
 
 import pytest
 
@@ -12,6 +13,7 @@ from oracles import (
     h_by_reduction,
     ideal_by_insertion,
     kernel_basis,
+    qdim_by_invariant_rows,
     scaled_int_row,
     span,
     sparse,
@@ -23,6 +25,7 @@ from spaltenstein.presentation import (
     GeneratorFamily,
     HilbertSeries,
     TransferReport,
+    VerificationError,
     _generator_items,
     anti_invariant_transfer,
     build_quotient,
@@ -576,6 +579,69 @@ class TestQuotientDimension:
                     assert q.hilbert.coefficient(2 * t) == gains
             pairs += 1
         assert pairs == 1641
+
+    def test_division_matches_invariant_rows_d6(self):
+        # the Poincare division of the build against the residual rank of
+        # the invariant rows, degree by degree up to stop_x, on every
+        # zero-free key with d <= 6
+        keys = 0
+        for lam, mu in iter_pairs(6):
+            if 0 in mu.parts:
+                continue
+            for family in ("H", "E"):
+                q = build_quotient(lam, mu, family)
+                oracle = qdim_by_invariant_rows(q)
+                assert oracle == [q.hilbert.coefficient(2 * t) for t in range(q.stop_x + 1)]
+            keys += 1
+        assert keys == 356
+
+    def test_poincare_polynomial(self):
+        # prod_j [mu_j]_q!: value |S_mu| at q = 1, degree d_mu, palindromic,
+        # and a zero part is the factor 1
+        assert presentation._poincare((3,)) == [1, 2, 2, 1]
+        assert presentation._poincare((2, 0, 2)) == [1, 2, 1]
+        assert presentation._poincare((1, 1, 1)) == [1]
+        assert presentation._poincare(()) == [1]
+        for n in range(1, 5):
+            for mu in map(Composition, compositions(6, n)):
+                p = presentation._poincare(mu.parts)
+                assert sum(p) == prod(factorial(m) for m in mu.parts)
+                assert len(p) - 1 == sum(m * (m - 1) // 2 for m in mu.parts)
+                assert p == p[::-1]
+
+    def test_negative_dimension_raises_with_witness(self, monkeypatch):
+        # a wrong P_mu drives a dimension below zero: the build stops with
+        # the ranks of the offending degree
+        monkeypatch.setattr(presentation, "_poincare", lambda parts: [1, 3])
+        lam, mu = Partition([2, 1]), Composition([1, 1, 1])
+        with pytest.raises(VerificationError) as err:
+            build_quotient(lam, mu, "H")
+        assert err.value.witness == {
+            "lambda": [2, 1],
+            "mu": [1, 1, 1],
+            "family": "H",
+            "degree": 2,
+            "ring_dimension": 2,
+            "ideal_rank": 0,
+            "dimension": -1,
+        }
+
+
+class TestInvariantRowsOffBuildPath:
+    def test_builds_leave_invariant_cache_empty_d4(self):
+        # the build reads its dimensions off the ideal ranks: no pair of
+        # either family computes an invariant row
+        clear_caches()
+        try:
+            pairs = 0
+            for lam, mu in iter_pairs(4):
+                build_quotient(lam, mu, "H")
+                build_quotient(lam, mu, "E")
+                pairs += 1
+            assert pairs == 299
+            assert presentation._INV_CACHE == {}
+        finally:
+            clear_caches()
 
 
 class TestSparsePropagation:
