@@ -15,6 +15,14 @@ multiplication by single variables.  Degrees above twice
 (d_lam - d_mu) are verified to vanish on a window wide enough to force
 vanishing in all higher degrees, instead of being assumed.
 
+The paper's theorem says the two families cut out one ideal; the
+library checks that (rel_equivalence) and never assumes it.  Still, the
+two builds of one key share work: the products x_v * I_{t-1} depend on
+I_{t-1} only, so while the quotient of one family is alive (_TWINS), the
+build of the other family reuses its ideal spaces wherever the two
+ideals agree below (twin lemma in GradedQuotient._build) and forms its
+own products only where they do not.
+
 The quotient dimensions are read off the ideal ranks: the coinvariant
 algebra is free over its S_mu-invariants, with Hilbert series
 P_mu(q) = prod_j [mu_j]_q!, so each dimension is dim C_t - rank I_t
@@ -29,6 +37,7 @@ All computations are exact.  The x-degree of a polynomial is half its
 grading degree; public interfaces use the grading degree throughout.
 """
 
+import weakref
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
@@ -287,6 +296,11 @@ def _residual_rank(space, rows):
     return RowSpace(space.width).extend(space.scaled_residual(row)[1] for row in rows)
 
 
+# (zero-free key, family) -> the GradedQuotient whose _build made that core,
+# while it lives: the twin that the other family's build reads
+_TWINS = weakref.WeakValueDictionary()
+
+
 class GradedQuotient:
     """Per-degree presentation data for one (lam, mu, family) triple.
 
@@ -295,10 +309,11 @@ class GradedQuotient:
     dimension.  Quotient dimensions above the stopping degree are zero;
     this is forced by the verified vanishing window, not assumed.
 
-    Its core, (stop_x, the ideal spaces, the Hilbert series), is kept by
-    tableaux.shared under ("core", family): it depends only on the family
-    and the zero-free key (lam, non-zero parts of mu in order).  Zero-block
-    lemma: let mu' be mu with its zero parts deleted.
+    Its core, (stop_x, the ideal spaces, the Hilbert series, the gain
+    degrees of _build), is kept by tableaux.shared under ("core",
+    family): it depends only on the family and the zero-free key (lam,
+    non-zero parts of mu in order).  Zero-block lemma: let mu' be mu with
+    its zero parts deleted.
       - A zero block adds no variables, so every block union, the
         transpositions() of the blocks, d_mu, max_alg, stop_x and the
         Poincare polynomial P_mu agree for all pairs of one key.
@@ -314,7 +329,8 @@ class GradedQuotient:
         non-zero blocks and adds that unit, so every pair of the key has
         one generator set; equal generator sets span equal ideals, and
         RowSpace is canonical, so the pivot_rows of each degree agree,
-        and so do the quotient dimensions.
+        and so do the quotient dimensions and the gain degrees (defined
+        by the ranks of these spans).
     """
 
     def __init__(self, lam, mu, family):
@@ -328,30 +344,48 @@ class GradedQuotient:
         self.top_x = d_lambda - self.d_mu
         self.ring = get_ring(self.d)
         self.blocks = BlockStructure(mu)
-        self.stop_x, self._ideal, self.hilbert = shared(("core", family), lam, mu, self._build)
+        self.stop_x, self._ideal, self.hilbert, self._gains = shared(
+            ("core", family), lam, mu, self._build
+        )
 
     def _build(self):
-        """The core (stop_x, ideal spaces by x-degree, Hilbert series) of
-        this pair.  Generators are collected per degree as a set of block
-        unions, keyed by (variables, r), over the subsets of the non-zero
-        blocks (zero-block lemma): inserting one vector twice cannot
-        change a span.
+        """The core (stop_x, ideal spaces by x-degree, Hilbert series,
+        gain degrees) of this pair.  Generators are collected per degree
+        as a set of block unions, keyed by (variables, r), over the
+        subsets of the non-zero blocks (zero-block lemma): inserting one
+        vector twice cannot change a span.
 
-        Degree t is spanned by its generators and x_v * I_{t-1} for
-        v < d only.  Last-variable lemma: e_1 = 0 in the coinvariant
-        algebra, so x_d b = -sum_{v<d} x_v b for every degree-r class b,
-        hence x_d * I_{t-1} lies in sum_{v<d} x_v * I_{t-1}.  The classes
-        of each block union come from one sym_classes call up to stop_x.
-        Each degree gathers its generator classes and the products of the
-        pivot rows of I_{t-1} by x_1..x_{d-1} into one batch and extends
-        an empty space by it: by the order lemma of RowSpace the batch
-        order cannot change the canonical basis, and extend's order
-        leaves little back-substitution.
+        Degree t is I_t = P_t + span G_t, with G_t the generator
+        classes of degree t and P_t = sum_{v<d} x_v I_{t-1} (P_0 = 0).
+        Last-variable lemma: e_1 = 0 in the coinvariant algebra, so
+        x_d b = -sum_{v<d} x_v b for every degree-r class b, hence
+        x_d * I_{t-1} lies in P_t.  The classes of each block union come
+        from one sym_classes call up to stop_x, and each subset's union
+        is formed once.  A degree extends an empty space by the products
+        of the pivot rows of I_{t-1} by x_1..x_{d-1}, then by G_t: by the
+        order lemma of RowSpace the two calls give the canonical basis of
+        I_t, and extend's order leaves little back-substitution.  The
+        degrees where G_t raises the rank beyond P_t are the gain
+        degrees, kept in the core.
 
         Full-degree lemma: C is generated by x_1..x_{d-1} (x_d is minus
         their sum), so C_t = sum_{v<d} x_v C_{t-1} for 1 <= t <= top.
-        Hence I_{t-1} = C_{t-1} gives I_t = C_t, and that degree is the
-        space of unit rows, with no product formed.
+        Hence I_{t-1} = C_{t-1} gives I_t = C_t = P_t, and that degree is
+        the space of unit rows, with no product formed and no gain.
+
+        Twin lemma: let J be the ideal of the other family of the key,
+        built by a quotient still alive (_TWINS, registered at the end
+        of its _build), with its gain degrees.  If I_{t-1} = J_{t-1},
+        then P_t(I) = P_t(J), since P_t is a function of I_{t-1}; and if
+        t is not a gain degree of J, then J_t = P_t(J).  So I_t is J_t
+        extended by this family's own G_t, with no product formed, and
+        the gain of that extension is this family's gain over P_t.  At a
+        gain degree of J, or once I_{t-1} differs from J_{t-1}, the
+        degree forms its own products as above.  Wherever I_t == J_t
+        the build keeps J's RowSpace object, so identity tests
+        I_{t-1} = J_{t-1} at the next degree.  The lemma needs only that
+        both cores are the canonical spans of their own generators and
+        products; it does not assume that the families agree.
 
         Hilbert lemma: let R = C^{S_mu}, and let P_mu(q) = prod_j
         [mu_j]_q! (_poincare).
@@ -376,27 +410,50 @@ class GradedQuotient:
         first_above = max(0, self.top_x + 1)
         stop_x = min(ring.top, first_above + max_alg - 1)
         nonzero = [i for i, p in enumerate(self.mu.parts, start=1) if p]
-        gens_by_deg = {}
+        gens_by_deg, union_of = {}, {}
         for subset, r in _generator_items(self.lam, self.mu, self.family, stop_x, nonzero):
-            gens_by_deg.setdefault(r, {})[self.blocks.union(subset)] = None
+            vars_ = union_of.get(subset)
+            if vars_ is None:
+                vars_ = union_of[subset] = self.blocks.union(subset)
+            gens_by_deg.setdefault(r, {})[vars_] = None
         if self.family == "E" and self.lam.height() > len(nonzero):
             gens_by_deg.setdefault(0, {})[()] = None
         kind = "h" if self.family == "H" else "e"
         unions = {vars_ for gens in gens_by_deg.values() for vars_ in gens}
         classes = {vars_: ring.sym_classes(vars_, stop_x, kind) for vars_ in unions}
+        key = zero_free_key(self.lam, self.mu)
+        twin = _TWINS.get((key, "E" if self.family == "H" else "H"))
+        twin_ideal, twin_gains = (twin._ideal, twin._gains) if twin is not None else ({}, ())
         poincare = _poincare(self.mu.parts)
-        ideal, qdim = {}, []
+        ideal, qdim, gains = {}, [], set()
         for t in range(stop_x + 1):
             full = ring.dim(t)
-            space = ideal[t] = RowSpace(full)
-            if t and ideal[t - 1].rank == ring.dim(t - 1):
-                space.extend({c: 1} for c in range(full))
+            gens = [classes[vars_][t] for vars_ in gens_by_deg.get(t, ())]
+            below, twin_t = ideal.get(t - 1), twin_ideal.get(t)
+            if twin_t is not None and below is twin_ideal.get(t - 1) and t not in twin_gains:
+                # twin lemma: J_t is the product span P_t of this family too
+                space = twin_t
+                if gens and space.rank < full:
+                    space = space.copy()
+                    if space.extend(gens):
+                        gains.add(t)
+                    else:
+                        space = twin_t
             else:
-                batch = [classes[vars_][t] for vars_ in gens_by_deg.get(t, ())]
-                if t:
-                    below = ideal[t - 1].pivot_rows.values()
-                    batch += [ring.apply_var(row, v, t - 1) for v in range(1, self.d) for row in below]
-                space.extend(batch)
+                space = RowSpace(full)
+                if below is not None and below.rank == ring.dim(t - 1):
+                    space.extend({c: 1} for c in range(full))
+                else:
+                    if below is not None:
+                        rows = below.pivot_rows.values()
+                        space.extend(
+                            ring.apply_var(row, v, t - 1) for v in range(1, self.d) for row in rows
+                        )
+                    if space.extend(gens):
+                        gains.add(t)
+                if space == twin_t:
+                    space = twin_t
+            ideal[t] = space
             # sum over k >= 1 of P_mu[k] * H_{t-k}
             dim = full - space.rank - sum(map(mul, poincare[1:], reversed(qdim)))
             if dim < 0:
@@ -424,7 +481,8 @@ class GradedQuotient:
                         "dimension": qdim[t],
                     },
                 )
-        return stop_x, ideal, HilbertSeries(qdim[: max(self.top_x, -1) + 1])
+        _TWINS[key, self.family] = self
+        return stop_x, ideal, HilbertSeries(qdim[: max(self.top_x, -1) + 1]), frozenset(gains)
 
     def ideal_space(self, t):
         """Ideal row space at x-degree t; above the stop degree the quotient
@@ -818,10 +876,13 @@ def clear_caches():
     (d, transpositions, t, sign) (_INV_CACHE), regular quotients by
     (d, lam) (_REGULAR_CACHE), and everything shared across the pairs of
     one zero-free key by (key, kind) (tableaux._KEYS, written only by
-    tableaux.shared).  The values are read-only.  Objects built before
-    the call stay valid; later builds start cold and give equal results.
+    tableaux.shared).  The twin table (_TWINS), keyed by (zero-free key,
+    family), holds weak references only: it keeps no quotient alive and
+    loses an entry when its quotient is dropped.  The values are
+    read-only.  Objects built before the call stay valid; later builds
+    start cold and give equal results.
     """
-    for cache in (_RINGS, _INV_CACHE, _REGULAR_CACHE, _KEYS):
+    for cache in (_RINGS, _INV_CACHE, _REGULAR_CACHE, _KEYS, _TWINS):
         cache.clear()
 
 

@@ -358,8 +358,9 @@ def shared(kind, lam, mu, compute):
     makes it so:
       - "enumerate", "betti", "components": the value of the zero-free pair
         of the key (relabelling lemma in enumerate_column_strict);
-      - ("core", family): the quotient data (zero-block lemma in
-        GradedQuotient);
+      - ("core", family): the quotient data, gain degrees included
+        (zero-block lemma in GradedQuotient); the other family's build
+        reads it only through a live quotient (presentation._TWINS);
       - ("certificate", family), "transfer", ("tensor", family): the data of
         certify_basis, anti_invariant_transfer and structure_constants.
     Values are read-only: callers relabel, rebuild or unpack them, and

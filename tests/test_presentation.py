@@ -699,6 +699,100 @@ class TestBatchedBuild:
         assert keys == 114
 
 
+def _core_of(q):
+    return q.stop_x, q.hilbert, [q.ideal_space(t).pivot_rows for t in range(q.stop_x + 1)]
+
+
+class TestTwinBuild:
+    """The second family's build reads the first family's product spans
+    (twin lemma in GradedQuotient._build); each family must still be the
+    span of its own generators and its own products."""
+
+    @staticmethod
+    def _cold(lam, mu, family):
+        # no quotient of the other family is alive, so the build has no twin
+        assert not presentation._TWINS
+        return build_quotient(lam, mu, family)
+
+    def test_seeded_builds_equal_insertion_oracle_d6(self):
+        # a cached regular quotient would be a twin of the cold builds
+        clear_caches()
+        keys = shared = 0
+        for lam, mu in iter_pairs(6):
+            if 0 in mu.parts:
+                continue
+            expected = {}
+            for family in ("H", "E"):
+                cold = self._cold(lam, mu, family)
+                oracle = [space.pivot_rows for space in ideal_by_insertion(cold)]
+                expected[family] = cold.stop_x, cold.hilbert, oracle
+                del cold
+            for first_family, second_family in (("H", "E"), ("E", "H")):
+                first = build_quotient(lam, mu, first_family)
+                second = build_quotient(lam, mu, second_family)
+                assert _core_of(first) == expected[first_family], (lam, mu, first_family)
+                assert _core_of(second) == expected[second_family], (lam, mu, second_family)
+                shared += all(
+                    second.ideal_space(t) is first.ideal_space(t) for t in range(first.stop_x + 1)
+                )
+                del first, second
+            keys += 1
+        assert keys == 356
+        # H and E cut out one ideal, so every seeded build keeps every space
+        assert shared == 2 * keys
+
+    def test_divergent_families_equal_cold_builds(self, monkeypatch):
+        # one more H generator, h_r(x_1) with r at the bound, makes the two
+        # ideals differ; (3,1)/(1,1,1,1) agrees in degrees 0 and 1, parts
+        # at the H gain degree 2 and meets again in the full degree 4
+        bound = presentation.generator_bound
+
+        def lowered(lam, mu, family, subset):
+            return bound(lam, mu, family, subset) - (family == "H" and subset == (1,))
+
+        monkeypatch.setattr(presentation, "generator_bound", lowered)
+        clear_caches()
+        differ = 0
+        for lam, mu in iter_pairs(4):
+            if 0 in mu.parts:
+                continue
+            cold = {family: _core_of(self._cold(lam, mu, family)) for family in ("H", "E")}
+            for first_family, second_family in (("H", "E"), ("E", "H")):
+                first = build_quotient(lam, mu, first_family)
+                second = build_quotient(lam, mu, second_family)
+                assert _core_of(first) == cold[first_family], (lam, mu, first_family)
+                assert _core_of(second) == cold[second_family], (lam, mu, second_family)
+                qh, qe = (first, second) if first_family == "H" else (second, first)
+                equivalent = rel_equivalence(lam, mu, qh=qh, qe=qe)
+                assert equivalent == (cold["H"] == cold["E"])
+                differ += not equivalent
+                if (lam, mu) == (Partition([3, 1]), Composition([1, 1, 1, 1])):
+                    assert not equivalent
+                    assert [qe.ideal_space(t) is qh.ideal_space(t) for t in range(5)] == [
+                        True, True, False, False, True,
+                    ]
+                    assert (qh._gains, qe._gains) == ({2, 3}, {3})
+                del first, second, qh, qe
+        assert differ == 2 * 33
+        clear_caches()
+
+    def test_twin_table_keeps_nothing_alive(self):
+        clear_caches()
+        quotients = [
+            build_quotient(lam, mu, family)
+            for lam, mu in iter_pairs(4)
+            if 0 not in mu.parts
+            for family in ("H", "E")
+        ]
+        assert len(presentation._TWINS) == len(quotients) == 2 * 40
+        del quotients
+        assert not presentation._TWINS
+        kept = [build_quotient(Partition([2, 1]), Composition([1, 2]), "H")]
+        assert presentation._TWINS
+        clear_caches()
+        assert not presentation._TWINS and kept
+
+
 def membership_equivalence(qh, qe):
     """Oracle for rel_equivalence by membership instead of canonical bases:
     equal Hilbert series, equal ideal ranks through the common window, and
@@ -962,8 +1056,10 @@ class TestSharedCore:
         assert qa.hilbert is qb.hilbert and qa.ideal_space(1) is qb.ideal_space(1)
         ca, cb = certify_basis(lam, a, quotient=qa), certify_basis(lam, b, quotient=qb)
         assert ca.classes is cb.classes and ca.tableaux != cb.tableaux
-        # a different family, or a non-zero part order, is a different key
-        assert build_quotient(lam, a, "E").ideal_space(1) is not qa.ideal_space(1)
+        # the other family of the key keeps qa's space where the two ideals
+        # agree (twin lemma in GradedQuotient._build); a different non-zero
+        # part order is a different key
+        assert build_quotient(lam, a, "E").ideal_space(1) is qa.ideal_space(1)
         assert build_quotient(lam, Composition([2, 0, 1])).ideal_space(1) is not qa.ideal_space(1)
 
     def test_zero_free_pairs_store_nothing(self):
