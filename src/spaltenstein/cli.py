@@ -19,6 +19,7 @@ from .coinvariant import MAX_D
 from .presentation import (
     VerificationError,
     _h_term_count,
+    _validate_pair,
     anti_invariant_transfer,
     build_quotient,
     certify_basis,
@@ -135,13 +136,6 @@ def build_parser():
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--family", choices=("H", "E"), default="H")
     return parser
-
-
-def _check_pair(lam, mu, parser):
-    if lam.size() != mu.size():
-        parser.error(f"|lambda|={lam.size()} and |mu|={mu.size()} differ")
-    if lam.height() > len(mu):
-        parser.error(f"lambda has more than {len(mu)} parts")
 
 
 def _cmd_enumerate(args, out):
@@ -308,8 +302,6 @@ def main(argv=None, out=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     out = out or sys.stdout
-    if hasattr(args, "lam"):
-        _check_pair(args.lam, args.mu, parser)
     if args.command == "sweep":
         if args.d_max < 0:
             parser.error(f"--d-max must be non-negative, got {args.d_max}")
@@ -318,6 +310,8 @@ def main(argv=None, out=None):
         if args.n_max is not None and args.n_max < 0:
             parser.error(f"--n-max must be non-negative, got {args.n_max}")
     try:
+        if hasattr(args, "lam"):
+            _validate_pair(args.lam, args.mu)
         return _COMMANDS[args.command](args, out)
     except VerificationError as exc:
         out.write(_dump({"error": str(exc), "witness": exc.witness}) + "\n")

@@ -25,8 +25,8 @@ expansion.
 A class is a row {position: non-zero entry} over the per-degree
 staircase basis, ordered lexicographically, as in linalg, whose
 ownership rule holds here too: the rows returned may be shared with the
-caches of the ring.  Entries are integers, except that class_of_terms
-and class_of_polynomial return the Fractions of the coefficients.  nf
+caches of the ring.  Entries are integers, except that
+class_of_polynomial returns the Fractions of the coefficients.  nf
 returns the normal form of a monomial as a tuple of (position, non-zero
 int) pairs, and the variable and swap matrices are lists of nf rows.
 Degrees in this module are x-degrees; the public grading of the library
@@ -140,11 +140,12 @@ class CoinvariantRing:
             stack.pop()
         return memo[mono]
 
-    def class_of_terms(self, terms):
-        """Classes of a {exponent tuple: coefficient} map, one non-zero row
-        per degree."""
+    def class_of_polynomial(self, p):
+        """Classes of a polynomial, one non-zero row per degree."""
+        if p.d != self.d:
+            raise ValueError(f"polynomial has {p.d} variables, ring has {self.d}")
         out = {}
-        for mono, coeff in terms.items():
+        for mono, coeff in p.terms.items():
             r = sum(mono)
             if r > self.top or not coeff:
                 continue
@@ -157,11 +158,6 @@ class CoinvariantRing:
                 else:
                     del row[pos]
         return {r: row for r, row in out.items() if row}
-
-    def class_of_polynomial(self, p):
-        if p.d != self.d:
-            raise ValueError(f"polynomial has {p.d} variables, ring has {self.d}")
-        return self.class_of_terms(p.terms)
 
     def var_matrix(self, v, r):
         """Rows t -> class(x_v * t) for t in the degree-r basis, each the
@@ -230,19 +226,6 @@ class CoinvariantRing:
             classes = nxt
         self._sym_classes[key] = classes
         return classes
-
-    def mul_block_h(self, vec, r, vars_, s):
-        """Class of (degree-r class) times h_s of the given variables.
-
-        Uses h_s(V) = h_s(V minus v) + x_v h_{s-1}(V) columnwise, so the cost
-        is |V| * s applications of variable matrices.
-        """
-        table = [vec] + [{} for _ in range(s)]
-        for v in vars_:
-            for j in range(1, s + 1):
-                # table[j] was built here, so it may change in place
-                _subtract(table[j], -1, self.apply_var(table[j - 1], v, r + j - 1))
-        return table[s], r + s
 
     def mul_classes(self, u, ru, v, rv):
         """Product of two classes of x-degrees ru and rv."""

@@ -128,13 +128,15 @@ class HilbertSeries:
 
 
 def _validate_pair(lam, mu):
+    """(len(mu), d) of a valid pair; else TypeError, or ValueError worded
+    as the command line's usage error: sizes first, then height."""
     if not isinstance(lam, Partition) or not isinstance(mu, Composition):
         raise TypeError("expected (Partition, Composition)")
     n = len(mu)
-    if lam.height() > n:
-        raise ValueError(f"{lam} has more than {n} parts")
     if lam.size() != mu.size():
-        raise ValueError(f"|lam|={lam.size()} and |mu|={mu.size()} differ")
+        raise ValueError(f"|lambda|={lam.size()} and |mu|={mu.size()} differ")
+    if lam.height() > n:
+        raise ValueError(f"lambda has more than {n} parts")
     return n, mu.size()
 
 
@@ -261,8 +263,7 @@ _INV_CACHE = {}
 
 def _invariant_data(ring, mu, t, sign=1):
     """The invariant (sign 1) or anti-invariant (sign -1) rows of degree t,
-    cached in _INV_CACHE for the transfer, their one reader; the build
-    reads no invariant rows."""
+    cached in _INV_CACHE for the transfer, their one reader."""
     # the (anti-)invariant subspace depends on mu only through the
     # generated subgroup, so key the cache by the transposition set
     transpositions = tuple(BlockStructure(mu).transpositions())
@@ -277,9 +278,7 @@ def _invariant_data(ring, mu, t, sign=1):
 def _residual_rank(space, rows):
     """Rank of the images of rows in the quotient by space, 0 where space
     is None (a degree where the quotient is proven zero).  The transfer
-    reads the anti-invariant dimensions of the regular quotient with it;
-    the quotient dimensions come from the Poincare division instead
-    (Hilbert lemma in GradedQuotient._build).
+    reads the anti-invariant dimensions of the regular quotient with it.
 
     The scaled residual is linear on integer rows, with one scale L for
     the whole space, and its kernel is the space; so the rank of the
@@ -540,7 +539,8 @@ def _h_class_chain(ring, T, mu, memo):
     gamma read from the reduction chain of T (tableaux._chain).  The class
     of levels 1..m depends only on those levels of the chain, so memo, one
     per content mu, maps each run of lower levels to its class, and the
-    tableaux that share lower levels share their product."""
+    tableaux that share lower levels share their product.  The factors are
+    cached h tables (sym_classes), a level's largest degree first."""
     chain = _chain(T.columns(), mu.parts)
     vec, t = ring.unit(), 0
     key = ()
@@ -551,8 +551,10 @@ def _h_class_chain(ring, T, mu, memo):
         if hit is None:
             vars_ = tuple(range(base + 1, base + k + 1))
             for i in range(k, 0, -1):
-                if level[i - 1] > i:
-                    vec, t = ring.mul_block_h(vec, t, vars_, level[i - 1] - i)
+                s = level[i - 1] - i
+                if s > 0:
+                    vec = ring.mul_classes(vec, t, ring.sym_classes(vars_, s, "h")[s], s)
+                    t += s
             memo[key] = (vec, t)
         else:
             vec, t = hit
@@ -999,21 +1001,28 @@ def _transfer_kernel_matches(ring, quotient, reg, eps_vec, d_mu, t):
     rank (phi, psi), since ker (phi, psi) is their intersection.  On the
     invariant rows, phi and psi are the scaled residuals, linear with one
     scale per space, so the rows (phi_i, psi_i) concatenated column-wise
-    have the rank of (phi, psi); rank psi is the quotient dimension, so
-    comparing it with the Hilbert series checks the Poincare division of
-    the build against an independent invariant-row rank.
+    have the rank of (phi, psi).  rank psi is the dimension of the
+    invariants of the quotient (isotypic lemma in _residual_rank), so
+    requiring the Hilbert coefficient to equal all three ranks also
+    checks the Poincare division of the build against an independent
+    invariant-row rank.
     Where the regular ideal has no space, its quotient is zero and phi
     is zero.
     """
     target = reg.ideal_space(t + d_mu)
     ideal = quotient.ideal_space(t)
     width = ring.dim(t + d_mu)
-    phi, both = [], []
+    phi, psi, both = [], [], []
     for row in _invariant_data(ring, quotient.mu, t):
         prod = ring.mul_classes(row, t, eps_vec, d_mu)
         phi_i = target.scaled_residual(prod)[1] if target is not None else {}
         psi_i = ideal.scaled_residual(row)[1]
         phi.append(phi_i)
+        psi.append(psi_i)
         both.append({**phi_i, **{width + k: w for k, w in psi_i.items()}})
-    rank_phi = RowSpace(width).extend(phi)
-    return rank_phi == quotient.hilbert.coefficient(2 * t) == RowSpace(width + ring.dim(t)).extend(both)
+    return (
+        quotient.hilbert.coefficient(2 * t)
+        == RowSpace(width).extend(phi)
+        == RowSpace(ring.dim(t)).extend(psi)
+        == RowSpace(width + ring.dim(t)).extend(both)
+    )

@@ -21,14 +21,43 @@ from itertools import combinations
 from math import comb
 
 
-class Partition:
+class _Parts:
+    """The members Partition and Composition share: a tuple of ints in the
+    one slot parts, immutable; messages and reprs name the class."""
+
+    __slots__ = ("parts",)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self):
+        return f"{type(self).__name__}({list(self.parts)})"
+
+    def __iter__(self):
+        return iter(self.parts)
+
+    def __len__(self):
+        return len(self.parts)
+
+    def size(self):
+        return sum(self.parts)
+
+    def part(self, i):
+        """The i-th part (1-indexed), zero beyond the length."""
+        return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
+
+    def to_json(self):
+        return list(self.parts)
+
+
+class Partition(_Parts):
     """A weakly decreasing tuple of non-negative integers.
 
     Trailing zeros are stripped, so ``Partition((2, 1, 0))`` equals
     ``Partition((2, 1))``.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
     def __init__(self, parts=()):
         parts = tuple(int(p) for p in parts)
@@ -50,33 +79,14 @@ class Partition:
         _set_parts(out, parts)
         return out
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
-
     def __eq__(self, other):
         return isinstance(other, Partition) and self.parts == other.parts
 
     def __hash__(self):
         return hash(("Partition", self.parts))
 
-    def __repr__(self):
-        return f"Partition({list(self.parts)})"
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def size(self):
-        return sum(self.parts)
-
     def height(self):
         return len(self.parts)
-
-    def part(self, i):
-        """The i-th part (1-indexed), zero beyond the height."""
-        return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
 
     def padded(self, n):
         """Parts as a length-n tuple, padded with zeros."""
@@ -84,18 +94,15 @@ class Partition:
             raise ValueError(f"partition {self.parts} has more than {n} parts")
         return self.parts + (0,) * (n - len(self.parts))
 
-    def to_json(self):
-        return list(self.parts)
 
-
-class Composition:
+class Composition(_Parts):
     """A sequence of non-negative integers of a fixed length.
 
     Zero parts are retained; they index empty variable blocks and shift
     the meaning of later parts, so the length is significant.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
     def __init__(self, parts=()):
         parts = tuple(int(p) for p in parts)
@@ -103,43 +110,19 @@ class Composition:
             raise ValueError(f"parts {parts} contain a negative entry")
         object.__setattr__(self, "parts", parts)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Composition is immutable")
-
     def __eq__(self, other):
         return isinstance(other, Composition) and self.parts == other.parts
 
     def __hash__(self):
         return hash(("Composition", self.parts))
 
-    def __repr__(self):
-        return f"Composition({list(self.parts)})"
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def size(self):
-        return sum(self.parts)
-
-    def part(self, i):
-        return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
-
     def sorted(self):
         """The partition obtained by sorting the parts decreasingly."""
         return Partition(sorted(self.parts, reverse=True))
 
-    def drop_last(self):
-        return Composition(self.parts[:-1])
-
-    def to_json(self):
-        return list(self.parts)
-
 
 _new = object.__new__
-_set_parts = Partition.parts.__set__
+_set_parts = _Parts.parts.__set__
 
 
 class Tableau:
@@ -546,7 +529,7 @@ def reduce_tableau(T, mu):
     cols_of_n, stripped = _reduce_columns(list(_check_member(T, mu)), n)
     gamma = column_sequence_to_partition(cols_of_n, mu.part(n), mu.size())
     Tbar = _columns_to_tableau(stripped)
-    return gamma, Tbar, Tbar.shape, mu.drop_last()
+    return gamma, Tbar, Tbar.shape, Composition(mu.parts[:-1])
 
 
 def _chain(columns, mu_parts):

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import spaltenstein
 import spaltenstein.cli as cli
 import spaltenstein.coinvariant as coinvariant
 import spaltenstein.presentation as presentation
@@ -160,6 +161,22 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as info:
             main(["enumerate", "--lambda", "2,1", "--mu", "1,1"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("command", ["enumerate", "hilbert", "degree"])
+    def test_pair_errors_name_size_first_then_height(self, command, capsys):
+        # presentation._validate_pair words the usage errors; a pair with
+        # both faults reports the size
+        extra = ["--tableau", "1"] if command == "degree" else []
+        cases = (
+            ("2,1", "1,1", "|lambda|=3 and |mu|=2 differ"),
+            ("1,1,1", "3", "lambda has more than 1 parts"),
+            ("1,1,1,1", "3", "|lambda|=4 and |mu|=3 differ"),
+        )
+        for lam, mu, message in cases:
+            with pytest.raises(SystemExit) as info:
+                main([command, "--lambda", lam, "--mu", mu, *extra])
+            assert info.value.code == 2
+            assert capsys.readouterr().err.splitlines()[-1] == f"spaltenstein: error: {message}"
 
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as info:
@@ -316,6 +333,25 @@ def loaded_modules(statement):
         env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, check=True,
     )
     return set(proc.stdout.split())
+
+
+class TestPublicApi:
+    def test_all_is_pinned(self):
+        # a public name may be dropped only on purpose, here
+        assert sorted(spaltenstein.__all__) == [
+            "BasisError", "BlockStructure", "Composition", "GradedQuotient",
+            "HilbertSeries", "Partition", "Polynomial", "Tableau", "TransferError",
+            "TruncationError", "VerificationError", "anti_invariant_transfer", "betti",
+            "build_quotient", "cell_order", "certify_basis", "clear_caches",
+            "coinvariant", "column_sequence_to_partition", "complete_block",
+            "components", "compositions", "count_column_strict", "dims",
+            "dominance_leq", "elementary_block", "enumerate_column_strict",
+            "enumerate_semistandard", "generators", "h_of_tableau", "iter_pairs",
+            "linalg", "normal_form", "partition_to_column_sequence", "partitions",
+            "permute", "poset_dot", "poset_edges", "presentation", "reduce_tableau",
+            "rel_equivalence", "reports", "straighten", "structure_constants",
+            "symring", "tableau_degree", "tableaux", "transpose",
+        ]
 
 
 class TestImportBudget:

@@ -12,7 +12,8 @@ from spaltenstein import coinvariant, presentation
 from spaltenstein.coinvariant import MAX_D, CoinvariantRing, get_ring, invariant_rows
 from spaltenstein.linalg import RowSpace
 from spaltenstein.symring import BlockStructure, Polynomial, complete_block, elementary_block
-from spaltenstein.tableaux import Composition, compositions
+from spaltenstein.presentation import h_of_tableau
+from spaltenstein.tableaux import Composition, compositions, enumerate_column_strict, iter_pairs
 
 
 def gaussian_multinomial(d, parts):
@@ -205,16 +206,21 @@ class TestRingBasics:
                         total = [a + b for a, b in zip(total, product)]
                     assert not any(total)
 
-    def test_mul_block_h_matches_generic_product(self):
-        ring = get_ring(4)
-        vars_ = (3, 4)
-        u = sparse(dense_nf(ring, (0, 1, 1, 0)))
-        for s in range(3):
-            via_block = ring.mul_block_h(u, 2, vars_, s)
-            h_cls = ring.sym_classes(vars_, s, "h")[s]
-            via_generic = ring.mul_classes(u, 2, h_cls, s)
-            assert via_block[0] == via_generic
-            assert via_block[1] == 2 + s
+    def test_h_class_chain_matches_class_of_polynomial_d5(self):
+        # the basis classes multiply the cached h tables (sym_classes) with
+        # mul_classes; each must be the one-degree class of the expanded
+        # basis polynomial, with the memo shared across the tableaux of a
+        # pair as in the certificate
+        tableaux = 0
+        for lam, mu in iter_pairs(5):
+            if 0 in mu.parts:
+                continue
+            ring, memo = get_ring(mu.size()), {}
+            for T in enumerate_column_strict(lam, mu):
+                vec, t = presentation._h_class_chain(ring, T, mu, memo)
+                assert ring.class_of_polynomial(h_of_tableau(T, mu)) == {t: vec}, T
+                tableaux += 1
+        assert tableaux == 1119
 
 
 class TestInvariants:

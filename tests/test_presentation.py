@@ -1,6 +1,8 @@
 import hashlib
 import json
 import sys
+from collections.abc import MutableMapping
+from copy import copy
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, prod
@@ -680,25 +682,6 @@ class TestSparsePropagation:
         assert pairs == 1641
 
 
-class TestBatchedBuild:
-    def test_ideal_equals_one_at_a_time_build_d5(self):
-        # _build extends each degree by one batch in descending lead order;
-        # by the order lemma its pivot_rows equal those of the one-at-a-time
-        # build, degree by degree, on every zero-free key
-        keys = 0
-        for lam, mu in iter_pairs(5):
-            if 0 in mu.parts:
-                continue
-            for family in ("H", "E"):
-                q = build_quotient(lam, mu, family)
-                oracle = ideal_by_insertion(q)
-                assert len(oracle) == q.stop_x + 1
-                for t, space in enumerate(oracle):
-                    assert q.ideal_space(t).pivot_rows == space.pivot_rows
-            keys += 1
-        assert keys == 114
-
-
 def _core_of(q):
     return q.stop_x, q.hilbert, [q.ideal_space(t).pivot_rows for t in range(q.stop_x + 1)]
 
@@ -939,6 +922,30 @@ class TestTransfer:
                     outcomes.append(got)
         assert (outcomes.count(True), outcomes.count(False)) == (2836, 695)
 
+    def test_kernel_check_rejects_full_block_ideal_d5(self):
+        # a block ideal replaced by the full space in a degree where the
+        # quotient is non-zero leaves phi and (phi, psi) of one rank, so
+        # only rank psi, which drops to 0, can tell
+        mutants = 0
+        for lam, mu in iter_pairs(5):
+            if 0 in mu.parts:
+                continue
+            q = build_quotient(lam, mu)
+            ring, reg = q.ring, regular_quotient(lam, mu.size())
+            pairs = [p for j in range(1, len(mu) + 1) for p in combinations(q.blocks.block(j), 2)]
+            eps, e = ring.antisymmetrizer_class(pairs)
+            for t in range(1, q.stop_x + 1):
+                if not q.hilbert.coefficient(2 * t):
+                    continue
+                full = RowSpace(ring.dim(t))
+                full.extend({c: 1} for c in range(ring.dim(t)))
+                mutant = copy(q)
+                mutant._ideal = {**q._ideal, t: full}
+                assert presentation._transfer_kernel_matches(ring, q, reg, eps, e, t)
+                assert not presentation._transfer_kernel_matches(ring, mutant, reg, eps, e, t)
+                mutants += 1
+        assert mutants == 264
+
     def test_anti_invariant_count_matches_equation_oracle_d6(self):
         # the residual rank of the anti-invariant rows against the
         # (s + 1)v equation system, for every lam, every transposition
@@ -1015,14 +1022,15 @@ def _pipeline_record(lam, mu):
     )
 
 
-def _module_dicts():
-    """Every module-level dict of the spaltenstein modules, by (module, name)."""
+def _module_tables():
+    """Every module-level mapping of the spaltenstein modules (dicts and
+    weak dictionaries alike), by (module, name)."""
     return {
         (name, attr): value
         for name, module in list(sys.modules.items())
         if name == "spaltenstein" or name.startswith("spaltenstein.")
         for attr, value in vars(module).items()
-        if isinstance(value, dict) and not attr.startswith("__")
+        if isinstance(value, MutableMapping) and not attr.startswith("__")
     }
 
 
@@ -1161,15 +1169,19 @@ class TestSharedCore:
 
 class TestClearCaches:
     def test_tables_empty_and_rebuild_equal(self):
-        # every module-level dict that a pipeline run grows is a cache, and
-        # clear_caches must empty it
+        # every module-level mapping that a pipeline run grows is a cache,
+        # and clear_caches must empty it; the quotients are held, so the
+        # weak twin table still has their entries when it is read
         lam, mu = Partition([2, 1]), Composition([1, 0, 2])
         clear_caches()
-        sizes = {name: len(table) for name, table in _module_dicts().items()}
+        sizes = {name: len(table) for name, table in _module_tables().items()}
+        held = [build_quotient(lam, mu, family) for family in ("H", "E")]
         before = _pipeline_record(lam, mu)
-        grown = [name for name, table in _module_dicts().items() if len(table) > sizes.get(name, 0)]
-        assert {attr for _, attr in grown} >= {"_RINGS", "_INV_CACHE", "_REGULAR_CACHE", "_KEYS"}
+        grown = [name for name, table in _module_tables().items() if len(table) > sizes.get(name, 0)]
+        assert {attr for _, attr in grown} >= {
+            "_RINGS", "_INV_CACHE", "_REGULAR_CACHE", "_KEYS", "_TWINS",
+        }
         clear_caches()
-        tables = _module_dicts()
-        assert [name for name in grown if tables[name]] == []
+        tables = _module_tables()
+        assert [name for name in grown if tables[name]] == [] and held
         assert _pipeline_record(lam, mu) == before
