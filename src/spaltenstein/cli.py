@@ -7,8 +7,9 @@ bytes.  Exit codes: 0 success, 1 failed mathematical verification
 (witness printed as JSON), 2 usage error.  A command that needs the
 coinvariant ring of d > MAX_D (8) exits 2, and sweep refuses --d-max > 8
 before any output.  enumerate, basis and components exit 2 before any
-output when their work exceeds MAX_WORK.  Without installing the
-package, run it as PYTHONPATH=src python -m spaltenstein <command> ...
+output when their boxes exceed MAX_BOXES or their work MAX_WORK.
+Without installing the package, run it as PYTHONPATH=src python -m
+spaltenstein <command> ...
 """
 
 import argparse
@@ -47,10 +48,22 @@ from .tableaux import (
 # for the 113,400 fillings of (5,5)/(1^10), about 1.1 KB a filling.
 MAX_WORK = 100_000
 
+# The most boxes a tableau command may fill, with no override: counting
+# the fillings walks the columns of lambda one at a time, so a huge part
+# (--lambda 1000000 --mu 1000000) must be refused before the count.
+MAX_BOXES = 100_000
+
 
 def _check_work(work, what):
     if work > MAX_WORK:
         raise ValueError(f"{work} {what} exceed the limit of {MAX_WORK}")
+
+
+def _count_fillings(lam, mu):
+    """count_column_strict(lam, mu), once |lam| is within MAX_BOXES."""
+    if lam.size() > MAX_BOXES:
+        raise ValueError(f"{lam.size()} boxes exceed the limit of {MAX_BOXES}")
+    return count_column_strict(lam, mu)
 
 
 def _dump(data):
@@ -139,7 +152,7 @@ def build_parser():
 
 
 def _cmd_enumerate(args, out):
-    _check_work(count_column_strict(args.lam, args.mu), "fillings")
+    _check_work(_count_fillings(args.lam, args.mu), "fillings")
     tabs = (
         enumerate_semistandard(args.lam, args.mu)
         if args.semistandard
@@ -164,7 +177,7 @@ def _cmd_degree(args, out):
 
 
 def _cmd_basis(args, out):
-    _check_work(count_column_strict(args.lam, args.mu), "fillings")
+    _check_work(_count_fillings(args.lam, args.mu), "fillings")
     tabs = enumerate_column_strict(args.lam, args.mu)
     _check_work(sum(_h_term_count(T, args.mu) for T in tabs), "polynomial terms")
     items = []
@@ -238,7 +251,7 @@ def _cmd_verify(args, out):
 
 
 def _cmd_components(args, out):
-    count = count_column_strict(args.lam, args.mu)
+    count = _count_fillings(args.lam, args.mu)
     if args.format == "dot":
         _check_work(count * count, "pairs of fillings")
         out.write(poset_dot(args.lam, args.mu) + "\n")

@@ -58,7 +58,8 @@ from .tableaux import (
     Partition,
     _chain,
     _check_member,
-    _degree_from_columns,
+    _chain_degree,
+    _check_sizes,
     dims,
     enumerate_column_strict,
     shared,
@@ -123,6 +124,9 @@ class HilbertSeries:
     def __repr__(self):
         return f"HilbertSeries({list(self.coeffs)})"
 
+    def __reduce__(self):
+        return HilbertSeries, (self.coeffs,)
+
     def to_json(self):
         return list(self.coeffs)
 
@@ -133,8 +137,7 @@ def _validate_pair(lam, mu):
     if not isinstance(lam, Partition) or not isinstance(mu, Composition):
         raise TypeError("expected (Partition, Composition)")
     n = len(mu)
-    if lam.size() != mu.size():
-        raise ValueError(f"|lambda|={lam.size()} and |mu|={mu.size()} differ")
+    _check_sizes(lam, mu)
     if lam.height() > n:
         raise ValueError(f"lambda has more than {n} parts")
     return n, mu.size()
@@ -183,6 +186,9 @@ class _Record:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 class GeneratorFamily(_Record):
@@ -533,15 +539,15 @@ def _h_term_count(T, mu):
     return count
 
 
-def _h_class_chain(ring, T, mu, memo):
-    """Class of h_of_tableau(T, mu) in the coinvariant algebra: from level 1
-    up, the product of h_{gamma_1}, h_{gamma_2}, ... of each level's block,
-    gamma read from the reduction chain of T (tableaux._chain).  The class
-    of levels 1..m depends only on those levels of the chain, so memo, one
-    per content mu, maps each run of lower levels to its class, and the
-    tableaux that share lower levels share their product.  The factors are
-    cached h tables (sym_classes), a level's largest degree first."""
-    chain = _chain(T.columns(), mu.parts)
+def _h_class_chain(ring, chain, mu, memo):
+    """Class of h_of_tableau(T, mu) in the coinvariant algebra, for the
+    tableau T of content mu whose reduction chain (tableaux._chain) is
+    chain: from level 1 up, the product of h_{gamma_1}, h_{gamma_2}, ...
+    of each level's block.  The class of levels 1..m depends only on
+    those levels of the chain, so memo, one per content mu, maps each run
+    of lower levels to its class, and the tableaux that share lower
+    levels share their product.  The factors are cached h tables
+    (sym_classes), a level's largest degree first."""
     vec, t = ring.unit(), 0
     key = ()
     base = 0
@@ -680,8 +686,9 @@ def _certificate_data(lam, mu, quotient, tableaux):
     degrees = []
     classes = []
     for T in tableaux:
-        vec, t = _h_class_chain(ring, T, mu, memo)
-        expected = _degree_from_columns(T.columns(), mu.parts)
+        chain = _chain(T.columns(), mu.parts)
+        vec, t = _h_class_chain(ring, chain, mu, memo)
+        expected = _chain_degree(chain)
         if t != expected:
             raise BasisError(
                 "basis element degree mismatch",

@@ -1,7 +1,8 @@
 """Combinatorial geometry reports: Betti numbers, components, cell poset.
 
 Everything here is tableau combinatorics; the quotient algebra is not
-touched.  Betti numbers count column-strict tableaux by degree, the
+touched.  Betti numbers count column-strict tableaux by degree (a graded
+count over the reduction recursion, with no enumeration), the
 irreducible components are indexed by semi-standard tableaux with their
 fibers collected from the straightening map, and the cell order is
 exported as a Hasse diagram.  Betti numbers and components of a pair
@@ -9,17 +10,20 @@ whose mu has a zero part are those of its zero-free pair, kept by
 tableaux.shared (relabelling lemma in enumerate_column_strict).
 """
 
+from itertools import combinations
+
 from .presentation import HilbertSeries
 from .tableaux import (
     Composition,
     _cell_leq,
     _chain,
-    _degree_from_columns,
+    _check_sizes,
     _relabelling,
     _straighten,
     dims,
     enumerate_column_strict,
     shared,
+    transpose,
 )
 
 
@@ -29,17 +33,41 @@ def betti(lam, mu):
     A zero part of mu adds an empty level to the reduction chain, which
     keeps every degree (relabelling lemma in enumerate_column_strict), so a
     pair whose mu has a zero part returns the series of its zero-free pair,
-    kept by shared."""
+    kept by shared.
+
+    A zero-free pair counts by degree without listing tableaux.  Bijection
+    lemma (chain lemma in _chain): the entries n of a column-strict filling
+    T of content mu, n = len(mu), are the bottoms of mu_n columns.  Let the
+    columns, in the order of their level, have the weakly decreasing
+    heights h; T maps to (c, Tbar), c the k = mu_n positions of the
+    columns ending in n and Tbar the filling that the reduction leaves,
+    its columns stably sorted by height.  Any k positions and any filling
+    of the lowered heights, sorted, zeros dropped, with content
+    mu_1..mu_{n-1} give back one T: undo the stable sort, append n to the
+    columns at c.  So the map is a bijection, and the degree of T is
+    c_1 + ... + c_k - k(k+1)/2 plus that of Tbar.  The count runs level
+    by level from n down to 1 on a dict from the sorted heights to their
+    graded count, which merges equal heights."""
     if 0 in mu.parts:
         return shared("betti", lam, mu, lambda: betti(lam, Composition(p for p in mu.parts if p)))
-    tabs = enumerate_column_strict(lam, mu)
-    degrees = [_degree_from_columns(T.columns(), mu.parts) for T in tabs]
-    if not degrees:
-        return HilbertSeries(())
-    coeffs = [0] * (max(degrees) + 1)
-    for t in degrees:
-        coeffs[t] += 1
-    return HilbertSeries(coeffs)
+    _check_sizes(lam, mu)
+    states = {transpose(lam).parts: [1]}
+    for k in reversed(mu.parts):
+        after = {}
+        for heights, coeffs in states.items():
+            for c in combinations(range(len(heights)), k):
+                lowered = list(heights)
+                for j in c:
+                    lowered[j] -= 1
+                lowered = tuple(sorted((h for h in lowered if h), reverse=True))
+                # positions are 1-indexed: sum(c) + k - k(k+1)/2
+                shift = sum(c) - k * (k - 1) // 2
+                total = after.setdefault(lowered, [])
+                total.extend([0] * (shift + len(coeffs) - len(total)))
+                for r, v in enumerate(coeffs, start=shift):
+                    total[r] += v
+        states = after
+    return HilbertSeries(states.get((), ()))
 
 
 def components(lam, mu):

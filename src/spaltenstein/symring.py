@@ -50,6 +50,9 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):
+        return Polynomial, (self.d, self.terms)
+
     @classmethod
     def zero(cls, d):
         return cls(d, {})

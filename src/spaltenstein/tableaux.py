@@ -12,9 +12,13 @@ polynomials of presentation all read one recursion, the reduction chain
 gamma, recurse on the reduced tableau.
 
 Every object here is an immutable value; all operations are pure
-functions, so everything is safe to share between threads.  The one
-table of data shared per zero-free key (_KEYS, written only by shared)
-holds only values that a recomputation gives equal.
+functions, so everything is safe to share between threads.  A Tableau
+keeps its columns in one slot, filled by the enumerator or on the first
+columns() call: the columns are a function of the rows (lemma in
+_columns_to_tableau), so the slot takes no part in ==, hash or repr, and
+a second filling writes an equal value.  The one table of data shared
+per zero-free key (_KEYS, written only by shared) holds only values that
+a recomputation gives equal.
 """
 
 from itertools import combinations
@@ -48,6 +52,9 @@ class _Parts:
 
     def to_json(self):
         return list(self.parts)
+
+    def __reduce__(self):
+        return type(self), (self.parts,)
 
 
 class Partition(_Parts):
@@ -126,9 +133,13 @@ _set_parts = _Parts.parts.__set__
 
 
 class Tableau:
-    """A filling of a Young diagram by positive integers, stored row-major."""
+    """A filling of a Young diagram by positive integers, stored row-major.
 
-    __slots__ = ("rows", "shape")
+    The slot _columns holds columns() once known, else None; it is a
+    function of the rows (see _columns_to_tableau), so it takes no part
+    in ==, hash, repr or pickling."""
+
+    __slots__ = ("rows", "shape", "_columns")
 
     def __init__(self, rows=()):
         rows = tuple(tuple(int(v) for v in row) for row in rows)
@@ -139,16 +150,19 @@ class Tableau:
             raise ValueError("tableau entries must be positive integers")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "_columns", None)
 
     @classmethod
-    def _trusted(cls, rows, shape):
+    def _trusted(cls, rows, shape, columns=None):
         """The tableau of rows (non-empty tuples of positive ints, of weakly
         decreasing lengths) with shape their lengths, built without the
         checks of __init__: only for data the library has built valid.  It
-        equals Tableau(rows) in rows and shape."""
+        equals Tableau(rows) in rows and shape.  columns, when given, must
+        be the tuple that columns() would compute."""
         out = _new(cls)
         _set_rows(out, rows)
         _set_shape(out, shape)
+        _set_columns(out, columns)
         return out
 
     def __setattr__(self, name, value):
@@ -163,12 +177,19 @@ class Tableau:
     def __repr__(self):
         return f"Tableau({[list(r) for r in self.rows]})"
 
+    def __reduce__(self):
+        return Tableau, (self.rows,)
+
     def columns(self):
-        """Columns as tuples read top to bottom."""
-        width = self.shape.part(1)
-        return tuple(
-            tuple(row[j] for row in self.rows if len(row) > j) for j in range(width)
-        )
+        """Columns as tuples read top to bottom, computed at most once."""
+        columns = self._columns
+        if columns is None:
+            columns = tuple(
+                tuple(row[j] for row in self.rows if len(row) > j)
+                for j in range(self.shape.part(1))
+            )
+            _set_columns(self, columns)
+        return columns
 
     def reading_word(self):
         """Concatenated column reading word, top to bottom then left to right."""
@@ -202,6 +223,7 @@ class Tableau:
 
 _set_rows = Tableau.rows.__set__
 _set_shape = Tableau.shape.__set__
+_set_columns = Tableau._columns.__set__
 
 
 def partitions(d, max_parts=None):
@@ -246,11 +268,24 @@ def iter_pairs(d_max, n_max=None):
 
 
 def _columns_to_tableau(columns):
-    """The tableau of non-empty columns of positive labels, top to bottom,
-    in weakly decreasing order of height, built without checks."""
+    """The tableau of a tuple of non-empty columns of positive labels, top
+    to bottom, in weakly decreasing order of height, built without checks;
+    it keeps columns as its columns().
+
+    Lemma: row i is (col[i] for the columns of height > i), and the
+    heights decrease weakly, so row i has an entry in column j exactly
+    when len(col_j) > i; column j read from the rows is then col_j[i] for
+    i < len(col_j), which is col_j."""
     height = len(columns[0]) if columns else 0
     rows = tuple(tuple(col[i] for col in columns if len(col) > i) for i in range(height))
-    return Tableau._trusted(rows, Partition._trusted(tuple(map(len, rows))))
+    return Tableau._trusted(rows, Partition._trusted(tuple(map(len, rows))), columns)
+
+
+def _check_sizes(lam, mu):
+    """ValueError unless |lam| = |mu|: the one wording of this fault, for
+    the library's entry points and the command line's usage error."""
+    if lam.size() != mu.size():
+        raise ValueError(f"|lambda|={lam.size()} and |mu|={mu.size()} differ")
 
 
 def dominance_leq(a, b):
@@ -407,8 +442,7 @@ def enumerate_column_strict(lam, mu):
     So a pair whose mu has a zero part returns the list of its zero-free
     pair, kept by shared, relabelled by iota.
     """
-    if lam.size() != mu.size():
-        raise ValueError(f"|lam|={lam.size()} and |mu|={mu.size()} differ")
+    _check_sizes(lam, mu)
     if 0 in mu.parts:
         relabel = _relabelling(mu)
         tabs = shared(
@@ -424,7 +458,7 @@ def enumerate_column_strict(lam, mu):
     cols, levels = [], []
     while True:
         if len(cols) == len(heights):
-            results.append(_columns_to_tableau(cols))
+            results.append(_columns_to_tableau(tuple(cols)))
         else:
             avail = [v for v, c in enumerate(counts, start=1) if c]
             levels.append(combinations(avail, heights[len(cols)]))
@@ -455,8 +489,7 @@ def count_column_strict(lam, mu):
     sums mu, which is an enumeration-free oracle for len(enumerate_column_strict).
     The programme runs forward over the columns of lam, one loop step each.
     """
-    if lam.size() != mu.size():
-        raise ValueError(f"|lam|={lam.size()} and |mu|={mu.size()} differ")
+    _check_sizes(lam, mu)
     # states maps the sorted tuple of positive remaining counts, after the
     # columns so far, to the number of ways to reach it; labels with equal
     # count are interchangeable, so a column picks how many of each group
@@ -528,7 +561,7 @@ def reduce_tableau(T, mu):
     n = len(mu)
     cols_of_n, stripped = _reduce_columns(list(_check_member(T, mu)), n)
     gamma = column_sequence_to_partition(cols_of_n, mu.part(n), mu.size())
-    Tbar = _columns_to_tableau(stripped)
+    Tbar = _columns_to_tableau(tuple(stripped))
     return gamma, Tbar, Tbar.shape, Composition(mu.parts[:-1])
 
 
@@ -578,9 +611,14 @@ def tableau_degree(T, mu):
 
 
 def _degree_from_columns(columns, mu_parts):
-    """Degree of a valid filling given as columns; no validation: the sum
-    of |gamma| = c_1 + ... + c_k - k(k+1)/2 over the levels of _chain."""
-    return sum(sum(c) - len(c) * (len(c) + 1) // 2 for c in _chain(columns, mu_parts))
+    """Degree of a valid filling given as columns; no validation."""
+    return _chain_degree(_chain(columns, mu_parts))
+
+
+def _chain_degree(chain):
+    """The degree of a reduction chain: the sum of |gamma| = c_1 + ... +
+    c_k - k(k+1)/2 over its levels."""
+    return sum(sum(c) - len(c) * (len(c) + 1) // 2 for c in chain)
 
 
 def straighten(T, mu):

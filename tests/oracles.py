@@ -6,9 +6,16 @@ from math import factorial, lcm, prod
 
 from spaltenstein.coinvariant import invariant_rows
 from spaltenstein.linalg import RowSpace
-from spaltenstein.presentation import _generator_items, _residual_rank
+from spaltenstein.presentation import HilbertSeries, _generator_items, _residual_rank
 from spaltenstein.symring import BlockStructure, Polynomial, complete_block
-from spaltenstein.tableaux import Tableau, _reduce_columns, reduce_tableau, transpose
+from spaltenstein.tableaux import (
+    Tableau,
+    _degree_from_columns,
+    _reduce_columns,
+    enumerate_column_strict,
+    reduce_tableau,
+    transpose,
+)
 
 
 def dense(row, width):
@@ -151,6 +158,18 @@ def degree_by_reduction(columns, mu_parts):
             )
         total += sum(c - i for i, c in enumerate(cols_of_n, start=1))
     return total
+
+
+def betti_by_enumeration(lam, mu):
+    """Oracle for reports.betti: list the column-strict fillings and count
+    them by tableaux._degree_from_columns, zero parts of mu included."""
+    degrees = [
+        _degree_from_columns(T.columns(), mu.parts) for T in enumerate_column_strict(lam, mu)
+    ]
+    coeffs = [0] * (max(degrees, default=-1) + 1)
+    for t in degrees:
+        coeffs[t] += 1
+    return HilbertSeries(coeffs)
 
 
 def straighten_by_reduction(T, mu, reduce=reduce_tableau):

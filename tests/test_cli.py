@@ -1,10 +1,15 @@
+import argparse
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
+from datetime import timedelta
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import spaltenstein
 import spaltenstein.cli as cli
@@ -17,6 +22,7 @@ from spaltenstein.tableaux import (
     Partition,
     count_column_strict,
     enumerate_column_strict,
+    iter_pairs,
 )
 
 
@@ -264,12 +270,116 @@ class TestWorkCap:
         assert info.value.code == 2
         assert "137846528820 fillings" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["enumerate", "components", "basis"])
+    def test_boxes_refused_before_the_count(self, command, monkeypatch, capsys):
+        # the count walks the columns, so a huge part is refused first
+        called = []
+        monkeypatch.setattr(cli, "count_column_strict", lambda lam, mu: called.append(1))
+        with pytest.raises(SystemExit) as info:
+            main([command, "--lambda", str(10**30), "--mu", str(10**30)], out=io.StringIO())
+        assert info.value.code == 2 and not called
+        assert f"{10**30} boxes exceed" in capsys.readouterr().err
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "MAX_BOXES", 5)
+        assert run_cli([command, "--lambda", "3,2", "--mu", "2,2,1"])[0] == 0
+        monkeypatch.setattr(cli, "MAX_BOXES", 4)
+        with pytest.raises(SystemExit) as info:
+            main([command, "--lambda", "3,2", "--mu", "2,2,1"], out=io.StringIO())
+        assert info.value.code == 2
+        assert "5 boxes exceed the limit of 4" in capsys.readouterr().err
+
     def test_term_count_refuses_a_small_count(self, capsys):
         # 1,860 fillings, under the cap, but 2,227,530 polynomial terms
         with pytest.raises(SystemExit) as info:
             main(["basis", "--lambda", "6,6", "--mu", "3,3,3,3"], out=io.StringIO())
         assert info.value.code == 2
         assert "2227530 polynomial terms" in capsys.readouterr().err
+
+
+def _text(parts):
+    return ",".join(map(str, parts))
+
+
+# small parts, empty, negative and huge entries, and text that is no list
+PART = st.one_of(st.integers(-2, 4), st.sampled_from([10**6, 10**30]))
+INT_LIST = st.lists(PART, max_size=4).map(_text)
+TEXT = st.one_of(INT_LIST, st.sampled_from(["", " ", "x", "1,,2", "2.5", "1;2"]))
+VALID_PAIRS = list(iter_pairs(5))
+NOISE = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["--lambda", "--mu", "--tableau"]), TEXT),
+        st.tuples(st.just("--format"), st.sampled_from(["json", "table", "dot", "xml"])),
+        st.tuples(st.just("--family"), st.sampled_from(["H", "E", "F"])),
+        st.tuples(st.sampled_from(["--d-max", "--n-max"]), st.sampled_from(["-1", "9", "x"])),
+        st.tuples(st.sampled_from(["--semistandard", "--help", "--bogus"])),
+    ),
+    max_size=2,
+)
+
+
+@st.composite
+def cli_argv(draw):
+    """argv of a subcommand: its own flags, mostly with a valid pair of
+    d <= 5 (and, for degree, one of its tableaux), else with drawn text;
+    a third of the time, then up to two stray flags."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS) + ["frobnicate"]))
+    argv = [command]
+    if command == "sweep":
+        argv += ["--d-max", str(draw(st.one_of(st.integers(-2, 3), st.sampled_from([9, 10**30]))))]
+        if draw(st.booleans()):
+            argv += ["--n-max", str(draw(st.integers(-1, 3)))]
+    elif draw(st.integers(0, 3)):
+        lam, mu = draw(st.sampled_from(VALID_PAIRS))
+        argv += ["--lambda", _text(lam), "--mu", _text(mu)]
+        tabs = enumerate_column_strict(lam, mu) if command == "degree" else []
+        if tabs:
+            rows = draw(st.sampled_from(tabs)).rows
+            argv += ["--tableau", ";".join(map(_text, rows))]
+    else:
+        argv += ["--lambda", draw(TEXT), "--mu", draw(TEXT)]
+        if command == "degree":
+            argv += ["--tableau", ";".join(draw(st.lists(INT_LIST, min_size=1, max_size=3)))]
+    if command in ("enumerate", "basis", "present", "components"):
+        formats = ["json", "table"] + (["dot"] if command == "components" else [])
+        argv += ["--format", draw(st.sampled_from(formats))]
+    if draw(st.integers(0, 2)):
+        return argv
+    return argv + [token for flag in draw(NOISE) for token in flag]
+
+
+def _value(argv, flag):
+    """The last value of flag in argv, as argparse keeps it, else None."""
+    values = [argv[i + 1] for i in range(len(argv) - 1) if argv[i] == flag]
+    return values[-1] if values else None
+
+
+def _builds_a_large_ring(argv):
+    """Whether argv is a valid pair or sweep bound of 5 < d <= MAX_D: such
+    commands would build the d = 6..8 rings, which take seconds to
+    minutes, so the fuzz leaves them out.  Above MAX_D they are refused
+    before any ring is built, and stay in."""
+    if argv[0] == "sweep":
+        bound = _value(argv, "--d-max") or ""
+        return bound.lstrip("-").isdigit() and 5 < int(bound) <= coinvariant.MAX_D
+    try:
+        lam = cli.parse_partition(_value(argv, "--lambda") or "")
+        mu = cli.parse_composition(_value(argv, "--mu") or "")
+    except argparse.ArgumentTypeError:
+        return False
+    return lam.size() == mu.size() and 5 < mu.size() <= coinvariant.MAX_D
+
+
+class TestFuzz:
+    @given(cli_argv())
+    @settings(max_examples=300, deadline=timedelta(seconds=5))
+    def test_exits_0_1_or_2_and_raises_nothing_else(self, argv):
+        assume(not _builds_a_large_ring(argv))
+        with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main(argv, out=io.StringIO())
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), argv
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

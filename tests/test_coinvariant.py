@@ -13,7 +13,13 @@ from spaltenstein.coinvariant import MAX_D, CoinvariantRing, get_ring, invariant
 from spaltenstein.linalg import RowSpace
 from spaltenstein.symring import BlockStructure, Polynomial, complete_block, elementary_block
 from spaltenstein.presentation import h_of_tableau
-from spaltenstein.tableaux import Composition, compositions, enumerate_column_strict, iter_pairs
+from spaltenstein.tableaux import (
+    Composition,
+    _chain,
+    compositions,
+    enumerate_column_strict,
+    iter_pairs,
+)
 
 
 def gaussian_multinomial(d, parts):
@@ -217,7 +223,8 @@ class TestRingBasics:
                 continue
             ring, memo = get_ring(mu.size()), {}
             for T in enumerate_column_strict(lam, mu):
-                vec, t = presentation._h_class_chain(ring, T, mu, memo)
+                chain = _chain(T.columns(), mu.parts)
+                vec, t = presentation._h_class_chain(ring, chain, mu, memo)
                 assert ring.class_of_polynomial(h_of_tableau(T, mu)) == {t: vec}, T
                 tableaux += 1
         assert tableaux == 1119

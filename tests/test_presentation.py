@@ -2,7 +2,8 @@ import hashlib
 import json
 import sys
 from collections.abc import MutableMapping
-from copy import copy
+import pickle
+from copy import copy, deepcopy
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, prod
@@ -49,6 +50,7 @@ from spaltenstein.tableaux import (
     Composition,
     Partition,
     Tableau,
+    _chain,
     compositions,
     dominance_leq,
     enumerate_column_strict,
@@ -505,18 +507,49 @@ class TestStructureConstants:
                     }
 
 
+def _pickled(value):
+    return pickle.loads(pickle.dumps(value))
+
+
+class TestValueRoundTrips:
+    @staticmethod
+    def values():
+        lam, mu = Partition([2, 1]), Composition([1, 1, 1])
+        # a relabelled tableau whose columns were read
+        read = enumerate_column_strict(Partition([3, 1]), Composition([2, 0, 1, 1]))[1]
+        read.columns()
+        return [
+            lam, mu, Composition([1, 0, 2]), read, Tableau([[1, 2], [3]]),
+            HilbertSeries([1, 2]), complete_block(mu, (1, 2), 2),
+            generators(lam, mu, "E"), anti_invariant_transfer(lam, mu),
+        ]
+
+    @pytest.mark.parametrize("roundtrip", [_pickled, copy, deepcopy])
+    def test_equal_values_and_hashes(self, roundtrip):
+        for value in self.values():
+            got = roundtrip(value)
+            assert type(got) is type(value)
+            assert got == value and hash(got) == hash(value)
+            if isinstance(value, Tableau):
+                # rows only: the columns slot refills on the first call
+                assert got._columns is None
+                assert got.columns() == value.columns()
+
+
 class TestDependencyWitness:
     def test_fabricated_dependency_yields_combination(self, monkeypatch):
         # give the second tableau of the lowest repeated degree twice the
-        # class of the first; the witness combination must lie in the ideal
+        # class of the first; the witness combination must lie in the ideal.
+        # The fake is keyed by the reduction chain, which determines the
+        # tableau (bijection lemma in reports.betti)
         real = presentation._h_class_chain
         fake = {}
 
-        def chain(ring, T, mu, memo):
-            hit = fake.get((T, mu))
-            return hit if hit is not None else real(ring, T, mu, memo)
+        def h_class(ring, chain, mu, memo):
+            hit = fake.get((tuple(chain), mu))
+            return hit if hit is not None else real(ring, chain, mu, memo)
 
-        monkeypatch.setattr(presentation, "_h_class_chain", chain)
+        monkeypatch.setattr(presentation, "_h_class_chain", h_class)
         pairs = 0
         for lam, mu in iter_pairs(5):
             if 0 in mu.parts:
@@ -530,9 +563,10 @@ class TestDependencyWitness:
                 continue
             t, (first, second) = repeated[0][0], repeated[0][1][:2]
             q = build_quotient(lam, mu)
-            base = dense(real(q.ring, first, mu, {})[0], q.ring.dim(t))
+            first_chain, second_chain = (_chain(T.columns(), mu.parts) for T in (first, second))
+            base = dense(real(q.ring, first_chain, mu, {})[0], q.ring.dim(t))
             fake.clear()
-            fake[second, mu] = (sparse([2 * v for v in base]), t)
+            fake[tuple(second_chain), mu] = (sparse([2 * v for v in base]), t)
             with pytest.raises(BasisError) as err:
                 presentation._certificate_data(lam, mu, q, tabs)
             witness = err.value.witness
@@ -546,6 +580,21 @@ class TestDependencyWitness:
             assert not q.ideal_space(t).scaled_residual(sparse(total))[1]
             pairs += 1
         assert pairs == 56
+
+    def test_one_chain_per_tableau(self, monkeypatch):
+        # the class and the degree check read one reduction chain
+        calls = []
+        real = presentation._chain
+
+        def counting(columns, mu_parts):
+            calls.append(columns)
+            return real(columns, mu_parts)
+
+        monkeypatch.setattr(presentation, "_chain", counting)
+        lam, mu = Partition([3, 2, 1]), Composition([2, 1, 2, 1])
+        tabs = enumerate_column_strict(lam, mu)
+        presentation._certificate_data(lam, mu, build_quotient(lam, mu), tabs)
+        assert calls == [T.columns() for T in tabs]
 
 
 class TestLastVariableSkip:

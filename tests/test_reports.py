@@ -1,7 +1,7 @@
 import pytest
-from oracles import column_strict_by_search, hilbert_by_charge
+from oracles import betti_by_enumeration, column_strict_by_search, hilbert_by_charge
 
-from spaltenstein import tableaux
+from spaltenstein import reports, tableaux
 from spaltenstein.presentation import HilbertSeries, build_quotient, clear_caches
 from spaltenstein.reports import (
     betti,
@@ -14,6 +14,7 @@ from spaltenstein.tableaux import (
     Partition,
     Tableau,
     compositions,
+    count_column_strict,
     dims,
     dominance_leq,
     enumerate_column_strict,
@@ -47,6 +48,49 @@ class TestBetti:
                         assert betti(lam_p, mu_c).total() == len(
                             enumerate_column_strict(lam_p, mu_c)
                         )
+
+    def test_matches_enumeration_d6(self):
+        # the graded count against listing the fillings and summing each
+        # one's chain, on zero-free and padded pairs alike
+        clear_caches()
+        padded = zero_free = 0
+        for lam, mu in iter_pairs(6):
+            assert betti(lam, mu) == betti_by_enumeration(lam, mu), (lam, mu)
+            if 0 in mu.parts:
+                padded += 1
+            else:
+                zero_free += 1
+        assert (zero_free, padded) == (356, 9448)
+
+    def test_zero_free_pair_lists_no_tableau(self, monkeypatch):
+        lam, mu = Partition([3, 2, 1]), Composition([2, 1, 2, 1])
+        want = betti_by_enumeration(lam, mu)
+
+        def refuse(lam, mu):
+            raise AssertionError("betti enumerated the tableaux")
+
+        monkeypatch.setattr(tableaux, "enumerate_column_strict", refuse)
+        monkeypatch.setattr(reports, "enumerate_column_strict", refuse)
+        assert betti(lam, mu) == want
+
+    def test_deeper_and_wider_than_the_recursion_limit(self):
+        # one loop step per label and per position set, no stack frames
+        assert betti(Partition([1] * 1000), Composition([1] * 1000)) == HilbertSeries([1])
+        assert betti(Partition([1000]), Composition([1000])) == HilbertSeries([1])
+        assert betti(Partition([600, 600]), Composition([600, 600])) == HilbertSeries([1])
+
+
+class TestSizeMismatch:
+    def test_every_entry_point_words_it_alike(self):
+        # the library and the command line's usage error share one message
+        lam = Partition([2, 1])
+        for mu in (Composition([1, 1]), Composition([1, 0, 1])):
+            messages = set()
+            for entry in (enumerate_column_strict, count_column_strict, betti, build_quotient):
+                with pytest.raises(ValueError) as err:
+                    entry(lam, mu)
+                messages.add(str(err.value))
+            assert messages == {"|lambda|=3 and |mu|=2 differ"}
 
 
 def zero_free_dominated_keys(d_max):

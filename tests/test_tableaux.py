@@ -1,5 +1,5 @@
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, product, zip_longest
 from math import comb
 
 import pytest
@@ -218,6 +218,40 @@ class TestEnumeration:
                             assert count == base_counts[key]
                         else:
                             base_counts[key] = count
+
+
+def transposed_rows(rows):
+    """The columns of rows, read by zip_longest rather than by index."""
+    return tuple(tuple(v for v in col if v is not None) for col in zip_longest(*rows))
+
+
+class TestColumnsSlot:
+    def test_columns_are_the_transposed_rows_d6(self):
+        # every enumerated tableau, relabelled ones included; the enumerator
+        # hands its columns over, a relabelled tableau computes its own on
+        # the first call, and the slot never shows in ==, hash or repr
+        seen = relabelled = 0
+        for lam, mu in iter_pairs(6):
+            # iota is the identity exactly when the zero parts all trail
+            nonzero = tuple(p for p in mu.parts if p)
+            relabels = mu.parts[: len(nonzero)] != nonzero
+            for T in enumerate_column_strict(lam, mu):
+                if relabels:
+                    assert T._columns is None
+                    relabelled += 1
+                assert T.columns() == transposed_rows(T.rows)
+                assert T.columns() is T.columns()
+                fresh = Tableau(T.rows)
+                assert (fresh, hash(fresh), repr(fresh)) == (T, hash(T), repr(T))
+                seen += 1
+        assert (seen, relabelled) == (128219, 104585)
+
+    def test_straightened_and_reduced_tableaux(self):
+        for T in enumerate_column_strict(Partition([3, 2, 1]), Composition([2, 2, 1, 1])):
+            S = straighten(T, Composition([2, 2, 1, 1]))
+            Tbar = reduce_tableau(T, Composition([2, 2, 1, 1]))[1]
+            for U in (S, Tbar):
+                assert U.columns() == transposed_rows(U.rows)
 
 
 class TestReduce:
