@@ -19,12 +19,12 @@ import sys
 from .coinvariant import MAX_D
 from .presentation import (
     VerificationError,
+    _h_of_chain,
     _h_term_count,
     _validate_pair,
     anti_invariant_transfer,
     build_quotient,
     certify_basis,
-    h_of_tableau,
     rel_equivalence,
 )
 from .reports import betti, components, poset_dot
@@ -32,6 +32,9 @@ from .tableaux import (
     Composition,
     Partition,
     Tableau,
+    _chain,
+    _chain_degree,
+    _check_member,
     count_column_strict,
     enumerate_column_strict,
     enumerate_semistandard,
@@ -177,16 +180,19 @@ def _cmd_degree(args, out):
 
 
 def _cmd_basis(args, out):
-    _check_work(_count_fillings(args.lam, args.mu), "fillings")
-    tabs = enumerate_column_strict(args.lam, args.mu)
-    _check_work(sum(_h_term_count(T, args.mu) for T in tabs), "polynomial terms")
+    mu = args.mu
+    _check_work(_count_fillings(args.lam, mu), "fillings")
+    tabs = enumerate_column_strict(args.lam, mu)
+    # one validation and one reduction chain per tableau, read three ways
+    chains = [_chain(_check_member(T, mu), mu.parts) for T in tabs]
+    _check_work(sum(_h_term_count(chain, mu) for chain in chains), "polynomial terms")
     items = []
-    for T in tabs:
+    for T, chain in zip(tabs, chains):
         items.append(
             {
                 "tableau": T.to_json(),
-                "degree": 2 * tableau_degree(T, args.mu),
-                "poly": h_of_tableau(T, args.mu).to_json(),
+                "degree": 2 * _chain_degree(chain),
+                "poly": _h_of_chain(chain, mu).to_json(),
             }
         )
     if args.format == "json":

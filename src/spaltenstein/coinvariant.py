@@ -8,7 +8,7 @@ positive degree).  C has dimension d!, with graded pieces no larger than
 the number of permutations with a given inversion count, which keeps all
 row widths small even where the ambient polynomial ring explodes.
 
-Normal forms are computed by division by the triangular set
+Normal forms are taken with respect to the triangular set
 
     g_i = h_i(x_i, ..., x_d)          (i = 1, ..., d)
 
@@ -16,11 +16,17 @@ whose members lie in the symmetric ideal by the expansion of
 h_i(x_i,...,x_d) over e_t(x_1,...,x_{i-1}) * h_{i-t}(x_1,...,x_d).  The
 leading term of g_i is x_i^i, so the reduced monomials are the staircase
 monomials x^a with a_i <= i - 1; there are d! of them, matching dim C,
-which proves the set is a Groebner basis degree by degree.  Division is
-memoised per monomial as a sparse row, and multiplication by a single
-variable is cached as a sparse integer matrix per degree; block symmetric
-functions then act through short linear recurrences instead of polynomial
-expansion.
+which proves the set is a Groebner basis degree by degree.  No monomial
+is divided by it, though.  Two recursions fill the tables instead:
+  - table lemma (var_matrix): the table of x_v on degree r, a sparse
+    integer matrix, is built from the table of x_v on degree r - 1 and
+    the tables of x_u, u > v, on degree r, with g_v read off directly
+    where neither applies; the normal form of a monomial (nf) is then
+    x_i times that of the monomial divided by x_i, read off a table;
+  - vanishing lemma (sym_classes): h_r(X) = (-1)^r e_r of the other
+    variables in C, so the classes of e_r(X) and h_r(X), built by a short
+    linear recurrence over the variables, vanish above |X| and d - |X|,
+    and each list is built once, up to that bound.
 
 A class is a row {position: non-zero entry} over the per-degree
 staircase basis, ordered lexicographically, as in linalg, whose
@@ -67,14 +73,6 @@ class CoinvariantRing:
         for r, row in enumerate(self.basis):
             for pos, mono in enumerate(row):
                 self.index[mono] = pos
-        self._tails = [None] * (d + 1)
-        for i in range(1, d + 1):
-            tails = []
-            for combo in combinations_with_replacement(range(i, d + 1), i):
-                exps = tuple(combo.count(v) for v in range(1, d + 1))
-                if exps[i - 1] != i:
-                    tails.append(exps)
-            self._tails[i] = tuple(tails)
         self._nf = {}
         self._var_matrices = {}
         self._pairs = {}
@@ -87,58 +85,45 @@ class CoinvariantRing:
     def unit(self):
         return {0: 1}
 
-    def _first_reducible(self, mono):
-        for i in range(1, self.d + 1):
-            if mono[i - 1] >= i:
-                return i
-        return None
-
     def nf(self, mono):
         """Class of a monomial as a sparse row: a tuple of (position,
-        non-zero int) pairs over its degree, in increasing position.
+        non-zero int) pairs over its degree, in increasing position; () above
+        top.
 
-        Memoised per monomial, and equal pairs are stored once per ring,
-        to save memory; the rows are shared, so callers must not change
-        them."""
-        memo = self._nf
-        cached = memo.get(mono)
-        if cached is not None:
-            return cached
-        pairs = self._pairs
-        stack = [mono]
-        while stack:
-            m = stack[-1]
-            if m in memo:
-                stack.pop()
-                continue
-            r = sum(m)
-            if r > self.top:
-                memo[m] = ()
-                stack.pop()
-                continue
-            i = self._first_reducible(m)
-            if i is None:
-                jw = (self.index[m], 1)
-                memo[m] = (pairs.setdefault(jw, jw),)
-                stack.pop()
-                continue
-            base = list(m)
-            base[i - 1] -= i
-            deps = [tuple(b + t for b, t in zip(base, tail)) for tail in self._tails[i]]
-            missing = [dep for dep in deps if dep not in memo]
-            if missing:
-                stack.extend(missing)
-                continue
-            acc = {}
-            get = acc.get
-            for dep in deps:
-                for pos, val in memo[dep]:
-                    acc[pos] = get(pos, 0) - val
-            memo[m] = tuple(
-                pairs.setdefault(jw, jw) for jw in sorted(acc.items()) if jw[1]
-            )
-            stack.pop()
-        return memo[mono]
+        A staircase monomial is its own basis vector.  Otherwise, with i the
+        first index where a_i >= i, the class is x_i times the class of
+        x^a / x_i, read off the variable table X_i of the degree below:
+        normal forms are unique and linear.  Memoised per monomial, and
+        equal pairs are stored once per ring, to save memory; the rows are
+        shared, so callers must not change them."""
+        row = self._nf.get(mono)
+        if row is not None:
+            return row
+        r = sum(mono)
+        if r > self.top:
+            row = ()
+        else:
+            for i, a in enumerate(mono, start=1):
+                if a >= i:
+                    lower = list(mono)
+                    lower[i - 1] -= 1
+                    row = self._times(self.nf(tuple(lower)), self.var_matrix(i, r - 1))
+                    break
+            else:
+                jw = (self.index[mono], 1)
+                row = (self._pairs.setdefault(jw, jw),)
+        self._nf[mono] = row
+        return row
+
+    def _times(self, row, table):
+        """The nf row sum val * table[pos] over the (pos, val) pairs of row."""
+        acc = {}
+        get = acc.get
+        for pos, val in row:
+            for j, w in table[pos]:
+                acc[j] = get(j, 0) + val * w
+        items = [jw for jw in sorted(acc.items()) if jw[1]]
+        return tuple(map(self._pairs.setdefault, items, items))
 
     def class_of_polynomial(self, p):
         """Classes of a polynomial, one non-zero row per degree."""
@@ -160,22 +145,66 @@ class CoinvariantRing:
         return {r: row for r, row in out.items() if row}
 
     def var_matrix(self, v, r):
-        """Rows t -> class(x_v * t) for t in the degree-r basis, each the
-        sparse nf row over the degree-(r+1) basis."""
+        """The table X_v^(r): rows t -> class(x_v * t) for t in the degree-r
+        basis, each the sparse nf row over the degree-(r+1) basis.
+
+        Table lemma: let m = x^a be a staircase monomial of degree r < top.
+          1. a_v < v - 1: x_v m is itself staircase.
+          2. a_v = v - 1 and a_u > 0 for some u > v (the last such u is
+             taken): x_v m = x_u (x_v m / x_u), so by uniqueness and
+             linearity of normal forms the row is X_u^(r) applied to row
+             m / x_u of X_v^(r-1).
+          3. a_v = v - 1 and a_u = 0 for every u > v: as g_v = sum_{j=0..v}
+             x_v^j h_{v-j}(x_{v+1..d}), x_v m is minus the sum of the
+             x^{a<v} x_v^j h_{v-j}(x_{v+1..d}), j < v.  Every term is a
+             distinct staircase monomial (x_v has exponent j <= v - 1, and
+             each x_w with w > v at most v - j <= w - 1), so the row has -1
+             at each of them.
+        Each table depends only on (v, r - 1) and on (u > v, r), a
+        well-founded order in which x_d uses cases 1 and 3 only, so the
+        recursion is at most top + d deep.  Tables are filled on first use;
+        at and above top every row is zero."""
         key = (v, r)
-        cached = self._var_matrices.get(key)
-        if cached is None:
-            bumped = []
-            for mono in self.basis[r]:
-                m = list(mono)
+        table = self._var_matrices.get(key)
+        if table is None:
+            table = self._var_matrices[key] = self._fill_var_matrix(v, r)
+        return table
+
+    def _fill_var_matrix(self, v, r):
+        if r >= self.top:
+            return [()] * self.dim(r)
+        index, pairs = self.index, self._pairs
+        below = tails = None
+        table = []
+        for mono in self.basis[r]:
+            m = list(mono)
+            if m[v - 1] < v - 1:
                 m[v - 1] += 1
-                bumped.append(tuple(m))
-            cached = self._var_matrices[key] = [self.nf(m) for m in bumped]
-        return cached
+                jw = (index[tuple(m)], 1)
+                table.append((pairs.setdefault(jw, jw),))
+                continue
+            u = next((u for u in range(self.d, v, -1) if m[u - 1]), None)
+            if u is not None:
+                m[u - 1] -= 1
+                if below is None:
+                    below = self.var_matrix(v, r - 1)
+                table.append(self._times(below[index[tuple(m)]], self.var_matrix(u, r)))
+                continue
+            if tails is None:
+                # the exponents on x_v..x_d of the terms x_v^j h_{v-j}, j < v
+                tails = [
+                    tuple(combo.count(w) for w in range(v, self.d + 1))
+                    for combo in combinations_with_replacement(range(v, self.d + 1), v)
+                    if combo[-1] != v
+                ]
+            head = mono[: v - 1]
+            items = [(j, -1) for j in sorted(index[head + tail] for tail in tails)]
+            table.append(tuple(map(pairs.setdefault, items, items)))
+        return table
 
     def apply_var(self, row, v, r):
         """Class of x_v times a degree-r class."""
-        if r >= self.top:
+        if r >= self.top or not row:
             return {}
         rows = self.var_matrix(v, r)
         out = {}
@@ -199,31 +228,34 @@ class CoinvariantRing:
             cached = self._swap_matrices[key] = [self.nf(m) for m in swapped]
         return cached
 
-    def sym_classes(self, vars_, rmax, kind):
-        """Classes of e_r or h_r of the given variables for r = 0..rmax, as
-        a list of at least rmax + 1 rows indexed by r.
+    def sym_classes(self, vars_, kind):
+        """Classes of e_r or h_r of the given variables X for r = 0..top, as
+        a list of top + 1 rows indexed by r, built once per (vars_, kind).
 
-        Cached per (vars_, kind), whatever rmax: a cached list is returned
-        whenever it reaches rmax, and otherwise the recurrence runs again
-        up to rmax and its list replaces the cached one.  Class r does not
-        depend on rmax, so every call sees the same classes; a caller that
-        needs several degrees asks once for the largest.
+        Vanishing lemma: e_r(X) = 0 for r > |X|.  Over all d variables,
+        prod_{x in X} (1 - x t)^{-1} * prod_x (1 - x t) = prod_{x not in X}
+        (1 - x t), and the middle product is 1 in C, so h_r(X) = (-1)^r
+        e_r(of the other variables), which is 0 for r > d - |X|.  The
+        recurrence runs only up to that bound, and the list is padded with
+        zero rows up to top.
         """
         key = (vars_, kind)
-        cached = self._sym_classes.get(key)
-        if cached is not None and len(cached) > rmax:
-            return cached
-        classes = [self.unit()] + [{} for _ in range(rmax)]
+        classes = self._sym_classes.get(key)
+        if classes is not None:
+            return classes
+        bound = min(self.top, len(vars_) if kind == "e" else self.d - len(vars_))
+        classes = [self.unit()] + [{} for _ in range(bound)]
         for v in vars_:
             # adding v: e_r += x_v e_{r-1} of the old variables, while
             # h_r += x_v h_{r-1} of the new ones
             nxt = [classes[0]]
             lower = classes if kind == "e" else nxt
-            for r in range(1, rmax + 1):
+            for r in range(1, bound + 1):
                 row = dict(classes[r])
                 _subtract(row, -1, self.apply_var(lower[r - 1], v, r - 1))
                 nxt.append(row)
             classes = nxt
+        classes += [{} for _ in range(self.top - bound)]
         self._sym_classes[key] = classes
         return classes
 

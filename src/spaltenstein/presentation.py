@@ -365,7 +365,7 @@ class GradedQuotient:
         Last-variable lemma: e_1 = 0 in the coinvariant algebra, so
         x_d b = -sum_{v<d} x_v b for every degree-r class b, hence
         x_d * I_{t-1} lies in P_t.  The classes of each block union come
-        from one sym_classes call up to stop_x, and each subset's union
+        from its one cached sym_classes list, and each subset's union
         is formed once.  A degree extends an empty space by the products
         of the pivot rows of I_{t-1} by x_1..x_{d-1}, then by G_t: by the
         order lemma of RowSpace the two calls give the canonical basis of
@@ -425,7 +425,7 @@ class GradedQuotient:
             gens_by_deg.setdefault(0, {})[()] = None
         kind = "h" if self.family == "H" else "e"
         unions = {vars_ for gens in gens_by_deg.values() for vars_ in gens}
-        classes = {vars_: ring.sym_classes(vars_, stop_x, kind) for vars_ in unions}
+        classes = {vars_: ring.sym_classes(vars_, kind) for vars_ in unions}
         key = zero_free_key(self.lam, self.mu)
         twin = _TWINS.get((key, "E" if self.family == "H" else "H"))
         twin_ideal, twin_gains = (twin._ideal, twin._gains) if twin is not None else ({}, ())
@@ -517,8 +517,13 @@ def h_of_tableau(T, mu):
     of the complete symmetric functions h_{gamma_i} of each level's block.
     As in _h_class_chain, at level n each position c_i > i gives the factor
     h_{c_i - i}(X_n), since gamma_{k+1-i} = c_i - i."""
+    return _h_of_chain(_chain(_check_member(T, mu), mu.parts), mu)
+
+
+def _h_of_chain(chain, mu):
+    """h_of_tableau of the tableau of content mu whose reduction chain is
+    chain; no validation."""
     out = Polynomial.one(mu.size())
-    chain = _chain(_check_member(T, mu), mu.parts)
     for n, level in zip(range(len(mu), 0, -1), chain):
         for i, c in enumerate(level, start=1):
             if c > i:
@@ -526,14 +531,14 @@ def h_of_tableau(T, mu):
     return out
 
 
-def _h_term_count(T, mu):
-    """The number of terms of h_of_tableau(T, mu), T valid, without the
+def _h_term_count(chain, mu):
+    """The number of terms of _h_of_chain(chain, mu) without the
     expansion: the factors of level n are complete symmetric functions of
     the mu_n variables of block n, of total degree |gamma_n|, so their
     product has every monomial of that degree, C(|gamma_n| + mu_n - 1,
     mu_n - 1) of them, and no two blocks share a variable."""
     count = 1
-    for k, level in zip(reversed(mu.parts), _chain(T.columns(), mu.parts)):
+    for k, level in zip(reversed(mu.parts), chain):
         if k:
             count *= comb(sum(level) - k * (k + 1) // 2 + k - 1, k - 1)
     return count
@@ -546,8 +551,8 @@ def _h_class_chain(ring, chain, mu, memo):
     of each level's block.  The class of levels 1..m depends only on
     those levels of the chain, so memo, one per content mu, maps each run
     of lower levels to its class, and the tableaux that share lower
-    levels share their product.  The factors are cached h tables
-    (sym_classes), a level's largest degree first."""
+    levels share their product.  The factors are the cached h tables
+    (sym_classes)."""
     vec, t = ring.unit(), 0
     key = ()
     base = 0
@@ -559,7 +564,7 @@ def _h_class_chain(ring, chain, mu, memo):
             for i in range(k, 0, -1):
                 s = level[i - 1] - i
                 if s > 0:
-                    vec = ring.mul_classes(vec, t, ring.sym_classes(vars_, s, "h")[s], s)
+                    vec = ring.mul_classes(vec, t, ring.sym_classes(vars_, "h")[s], s)
                     t += s
             memo[key] = (vec, t)
         else:

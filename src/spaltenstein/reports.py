@@ -95,9 +95,11 @@ def components(lam, mu):
         return [(relabel(S), dim, [relabel(T) for T in fiber]) for S, dim, fiber in triples]
     d_lam, d_mu = dims(lam, mu)
     cols = enumerate_column_strict(lam, mu)
+    heights = transpose(lam).parts
     fibers = {}
     for T in cols:
-        fibers.setdefault(_straighten(_chain(T.columns(), mu.parts), T.shape), []).append(T)
+        S = _straighten(_chain(T.columns(), mu.parts), T.shape, heights)
+        fibers.setdefault(S, []).append(T)
     out = [(S, d_lam - d_mu, fibers.pop(S)) for S in cols if S.is_semistandard()]
     if fibers:
         stray = next(iter(fibers))

@@ -626,11 +626,13 @@ def straighten(T, mu):
 
     Fixed points are exactly the semi-standard tableaux.
     """
-    return _straighten(_chain(_check_member(T, mu), mu.parts), T.shape)
+    return _straighten(_chain(_check_member(T, mu), mu.parts), T.shape, transpose(T.shape).parts)
 
 
-def _straighten(chain, shape):
-    """straighten of the filling of this shape with this reduction chain.
+def _straighten(chain, shape, column_heights):
+    """straighten of the filling of this shape with this reduction chain;
+    column_heights are those of the shape (transpose(shape).parts), which a
+    caller straightening many fillings of one shape computes once.
 
     The recursion: S(T) is S(Tbar) with n appended to row i once for each
     box of row i stripped at level n, lam_i - lambar_i times.
@@ -644,7 +646,7 @@ def _straighten(chain, shape):
     positions of each level, re-sorts, and fills each row from the right,
     the largest label first.
     """
-    heights = list(transpose(shape).parts)
+    heights = list(column_heights)
     rows = [[0] * p for p in shape.parts]
     ends = list(shape.parts)
     for n, level in zip(range(len(chain), 0, -1), chain):

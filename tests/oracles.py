@@ -1,11 +1,11 @@
 """Test oracles shared by several test modules."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import factorial, lcm, prod
 
 from spaltenstein.coinvariant import invariant_rows
-from spaltenstein.linalg import RowSpace
+from spaltenstein.linalg import RowSpace, _subtract
 from spaltenstein.presentation import HilbertSeries, _generator_items, _residual_rank
 from spaltenstein.symring import BlockStructure, Polynomial, complete_block
 from spaltenstein.tableaux import (
@@ -69,6 +69,66 @@ def block_antisymmetrizer(mu):
     return out * Fraction(1, prod(factorial(p) for p in mu.parts))
 
 
+def nf_by_division(ring, mono, memo):
+    """Oracle for CoinvariantRing.nf: the normal form of a monomial by
+    division by the lex Groebner basis g_i = h_i(x_i, ..., x_d), as a tuple
+    of (position, non-zero int) pairs; () above top.  With i the first index
+    where a_i >= i, x^a = x^a / x_i^i * (x_i^i - g_i), and x_i^i - g_i is
+    minus the other monomials of h_i(x_i, ..., x_d).  memo, one dict per
+    ring, keeps every normal form reached."""
+    d = ring.d
+    tails = {}
+    stack = [mono]
+    while stack:
+        m = stack[-1]
+        if m in memo:
+            stack.pop()
+            continue
+        if sum(m) > ring.top:
+            memo[m] = ()
+            stack.pop()
+            continue
+        i = next((i for i in range(1, d + 1) if m[i - 1] >= i), None)
+        if i is None:
+            memo[m] = ((ring.index[m], 1),)
+            stack.pop()
+            continue
+        if i not in tails:
+            combos = combinations_with_replacement(range(i, d + 1), i)
+            exps = (tuple(combo.count(v) for v in range(1, d + 1)) for combo in combos)
+            tails[i] = [e for e in exps if e[i - 1] != i]
+        base = list(m)
+        base[i - 1] -= i
+        deps = [tuple(b + t for b, t in zip(base, tail)) for tail in tails[i]]
+        missing = [dep for dep in deps if dep not in memo]
+        if missing:
+            stack.extend(missing)
+            continue
+        acc = {}
+        for dep in deps:
+            for pos, val in memo[dep]:
+                acc[pos] = acc.get(pos, 0) - val
+        memo[m] = tuple(jw for jw in sorted(acc.items()) if jw[1])
+        stack.pop()
+    return memo[mono]
+
+
+def sym_classes_by_recurrence(ring, vars_, kind):
+    """Oracle for CoinvariantRing.sym_classes: the classes of e_r or h_r of
+    vars_ for r = 0..top by the recurrence over the variables run to top in
+    every step, with no vanishing bound."""
+    classes = [{0: 1}] + [{} for _ in range(ring.top)]
+    for v in vars_:
+        nxt = [classes[0]]
+        lower = classes if kind == "e" else nxt
+        for r in range(1, ring.top + 1):
+            row = dict(classes[r])
+            _subtract(row, -1, ring.apply_var(lower[r - 1], v, r - 1))
+            nxt.append(row)
+        classes = nxt
+    return classes
+
+
 def ideal_by_insertion(quotient):
     """The ideal spaces of a quotient, one per x-degree up to stop_x, grown
     one insert at a time in the order that precedes batching: the degree's
@@ -84,7 +144,7 @@ def ideal_by_insertion(quotient):
     for t in range(quotient.stop_x + 1):
         space = RowSpace(ring.dim(t))
         for vars_ in gens.get(t, ()):
-            space.insert(ring.sym_classes(vars_, quotient.stop_x, kind)[t])
+            space.insert(ring.sym_classes(vars_, kind)[t])
         if t:
             below = ideal[-1].pivot_rows
             for v in range(1, quotient.d):

@@ -15,6 +15,8 @@ import spaltenstein
 import spaltenstein.cli as cli
 import spaltenstein.coinvariant as coinvariant
 import spaltenstein.presentation as presentation
+import spaltenstein.reports as reports
+import spaltenstein.tableaux as tableaux
 from spaltenstein.cli import main
 from spaltenstein.presentation import HilbertSeries, h_of_tableau
 from spaltenstein.tableaux import (
@@ -134,6 +136,33 @@ class TestVerifyWork:
         assert code == 1
         assert text == '{"betti":[9],"check":"betti","hilbert":[1,2]}\n'
         assert len(calls) == 1
+
+
+class TestBasisWork:
+    def test_one_chain_and_one_validation_per_tableau(self, monkeypatch):
+        # the term count, the degree and the polynomial of each tableau are
+        # read off one reduction chain, wherever _chain is looked up
+        chains, checks = [], []
+        real_chain, real_check = tableaux._chain, tableaux._check_member
+
+        def counting_chain(columns, mu_parts):
+            chains.append(columns)
+            return real_chain(columns, mu_parts)
+
+        def counting_check(T, mu):
+            checks.append(T)
+            return real_check(T, mu)
+
+        for module in (tableaux, presentation, cli, reports):
+            if hasattr(module, "_chain"):
+                monkeypatch.setattr(module, "_chain", counting_chain)
+            if hasattr(module, "_check_member"):
+                monkeypatch.setattr(module, "_check_member", counting_check)
+        code, text = run_cli(["basis", "--lambda", "3,2,1", "--mu", "2,2,1,1"])
+        assert code == 0
+        assert len(json.loads(text)) == 8
+        assert len(chains) == len(checks) == 8
+        assert len(set(checks)) == 8
 
 
 class TestDeterminism:

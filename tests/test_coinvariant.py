@@ -1,13 +1,20 @@
 import random
 from copy import deepcopy
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import block_antisymmetrizer, dense, kernel_basis, sparse
+from oracles import (
+    block_antisymmetrizer,
+    dense,
+    kernel_basis,
+    nf_by_division,
+    sparse,
+    sym_classes_by_recurrence,
+)
 from spaltenstein import coinvariant, presentation
 from spaltenstein.coinvariant import MAX_D, CoinvariantRing, get_ring, invariant_rows
 from spaltenstein.linalg import RowSpace
@@ -124,8 +131,8 @@ class TestRingBasics:
         ring = get_ring(4)
         allvars = (1, 2, 3, 4)
         for r in range(1, 5):
-            assert ring.sym_classes(allvars, r, "h")[r] == {}
-            assert ring.sym_classes(allvars, r, "e")[r] == {}
+            assert ring.sym_classes(allvars, "h")[r] == {}
+            assert ring.sym_classes(allvars, "e")[r] == {}
 
     def test_nf_agrees_with_polynomial_relations(self):
         # x1 + ... + xd reduces to zero
@@ -230,6 +237,44 @@ class TestRingBasics:
         assert tableaux == 1119
 
 
+class TestTables:
+    """The variable tables and normal forms, filled by the table lemma
+    (CoinvariantRing.var_matrix), against division by the Groebner basis."""
+
+    def test_var_matrix_matches_division(self):
+        for d in range(1, 7):
+            ring, memo = CoinvariantRing(d), {}
+            for r in range(ring.top + 1):
+                for v in range(1, d + 1):
+                    table = ring.var_matrix(v, r)
+                    assert len(table) == ring.dim(r)
+                    for mono, row in zip(ring.basis[r], table):
+                        bumped = tuple(e + (i == v - 1) for i, e in enumerate(mono))
+                        assert row == nf_by_division(ring, bumped, memo), (d, v, mono)
+
+    def test_nf_matches_division(self):
+        # every monomial with a_i <= 2(i - 1) and degree up to top + 1
+        for d in range(1, 7):
+            ring, memo = CoinvariantRing(d), {}
+            count = 0
+            for mono in product(*(range(2 * i - 1) for i in range(1, d + 1))):
+                if sum(mono) <= ring.top + 1:
+                    assert ring.nf(mono) == nf_by_division(ring, mono, memo), mono
+                    count += 1
+            assert count == {1: 1, 2: 3, 3: 12, 4: 74, 5: 615, 6: 6406}[d]
+
+    def test_tables_do_not_use_nf(self):
+        # the table lemma builds every table from tables, never from a
+        # normal form of a monomial
+        for d in range(1, 7):
+            ring = CoinvariantRing(d)
+            for r in range(ring.top + 1):
+                for v in range(1, d + 1):
+                    ring.var_matrix(v, r)
+            assert len(ring._var_matrices) == d * (ring.top + 1)
+            assert ring._nf == {}
+
+
 class TestInvariants:
     def test_dims_match_gaussian_multinomial(self):
         for d in range(1, 6):
@@ -282,25 +327,44 @@ class TestInvariants:
 
 class TestSymClasses:
     def test_same_classes_rising_falling_cold(self):
+        # the classes of a set do not depend on what the ring filled
+        # before: the variable tables in rising or falling degree, the
+        # classes of the other sets and kinds, or nothing (cold)
         for d in range(1, 6):
-            top = get_ring(d).top
-            var_sets = [(1,), tuple(range(1, d + 1)), tuple(range(2, d + 1)), (1, d)]
+            ends = tuple(sorted({1, d}))
+            var_sets = [(1,), tuple(range(1, d + 1)), tuple(range(2, d + 1)), ends]
             for kind in ("h", "e"):
                 for vars_ in var_sets:
                     runs = []
-                    for order in (range(top + 1), range(top, -1, -1), None):
-                        presentation.clear_caches()
-                        ring = get_ring(d)
-                        got = {}
-                        for r in order or range(top + 1):
-                            if order is None:
-                                presentation.clear_caches()
-                                ring = get_ring(d)
-                            classes = ring.sym_classes(vars_, r, kind)
-                            assert len(classes) > r
-                            got[r] = classes[: r + 1]
-                        runs.append(got)
-                    assert runs[0] == runs[1] == runs[2]
+                    for order in ("rising", "falling", "others", "cold"):
+                        ring = CoinvariantRing(d)
+                        degrees = range(ring.top + 1)
+                        if order in ("rising", "falling"):
+                            for r in degrees if order == "rising" else reversed(degrees):
+                                for v in range(1, d + 1):
+                                    ring.var_matrix(v, r)
+                        elif order == "others":
+                            for other in var_sets:
+                                for k in ("e", "h"):
+                                    if (other, k) != (vars_, kind):
+                                        ring.sym_classes(other, k)
+                        classes = ring.sym_classes(vars_, kind)
+                        assert len(classes) == ring.top + 1
+                        assert ring.sym_classes(vars_, kind) is classes
+                        runs.append(classes)
+                    assert runs[0] == runs[1] == runs[2] == runs[3]
+
+    def test_matches_unbounded_recurrence(self):
+        # every subset of the variables, both kinds, d <= 6: the recurrence
+        # stopped at the vanishing bound and padded with zero rows, against
+        # the recurrence run to top in every step
+        for d in range(0, 7):
+            ring = CoinvariantRing(d)
+            for k in range(d + 1):
+                for vars_ in combinations(range(1, d + 1), k):
+                    for kind in ("h", "e"):
+                        expected = sym_classes_by_recurrence(ring, vars_, kind)
+                        assert ring.sym_classes(vars_, kind) == expected, (d, vars_, kind)
 
     def test_classes_match_polynomials(self):
         # the recurrence against the normal forms of the expanded polynomials
@@ -309,7 +373,7 @@ class TestSymClasses:
             ones = Composition((1,) * d)
             for vars_ in [(1,), tuple(range(1, d + 1)), tuple(range(2, d + 1)), (1, d)]:
                 for kind, builder in (("h", complete_block), ("e", elementary_block)):
-                    classes = ring.sym_classes(vars_, ring.top, kind)
+                    classes = ring.sym_classes(vars_, kind)
                     for r in range(1, ring.top + 1):
                         expected = ring.class_of_polynomial(builder(ones, vars_, r))
                         assert classes[r] == expected.get(r, {})
@@ -339,7 +403,7 @@ class TestOwnership:
         # first space, reduced against a pivot entry 1 (so without scaling)
         # in the second, then back-substituted in the first
         ring = get_ring(4)
-        row = ring.sym_classes((3, 4), 2, "h")[2]
+        row = ring.sym_classes((3, 4), "h")[2]
         assert row == {0: 1, 1: 1, 2: 1}
         before = deepcopy(ring._sym_classes)
         first, second = RowSpace(ring.dim(2)), RowSpace(ring.dim(2))

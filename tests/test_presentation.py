@@ -252,13 +252,14 @@ class TestTableauBasis:
     def test_chain_product_matches_reduction_oracle_d5(self):
         # h_of_tableau reads the chain once; the oracle multiplies the gammas
         # of validated reduce_tableau steps; _h_term_count counts the terms
-        # without expanding the product
+        # of the chain's product without expanding it
         tableaux = 0
         for lam, mu in iter_pairs(5):
             for T in enumerate_column_strict(lam, mu):
                 p = h_of_tableau(T, mu)
                 assert p == h_by_reduction(T, mu)
-                assert len(p.terms) == presentation._h_term_count(T, mu)
+                chain = _chain(T.columns(), mu.parts)
+                assert len(p.terms) == presentation._h_term_count(chain, mu)
                 tableaux += 1
         assert tableaux == 7904
 
@@ -837,7 +838,7 @@ def membership_equivalence(qh, qe):
     ring = qh.ring
     for source, target, kind in ((qh, qe, "h"), (qe, qh, "e")):
         for subset, r in _generator_items(source.lam, source.mu, source.family, source.stop_x):
-            row = ring.sym_classes(source.blocks.union(subset), r, kind)[r]
+            row = ring.sym_classes(source.blocks.union(subset), kind)[r]
             if row and target.ideal_space(r).scaled_residual(row)[1]:
                 return False
     return True

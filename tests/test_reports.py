@@ -152,6 +152,24 @@ class TestComponents:
                             assert dim == d_lam - d_mu
                             assert S in fiber
 
+    def test_column_heights_once_per_call(self, monkeypatch):
+        # the 60 fillings of (3,2,1) with content (1^6) are straightened
+        # against one list of column heights, not one transpose each
+        calls = []
+        real = tableaux.transpose
+
+        def counting(lam):
+            calls.append(lam)
+            return real(lam)
+
+        monkeypatch.setattr(tableaux, "transpose", counting)
+        monkeypatch.setattr(reports, "transpose", counting)
+        lam, mu = Partition([3, 2, 1]), Composition([1] * 6)
+        comps = components(lam, mu)
+        assert sum(len(fiber) for _, _, fiber in comps) == 60
+        assert len(calls) <= 2
+        assert [straighten(T, mu) for T in comps[0][2]] == [comps[0][0]] * len(comps[0][2])
+
 
 class TestWideInput:
     def test_wider_than_the_recursion_limit(self):
