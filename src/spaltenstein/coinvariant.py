@@ -237,12 +237,15 @@ class CoinvariantRing:
         (1 - x t), and the middle product is 1 in C, so h_r(X) = (-1)^r
         e_r(of the other variables), which is 0 for r > d - |X|.  The
         recurrence runs only up to that bound, and the list is padded with
-        zero rows up to top.
+        zero rows up to top.  The bound counts distinct variables, so a
+        repeated variable, or one outside 1..d, raises ValueError.
         """
         key = (vars_, kind)
         classes = self._sym_classes.get(key)
         if classes is not None:
             return classes
+        if len(set(vars_)) < len(vars_) or not all(1 <= v <= self.d for v in vars_):
+            raise ValueError(f"expected distinct variables among 1..{self.d}, got {vars_}")
         bound = min(self.top, len(vars_) if kind == "e" else self.d - len(vars_))
         classes = [self.unit()] + [{} for _ in range(bound)]
         for v in vars_:

@@ -16,12 +16,11 @@ multiplication by single variables.  Degrees above twice
 vanishing in all higher degrees, instead of being assumed.
 
 The paper's theorem says the two families cut out one ideal; the
-library checks that (rel_equivalence) and never assumes it.  Still, the
-two builds of one key share work: the products x_v * I_{t-1} depend on
-I_{t-1} only, so while the quotient of one family is alive (_TWINS), the
-build of the other family reuses its ideal spaces wherever the two
-ideals agree below (twin lemma in GradedQuotient._build) and forms its
-own products only where they do not.
+library checks that (rel_equivalence) and never assumes it.  Still, one
+build makes both families of a key: the products x_v * I_{t-1} depend on
+I_{t-1} only, so each degree forms them once per distinct ideal below,
+and each family extends them by its own generators (shared products in
+GradedQuotient._build).
 
 The quotient dimensions are read off the ideal ranks: the coinvariant
 algebra is free over its S_mu-invariants, with Hilbert series
@@ -37,7 +36,6 @@ All computations are exact.  The x-degree of a polynomial is half its
 grading degree; public interfaces use the grading degree throughout.
 """
 
-import weakref
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
@@ -54,6 +52,7 @@ from .symring import (
 )
 from .tableaux import (
     _KEYS,
+    _LATEST,
     Composition,
     Partition,
     _chain,
@@ -145,16 +144,13 @@ def _validate_pair(lam, mu):
 
 def generator_bound(lam, mu, family, subset):
     """Strict lower bound on r for the (subset, r) members of the family."""
-    m = len(subset)
+    inside = [mu.part(i) for i in subset]
     if family == "H":
-        return sum(lam.part(i) for i in range(1, m + 1)) - sum(
-            mu.part(i) for i in subset
-        )
+        return sum(lam.parts[: len(subset)]) - sum(inside)
     if family == "E":
-        outside = sum(1 for i in range(1, len(mu) + 1) if mu.part(i) > 0 and i not in subset)
-        return sum(mu.part(i) for i in subset) - sum(
-            lam.part(i) for i in range(outside + 1, len(mu) + 1)
-        )
+        # the number of non-zero parts of mu outside the subset
+        outside = sum(1 for p in mu.parts if p) - sum(1 for p in inside if p)
+        return sum(inside) - sum(lam.parts[outside : len(mu)])
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -301,11 +297,6 @@ def _residual_rank(space, rows):
     return RowSpace(space.width).extend(space.scaled_residual(row)[1] for row in rows)
 
 
-# (zero-free key, family) -> the GradedQuotient whose _build made that core,
-# while it lives: the twin that the other family's build reads
-_TWINS = weakref.WeakValueDictionary()
-
-
 class GradedQuotient:
     """Per-degree presentation data for one (lam, mu, family) triple.
 
@@ -314,11 +305,11 @@ class GradedQuotient:
     dimension.  Quotient dimensions above the stopping degree are zero;
     this is forced by the verified vanishing window, not assumed.
 
-    Its core, (stop_x, the ideal spaces, the Hilbert series, the gain
-    degrees of _build), is kept by tableaux.shared under ("core",
-    family): it depends only on the family and the zero-free key (lam,
-    non-zero parts of mu in order).  Zero-block lemma: let mu' be mu with
-    its zero parts deleted.
+    Its core, (stop_x, the ideal spaces, the Hilbert series), comes from
+    _build, which makes the cores of both families at once; tableaux.shared
+    keeps the pair under "cores": it depends only on the zero-free key
+    (lam, non-zero parts of mu in order).  Zero-block lemma: let mu' be mu
+    with its zero parts deleted.
       - A zero block adds no variables, so every block union, the
         transpositions() of the blocks, d_mu, max_alg, stop_x and the
         Poincare polynomial P_mu agree for all pairs of one key.
@@ -332,10 +323,9 @@ class GradedQuotient:
         when lam has more parts than mu'; then every pair of the key has
         a zero part and that unit.  _build reads the subsets of the
         non-zero blocks and adds that unit, so every pair of the key has
-        one generator set; equal generator sets span equal ideals, and
-        RowSpace is canonical, so the pivot_rows of each degree agree,
-        and so do the quotient dimensions and the gain degrees (defined
-        by the ranks of these spans).
+        one generator set per family; equal generator sets span equal
+        ideals, and RowSpace is canonical, so the pivot_rows of each
+        degree agree, and so do the quotient dimensions.
     """
 
     def __init__(self, lam, mu, family):
@@ -349,48 +339,38 @@ class GradedQuotient:
         self.top_x = d_lambda - self.d_mu
         self.ring = get_ring(self.d)
         self.blocks = BlockStructure(mu)
-        self.stop_x, self._ideal, self.hilbert, self._gains = shared(
-            ("core", family), lam, mu, self._build
-        )
+        self.stop_x, self._ideal, self.hilbert = shared("cores", lam, mu, self._build)[family]
 
     def _build(self):
-        """The core (stop_x, ideal spaces by x-degree, Hilbert series,
-        gain degrees) of this pair.  Generators are collected per degree
-        as a set of block unions, keyed by (variables, r), over the
-        subsets of the non-zero blocks (zero-block lemma): inserting one
-        vector twice cannot change a span.
+        """The cores {"H": core, "E": core} of this pair, each core (stop_x,
+        ideal spaces by x-degree, Hilbert series).  Generators are
+        collected per family and degree as a set of block unions, keyed by
+        (variables, r), over the subsets of the non-zero blocks (zero-block
+        lemma): inserting one vector twice cannot change a span.
 
-        Degree t is I_t = P_t + span G_t, with G_t the generator
-        classes of degree t and P_t = sum_{v<d} x_v I_{t-1} (P_0 = 0).
-        Last-variable lemma: e_1 = 0 in the coinvariant algebra, so
-        x_d b = -sum_{v<d} x_v b for every degree-r class b, hence
-        x_d * I_{t-1} lies in P_t.  The classes of each block union come
-        from its one cached sym_classes list, and each subset's union
-        is formed once.  A degree extends an empty space by the products
-        of the pivot rows of I_{t-1} by x_1..x_{d-1}, then by G_t: by the
-        order lemma of RowSpace the two calls give the canonical basis of
-        I_t, and extend's order leaves little back-substitution.  The
-        degrees where G_t raises the rank beyond P_t are the gain
-        degrees, kept in the core.
+        Degree t of a family is I_t = P_t + span G_t, with G_t the
+        family's generator classes of degree t and P_t = sum_{v<d} x_v
+        I_{t-1} (P_0 = 0).  Last-variable lemma: e_1 = 0 in the
+        coinvariant algebra, so x_d b = -sum_{v<d} x_v b for every degree-r
+        class b, hence x_d * I_{t-1} lies in P_t.  The classes of each
+        block union come from its one cached sym_classes list, and each
+        subset's union is formed once.  P_t extends an empty space by the
+        products of the pivot rows of I_{t-1} by x_1..x_{d-1}, and I_t is
+        P_t, or a copy of P_t extended by G_t where G_t raises the rank: by
+        the order lemma of RowSpace the two calls give the canonical basis
+        of I_t, and extend's order leaves little back-substitution.
 
         Full-degree lemma: C is generated by x_1..x_{d-1} (x_d is minus
         their sum), so C_t = sum_{v<d} x_v C_{t-1} for 1 <= t <= top.
         Hence I_{t-1} = C_{t-1} gives I_t = C_t = P_t, and that degree is
-        the space of unit rows, with no product formed and no gain.
+        the space of unit rows, with no product formed.
 
-        Twin lemma: let J be the ideal of the other family of the key,
-        built by a quotient still alive (_TWINS, registered at the end
-        of its _build), with its gain degrees.  If I_{t-1} = J_{t-1},
-        then P_t(I) = P_t(J), since P_t is a function of I_{t-1}; and if
-        t is not a gain degree of J, then J_t = P_t(J).  So I_t is J_t
-        extended by this family's own G_t, with no product formed, and
-        the gain of that extension is this family's gain over P_t.  At a
-        gain degree of J, or once I_{t-1} differs from J_{t-1}, the
-        degree forms its own products as above.  Wherever I_t == J_t
-        the build keeps J's RowSpace object, so identity tests
-        I_{t-1} = J_{t-1} at the next degree.  The lemma needs only that
-        both cores are the canonical spans of their own generators and
-        products; it does not assume that the families agree.
+        Shared products: P_t is a function of I_{t-1}, so each degree forms
+        it once per distinct I_{t-1} object.  Where E's I_t equals H's (==
+        on canonical RowSpaces), E keeps H's object, so at the next degree
+        the two I_{t-1} are one object and P_{t+1} is formed once.  Each
+        family is still the span of its own generators and its own
+        products; nothing assumes that the families agree.
 
         Hilbert lemma: let R = C^{S_mu}, and let P_mu(q) = prod_j
         [mu_j]_q! (_poincare).
@@ -409,85 +389,84 @@ class GradedQuotient:
         reads H_t = F_t - sum_{k=1..t} P_mu[k] * H_{t-k}: H_t needs F_0..F_t
         only, the degrees the loop has built.  A negative H_t cannot
         occur for an ideal generated by invariants, and raises
-        VerificationError."""
+        VerificationError.  Each degree checks H, then E, and every
+        witness names its family."""
         ring = self.ring
         max_alg = max([p for p in self.mu.parts if p > 0], default=1)
         first_above = max(0, self.top_x + 1)
         stop_x = min(ring.top, first_above + max_alg - 1)
         nonzero = [i for i, p in enumerate(self.mu.parts, start=1) if p]
-        gens_by_deg, union_of = {}, {}
-        for subset, r in _generator_items(self.lam, self.mu, self.family, stop_x, nonzero):
-            vars_ = union_of.get(subset)
-            if vars_ is None:
-                vars_ = union_of[subset] = self.blocks.union(subset)
-            gens_by_deg.setdefault(r, {})[vars_] = None
-        if self.family == "E" and self.lam.height() > len(nonzero):
-            gens_by_deg.setdefault(0, {})[()] = None
-        kind = "h" if self.family == "H" else "e"
-        unions = {vars_ for gens in gens_by_deg.values() for vars_ in gens}
-        classes = {vars_: ring.sym_classes(vars_, kind) for vars_ in unions}
-        key = zero_free_key(self.lam, self.mu)
-        twin = _TWINS.get((key, "E" if self.family == "H" else "H"))
-        twin_ideal, twin_gains = (twin._ideal, twin._gains) if twin is not None else ({}, ())
+        union_of, gens_of = {}, {}
+        for family, kind in (("H", "h"), ("E", "e")):
+            by_deg = {}
+            for subset, r in _generator_items(self.lam, self.mu, family, stop_x, nonzero):
+                vars_ = union_of.get(subset)
+                if vars_ is None:
+                    vars_ = union_of[subset] = self.blocks.union(subset)
+                by_deg.setdefault(r, {})[vars_] = None
+            if family == "E" and self.lam.height() > len(nonzero):
+                by_deg.setdefault(0, {})[()] = None
+            classes = {v: ring.sym_classes(v, kind) for v in set().union(*by_deg.values())}
+            gens_of[family] = {t: [classes[v][t] for v in gens] for t, gens in by_deg.items()}
         poincare = _poincare(self.mu.parts)
-        ideal, qdim, gains = {}, [], set()
+        ideals, qdims = {"H": {}, "E": {}}, {"H": [], "E": []}
         for t in range(stop_x + 1):
             full = ring.dim(t)
-            gens = [classes[vars_][t] for vars_ in gens_by_deg.get(t, ())]
-            below, twin_t = ideal.get(t - 1), twin_ideal.get(t)
-            if twin_t is not None and below is twin_ideal.get(t - 1) and t not in twin_gains:
-                # twin lemma: J_t is the product span P_t of this family too
-                space = twin_t
-                if gens and space.rank < full:
-                    space = space.copy()
-                    if space.extend(gens):
-                        gains.add(t)
-                    else:
-                        space = twin_t
-            else:
-                space = RowSpace(full)
-                if below is not None and below.rank == ring.dim(t - 1):
-                    space.extend({c: 1} for c in range(full))
-                else:
-                    if below is not None:
+            spans = []  # (I_{t-1}, P_t) per distinct I_{t-1} object
+            for family, ideal in ideals.items():
+                below = ideal.get(t - 1)
+                span = next((p for b, p in spans if b is below), None)
+                if span is None:
+                    span = RowSpace(full)
+                    if below is not None and below.rank == ring.dim(t - 1):
+                        span.extend({c: 1} for c in range(full))
+                    elif below is not None:
                         rows = below.pivot_rows.values()
-                        space.extend(
+                        span.extend(
                             ring.apply_var(row, v, t - 1) for v in range(1, self.d) for row in rows
                         )
-                    if space.extend(gens):
-                        gains.add(t)
-                if space == twin_t:
-                    space = twin_t
-            ideal[t] = space
-            # sum over k >= 1 of P_mu[k] * H_{t-k}
-            dim = full - space.rank - sum(map(mul, poincare[1:], reversed(qdim)))
-            if dim < 0:
-                raise VerificationError(
-                    "negative quotient dimension from the Poincare division",
-                    witness={
-                        "lambda": self.lam.to_json(),
-                        "mu": self.mu.to_json(),
-                        "family": self.family,
-                        "degree": 2 * t,
-                        "ring_dimension": full,
-                        "ideal_rank": space.rank,
-                        "dimension": dim,
-                    },
-                )
-            qdim.append(dim)
-        for t in range(first_above, stop_x + 1):
-            if qdim[t]:
-                raise TruncationError(
-                    "quotient does not vanish above its top degree",
-                    witness={
-                        "lambda": self.lam.to_json(),
-                        "mu": self.mu.to_json(),
-                        "degree": 2 * t,
-                        "dimension": qdim[t],
-                    },
-                )
-        _TWINS[key, self.family] = self
-        return stop_x, ideal, HilbertSeries(qdim[: max(self.top_x, -1) + 1]), frozenset(gains)
+                    spans.append((below, span))
+                space = span
+                gens = gens_of[family].get(t)
+                if gens and span.rank < full:
+                    space = span.copy()
+                    if not space.extend(gens):
+                        space = span
+                if family == "E" and space == ideals["H"][t]:
+                    space = ideals["H"][t]
+                ideal[t] = space
+                qdim = qdims[family]
+                # sum over k >= 1 of P_mu[k] * H_{t-k}
+                dim = full - space.rank - sum(map(mul, poincare[1:], reversed(qdim)))
+                if dim < 0:
+                    raise VerificationError(
+                        "negative quotient dimension from the Poincare division",
+                        witness={
+                            "lambda": self.lam.to_json(),
+                            "mu": self.mu.to_json(),
+                            "family": family,
+                            "degree": 2 * t,
+                            "ring_dimension": full,
+                            "ideal_rank": space.rank,
+                            "dimension": dim,
+                        },
+                    )
+                qdim.append(dim)
+        for family, qdim in qdims.items():
+            for t in range(first_above, stop_x + 1):
+                if qdim[t]:
+                    raise TruncationError(
+                        "quotient does not vanish above its top degree",
+                        witness={
+                            "lambda": self.lam.to_json(),
+                            "mu": self.mu.to_json(),
+                            "family": family,
+                            "degree": 2 * t,
+                            "dimension": qdim[t],
+                        },
+                    )
+        top = max(self.top_x, -1) + 1
+        return {f: (stop_x, ideals[f], HilbertSeries(qdims[f][:top])) for f in ideals}
 
     def ideal_space(self, t):
         """Ideal row space at x-degree t; above the stop degree the quotient
@@ -888,15 +867,14 @@ def clear_caches():
     called.  Each is keyed as documented where it is defined: coinvariant
     rings by d (_RINGS), invariant and anti-invariant rows by
     (d, transpositions, t, sign) (_INV_CACHE), regular quotients by
-    (d, lam) (_REGULAR_CACHE), and everything shared across the pairs of
-    one zero-free key by (key, kind) (tableaux._KEYS, written only by
-    tableaux.shared).  The twin table (_TWINS), keyed by (zero-free key,
-    family), holds weak references only: it keeps no quotient alive and
-    loses an entry when its quotient is dropped.  The values are
+    (d, lam) (_REGULAR_CACHE), everything shared across the pairs of one
+    zero-free key by (key, kind) (tableaux._KEYS), and the value of the
+    last zero-free pair by kind (tableaux._LATEST, one key per kind); the
+    last two are written only by tableaux.shared.  The values are
     read-only.  Objects built before the call stay valid; later builds
     start cold and give equal results.
     """
-    for cache in (_RINGS, _INV_CACHE, _REGULAR_CACHE, _KEYS, _TWINS):
+    for cache in (_RINGS, _INV_CACHE, _REGULAR_CACHE, _KEYS, _LATEST):
         cache.clear()
 
 
@@ -946,19 +924,23 @@ def anti_invariant_transfer(lam, mu):
     and so does every number the check computes.
 
     Any failure raises TransferError with the offending degree and stores
-    nothing.
+    nothing.  It asks for the regular quotient first, so that its build
+    does not evict the pair's cores from the one-key slot of
+    tableaux.shared before a following certify_basis reads them.
     """
+    _, d = _validate_pair(lam, mu)
+    reg = regular_quotient(lam, d)
     quotient = build_quotient(lam, mu, "H")
-    data = shared("transfer", lam, mu, lambda: _transfer_data(lam, mu, quotient))
+    data = shared("transfer", lam, mu, lambda: _transfer_data(lam, mu, quotient, reg))
     return TransferReport(lam, mu, *data)
 
 
-def _transfer_data(lam, mu, quotient):
+def _transfer_data(lam, mu, quotient, reg):
     """The checks (a) and (b) of anti_invariant_transfer on the H quotient
-    of (lam, mu); returns (shift, degrees, anti_dims, quotient_dims)."""
+    of (lam, mu) against the regular quotient reg of lam; returns (shift,
+    degrees, anti_dims, quotient_dims)."""
     ring = quotient.ring
     d_mu = quotient.d_mu
-    reg = regular_quotient(lam, quotient.d)
     blocks = quotient.blocks
     pairs = []
     for j in range(1, len(mu) + 1):

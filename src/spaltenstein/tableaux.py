@@ -16,9 +16,9 @@ functions, so everything is safe to share between threads.  A Tableau
 keeps its columns in one slot, filled by the enumerator or on the first
 columns() call: the columns are a function of the rows (lemma in
 _columns_to_tableau), so the slot takes no part in ==, hash or repr, and
-a second filling writes an equal value.  The one table of data shared
-per zero-free key (_KEYS, written only by shared) holds only values that
-a recomputation gives equal.
+a second filling writes an equal value.  The data shared per zero-free
+key (_KEYS, and the one-key slot _LATEST, both written only by shared)
+holds only values that a recomputation gives equal.
 """
 
 from itertools import combinations
@@ -354,42 +354,49 @@ def _check_member(T, mu):
 
 def zero_free_key(lam, mu):
     """(lam parts, the non-zero parts of mu in order): the one datum that
-    everything kept in _KEYS depends on (see shared)."""
+    everything kept by shared depends on."""
     return lam.parts, tuple(p for p in mu.parts if p)
 
 
-# (zero-free key, kind) -> the value of that kind for every pair of the key;
-# written only by shared
-_KEYS = {}
+# written only by shared: (zero-free key, kind) -> the value of that kind for
+# every pair of the key, and kind -> (key, value) of the last zero-free pair
+_KEYS, _LATEST = {}, {}
 
 
 def shared(kind, lam, mu, compute):
-    """compute(), a value other than None, kept once per (zero-free key,
-    kind) of (lam, mu).
+    """compute(), a value other than None, kept per (zero-free key, kind)
+    of (lam, mu).
 
     The rule for everything the library shares across pairs: a pair whose
-    mu is zero-free returns compute() and stores nothing, so nothing of its
-    own outlives it; any other pair computes the value on the first call
-    per key and kind and reads it back after.  A compute() that raises
-    leaves _KEYS as it was.  compute must give, for every pair of the key,
-    a value equal to the one kept; each caller states the lemma that
-    makes it so:
+    mu has a zero part computes the value on the first call per key and
+    kind and reads it back after (_KEYS).  A zero-free pair keeps its
+    value in the one-key slot _LATEST until a zero-free pair of another
+    key asks for the same kind, so its own later calls (the E quotient
+    after the H quotient, say) read it back.  Slot lemma: a key has one
+    zero-free pair, so the slot value under its key is the one that pair
+    computed; the slot holds one key per kind, so it stays bounded.  A
+    compute() that raises leaves both tables as they were.  compute must
+    give, for every pair of the key, a value equal to the one kept; each
+    caller states the lemma that makes it so:
       - "enumerate", "betti", "components": the value of the zero-free pair
-        of the key (relabelling lemma in enumerate_column_strict);
-      - ("core", family): the quotient data, gain degrees included
-        (zero-block lemma in GradedQuotient); the other family's build
-        reads it only through a live quotient (presentation._TWINS);
+        of the key (relabelling lemma in enumerate_column_strict); these
+        compute a zero-free pair's value directly, without shared;
+      - "cores": the quotient data of both families (zero-block lemma in
+        GradedQuotient);
       - ("certificate", family), "transfer", ("tensor", family): the data of
         certify_basis, anti_invariant_transfer and structure_constants.
     Values are read-only: callers relabel, rebuild or unpack them, and
     copy() a RowSpace before inserting into it.
     """
+    key = zero_free_key(lam, mu)
     if 0 not in mu.parts:
-        return compute()
-    key = (zero_free_key(lam, mu), kind)
-    value = _KEYS.get(key)
+        latest = _LATEST.get(kind)
+        if latest is None or latest[0] != key:
+            latest = _LATEST[kind] = (key, compute())
+        return latest[1]
+    value = _KEYS.get((key, kind))
     if value is None:
-        value = _KEYS[key] = compute()
+        value = _KEYS[key, kind] = compute()
     return value
 
 

@@ -371,12 +371,22 @@ class TestSymClasses:
         for d in range(1, 5):
             ring = get_ring(d)
             ones = Composition((1,) * d)
-            for vars_ in [(1,), tuple(range(1, d + 1)), tuple(range(2, d + 1)), (1, d)]:
+            var_sets = [(1,), tuple(range(1, d + 1)), tuple(range(2, d + 1))]
+            for vars_ in var_sets + [(1, d)] * (d > 1):
                 for kind, builder in (("h", complete_block), ("e", elementary_block)):
                     classes = ring.sym_classes(vars_, kind)
                     for r in range(1, ring.top + 1):
                         expected = ring.class_of_polynomial(builder(ones, vars_, r))
                         assert classes[r] == expected.get(r, {})
+
+    def test_repeated_or_out_of_range_variable_is_refused(self):
+        # the vanishing bound counts distinct variables among 1..d
+        for d, vars_ in ((2, (1, 1)), (2, (2, 2)), (2, (0,)), (2, (3,)), (1, (1, 1))):
+            ring = CoinvariantRing(d)
+            for kind in ("h", "e"):
+                with pytest.raises(ValueError, match="distinct variables"):
+                    ring.sym_classes(vars_, kind)
+            assert not ring._sym_classes
 
 
 class TestOwnership:

@@ -28,6 +28,7 @@ from spaltenstein.presentation import (
     GeneratorFamily,
     HilbertSeries,
     TransferReport,
+    TruncationError,
     VerificationError,
     _generator_items,
     anti_invariant_transfer,
@@ -664,6 +665,7 @@ class TestQuotientDimension:
     def test_negative_dimension_raises_with_witness(self, monkeypatch):
         # a wrong P_mu drives a dimension below zero: the build stops with
         # the ranks of the offending degree
+        clear_caches()
         monkeypatch.setattr(presentation, "_poincare", lambda parts: [1, 3])
         lam, mu = Partition([2, 1]), Composition([1, 1, 1])
         with pytest.raises(VerificationError) as err:
@@ -737,65 +739,60 @@ def _core_of(q):
 
 
 class TestTwinBuild:
-    """The second family's build reads the first family's product spans
-    (twin lemma in GradedQuotient._build); each family must still be the
-    span of its own generators and its own products."""
+    """One build makes both families of a key and forms each product span
+    once per distinct ideal below (shared products in
+    GradedQuotient._build); each family must still be the span of its own
+    generators and its own products."""
 
     @staticmethod
-    def _cold(lam, mu, family):
-        # no quotient of the other family is alive, so the build has no twin
-        assert not presentation._TWINS
-        return build_quotient(lam, mu, family)
+    def _assert_insertion_oracle(q):
+        oracle = [space.pivot_rows for space in ideal_by_insertion(q)]
+        assert _core_of(q) == (q.stop_x, q.hilbert, oracle), (q.lam, q.mu, q.family)
 
     def test_seeded_builds_equal_insertion_oracle_d6(self):
-        # a cached regular quotient would be a twin of the cold builds
         clear_caches()
         keys = shared = 0
         for lam, mu in iter_pairs(6):
             if 0 in mu.parts:
                 continue
-            expected = {}
-            for family in ("H", "E"):
-                cold = self._cold(lam, mu, family)
-                oracle = [space.pivot_rows for space in ideal_by_insertion(cold)]
-                expected[family] = cold.stop_x, cold.hilbert, oracle
-                del cold
-            for first_family, second_family in (("H", "E"), ("E", "H")):
-                first = build_quotient(lam, mu, first_family)
-                second = build_quotient(lam, mu, second_family)
-                assert _core_of(first) == expected[first_family], (lam, mu, first_family)
-                assert _core_of(second) == expected[second_family], (lam, mu, second_family)
-                shared += all(
-                    second.ideal_space(t) is first.ideal_space(t) for t in range(first.stop_x + 1)
-                )
-                del first, second
+            qh, qe = build_quotient(lam, mu, "H"), build_quotient(lam, mu, "E")
+            self._assert_insertion_oracle(qh)
+            self._assert_insertion_oracle(qe)
+            shared += all(qe.ideal_space(t) is qh.ideal_space(t) for t in range(qh.stop_x + 1))
             keys += 1
         assert keys == 356
-        # H and E cut out one ideal, so every seeded build keeps every space
-        assert shared == 2 * keys
+        # H and E cut out one ideal, so every E space is the H space
+        assert shared == keys
 
     def test_divergent_families_equal_cold_builds(self, monkeypatch):
         # one more H generator, h_r(x_1) with r at the bound, makes the two
         # ideals differ; (3,1)/(1,1,1,1) agrees in degrees 0 and 1, parts
-        # at the H gain degree 2 and meets again in the full degree 4
+        # in degree 2, where only H gains, and meets again in the full
+        # degree 4.  Where the ideals below differ, each family forms its
+        # own products, which the insertion oracle checks
         bound = presentation.generator_bound
 
         def lowered(lam, mu, family, subset):
             return bound(lam, mu, family, subset) - (family == "H" and subset == (1,))
 
         monkeypatch.setattr(presentation, "generator_bound", lowered)
-        clear_caches()
         differ = 0
         for lam, mu in iter_pairs(4):
             if 0 in mu.parts:
                 continue
-            cold = {family: _core_of(self._cold(lam, mu, family)) for family in ("H", "E")}
+            cold = {}
+            for family in ("H", "E"):
+                clear_caches()
+                cold[family] = _core_of(build_quotient(lam, mu, family))
             for first_family, second_family in (("H", "E"), ("E", "H")):
+                clear_caches()
                 first = build_quotient(lam, mu, first_family)
                 second = build_quotient(lam, mu, second_family)
                 assert _core_of(first) == cold[first_family], (lam, mu, first_family)
                 assert _core_of(second) == cold[second_family], (lam, mu, second_family)
                 qh, qe = (first, second) if first_family == "H" else (second, first)
+                self._assert_insertion_oracle(qh)
+                self._assert_insertion_oracle(qe)
                 equivalent = rel_equivalence(lam, mu, qh=qh, qe=qe)
                 assert equivalent == (cold["H"] == cold["E"])
                 differ += not equivalent
@@ -804,26 +801,28 @@ class TestTwinBuild:
                     assert [qe.ideal_space(t) is qh.ideal_space(t) for t in range(5)] == [
                         True, True, False, False, True,
                     ]
-                    assert (qh._gains, qe._gains) == ({2, 3}, {3})
-                del first, second, qh, qe
         assert differ == 2 * 33
         clear_caches()
 
-    def test_twin_table_keeps_nothing_alive(self):
+    def test_truncation_witness_names_the_family(self, monkeypatch):
+        # E loses e_r(block 1) at the bound of (2,1)/(1,2), so its quotient
+        # no longer vanishes above top_x; the H call builds both families
+        # and raises for E
+        bound = presentation.generator_bound
+
+        def raised(lam, mu, family, subset):
+            return bound(lam, mu, family, subset) + (family == "E" and subset == (1,))
+
+        monkeypatch.setattr(presentation, "generator_bound", raised)
         clear_caches()
-        quotients = [
-            build_quotient(lam, mu, family)
-            for lam, mu in iter_pairs(4)
-            if 0 not in mu.parts
-            for family in ("H", "E")
-        ]
-        assert len(presentation._TWINS) == len(quotients) == 2 * 40
-        del quotients
-        assert not presentation._TWINS
-        kept = [build_quotient(Partition([2, 1]), Composition([1, 2]), "H")]
-        assert presentation._TWINS
-        clear_caches()
-        assert not presentation._TWINS and kept
+        lam, mu = Partition([2, 1]), Composition([1, 2])
+        try:
+            with pytest.raises(TruncationError) as err:
+                build_quotient(lam, mu, "H")
+            assert err.value.witness["family"] == "E"
+            assert err.value.witness["lambda"] == [2, 1] and err.value.witness["mu"] == [1, 2]
+        finally:
+            clear_caches()
 
 
 def membership_equivalence(qh, qe):
@@ -1018,6 +1017,24 @@ class TestTransfer:
                         cases += 1
         assert cases == 7722
 
+    def test_core_built_once_with_structure_constants(self, monkeypatch):
+        # the transfer asks for the regular quotient before the H quotient,
+        # so the pair's cores are still in the slot of tableaux.shared when
+        # structure_constants certifies the pair
+        real = presentation.GradedQuotient._build
+        builds = []
+
+        def counting(self):
+            builds.append(self.mu)
+            return real(self)
+
+        clear_caches()
+        monkeypatch.setattr(presentation.GradedQuotient, "_build", counting)
+        lam, mu = Partition([3, 1]), Composition([1, 2, 1])
+        anti_invariant_transfer(lam, mu)
+        structure_constants(lam, mu)
+        assert builds.count(mu) == 1
+
     def test_hand_example(self):
         report = anti_invariant_transfer(Partition([2, 0]), Composition([2]))
         assert report.shift == 2
@@ -1073,8 +1090,8 @@ def _pipeline_record(lam, mu):
 
 
 def _module_tables():
-    """Every module-level mapping of the spaltenstein modules (dicts and
-    weak dictionaries alike), by (module, name)."""
+    """Every module-level mapping of the spaltenstein modules, by (module,
+    name)."""
     return {
         (name, attr): value
         for name, module in list(sys.modules.items())
@@ -1102,8 +1119,7 @@ class TestSharedCore:
                 assert _pipeline_record(lam, mu) == cold[lam, mu], (lam, mu)
             # every pair certifies, transfers and multiplies against its H
             # quotient and none against E
-            kinds = ("enumerate", ("core", "H"), ("core", "E"), ("certificate", "H"),
-                     "transfer", ("tensor", "H"))
+            kinds = ("enumerate", "cores", ("certificate", "H"), "transfer", ("tensor", "H"))
             assert set(tableaux._KEYS) == {(key, kind) for key in padded_keys for kind in kinds}
 
     def test_padded_pairs_share_one_core_and_certificate(self):
@@ -1115,12 +1131,14 @@ class TestSharedCore:
         ca, cb = certify_basis(lam, a, quotient=qa), certify_basis(lam, b, quotient=qb)
         assert ca.classes is cb.classes and ca.tableaux != cb.tableaux
         # the other family of the key keeps qa's space where the two ideals
-        # agree (twin lemma in GradedQuotient._build); a different non-zero
-        # part order is a different key
+        # agree (shared products in GradedQuotient._build); a different
+        # non-zero part order is a different key
         assert build_quotient(lam, a, "E").ideal_space(1) is qa.ideal_space(1)
         assert build_quotient(lam, Composition([2, 0, 1])).ideal_space(1) is not qa.ideal_space(1)
 
     def test_zero_free_pairs_store_nothing(self):
+        # nothing in _KEYS, and the slot holds one value per kind, each of
+        # the last zero-free pair
         clear_caches()
         for lam, mu in iter_pairs(4):
             if 0 not in mu.parts:
@@ -1132,7 +1150,9 @@ class TestSharedCore:
                 enumerate_column_strict(lam, mu)
                 betti(lam, mu)
                 components(lam, mu)
+                assert {key for key, _ in tableaux._LATEST.values()} == {zero_free_key(lam, mu)}
         assert not tableaux._KEYS
+        assert set(tableaux._LATEST) == {"cores", ("certificate", "H"), "transfer", ("tensor", "H")}
 
     def test_unknown_family_is_rejected(self):
         clear_caches()
@@ -1220,18 +1240,18 @@ class TestSharedCore:
 class TestClearCaches:
     def test_tables_empty_and_rebuild_equal(self):
         # every module-level mapping that a pipeline run grows is a cache,
-        # and clear_caches must empty it; the quotients are held, so the
-        # weak twin table still has their entries when it is read
-        lam, mu = Partition([2, 1]), Composition([1, 0, 2])
+        # and clear_caches must empty it; a padded pair fills _KEYS and a
+        # zero-free pair the slot _LATEST
+        lam = Partition([2, 1])
+        pairs = [(lam, Composition([1, 0, 2])), (lam, Composition([1, 2]))]
         clear_caches()
         sizes = {name: len(table) for name, table in _module_tables().items()}
-        held = [build_quotient(lam, mu, family) for family in ("H", "E")]
-        before = _pipeline_record(lam, mu)
+        before = [_pipeline_record(lam, mu) for lam, mu in pairs]
         grown = [name for name, table in _module_tables().items() if len(table) > sizes.get(name, 0)]
         assert {attr for _, attr in grown} >= {
-            "_RINGS", "_INV_CACHE", "_REGULAR_CACHE", "_KEYS", "_TWINS",
+            "_RINGS", "_INV_CACHE", "_REGULAR_CACHE", "_KEYS", "_LATEST",
         }
         clear_caches()
         tables = _module_tables()
-        assert [name for name in grown if tables[name]] == [] and held
-        assert _pipeline_record(lam, mu) == before
+        assert [name for name in grown if tables[name]] == []
+        assert [_pipeline_record(lam, mu) for lam, mu in pairs] == before
