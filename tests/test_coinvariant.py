@@ -314,6 +314,10 @@ class TestInvariants:
                             for c, w in enumerate(mat[b]):
                                 image[c] += x * w
                         assert image == [sign * v for v in dense(row, dim)]
+        # the rows are memoised on the ring, which clear_caches drops
+        assert invariant_rows(ring, transpositions, r, sign) is rows
+        presentation.clear_caches()
+        assert get_ring(d) is not ring and get_ring(d)._invariants == {}
 
     def test_antisymmetrizer_class_matches_polynomial(self):
         ring = get_ring(4)

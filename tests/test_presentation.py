@@ -684,7 +684,8 @@ class TestQuotientDimension:
 class TestInvariantRowsOffBuildPath:
     def test_builds_leave_invariant_cache_empty_d4(self):
         # the build reads its dimensions off the ideal ranks: no pair of
-        # either family computes an invariant row
+        # either family computes an invariant row, so every ring's
+        # invariant-row memo stays empty
         clear_caches()
         try:
             pairs = 0
@@ -693,7 +694,8 @@ class TestInvariantRowsOffBuildPath:
                 build_quotient(lam, mu, "E")
                 pairs += 1
             assert pairs == 299
-            assert presentation._INV_CACHE == {}
+            assert presentation._RINGS
+            assert all(ring._invariants == {} for ring in presentation._RINGS.values())
         finally:
             clear_caches()
 
@@ -1101,6 +1103,19 @@ def _module_tables():
     }
 
 
+def _count_calls(monkeypatch, owner, name):
+    """The list of the argument tuples of every later call of owner.name,
+    which still runs."""
+    real, calls = getattr(owner, name), []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 class TestSharedCore:
     def test_shared_build_equals_cold_build_d5(self):
         pairs = list(iter_pairs(5))
@@ -1153,6 +1168,41 @@ class TestSharedCore:
                 assert {key for key, _ in tableaux._LATEST.values()} == {zero_free_key(lam, mu)}
         assert not tableaux._KEYS
         assert set(tableaux._LATEST) == {"cores", ("certificate", "H"), "transfer", ("tensor", "H")}
+
+    def test_zero_free_pair_reads_the_padded_pairs_values(self, monkeypatch):
+        # one read path: the zero-free pair finds the key's cores and
+        # certificate data in _KEYS, where its padded pair kept them
+        clear_caches()
+        builds = _count_calls(monkeypatch, presentation.GradedQuotient, "_build")
+        certs = _count_calls(monkeypatch, presentation, "_certificate_data")
+        lam = Partition([2, 1])
+        for mu in (Composition([1, 0, 2]), Composition([1, 2])):
+            certify_basis(lam, mu, quotient=build_quotient(lam, mu))
+        assert (len(builds), len(certs)) == (1, 1)
+
+    def test_padded_pair_reads_the_slot(self, monkeypatch):
+        # the padded pair finds the cores of its zero-free pair in the slot
+        # and keeps that same object in _KEYS
+        clear_caches()
+        builds = _count_calls(monkeypatch, presentation.GradedQuotient, "_build")
+        lam, mu = Partition([2, 1]), Composition([1, 0, 2])
+        build_quotient(lam, Composition([1, 2]))
+        build_quotient(lam, mu)
+        assert len(builds) == 1
+        assert tableaux._KEYS[zero_free_key(lam, mu), "cores"] is tableaux._LATEST["cores"][1]
+
+    def test_transfer_hit_builds_nothing(self, monkeypatch):
+        # a kept key: one validation, one lookup, no quotient asked for
+        clear_caches()
+        lam = Partition([2, 1])
+        first = anti_invariant_transfer(lam, Composition([1, 0, 2]))
+        calls = [
+            _count_calls(monkeypatch, presentation, name)
+            for name in ("build_quotient", "regular_quotient", "_validate_pair")
+        ]
+        report = anti_invariant_transfer(lam, Composition([0, 1, 2]))
+        assert [len(c) for c in calls] == [0, 0, 1]
+        assert report.to_json() == {**first.to_json(), "mu": [0, 1, 2]}
 
     def test_unknown_family_is_rejected(self):
         clear_caches()
@@ -1249,7 +1299,7 @@ class TestClearCaches:
         before = [_pipeline_record(lam, mu) for lam, mu in pairs]
         grown = [name for name, table in _module_tables().items() if len(table) > sizes.get(name, 0)]
         assert {attr for _, attr in grown} >= {
-            "_RINGS", "_INV_CACHE", "_REGULAR_CACHE", "_KEYS", "_LATEST",
+            "_RINGS", "_REGULAR_CACHE", "_KEYS", "_LATEST",
         }
         clear_caches()
         tables = _module_tables()
