@@ -96,8 +96,7 @@ def parse_composition(text):
 
 def parse_tableau(text):
     try:
-        rows = [_parse_ints(row) for row in text.split(";") if row.strip()]
-        return Tableau(rows)
+        return Tableau(map(_parse_ints, text.split(";")))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 

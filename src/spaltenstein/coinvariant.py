@@ -28,7 +28,9 @@ is divided by it, though.  Two recursions fill the tables instead:
     linear recurrence over the variables, vanish above |X| and d - |X|,
     and each list is built once, up to that bound.
 Each ring keeps every table it determines, the rows of invariant_rows
-included.
+included.  Those are the S_mu-invariants only: the sign-isotypic classes
+are eps times them (eps lemma in presentation._transfer_ranks), so no
+anti-invariant rows are solved for.
 
 A class is a row {position: non-zero entry} over the per-degree
 staircase basis, ordered lexicographically, as in linalg, whose
@@ -316,24 +318,25 @@ def get_ring(d):
     return ring
 
 
-def invariant_rows(ring, transpositions, r, sign=1):
-    """Basis of the degree-r classes x with x S = sign * x for the swap
-    matrix S of every transposition: the invariants for sign 1, the
-    anti-invariants for sign -1.
+def invariant_rows(ring, transpositions, r):
+    """Basis of the degree-r invariants: the classes x with x S = x for the
+    swap matrix S of every transposition.  The anti-invariants need no
+    rows of their own: they are eps times the invariants (eps lemma in
+    presentation._transfer_ranks).
 
     The transpositions must be adjacent pairs (i, i+1); the result is a
     deterministic list of integer rows.  Each transposition gives one
-    equation per column of S - sign.  The equations are gathered sparse
+    equation per column of S - 1.  The equations are gathered sparse
     from the rows of S, the identically zero ones are dropped, and the
     kernel is read off their reduced echelon form, which is canonical:
     the rows do not depend on the order of the equations.  With no
     transposition the space of equations is zero and its kernel is the
-    unit rows.  Memoised on the ring per (transpositions, r, sign).
+    unit rows.  Memoised on the ring per (transpositions, r).
     """
     dim = ring.dim(r)
     if dim == 0:
         return []
-    key = (tuple(transpositions), r, sign)
+    key = (tuple(transpositions), r)
     rows = ring._invariants.get(key)
     if rows is not None:
         return rows
@@ -344,7 +347,7 @@ def invariant_rows(ring, transpositions, r, sign=1):
             for coord, w in row:
                 equations[coord][b] = w
         for coord, eq in enumerate(equations):
-            w = eq.get(coord, 0) - sign
+            w = eq.get(coord, 0) - 1
             if w:
                 eq[coord] = w
             else:

@@ -26,12 +26,13 @@ The quotient dimensions are read off the ideal ranks: the coinvariant
 algebra is free over its S_mu-invariants, with Hilbert series
 P_mu(q) = prod_j [mu_j]_q!, so each dimension is dim C_t - rank I_t
 less the lower dimensions weighted by P_mu (Hilbert lemma in
-GradedQuotient._build).  The one isotypic probe, _residual_rank (the
-rank of the scaled residuals of the (anti-)invariant rows, memoised on
-the ring by invariant_rows, against an ideal),
-serves the transfer only: it gives the anti-invariant dimensions of the
-regular quotient and the kernel check, whose invariant-row rank is
-compared with the divided quotient dimension.
+GradedQuotient._build).  The one isotypic pass, _transfer_ranks, serves
+the transfer only: in each degree it reads the invariant rows, memoised
+on the ring by invariant_rows, once.  eps times a row, modulo the
+regular ideal, spans the anti-invariants of the regular quotient (eps
+lemma), and the row itself, modulo the block ideal, spans the
+invariants of the quotient, whose rank the kernel check compares with
+the divided quotient dimension.
 
 All computations are exact.  The x-degree of a polynomial is half its
 grading degree; public interfaces use the grading degree throughout.
@@ -40,7 +41,7 @@ grading degree; public interfaces use the grading degree throughout.
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
-from operator import mul
+from operator import index, mul
 
 from .coinvariant import _RINGS, get_ring, invariant_rows
 from .linalg import RowSpace
@@ -93,7 +94,7 @@ class HilbertSeries:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(map(index, coeffs))
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         if any(c < 0 for c in coeffs):
@@ -261,26 +262,6 @@ def _poincare(parts):
     return coeffs
 
 
-def _residual_rank(space, rows):
-    """Rank of the images of rows in the quotient by space, 0 where space
-    is None (a degree where the quotient is proven zero).  The transfer
-    reads the anti-invariant dimensions of the regular quotient with it.
-
-    The scaled residual is linear on integer rows, with one scale L for
-    the whole space, and its kernel is the space; so the rank of the
-    residuals is the dimension of the image of the span of rows.
-
-    Isotypic lemma: when the ideal is stable under a group G, over Q the
-    isotypic projector of a character of G commutes with C -> C/I, so
-    the isotypic part of C/I is the image of the isotypic part of C.
-    With rows a basis of the invariants (or anti-invariants) of C, the
-    rank is the dimension of the invariants (or anti-invariants) of C/I.
-    """
-    if space is None:
-        return 0
-    return RowSpace(space.width).extend(space.scaled_residual(row)[1] for row in rows)
-
-
 class GradedQuotient:
     """Per-degree presentation data for one (lam, mu, family) triple.
 
@@ -368,7 +349,7 @@ class GradedQuotient:
             I = C * I_R.
         So C/I = C tensor_R R/I_R is free over R/I_R with the same basis,
         and Hilb(C/I) = P_mu(q) * Hilb(R/I_R), where R/I_R is the
-        quotient: its invariants (isotypic lemma in _residual_rank).  With
+        quotient: its invariants (isotypic lemma in _transfer_ranks).  With
         F_t = dim C_t - rank I_t and P_mu[0] = 1, the coefficient of q^t
         reads H_t = F_t - sum_{k=1..t} P_mu[k] * H_{t-k}: H_t needs F_0..F_t
         only, the degrees the loop has built.  A negative H_t cannot
@@ -886,26 +867,23 @@ def anti_invariant_transfer(lam, mu):
     H quotient of (lam, mu) is the sign-isotypic part of the regular
     quotient of lam under S_mu, shifted by twice d_mu.
 
-    (a) well-definedness: an invariant class v has v * eps in the regular
-        ideal exactly when v lies in the block ideal, degree by degree
-        (_transfer_kernel_matches);
-    (b) the anti-invariants of the regular quotient match the block
-        quotient dimensions after the degree shift by twice d_mu.
-
-    The anti-invariant dimension is the residual rank of the
-    anti-invariant rows of C against the regular ideal (_residual_rank).
-    The regular ideal is S_d-stable, because S_d permutes its generators
-    h_r of the variable subsets of one size, so the isotypic lemma
-    applies to S_mu and its sign character.
+    One pass per degree t (_transfer_ranks) reads, on the invariant
+    classes v of degree t, the ranks of phi(v) = eps * v modulo the
+    regular ideal, of psi(v) = v modulo the block ideal, and of (phi, psi),
+    and requires all three equal to the quotient dimension H_t:
+    (a) well-definedness: v * eps lies in the regular ideal exactly when
+        v lies in the block ideal (rank lemma in _transfer_ranks);
+    (b) rank phi, the anti-invariant dimension of the regular quotient in
+        degree t + d_mu (eps lemma in _transfer_ranks), is H_t, the block
+        quotient dimension after the degree shift by twice d_mu.
 
     The verified (shift, degrees, anti_dims, quotient_dims) is kept by
     tableaux.shared under "transfer", and each call returns it with its
     own lam and mu; a call whose key is kept validates the pair and builds
     nothing.  Lemma: a zero block adds no variables and no block pairs,
-    so d_mu, eps, the invariant and anti-invariant rows (one
-    transposition set), the H core (zero-block lemma in GradedQuotient)
-    and regular_quotient(lam, d) agree across the key, and so does every
-    number the check computes.
+    so d_mu, eps, the invariant rows (one transposition set), the H core
+    (zero-block lemma in GradedQuotient) and regular_quotient(lam, d)
+    agree across the key, and so does every number the check computes.
 
     Any failure raises TransferError with the offending degree and stores
     nothing.
@@ -918,39 +896,34 @@ def anti_invariant_transfer(lam, mu):
 def _transfer_data(lam, mu, d):
     """The checks (a) and (b) of anti_invariant_transfer on the H quotient
     of (lam, mu) against the regular quotient of lam; returns (shift,
-    degrees, anti_dims, quotient_dims).  It asks for the regular quotient
-    first, so that its build does not evict the pair's cores from the
-    one-key slot of tableaux.shared before a following certify_basis
-    reads them."""
+    degrees, anti_dims, quotient_dims), anti_dims the ranks phi.  It asks
+    for the regular quotient first, so that its build does not evict the
+    pair's cores from the one-key slot of tableaux.shared before a
+    following certify_basis reads them.
+
+    Degree bound: the degrees t run up to max(top_x, reg.stop_x - d_mu),
+    past which both sides vanish, and that is at most stop_x, so every
+    degree has a block ideal space.  With top = C(d, 2) the top degree of
+    C, top_x = d_lam - d_mu <= d_lam <= top, and stop_x = min(top,
+    max(0, top_x + 1) + max_alg - 1) with max_alg >= 1, so top_x <= stop_x;
+    the regular quotient has d_mu = 0 and max_alg = 1, so reg.stop_x -
+    d_mu = min(top - d_mu, top_x + 1) <= min(top, top_x + 1) <= stop_x.
+    """
     reg = regular_quotient(lam, d)
     quotient = build_quotient(lam, mu, "H")
     ring = quotient.ring
     d_mu = quotient.d_mu
-    blocks = quotient.blocks
-    transpositions = blocks.transpositions()
-    pairs = []
-    for j in range(1, len(mu) + 1):
-        blk = blocks.block(j)
-        pairs.extend(
-            (blk[a], blk[b]) for a in range(len(blk)) for b in range(a + 1, len(blk))
-        )
+    pairs = [p for j in range(1, len(mu) + 1) for p in combinations(quotient.blocks.block(j), 2)]
     eps_vec, eps_deg = ring.antisymmetrizer_class(pairs)
     if eps_deg != d_mu:
         raise TransferError("antisymmetrizer degree mismatch", witness={"degree": eps_deg})
 
-    top = max(quotient.top_x, -1)
-    reg_reach = reg.stop_x - d_mu
-    degrees = []
+    degrees = range(max(quotient.top_x, reg.stop_x - d_mu, -1) + 1)
     anti_dims = []
     quotient_dims = []
-    for t in range(0, max(top, reg_reach) + 1):
-        e = t + d_mu
-        # (b) anti-invariant dimension of the regular quotient in degree 2e
-        a_dim = _residual_rank(reg.ideal_space(e), invariant_rows(ring, transpositions, e, -1))
+    for t in degrees:
+        a_dim, psi, both = _transfer_ranks(ring, quotient, reg, eps_vec, d_mu, t)
         q_dim = quotient.hilbert.coefficient(2 * t)
-        degrees.append(2 * t)
-        anti_dims.append(a_dim)
-        quotient_dims.append(q_dim)
         if a_dim != q_dim:
             raise TransferError(
                 "anti-invariant dimension mismatch",
@@ -962,32 +935,48 @@ def _transfer_data(lam, mu, d):
                     "quotient_dim": q_dim,
                 },
             )
-        # (a) kernel of multiplication by eps equals the block ideal
-        if t <= quotient.stop_x:
-            if not _transfer_kernel_matches(ring, quotient, reg, eps_vec, d_mu, t):
-                raise TransferError(
-                    "multiplication by the antisymmetrizer has the wrong kernel",
-                    witness={"lambda": lam.to_json(), "mu": mu.to_json(), "degree": 2 * t},
-                )
-    return 2 * d_mu, tuple(degrees), tuple(anti_dims), tuple(quotient_dims)
+        if not a_dim == psi == both:
+            raise TransferError(
+                "multiplication by the antisymmetrizer has the wrong kernel",
+                witness={"lambda": lam.to_json(), "mu": mu.to_json(), "degree": 2 * t},
+            )
+        anti_dims.append(a_dim)
+        quotient_dims.append(q_dim)
+    return 2 * d_mu, tuple(2 * t for t in degrees), tuple(anti_dims), tuple(quotient_dims)
 
 
-def _transfer_kernel_matches(ring, quotient, reg, eps_vec, d_mu, t):
-    """Whether phi(v) = v * eps modulo the regular ideal in degree t + d_mu
-    and psi(v) = v modulo the block ideal in degree t have the same kernel
-    on the invariant classes v of degree t.
+def _transfer_ranks(ring, quotient, reg, eps_vec, d_mu, t):
+    """(rank phi, rank psi, rank (phi, psi)) on the invariant classes v of
+    degree t, with phi(v) = v * eps modulo the regular ideal in degree
+    t + d_mu and psi(v) = v modulo the block ideal in degree t.
+
+    On the invariant rows, phi and psi are the scaled residuals: linear on
+    integer rows, with one scale per space, and with the space as kernel.
+    So the rank of the residuals of the rows is the rank of the map on
+    their span, and the rows (phi_i, psi_i) concatenated column-wise have
+    the rank of (phi, psi).  Where the regular ideal has no space, its
+    quotient is zero and phi is zero.
 
     Rank lemma: ker phi = ker psi exactly when rank phi = rank psi =
-    rank (phi, psi), since ker (phi, psi) is their intersection.  On the
-    invariant rows, phi and psi are the scaled residuals, linear with one
-    scale per space, so the rows (phi_i, psi_i) concatenated column-wise
-    have the rank of (phi, psi).  rank psi is the dimension of the
-    invariants of the quotient (isotypic lemma in _residual_rank), so
-    requiring the Hilbert coefficient to equal all three ranks also
-    checks the Poincare division of the build against an independent
-    invariant-row rank.
-    Where the regular ideal has no space, its quotient is zero and phi
-    is zero.
+    rank (phi, psi), since ker (phi, psi) is their intersection.
+
+    Isotypic lemma: when an ideal I of C is stable under a group G, over
+    Q the isotypic projector of a character of G commutes with C -> C/I,
+    so the isotypic part of C/I is the image of the isotypic part of C.
+    The block ideal is generated by invariants, so rank psi is the
+    dimension of the invariants of the quotient, which the caller
+    compares with the Poincare division of the build.
+
+    Eps lemma: Q[x]^{sgn} = eps * Q[x]^{S_mu} for the sign character of
+    S_mu (an anti-invariant vanishes where x_i = x_j in one block, so
+    each of these coprime x_i - x_j, hence eps, divides it, with an
+    invariant quotient).  The projection Q[x] -> C is an S_mu-equivariant
+    ring map with an S_d-stable kernel, so by the isotypic lemma (Q[x] in
+    place of C) C^{sgn}_{t+d_mu} = eps * C^{S_mu}_t, spanned by the
+    v * eps.  The regular ideal is S_d-stable, because S_d permutes its
+    generators h_r of the variable subsets of one size; so, by the
+    isotypic lemma for S_mu and its sign character, rank phi is
+    dim (C/I_reg)^{sgn} in degree t + d_mu.
     """
     target = reg.ideal_space(t + d_mu)
     ideal = quotient.ideal_space(t)
@@ -1001,8 +990,7 @@ def _transfer_kernel_matches(ring, quotient, reg, eps_vec, d_mu, t):
         psi.append(psi_i)
         both.append({**phi_i, **{width + k: w for k, w in psi_i.items()}})
     return (
-        quotient.hilbert.coefficient(2 * t)
-        == RowSpace(width).extend(phi)
-        == RowSpace(ring.dim(t)).extend(psi)
-        == RowSpace(width + ring.dim(t)).extend(both)
+        RowSpace(width).extend(phi),
+        RowSpace(ring.dim(t)).extend(psi),
+        RowSpace(width + ring.dim(t)).extend(both),
     )

@@ -15,6 +15,7 @@ r < 0.
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from operator import index
 
 
 def _as_fraction(c):
@@ -40,7 +41,7 @@ class Polynomial:
             c = _as_fraction(c)
             if c == 0:
                 continue
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(index, exps))
             if len(exps) != d or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps} for d={d}")
             clean[exps] = c
@@ -231,7 +232,7 @@ def complete_block(mu, subset, r):
 
 
 def check_permutation(w, d):
-    w = tuple(int(v) for v in w)
+    w = tuple(map(index, w))
     if len(w) != d or sorted(w) != list(range(1, d + 1)):
         raise ValueError(f"{w} is not a permutation of 1..{d}")
     return w

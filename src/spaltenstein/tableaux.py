@@ -23,6 +23,7 @@ holds only values that a recomputation gives equal.
 
 from itertools import combinations
 from math import comb
+from operator import index
 
 
 class _Parts:
@@ -67,7 +68,7 @@ class Partition(_Parts):
     __slots__ = ()
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(map(index, parts))
         for a, b in zip(parts, parts[1:]):
             if a < b:
                 raise ValueError(f"parts {parts} are not weakly decreasing")
@@ -112,7 +113,7 @@ class Composition(_Parts):
     __slots__ = ()
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(map(index, parts))
         if any(p < 0 for p in parts):
             raise ValueError(f"parts {parts} contain a negative entry")
         object.__setattr__(self, "parts", parts)
@@ -142,7 +143,7 @@ class Tableau:
     __slots__ = ("rows", "shape", "_columns")
 
     def __init__(self, rows=()):
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
+        rows = tuple(tuple(map(index, row)) for row in rows)
         while rows and not rows[-1]:
             rows = rows[:-1]
         shape = Partition(len(row) for row in rows)
@@ -319,7 +320,7 @@ def column_sequence_to_partition(c, k, d):
     The parts satisfy gamma_{k+1-i} = c_i - i, giving the standard bijection
     with partitions inside a k x (d-k) rectangle.
     """
-    c = tuple(int(v) for v in c)
+    c = tuple(map(index, c))
     if len(c) != k:
         raise ValueError(f"expected {k} column indices, got {len(c)}")
     if any(a >= b for a, b in zip(c, c[1:])):

@@ -69,15 +69,6 @@ MUTANTS = [
         ],
     },
     {
-        "id": "invariant-memo-drops-sign",
-        "file": "coinvariant.py",
-        "old": "key = (tuple(transpositions), r, sign)",
-        "new": "key = (tuple(transpositions), r)",
-        "kills": [
-            "tests/test_coinvariant.py::TestInvariants::test_sparse_equations_match_dense_oracle",
-        ],
-    },
-    {
         "id": "clear-caches-keeps-slot",
         "file": "presentation.py",
         "old": "for cache in (_RINGS, _REGULAR_CACHE, _KEYS, _LATEST):",
@@ -113,6 +104,7 @@ MUTANTS = [
         "kills": [
             "tests/test_presentation.py::TestQuotientDimension::test_poincare_polynomial",
             "tests/test_presentation.py::TestQuotient::test_total_matches_tableau_count",
+            "tests/test_reports.py::TestSpringerMultiplicities::test_back_substitution_matches_charge_d6",
         ],
     },
     {
@@ -128,10 +120,30 @@ MUTANTS = [
     {
         "id": "kernel-check-drops-psi-rank",
         "file": "presentation.py",
-        "old": "        == RowSpace(ring.dim(t)).extend(psi)\n",
-        "new": "",
+        "old": "if not a_dim == psi == both:",
+        "new": "if not a_dim == both:",
         "kills": [
             "tests/test_presentation.py::TestTransfer::test_kernel_check_rejects_full_block_ideal_d5",
+        ],
+    },
+    {
+        "id": "phi-drops-eps",
+        "file": "presentation.py",
+        "old": "prod = ring.mul_classes(row, t, eps_vec, d_mu)",
+        "new": "prod = row",
+        "kills": [
+            "tests/test_presentation.py::TestTransfer::test_anti_dims_match_equation_oracle_d6",
+            "tests/test_pinned.py::test_transfer_reports_pinned_d5",
+        ],
+    },
+    {
+        "id": "coordinates-reversed",
+        "file": "presentation.py",
+        "old": "for pos, idx in enumerate(indices)\n            if width + pos in res",
+        "new": "for pos, idx in enumerate(indices[::-1])\n            if width + pos in res",
+        "kills": [
+            "tests/test_hilbert_oracle.py::test_groebner_structure_constants_d4",
+            "tests/test_presentation.py::TestStructureConstants::test_tensors_pinned_d4",
         ],
     },
     {

@@ -6,7 +6,7 @@ from math import factorial, lcm, prod
 
 from spaltenstein.coinvariant import invariant_rows
 from spaltenstein.linalg import RowSpace, _subtract
-from spaltenstein.presentation import HilbertSeries, _generator_items, _residual_rank
+from spaltenstein.presentation import HilbertSeries, _generator_items
 from spaltenstein.symring import BlockStructure, Polynomial, complete_block
 from spaltenstein.tableaux import (
     Tableau,
@@ -157,15 +157,19 @@ def ideal_by_insertion(quotient):
 def qdim_by_invariant_rows(quotient):
     """The quotient dimensions by x-degree up to stop_x, read the way the
     build read them before the Poincare division: in each degree, the
-    residual rank of the S_mu-invariant rows of the coinvariant algebra
-    against the ideal (isotypic lemma in presentation._residual_rank).
-    The rows are computed afresh, outside the library's cache."""
+    rank of the scaled residuals of the S_mu-invariant rows of the
+    coinvariant algebra against the ideal (isotypic lemma in
+    presentation._transfer_ranks).  The scaled residual is linear on
+    integer rows, with one scale for the whole space, and its kernel is
+    the space, so that rank is the dimension of the image of the rows."""
     ring = quotient.ring
     transpositions = quotient.blocks.transpositions()
-    return [
-        _residual_rank(quotient.ideal_space(t), invariant_rows(ring, transpositions, t))
-        for t in range(quotient.stop_x + 1)
-    ]
+    out = []
+    for t in range(quotient.stop_x + 1):
+        space = quotient.ideal_space(t)
+        rows = invariant_rows(ring, transpositions, t)
+        out.append(RowSpace(space.width).extend(space.scaled_residual(row)[1] for row in rows))
+    return out
 
 
 def anti_invariant_dim_by_equations(ring, reg, transpositions, e):
@@ -364,6 +368,17 @@ def charge(word):
     return total
 
 
+def charge_counts(rho, nu):
+    """K_{rho, nu}(q) as {charge: count}: the charges of the semistandard
+    tableaux of shape rho and content nu (tuples of parts), each read row
+    by row from the bottom row to the top."""
+    out = {}
+    for rows in semistandard_by_strips(rho, nu):
+        c = charge([v for row in reversed(rows) for v in row])
+        out[c] = out.get(c, 0) + 1
+    return out
+
+
 def _partitions(d):
     if d == 0:
         return [()]
@@ -406,8 +421,7 @@ def hilbert_by_charge(lam, mu, springer_shape=_conjugate):
         kostka = len(semistandard_by_strips(springer_shape(rho), mu_plus))
         if not kostka:
             continue
-        for rows in semistandard_by_strips(rho, nu):
-            word = [v for row in reversed(rows) for v in row]
-            k = n_nu - charge(word) - shift
-            out[k] = out.get(k, 0) + kostka
+        for c, count in charge_counts(rho, nu).items():
+            k = n_nu - c - shift
+            out[k] = out.get(k, 0) + kostka * count
     return out

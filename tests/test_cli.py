@@ -181,6 +181,17 @@ class TestUsageErrors:
             main(["degree", "--lambda", "2,1", "--mu", "1,1,1", "--tableau", "1,2,3"])
         assert info.value.code == 2
 
+    def test_empty_inner_tableau_row_exits_2(self, capsys):
+        # an empty row before a non-empty one is no Young diagram; a
+        # trailing empty row is stripped
+        for text in ("1;;2", ";1;2"):
+            with pytest.raises(SystemExit) as info:
+                main(["degree", "--lambda", "1,1", "--mu", "1,1", "--tableau", text])
+            assert info.value.code == 2
+            assert "not weakly decreasing" in capsys.readouterr().err
+        argv = ["degree", "--lambda", "1,1", "--mu", "1,1", "--tableau", "1;2;"]
+        assert run_cli(argv) == (0, "0\n")
+
     def test_negative_sweep_bounds_exit_2(self):
         for argv in (["--d-max", "-3"], ["--d-max", "2", "--n-max", "-1"]):
             with pytest.raises(SystemExit) as info:

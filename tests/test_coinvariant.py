@@ -86,8 +86,8 @@ def dense_swap_matrix(ring, i, r):
     return mat
 
 
-def dense_invariant_rows(ring, transpositions, r, sign=1):
-    """Oracle for invariant_rows: the dense equations x (S - sign) = 0, one
+def dense_invariant_rows(ring, transpositions, r):
+    """Oracle for invariant_rows: the dense equations x (S - 1) = 0, one
     per column of each swap matrix S, solved by kernel_basis."""
     dim = ring.dim(r)
     if not transpositions:
@@ -96,7 +96,7 @@ def dense_invariant_rows(ring, transpositions, r, sign=1):
     for i, _ in transpositions:
         mat = dense_swap_matrix(ring, i, r)
         for coord in range(dim):
-            equations.append([mat[b][coord] - sign * (b == coord) for b in range(dim)])
+            equations.append([mat[b][coord] - (b == coord) for b in range(dim)])
     return kernel_basis(equations, dim)
 
 
@@ -290,10 +290,9 @@ class TestInvariants:
                         assert len(rows) == expected
 
     def test_sparse_equations_match_dense_oracle(self):
-        # every transposition set of a composition with d <= 6, for the
-        # invariants and the anti-invariants: row for row against the
-        # dense oracle, and x S = sign * x for every returned row x and
-        # the swap matrix S of every transposition
+        # every transposition set of a composition with d <= 6: row for
+        # row against the dense oracle, and x S = x for every returned row
+        # x and the swap matrix S of every transposition
         for d in range(1, 7):
             ring = get_ring(d)
             sets = {
@@ -302,9 +301,9 @@ class TestInvariants:
                 for mu in compositions(d, n)
             }
             assert len(sets) == 2 ** (d - 1)
-            for transpositions, r, sign in product(sorted(sets), range(ring.top + 1), (1, -1)):
-                rows = invariant_rows(ring, transpositions, r, sign)
-                assert rows == list(map(sparse, dense_invariant_rows(ring, transpositions, r, sign)))
+            for transpositions, r in product(sorted(sets), range(ring.top + 1)):
+                rows = invariant_rows(ring, transpositions, r)
+                assert rows == list(map(sparse, dense_invariant_rows(ring, transpositions, r)))
                 dim = ring.dim(r)
                 for i, _ in transpositions:
                     mat = dense_swap_matrix(ring, i, r)
@@ -313,9 +312,9 @@ class TestInvariants:
                         for b, x in row.items():
                             for c, w in enumerate(mat[b]):
                                 image[c] += x * w
-                        assert image == [sign * v for v in dense(row, dim)]
+                        assert image == dense(row, dim)
         # the rows are memoised on the ring, which clear_caches drops
-        assert invariant_rows(ring, transpositions, r, sign) is rows
+        assert invariant_rows(ring, transpositions, r) is rows
         presentation.clear_caches()
         assert get_ring(d) is not ring and get_ring(d)._invariants == {}
 

@@ -921,8 +921,15 @@ class TestRelEquivalence:
         assert rel_equivalence(lam, Composition([0, 1, 2]), qh=qh, qe=qe)
 
 
+def kernel_matches(q, reg, eps, e, t):
+    """The kernel check of the transfer in degree t: the three ranks of
+    _transfer_ranks all equal the quotient dimension."""
+    ranks = presentation._transfer_ranks(q.ring, q, reg, eps, e, t)
+    return set(ranks) == {q.hilbert.coefficient(2 * t)}
+
+
 def kernel_match_oracle(q, reg, eps, e, t):
-    """Oracle for _transfer_kernel_matches: the combinations of the
+    """Oracle for the kernel check of _transfer_ranks: the combinations of the
     invariant rows whose product with eps lies in the degree-(t + e)
     regular ideal, and those that lie in the block ideal, each found by
     Fraction Gauss-Jordan and kernel_basis and compared as spans of dense
@@ -965,18 +972,19 @@ class TestTransfer:
                 power = ring.apply_var(power, mu.size(), r)
             wrong = ((ring.apply_var(eps, 1, e), e + 1), (ring.unit(), 0), (power, e))
             for t in range(q.stop_x + 1):
-                assert presentation._transfer_kernel_matches(ring, q, reg, eps, e, t)
+                assert kernel_matches(q, reg, eps, e, t)
                 assert kernel_match_oracle(q, reg, eps, e, t)
                 for mult, deg in wrong:
-                    got = presentation._transfer_kernel_matches(ring, q, reg, mult, deg, t)
+                    got = kernel_matches(q, reg, mult, deg, t)
                     assert got == kernel_match_oracle(q, reg, mult, deg, t)
                     outcomes.append(got)
         assert (outcomes.count(True), outcomes.count(False)) == (2836, 695)
 
-    def test_kernel_check_rejects_full_block_ideal_d5(self):
+    def test_kernel_check_rejects_full_block_ideal_d5(self, monkeypatch):
         # a block ideal replaced by the full space in a degree where the
         # quotient is non-zero leaves phi and (phi, psi) of one rank, so
-        # only rank psi, which drops to 0, can tell
+        # only rank psi, which drops to 0, can tell; the transfer, handed
+        # the mutant (its regular quotient is cached), must raise
         mutants = 0
         for lam, mu in iter_pairs(5):
             if 0 in mu.parts:
@@ -992,32 +1000,31 @@ class TestTransfer:
                 full.extend({c: 1} for c in range(ring.dim(t)))
                 mutant = copy(q)
                 mutant._ideal = {**q._ideal, t: full}
-                assert presentation._transfer_kernel_matches(ring, q, reg, eps, e, t)
-                assert not presentation._transfer_kernel_matches(ring, mutant, reg, eps, e, t)
+                assert kernel_matches(q, reg, eps, e, t)
+                assert not kernel_matches(mutant, reg, eps, e, t)
+                with monkeypatch.context() as patch:
+                    patch.setattr(presentation, "build_quotient", lambda *args: mutant)
+                    with pytest.raises(presentation.TransferError, match="wrong kernel"):
+                        presentation._transfer_data(lam, mu, mu.size())
                 mutants += 1
         assert mutants == 264
 
-    def test_anti_invariant_count_matches_equation_oracle_d6(self):
-        # the residual rank of the anti-invariant rows against the
-        # (s + 1)v equation system, for every lam, every transposition
-        # set and every degree 0..top+1 with d <= 6
-        cases = 0
-        for d in range(1, 7):
-            ring = get_ring(d)
-            sets = {
-                tuple(BlockStructure(Composition(mu)).transpositions())
-                for n in range(1, d + 1)
-                for mu in compositions(d, n)
-            }
-            for lam in partitions(d):
-                reg = regular_quotient(Partition(lam), d)
-                for transpositions in sorted(sets):
-                    for e in range(ring.top + 2):
-                        rows = invariant_rows(ring, transpositions, e, -1)
-                        got = presentation._residual_rank(reg.ideal_space(e), rows)
-                        assert got == anti_invariant_dim_by_equations(ring, reg, transpositions, e)
-                        cases += 1
-        assert cases == 7722
+    def test_anti_dims_match_equation_oracle_d6(self):
+        # rank phi of the one isotypic pass against the (s + 1)v equation
+        # system, for every lam, transposition set and degree that a
+        # transfer with d <= 6 reaches
+        clear_caches()
+        cases = set()
+        for lam, mu in iter_pairs(6):
+            report = anti_invariant_transfer(lam, mu)
+            ring, reg = get_ring(mu.size()), regular_quotient(lam, mu.size())
+            transpositions = tuple(BlockStructure(mu).transpositions())
+            for degree, a_dim in zip(report.degrees, report.anti_dims):
+                case = (lam, transpositions, (degree + report.shift) // 2)
+                if case not in cases:
+                    assert a_dim == anti_invariant_dim_by_equations(ring, reg, *case[1:]), case
+                    cases.add(case)
+        assert len(cases) == 1813
 
     def test_core_built_once_with_structure_constants(self, monkeypatch):
         # the transfer asks for the regular quotient before the H quotient,
@@ -1265,7 +1272,7 @@ class TestSharedCore:
         clear_caches()
         cold = anti_invariant_transfer(lam, other).to_json()
         clear_caches()
-        monkeypatch.setattr(presentation, "_transfer_kernel_matches", lambda *args: False)
+        monkeypatch.setattr(presentation, "_transfer_ranks", lambda *args: (-1, -1, -1))
         with pytest.raises(presentation.TransferError):
             anti_invariant_transfer(lam, mu)
         assert entry not in tableaux._KEYS

@@ -1,5 +1,13 @@
+from collections import Counter
+
 import pytest
-from oracles import betti_by_enumeration, column_strict_by_search, hilbert_by_charge
+from oracles import (
+    betti_by_enumeration,
+    charge_counts,
+    column_strict_by_search,
+    hilbert_by_charge,
+    semistandard_by_strips,
+)
 
 from spaltenstein import reports, tableaux
 from spaltenstein.presentation import HilbertSeries, build_quotient, clear_caches
@@ -25,6 +33,7 @@ from spaltenstein.tableaux import (
     shared,
     straighten,
     tableau_degree,
+    transpose,
     zero_free_key,
 )
 
@@ -122,6 +131,51 @@ class TestChargeOracle:
         assert (len(keys), len(wrong)) == (38, 26)
         assert all(min(hilbert_by_charge(lam, mu, springer_shape=lambda rho: rho)) < 0
                    for lam, mu in wrong)
+
+
+def springer_multiplicities(lam):
+    """The graded Springer multiplicities G_sigma(q) of lam, one per
+    partition sigma of |lam|, as {x-degree: non-zero coefficient}, from the
+    library's Hilbert series alone.  With shift(mu) = sum C(mu_i, 2),
+
+      q^shift(mu) Hilb(lam, mu) = sum_sigma K_{sigma, mu} G_sigma(q),
+
+    and K_{sigma, mu} is 0 unless sigma dominates mu, and 1 at sigma = mu.
+    partitions() lists mu in decreasing lexicographic order, which refines
+    dominance, so every G_sigma with sigma above mu is known when mu is
+    reached, and back substitution gives G_mu.  A mu with fewer parts than
+    lam is padded with zero parts.  No charge is used."""
+    out = {}
+    for mu in partitions(lam.size()):
+        pair_mu = Composition(mu + (0,) * (lam.height() - len(mu)))
+        shift = sum(p * (p - 1) // 2 for p in mu)
+        series = build_quotient(lam, pair_mu).hilbert.coeffs
+        g = Counter({k + shift: c for k, c in enumerate(series)})
+        for sigma, g_sigma in out.items():
+            kostka = len(semistandard_by_strips(sigma, mu))
+            g.subtract({k: kostka * c for k, c in g_sigma.items()})
+        out[mu] = {k: c for k, c in g.items() if c}
+    return out
+
+
+class TestSpringerMultiplicities:
+    def test_back_substitution_matches_charge_d6(self):
+        # each G_sigma has non-negative coefficients and equals
+        # q^n(nu) K_{sigma^T, nu}(1/q), nu = lam^T, n(nu) = sum (i - 1) nu_i
+        # (Hotta-Springer; Garsia-Procesi, Adv. Math. 94, 1992)
+        tables = non_zero = 0
+        for d in range(1, 7):
+            for lam in map(Partition, partitions(d)):
+                nu = transpose(lam).parts
+                n_nu = sum(i * p for i, p in enumerate(nu))
+                for sigma, g in springer_multiplicities(lam).items():
+                    assert all(c > 0 for c in g.values()), (lam, sigma, g)
+                    rho = transpose(Partition(sigma)).parts
+                    expected = {n_nu - c: k for c, k in charge_counts(rho, nu).items()}
+                    assert g == expected, (lam, sigma)
+                    tables += 1
+                    non_zero += bool(g)
+        assert (tables, non_zero) == (209, 117)
 
 
 class TestComponents:

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import cell_leq_by_reduction, degree_by_reduction, straighten_by_reduction
 
+from spaltenstein.presentation import HilbertSeries
+from spaltenstein.symring import Polynomial, check_permutation
 from spaltenstein.tableaux import (
     Composition,
     Partition,
@@ -94,6 +96,25 @@ class TestPartition:
         assert Partition([2, 1]).padded(4) == (2, 1, 0, 0)
         with pytest.raises(ValueError):
             Partition([2, 1]).padded(1)
+
+    def test_non_integer_entries_are_refused(self):
+        # int() would truncate 2.9 to 2 and answer for a pair the caller
+        # never gave; operator.index refuses it
+        refused = (
+            lambda: Partition([2.9, 0.1]),
+            lambda: Composition([1.5, 1.5]),
+            lambda: Tableau([[1.7, 2]]),
+            lambda: HilbertSeries([1.9, 2]),
+            lambda: Polynomial(2, {(1.5, 0): 1}),
+            lambda: column_sequence_to_partition([1.0, 2.5], 2, 3),
+            lambda: check_permutation([2.0, 1.0], 2),
+            lambda: Partition(["2"]),
+        )
+        for build in refused:
+            with pytest.raises(TypeError):
+                build()
+        assert Partition([True, 0]) == Partition([1])
+        assert Polynomial(2, {(2, 0): 1}).terms == {(2, 0): 1}
 
 
 class TestDominance:
