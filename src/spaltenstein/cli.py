@@ -32,14 +32,14 @@ from .tableaux import (
     Composition,
     Partition,
     Tableau,
-    _chain,
     _chain_degree,
-    _check_member,
+    _key_chains,
     count_column_strict,
     enumerate_column_strict,
     enumerate_semistandard,
     iter_pairs,
     tableau_degree,
+    zero_free_key,
 )
 
 
@@ -179,21 +179,20 @@ def _cmd_degree(args, out):
 
 
 def _cmd_basis(args, out):
-    mu = args.mu
-    _check_work(_count_fillings(args.lam, mu), "fillings")
-    tabs = enumerate_column_strict(args.lam, mu)
-    # one validation and one reduction chain per tableau, read three ways
-    chains = [_chain(_check_member(T, mu), mu.parts) for T in tabs]
-    _check_work(sum(_h_term_count(chain, mu) for chain in chains), "polynomial terms")
-    items = []
-    for T, chain in zip(tabs, chains):
-        items.append(
-            {
-                "tableau": T.to_json(),
-                "degree": 2 * _chain_degree(chain),
-                "poly": _h_of_chain(chain, mu).to_json(),
-            }
-        )
+    lam, mu = args.lam, args.mu
+    _check_work(_count_fillings(lam, mu), "fillings")
+    # the chains kept for the key, read with the parts of its zero-free mu
+    key_mu = Composition(zero_free_key(lam, mu)[1])
+    chains = _key_chains(lam, mu)
+    _check_work(sum(_h_term_count(chain, key_mu) for chain in chains), "polynomial terms")
+    items = [
+        {
+            "tableau": T.to_json(),
+            "degree": 2 * _chain_degree(chain),
+            "poly": _h_of_chain(chain, key_mu).to_json(),
+        }
+        for T, chain in zip(enumerate_column_strict(lam, mu), chains)
+    ]
     if args.format == "json":
         out.write(_dump(items) + "\n")
     else:
@@ -242,16 +241,8 @@ def _cmd_verify(args, out):
     if witness:
         out.write(_dump(witness) + "\n")
         return 1
-    out.write(
-        _dump(
-            {
-                "certified": True,
-                "dimension": cert.size(),
-                "hilbert": hilbert.to_json(),
-            }
-        )
-        + "\n"
-    )
+    record = {"certified": True, "dimension": cert.size(), "hilbert": hilbert.to_json()}
+    out.write(_dump(record) + "\n")
     return 0
 
 
@@ -262,14 +253,9 @@ def _cmd_components(args, out):
         out.write(poset_dot(args.lam, args.mu) + "\n")
         return 0
     _check_work(count, "fillings")
-    comps = components(args.lam, args.mu)
     data = [
-        {
-            "tableau": S.to_json(),
-            "dimension": dim,
-            "fiber": [T.to_json() for T in fiber],
-        }
-        for S, dim, fiber in comps
+        {"tableau": S.to_json(), "dimension": dim, "fiber": [T.to_json() for T in fiber]}
+        for S, dim, fiber in components(args.lam, args.mu)
     ]
     if args.format == "json":
         out.write(_dump(data) + "\n")

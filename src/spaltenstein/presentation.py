@@ -57,10 +57,10 @@ from .tableaux import (
     _LATEST,
     Composition,
     Partition,
-    _chain,
-    _check_member,
     _chain_degree,
     _check_sizes,
+    _key_chains,
+    _member_chain,
     dims,
     enumerate_column_strict,
     shared,
@@ -461,7 +461,7 @@ def h_of_tableau(T, mu):
     of the complete symmetric functions h_{gamma_i} of each level's block.
     As in _h_class_chain, at level n each position c_i > i gives the factor
     h_{c_i - i}(X_n), since gamma_{k+1-i} = c_i - i."""
-    return _h_of_chain(_chain(_check_member(T, mu), mu.parts), mu)
+    return _h_of_chain(_member_chain(T, mu), mu)
 
 
 def _h_of_chain(chain, mu):
@@ -593,8 +593,9 @@ def certify_basis(lam, mu, family="H", quotient=None):
     tableaux of one pair of a key onto those of another and keeps the
     reading-word order; a zero part of mu adds an empty level to the
     reduction chain, so the degrees and the h-classes agree position by
-    position.  Every call still enumerates the tableaux of its own pair
-    and checks their number against the shared data.
+    position; both are read off the key's chains (tableaux._key_chains).
+    Every call relabels the key's fillings for its own pair and checks
+    their number against the shared data.
     """
     if quotient is None:
         quotient = build_quotient(lam, mu, family)
@@ -631,12 +632,12 @@ def _check_key(quotient, lam, mu):
 
 def _certificate_data(lam, mu, quotient, tableaux):
     ring = quotient.ring
+    key_mu = Composition(zero_free_key(lam, mu)[1])
     memo = {}
     degrees = []
     classes = []
-    for T in tableaux:
-        chain = _chain(T.columns(), mu.parts)
-        vec, t = _h_class_chain(ring, chain, mu, memo)
+    for T, chain in zip(tableaux, _key_chains(lam, mu)):
+        vec, t = _h_class_chain(ring, chain, key_mu, memo)
         expected = _chain_degree(chain)
         if t != expected:
             raise BasisError(
@@ -702,8 +703,7 @@ def normal_form(p, certificate):
         raise ValueError("polynomial is not invariant under the block subgroup")
     ring = certificate.quotient.ring
     coords = {}
-    for component in ring.class_of_polynomial(p).items():
-        t, vec = component
+    for t, vec in ring.class_of_polynomial(p).items():
         for idx, c in certificate.coordinates_of_class(vec, t).items():
             coords[certificate.tableaux[idx]] = coords.get(certificate.tableaux[idx], 0) + c
     return {T: c for T, c in coords.items() if c}
@@ -807,9 +807,7 @@ def rel_equivalence(lam, mu, qh=None, qe=None):
         raise ValueError(f"expected an H and an E quotient, got {qh.family} and {qe.family}")
     _check_key(qh, lam, mu)
     _check_key(qe, lam, mu)
-    return all(
-        qh.ideal_space(t) == qe.ideal_space(t) for t in range(qh.stop_x + 1)
-    )
+    return all(qh.ideal_space(t) == qe.ideal_space(t) for t in range(qh.stop_x + 1))
 
 
 _REGULAR_CACHE = {}

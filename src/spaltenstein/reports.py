@@ -5,25 +5,26 @@ touched.  Betti numbers count column-strict tableaux by degree (a graded
 count over the reduction recursion, with no enumeration), the
 irreducible components are indexed by semi-standard tableaux with their
 fibers collected from the straightening map, and the cell order is
-exported as a Hasse diagram.  Betti numbers and components of a pair
-whose mu has a zero part are those of its zero-free pair, kept by
-tableaux.shared (relabelling lemma in enumerate_column_strict).
+exported as a Hasse diagram.  Every pair reads the values of its
+zero-free pair and the chains of its key through tableaux.shared
+(relabelling lemma in enumerate_column_strict).
 """
 
 from itertools import combinations
 
 from .presentation import HilbertSeries
 from .tableaux import (
-    Composition,
     _cell_leq,
-    _chain,
     _check_sizes,
+    _key_chains,
+    _key_fillings,
     _relabelling,
     _straighten,
     dims,
     enumerate_column_strict,
     shared,
     transpose,
+    zero_free_key,
 )
 
 
@@ -31,12 +32,11 @@ def betti(lam, mu):
     """Betti series: coefficient at degree 2r counts degree-r tableaux.
 
     A zero part of mu adds an empty level to the reduction chain, which
-    keeps every degree (relabelling lemma in enumerate_column_strict), so a
-    pair whose mu has a zero part returns the series of its zero-free pair,
-    kept by shared.
+    keeps every degree (relabelling lemma in enumerate_column_strict), so
+    every pair returns the series of its zero-free pair, kept by shared.
 
-    A zero-free pair counts by degree without listing tableaux.  Bijection
-    lemma (chain lemma in _chain): the entries n of a column-strict filling
+    The series counts by degree without listing tableaux.  Bijection lemma
+    (chain lemma in _chain): the entries n of a column-strict filling
     T of content mu, n = len(mu), are the bottoms of mu_n columns.  Let the
     columns, in the order of their level, have the weakly decreasing
     heights h; T maps to (c, Tbar), c the k = mu_n positions of the
@@ -48,26 +48,28 @@ def betti(lam, mu):
     c_1 + ... + c_k - k(k+1)/2 plus that of Tbar.  The count runs level
     by level from n down to 1 on a dict from the sorted heights to their
     graded count, which merges equal heights."""
-    if 0 in mu.parts:
-        return shared("betti", lam, mu, lambda: betti(lam, Composition(p for p in mu.parts if p)))
     _check_sizes(lam, mu)
-    states = {transpose(lam).parts: [1]}
-    for k in reversed(mu.parts):
-        after = {}
-        for heights, coeffs in states.items():
-            for c in combinations(range(len(heights)), k):
-                lowered = list(heights)
-                for j in c:
-                    lowered[j] -= 1
-                lowered = tuple(sorted((h for h in lowered if h), reverse=True))
-                # positions are 1-indexed: sum(c) + k - k(k+1)/2
-                shift = sum(c) - k * (k - 1) // 2
-                total = after.setdefault(lowered, [])
-                total.extend([0] * (shift + len(coeffs) - len(total)))
-                for r, v in enumerate(coeffs, start=shift):
-                    total[r] += v
-        states = after
-    return HilbertSeries(states.get((), ()))
+
+    def count():
+        states = {transpose(lam).parts: [1]}
+        for k in reversed(zero_free_key(lam, mu)[1]):
+            after = {}
+            for heights, coeffs in states.items():
+                for c in combinations(range(len(heights)), k):
+                    lowered = list(heights)
+                    for j in c:
+                        lowered[j] -= 1
+                    lowered = tuple(sorted((h for h in lowered if h), reverse=True))
+                    # positions are 1-indexed: sum(c) + k - k(k+1)/2
+                    shift = sum(c) - k * (k - 1) // 2
+                    total = after.setdefault(lowered, [])
+                    total.extend([0] * (shift + len(coeffs) - len(total)))
+                    for r, v in enumerate(coeffs, start=shift):
+                        total[r] += v
+            states = after
+        return HilbertSeries(states.get((), ()))
+
+    return shared("betti", lam, mu, count)
 
 
 def components(lam, mu):
@@ -77,44 +79,37 @@ def components(lam, mu):
     maximal element in the cell order; all components share the dimension
     d_lam - d_mu.
 
-    Relabelling lemma (enumerate_column_strict): the label map iota of the
-    zero parts of mu is a bijection from the tableaux of the zero-free key
-    (lam, mu') onto those of (lam, mu) that keeps semi-standardness; a zero
-    part of mu adds an empty level to the reduction chain, so iota commutes
-    with straightening; and d_mu = d_mu'.  So the triples of (lam, mu)
-    are those of (lam, mu') with iota applied to S and to every fiber
-    element.  A pair whose mu has a zero part relabels the triples of its
-    zero-free pair, kept by shared.
+    By the relabelling lemma (enumerate_column_strict) the label map iota
+    keeps semi-standardness and commutes with straightening, and d_mu =
+    d_mu', so every pair relabels the triples of its zero-free pair, kept
+    by shared, which straightens the key's fillings along their chains.
     """
-    if 0 in mu.parts:
-        relabel = _relabelling(mu)
-        triples = shared(
-            "components", lam, mu,
-            lambda: components(lam, Composition(p for p in mu.parts if p)),
-        )
-        return [(relabel(S), dim, [relabel(T) for T in fiber]) for S, dim, fiber in triples]
-    d_lam, d_mu = dims(lam, mu)
-    cols = enumerate_column_strict(lam, mu)
-    heights = transpose(lam).parts
-    fibers = {}
-    for T in cols:
-        S = _straighten(_chain(T.columns(), mu.parts), T.shape, heights)
-        fibers.setdefault(S, []).append(T)
-    out = [(S, d_lam - d_mu, fibers.pop(S)) for S in cols if S.is_semistandard()]
-    if fibers:
-        stray = next(iter(fibers))
-        raise ValueError(f"straightening produced a non-semistandard image {stray}")
-    return out
+
+    def compute():
+        d_lam, d_mu = dims(lam, mu)
+        cols = _key_fillings(lam, mu)
+        heights = transpose(lam).parts
+        fibers = {}
+        for T, chain in zip(cols, _key_chains(lam, mu)):
+            fibers.setdefault(_straighten(chain, T.shape, heights), []).append(T)
+        out = [(S, d_lam - d_mu, fibers.pop(S)) for S in cols if S.is_semistandard()]
+        if fibers:
+            raise ValueError(f"straightening produced a non-semistandard image {next(iter(fibers))}")
+        return out
+
+    relabel = _relabelling(mu)
+    triples = shared("components", lam, mu, compute)
+    return [(relabel(S), dim, [relabel(T) for T in fiber]) for S, dim, fiber in triples]
 
 
 def poset_edges(lam, mu):
     """Hasse diagram edges (covers) of the cell order, in enumeration order.
 
-    Each tableau's reduction chain is computed once and the chains are
-    compared directly (_cell_leq), as cell_order does for two distinct
-    tableaux."""
+    The chains kept for the key are compared directly (_cell_leq), as
+    cell_order does for two distinct tableaux; the empty levels they leave
+    out never differ, so they change no comparison."""
     cols = enumerate_column_strict(lam, mu)
-    chains = [_chain(T.columns(), mu.parts) for T in cols]
+    chains = _key_chains(lam, mu)
     less = {T: set() for T in cols}
     for i, T in enumerate(cols):
         for j in range(i + 1, len(cols)):

@@ -18,7 +18,8 @@ columns() call: the columns are a function of the rows (lemma in
 _columns_to_tableau), so the slot takes no part in ==, hash or repr, and
 a second filling writes an equal value.  The data shared per zero-free
 key (_KEYS, and the one-key slot _LATEST, both written only by shared)
-holds only values that a recomputation gives equal.
+holds only values that a recomputation gives equal; through it, one key
+enumerates and chains its fillings once, for every pair of the key.
 """
 
 from itertools import combinations
@@ -380,9 +381,9 @@ def shared(kind, lam, mu, compute):
     under a key, in either table, was computed by a pair of that key, and
     compute must give every pair of the key an equal value (by the lemma
     of its kind, below), so any pair may read either table:
-      - "enumerate", "betti", "components": the value of the zero-free pair
-        of the key (relabelling lemma in enumerate_column_strict); these
-        compute a zero-free pair's value directly, without shared;
+      - "enumerate", "betti", "components": for every pair, the value of
+        the zero-free pair of the key (lemma in enumerate_column_strict);
+      - "chains": the reduction chains of those fillings (_key_chains);
       - "cores": the quotient data of both families (zero-block lemma in
         GradedQuotient);
       - ("certificate", family), "transfer", ("tensor", family): the data of
@@ -424,13 +425,6 @@ def enumerate_column_strict(lam, mu):
     Returned in increasing lexicographic order of the column reading word.
     The list is empty exactly when mu sorted is not dominated by lam.
 
-    The search picks the columns left to right, each a combination of the
-    labels still available, in increasing lexicographic order.  Column j
-    has the fixed height lam'_j, so this is the lexicographic order of the
-    reading words and the list needs no sort.  The backtracking keeps one
-    iterator of candidates per column on an explicit stack, so a wide lam
-    meets no recursion limit.
-
     Relabelling lemma.  Let mu' be mu with its zero parts deleted, and iota
     the order-preserving injection of the labels 1..len(mu') onto the
     labels of mu of non-zero multiplicity.  Labels of multiplicity zero
@@ -448,42 +442,65 @@ def enumerate_column_strict(lam, mu):
     tableau_degree(T, mu'), iota commutes with straighten and keeps
     cell_order.  This is the lemma of certify_basis, extended to fibers.
 
-    So a pair whose mu has a zero part returns the list of its zero-free
-    pair, kept by shared, relabelled by iota.
+    So every pair returns the fillings of its zero-free pair, kept by
+    shared (_key_fillings), relabelled by iota, in a new list.
+    """
+    relabel = _relabelling(mu)
+    return [relabel(T) for T in _key_fillings(lam, mu)]
+
+
+def _key_fillings(lam, mu):
+    """The column-strict fillings of (lam, mu'), kept by shared as "enumerate";
+    read-only.
+
+    The search picks the columns left to right, each a combination of the
+    labels still available, in increasing lexicographic order.  Column j
+    has the fixed height lam'_j, so this is the lexicographic order of the
+    reading words and the list needs no sort.  The backtracking keeps one
+    iterator of candidates per column on an explicit stack, so a wide lam
+    meets no recursion limit.
     """
     _check_sizes(lam, mu)
-    if 0 in mu.parts:
-        relabel = _relabelling(mu)
-        tabs = shared(
-            "enumerate", lam, mu,
-            lambda: enumerate_column_strict(lam, Composition(p for p in mu.parts if p)),
-        )
-        return [relabel(T) for T in tabs]
-    heights = transpose(lam).parts
-    counts = list(mu.parts)
-    results = []
-    # cols holds the columns chosen so far; levels[j] iterates the
-    # candidates of column j, and cols[j] is its current one
-    cols, levels = [], []
-    while True:
-        if len(cols) == len(heights):
-            results.append(_columns_to_tableau(tuple(cols)))
-        else:
-            avail = [v for v, c in enumerate(counts, start=1) if c]
-            levels.append(combinations(avail, heights[len(cols)]))
-        while levels:
-            if len(cols) == len(levels):
-                for v in cols.pop():
-                    counts[v - 1] += 1
-            chosen = next(levels[-1], None)
-            if chosen is not None:
-                break
-            levels.pop()
-        else:
-            return results
-        for v in chosen:
-            counts[v - 1] -= 1
-        cols.append(chosen)
+
+    def search():
+        heights = transpose(lam).parts
+        counts = list(zero_free_key(lam, mu)[1])
+        results = []
+        # cols holds the columns chosen so far; levels[j] iterates the
+        # candidates of column j, and cols[j] is its current one
+        cols, levels = [], []
+        while True:
+            if len(cols) == len(heights):
+                results.append(_columns_to_tableau(tuple(cols)))
+            else:
+                avail = [v for v, c in enumerate(counts, start=1) if c]
+                levels.append(combinations(avail, heights[len(cols)]))
+            while levels:
+                if len(cols) == len(levels):
+                    for v in cols.pop():
+                        counts[v - 1] += 1
+                chosen = next(levels[-1], None)
+                if chosen is not None:
+                    break
+                levels.pop()
+            else:
+                return results
+            for v in chosen:
+                counts[v - 1] -= 1
+            cols.append(chosen)
+
+    return shared("enumerate", lam, mu, search)
+
+
+def _key_chains(lam, mu):
+    """The chains of _key_fillings(lam, mu) in its order, read with the
+    parts of mu', kept by shared as "chains" from the first read; read-only.
+    By the relabelling lemma each is the chain of the matching filling of
+    (lam, mu), read with the parts of mu, less the levels of its zeros."""
+    parts = zero_free_key(lam, mu)[1]
+    return shared(
+        "chains", lam, mu, lambda: [_chain(T.columns(), parts) for T in _key_fillings(lam, mu)]
+    )
 
 
 def enumerate_semistandard(lam, mu):
@@ -614,6 +631,11 @@ def _chain(columns, mu_parts):
     return chain
 
 
+def _member_chain(T, mu):
+    """The chain of T once T is checked column-strict with content mu."""
+    return _chain(_check_member(T, mu), mu.parts)
+
+
 def tableau_degree(T, mu):
     """Cell dimension statistic: sum of |gamma| over the reduction chain."""
     return _degree_from_columns(_check_member(T, mu), mu.parts)
@@ -635,7 +657,7 @@ def straighten(T, mu):
 
     Fixed points are exactly the semi-standard tableaux.
     """
-    return _straighten(_chain(_check_member(T, mu), mu.parts), T.shape, transpose(T.shape).parts)
+    return _straighten(_member_chain(T, mu), T.shape, transpose(T.shape).parts)
 
 
 def _straighten(chain, shape, column_heights):
@@ -676,12 +698,11 @@ def cell_order(T, Tp, mu):
     is genuinely partial: it refines strict containment of the partitions
     produced along the reduction chain.
     """
-    columns, columnsp = _check_member(T, mu), _check_member(Tp, mu)
+    chain, chainp = _member_chain(T, mu), _member_chain(Tp, mu)
     if T.shape != Tp.shape:
         raise ValueError(f"shapes {T.shape} and {Tp.shape} differ")
     if T == Tp:
         return "equal"
-    chain, chainp = _chain(columns, mu.parts), _chain(columnsp, mu.parts)
     if _cell_leq(chain, chainp):
         return "less"
     if _cell_leq(chainp, chain):

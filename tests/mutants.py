@@ -165,6 +165,48 @@ MUTANTS = [
             "tests/test_tableaux.py::TestReductionChain::test_cell_order_matches_oracle_d4",
         ],
     },
+    {
+        "id": "key-chains-reversed",
+        "file": "tableaux.py",
+        "old": "[_chain(T.columns(), parts) for T in _key_fillings(lam, mu)]",
+        "new": "[_chain(T.columns(), parts) for T in _key_fillings(lam, mu)][::-1]",
+        "kills": [
+            "tests/test_tableaux.py::TestReductionChain::test_kept_chains_are_each_pairs_own_d6",
+            "tests/test_presentation.py::TestDependencyWitness::test_fabricated_dependency_yields_combination",
+            "tests/test_pinned.py::test_outputs_pinned_d4",
+        ],
+    },
+    {
+        "id": "key-chains-padded-parts",
+        "file": "tableaux.py",
+        "old": "parts = zero_free_key(lam, mu)[1]",
+        "new": "parts = mu.parts",
+        "kills": [
+            "tests/test_tableaux.py::TestReductionChain::test_kept_chains_are_each_pairs_own_d6",
+            "tests/test_presentation.py::TestSharedCore::test_shared_build_equals_cold_build_d5",
+        ],
+    },
+    {
+        "id": "h-class-padded-parts",
+        "file": "presentation.py",
+        "old": "vec, t = _h_class_chain(ring, chain, key_mu, memo)",
+        "new": "vec, t = _h_class_chain(ring, chain, mu, memo)",
+        "kills": [
+            "tests/test_presentation.py::TestSharedCore::test_shared_build_equals_cold_build_d5",
+            "tests/test_pinned.py::test_outputs_pinned_d4",
+        ],
+    },
+    {
+        "id": "enumerate-skips-relabel",
+        "file": "tableaux.py",
+        "old": "return [relabel(T) for T in _key_fillings(lam, mu)]",
+        "new": "return list(_key_fillings(lam, mu))",
+        "kills": [
+            "tests/test_reports.py::TestSharedTableaux::test_padded_pairs_relabel_the_key",
+            "tests/test_reports.py::TestSharedTableaux::test_shared_equals_cold_d5",
+            "tests/test_pinned.py::test_outputs_pinned_d4",
+        ],
+    },
 ]
 
 

@@ -15,6 +15,7 @@ from spaltenstein.tableaux import (
     enumerate_column_strict,
     reduce_tableau,
     transpose,
+    zero_free_key,
 )
 
 
@@ -424,4 +425,23 @@ def hilbert_by_charge(lam, mu, springer_shape=_conjugate):
         for c, count in charge_counts(rho, nu).items():
             k = n_nu - c - shift
             out[k] = out.get(k, 0) + kostka * count
+    return out
+
+
+def keys_chained_by_padded_pairs(order):
+    """The padded keys whose chains tableaux.shared keeps in _KEYS after a
+    run over order in which every pair asks for the same kinds, some of
+    which read the key's chains when computed.  The first padded pair of a
+    key reads those kinds from the slot, and so reads no chains, when the
+    last zero-free pair before it has the key; otherwise it computes them
+    and keeps the key's chains."""
+    last, seen, out = None, set(), set()
+    for lam, mu in order:
+        key = zero_free_key(lam, mu)
+        if 0 not in mu.parts:
+            last = key
+        elif key not in seen:
+            seen.add(key)
+            if key != last:
+                out.add(key)
     return out

@@ -16,6 +16,7 @@ from oracles import (
     h_by_reduction,
     ideal_by_insertion,
     kernel_basis,
+    keys_chained_by_padded_pairs,
     qdim_by_invariant_rows,
     scaled_int_row,
     span,
@@ -584,15 +585,17 @@ class TestDependencyWitness:
         assert pairs == 56
 
     def test_one_chain_per_tableau(self, monkeypatch):
-        # the class and the degree check read one reduction chain
+        # the class and the degree check read one reduction chain, the one
+        # kept for the key (tableaux._key_chains)
         calls = []
-        real = presentation._chain
+        real = tableaux._chain
 
         def counting(columns, mu_parts):
             calls.append(columns)
             return real(columns, mu_parts)
 
-        monkeypatch.setattr(presentation, "_chain", counting)
+        clear_caches()
+        monkeypatch.setattr(tableaux, "_chain", counting)
         lam, mu = Partition([3, 2, 1]), Composition([2, 1, 2, 1])
         tabs = enumerate_column_strict(lam, mu)
         presentation._certificate_data(lam, mu, build_quotient(lam, mu), tabs)
@@ -1141,8 +1144,12 @@ class TestSharedCore:
                 assert _pipeline_record(lam, mu) == cold[lam, mu], (lam, mu)
             # every pair certifies, transfers and multiplies against its H
             # quotient and none against E
+            # and a padded pair that reads its certificate from the slot
+            # reads no chains (oracles.keys_chained_by_padded_pairs)
             kinds = ("enumerate", "cores", ("certificate", "H"), "transfer", ("tensor", "H"))
-            assert set(tableaux._KEYS) == {(key, kind) for key in padded_keys for kind in kinds}
+            assert set(tableaux._KEYS) == {
+                (key, kind) for key in padded_keys for kind in kinds
+            } | {(key, "chains") for key in keys_chained_by_padded_pairs(order)}
 
     def test_padded_pairs_share_one_core_and_certificate(self):
         clear_caches()
@@ -1174,7 +1181,10 @@ class TestSharedCore:
                 components(lam, mu)
                 assert {key for key, _ in tableaux._LATEST.values()} == {zero_free_key(lam, mu)}
         assert not tableaux._KEYS
-        assert set(tableaux._LATEST) == {"cores", ("certificate", "H"), "transfer", ("tensor", "H")}
+        assert set(tableaux._LATEST) == {
+            "enumerate", "chains", "betti", "components",
+            "cores", ("certificate", "H"), "transfer", ("tensor", "H"),
+        }
 
     def test_zero_free_pair_reads_the_padded_pairs_values(self, monkeypatch):
         # one read path: the zero-free pair finds the key's cores and
@@ -1242,7 +1252,7 @@ class TestSharedCore:
         cert = certify_basis(lam, mu, quotient=q)
         assert cert.quotient is q
         assert set(tableaux._KEYS) == {(zero_free_key(lam, mu), kind) for kind in (
-            "enumerate", ("certificate", "H"))}
+            "enumerate", "chains", ("certificate", "H"))}
         clear_caches()
         cold = certify_basis(lam, mu)
         assert cert.to_json() == cold.to_json()

@@ -6,11 +6,12 @@ from oracles import (
     charge_counts,
     column_strict_by_search,
     hilbert_by_charge,
+    keys_chained_by_padded_pairs,
     semistandard_by_strips,
 )
 
-from spaltenstein import reports, tableaux
-from spaltenstein.presentation import HilbertSeries, build_quotient, clear_caches
+from spaltenstein import presentation, reports, tableaux
+from spaltenstein.presentation import HilbertSeries, build_quotient, certify_basis, clear_caches
 from spaltenstein.reports import (
     betti,
     components,
@@ -309,6 +310,37 @@ def _shared_record(lam, mu):
     return [T.rows for T in tabs], betti(lam, mu).coeffs, triples
 
 
+class TestOnePassPerKey:
+    def test_certificate_components_and_dot_read_one_pass(self, monkeypatch):
+        # a zero-free pair builds each filling once and chains it once, for
+        # certify_basis, components and poset_dot together, wherever _chain
+        # is looked up
+        built, chained = [], []
+        real_build, real_chain = tableaux._columns_to_tableau, tableaux._chain
+
+        def counting_build(columns):
+            built.append(columns)
+            return real_build(columns)
+
+        def counting_chain(columns, mu_parts):
+            chained.append(columns)
+            return real_chain(columns, mu_parts)
+
+        clear_caches()
+        monkeypatch.setattr(tableaux, "_columns_to_tableau", counting_build)
+        for module in (tableaux, presentation, reports):
+            if hasattr(module, "_chain"):
+                monkeypatch.setattr(module, "_chain", counting_chain)
+        lam, mu = Partition([3, 2, 1]), Composition([1, 2, 2, 1])
+        cert = certify_basis(lam, mu)
+        comps = components(lam, mu)
+        dot = poset_dot(lam, mu)
+        columns = [T.columns() for T in cert.tableaux]
+        nodes = [line for line in dot.splitlines()[1:-1] if "->" not in line]
+        assert len(columns) == sum(len(fiber) for _, _, fiber in comps) == len(nodes) > 1
+        assert built == chained == columns
+
+
 class TestSharedTableaux:
     def test_shared_equals_cold_d5(self):
         pairs = list(iter_pairs(5))
@@ -320,9 +352,13 @@ class TestSharedTableaux:
             clear_caches()
             for lam, mu in order:
                 assert _shared_record(lam, mu) == cold[lam, mu], (lam, mu)
+            # a padded pair that reads its components from the slot reads
+            # no chains, so only some keys keep them in the forward order
+            chained = keys_chained_by_padded_pairs(order)
+            assert chained <= padded_keys and (order is pairs or chained == padded_keys)
             assert set(tableaux._KEYS) == {
                 (key, kind) for key in padded_keys for kind in ("enumerate", "betti", "components")
-            }
+            } | {(key, "chains") for key in chained}
 
     def test_padded_pairs_relabel_the_key(self):
         clear_caches()

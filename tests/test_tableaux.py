@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import cell_leq_by_reduction, degree_by_reduction, straighten_by_reduction
 
-from spaltenstein.presentation import HilbertSeries
+from spaltenstein.presentation import HilbertSeries, clear_caches
 from spaltenstein.symring import Polynomial, check_permutation
 from spaltenstein.tableaux import (
     Composition,
@@ -15,6 +15,7 @@ from spaltenstein.tableaux import (
     Tableau,
     _chain,
     _degree_from_columns,
+    _key_chains,
     cell_order,
     column_sequence_to_partition,
     compositions,
@@ -506,6 +507,23 @@ class TestReductionChain:
                     assert cell_order(T, U, mu) == want
                     comparisons += 1
         assert comparisons == 4285
+
+    def test_kept_chains_are_each_pairs_own_d6(self):
+        # relabelling lemma against the slow path: the chains kept for a
+        # key, read with the parts of mu', are the chains of each pair's own
+        # tableaux read with the parts of mu, empty levels dropped, in
+        # enumeration order
+        clear_caches()
+        tableaux = 0
+        for lam, mu in iter_pairs(6):
+            own = [
+                [level for level in _chain(T.columns(), mu.parts) if level]
+                for T in enumerate_column_strict(lam, mu)
+            ]
+            assert _key_chains(lam, mu) == own, (lam, mu)
+            tableaux += len(own)
+        clear_caches()
+        assert tableaux == 128219
 
 
 class TestDims:
