@@ -108,8 +108,11 @@ def poset_edges(lam, mu):
     The chains kept for the key are compared directly (_cell_leq), as
     cell_order does for two distinct tableaux; the empty levels they leave
     out never differ, so they change no comparison."""
-    cols = enumerate_column_strict(lam, mu)
-    chains = _key_chains(lam, mu)
+    return _covers(enumerate_column_strict(lam, mu), _key_chains(lam, mu))
+
+
+def _covers(cols, chains):
+    """poset_edges, given the pair's tableaux cols and its key's kept chains."""
     less = {T: set() for T in cols}
     for i, T in enumerate(cols):
         for j in range(i + 1, len(cols)):
@@ -128,7 +131,7 @@ def poset_edges(lam, mu):
 def poset_dot(lam, mu):
     """DOT text for the Hasse diagram, node labels the column reading words."""
     cols = enumerate_column_strict(lam, mu)
-    edges = poset_edges(lam, mu)
+    edges = _covers(cols, _key_chains(lam, mu))
 
     def label(T):
         return ",".join(str(v) for v in T.reading_word())

@@ -197,6 +197,36 @@ MUTANTS = [
         ],
     },
     {
+        "id": "product-key-one-variable-blocks",
+        "file": "presentation.py",
+        "old": "slot, power = ((m, 0), c - i) if k == 1 else ((m, c - i), 1)",
+        "new": "slot, power = (m, 0), c - i",
+        "kills": [
+            "tests/test_presentation.py::TestStructureConstants::test_tensors_pinned_d4",
+            "tests/test_presentation.py::TestStructureConstants::test_tensor_equals_all_products_oracle_d5",
+            "tests/test_hilbert_oracle.py::test_groebner_structure_constants_d4",
+        ],
+    },
+    {
+        "id": "product-key-elementwise-max",
+        "file": "presentation.py",
+        "old": "key = tuple(map(add, exps[i], exps[j]))",
+        "new": "key = (i, tuple(map(max, exps[i], exps[j])))",
+        "kills": [
+            "tests/test_presentation.py::TestStructureConstants::test_unit_acts_as_identity",
+            "tests/test_presentation.py::TestStructureConstants::test_tensor_equals_all_products_oracle_d5",
+        ],
+    },
+    {
+        "id": "product-key-no-one-variable-slot",
+        "file": "presentation.py",
+        "old": "if k == 1 else ((m, c - i), 1)",
+        "new": "if k == 0 else ((m, c - i), 1)",
+        "kills": [
+            "tests/test_presentation.py::TestStructureConstants::test_each_distinct_product_formed_once",
+        ],
+    },
+    {
         "id": "enumerate-skips-relabel",
         "file": "tableaux.py",
         "old": "return [relabel(T) for T in _key_fillings(lam, mu)]",

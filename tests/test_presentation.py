@@ -21,9 +21,10 @@ from oracles import (
     scaled_int_row,
     span,
     sparse,
+    tensor_by_all_products,
 )
 from spaltenstein import presentation, tableaux
-from spaltenstein.coinvariant import get_ring, invariant_rows
+from spaltenstein.coinvariant import CoinvariantRing, get_ring, invariant_rows
 from spaltenstein.presentation import (
     BasisError,
     GeneratorFamily,
@@ -476,6 +477,45 @@ class TestStructureConstants:
         assert digest.hexdigest() == (
             "642859cec9ff218da87746e0b2f958580b4db66de72c559f364f00df59670028"
         )
+
+    def test_tensor_equals_all_products_oracle_d5(self):
+        # product lemma: forming each distinct product once gives the packed
+        # tensor of forming every pair's product, on every dominated
+        # zero-free key with d <= 5 and on padded pairs
+        pairs = [(lam, mu) for lam, mu in dominated_pairs(5) if 0 not in mu.parts]
+        assert len(pairs) == 107
+        pairs += [
+            (Partition([3, 1, 1]), Composition([1, 0, 1, 2, 1])),
+            (Partition([5]), Composition([0, 2, 1, 1, 1])),
+            (Partition([2, 2, 1]), Composition([2, 0, 2, 1])),
+            (Partition([3, 2]), Composition([1, 1, 0, 2, 1])),
+        ]
+        for lam, mu in pairs:
+            cert = certify_basis(lam, mu)
+            assert presentation._tensor_data(cert) == tensor_by_all_products(cert), (lam, mu)
+
+    def test_each_distinct_product_formed_once(self, monkeypatch):
+        # 60 tableaux each, so 1,830 pairs i <= j; a one-variable block has
+        # one slot, so h_1(x) h_2(x) and h_3(x) are one product
+        clear_caches()
+        real = CoinvariantRing.mul_classes
+        calls = []
+
+        def counting(ring, *args):
+            calls.append(args)
+            return real(ring, *args)
+
+        counts = {}
+        for parts in ([2, 1, 1, 1], [1, 1, 2, 1]):
+            lam, mu = Partition([5]), Composition(parts)
+            cert = certify_basis(lam, mu)
+            assert cert.size() == 60
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(CoinvariantRing, "mul_classes", counting)
+                structure_constants(lam, mu, certificate=cert)
+            counts[tuple(parts)] = len(calls)
+        assert counts == {(2, 1, 1, 1): 315, (1, 1, 2, 1): 405}
 
     def test_certificate_of_another_pair_is_rejected(self):
         cert = certify_basis(Partition([2, 1]), Composition([1, 1, 1]))

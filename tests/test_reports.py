@@ -340,6 +340,21 @@ class TestOnePassPerKey:
         assert len(columns) == sum(len(fiber) for _, _, fiber in comps) == len(nodes) > 1
         assert built == chained == columns
 
+    def test_dot_relabels_once(self, monkeypatch):
+        lam, mu = Partition([3, 2, 1]), Composition([1, 0, 2, 2, 1])
+        expected = poset_dot(lam, mu)
+        real = tableaux._relabelling
+        calls = []
+
+        def counting(mu):
+            calls.append(mu)
+            return real(mu)
+
+        monkeypatch.setattr(tableaux, "_relabelling", counting)
+        monkeypatch.setattr(reports, "_relabelling", counting)
+        assert poset_dot(lam, mu) == expected
+        assert calls == [mu]
+
 
 class TestSharedTableaux:
     def test_shared_equals_cold_d5(self):
