@@ -219,6 +219,13 @@ class RowSpace:
         return vectors
 
     def __eq__(self, other):
+        """Equal width and equal pivot_rows (canonical form, above).  A
+        space is equal to itself, so comparing an object with itself
+        reads no row: the quotient build keeps one object for both
+        families wherever their ideals agree (shared products in
+        GradedQuotient._build), and rel_equivalence compares them."""
+        if other is self:
+            return True
         return (
             isinstance(other, RowSpace)
             and self.width == other.width

@@ -39,6 +39,7 @@ grading degree; public interfaces use the grading degree throughout.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import comb, lcm
 from operator import add, index, mul
@@ -60,7 +61,9 @@ from .tableaux import (
     _chain_degree,
     _check_sizes,
     _key_chains,
+    _key_fillings,
     _member_chain,
+    _relabelling,
     dims,
     enumerate_column_strict,
     shared,
@@ -291,6 +294,10 @@ class GradedQuotient:
         one generator set per family; equal generator sets span equal
         ideals, and RowSpace is canonical, so the pivot_rows of each
         degree agree, and so do the quotient dimensions.
+
+    A quotient whose key is kept reads its core and builds nothing else:
+    blocks, which only a build and the transfer read, is built on first
+    read, from the immutable mu.
     """
 
     def __init__(self, lam, mu, family):
@@ -303,8 +310,12 @@ class GradedQuotient:
         d_lambda, self.d_mu = dims(lam, mu)
         self.top_x = d_lambda - self.d_mu
         self.ring = get_ring(self.d)
-        self.blocks = BlockStructure(mu)
         self.stop_x, self._ideal, self.hilbert = shared("cores", lam, mu, self._build)[family]
+
+    @cached_property
+    def blocks(self):
+        """The BlockStructure of mu, built on first read."""
+        return BlockStructure(self.mu)
 
     def _build(self):
         """The cores {"H": core, "E": core} of this pair, each core (stop_x,
@@ -521,23 +532,32 @@ class BasisCertificate:
     """A certified tableau basis with exact coordinate data.
 
     lam and mu are the pair of the tableaux, which the quotient may share
-    only its zero-free key with.  tableaux are listed in reading-word
-    order; for each x-degree with tableaux the augmented row space stores
-    the ideal rows together with the tagged basis classes, which turns
-    coordinate extraction into row reduction.
+    only its zero-free key with.  degrees and classes list the basis
+    position by position; for each x-degree with tableaux the augmented
+    row space stores the ideal rows together with the tagged basis
+    classes, which turns coordinate extraction into row reduction.
+
+    tableaux, the basis in reading-word order, is built on first read:
+    the key's kept fillings relabelled for (lam, mu), which by the
+    relabelling lemma (enumerate_column_strict) are the pair's own
+    tableaux, position by position with degrees and classes.  A caller
+    that reads only the numbers relabels nothing.
     """
 
-    def __init__(self, quotient, lam, mu, tableaux, degrees, classes, coordinate_spaces):
+    def __init__(self, quotient, lam, mu, degrees, classes, coordinate_spaces):
         self.quotient = quotient
         self.lam = lam
         self.mu = mu
-        self.tableaux = tableaux
         self.degrees = degrees
         self.classes = classes
         self._spaces = coordinate_spaces
 
+    @cached_property
+    def tableaux(self):
+        return enumerate_column_strict(self.lam, self.mu)
+
     def size(self):
-        return len(self.tableaux)
+        return len(self.degrees)
 
     def coordinates_of_class(self, vec, t):
         """Coordinates of a degree-2t invariant class in the basis.  A degree
@@ -594,55 +614,70 @@ def certify_basis(lam, mu, family="H", quotient=None):
     reading-word order; a zero part of mu adds an empty level to the
     reduction chain, so the degrees and the h-classes agree position by
     position; both are read off the key's chains (tableaux._key_chains).
-    Every call relabels the key's fillings for its own pair and checks
-    their number against the shared data.
+    So a call relabels no filling: it checks the number of the key's kept
+    fillings, the pair's tableau count, against the shared data, and the
+    certificate relabels its tableaux when they are first read.
     """
     if quotient is None:
         quotient = build_quotient(lam, mu, family)
     else:
-        _check_key(quotient, lam, mu)
-    tableaux = enumerate_column_strict(lam, mu)
+        _check_keys(lam, mu, quotient)
     degrees, classes, spaces = shared(
         ("certificate", quotient.family), lam, mu,
-        lambda: _certificate_data(lam, mu, quotient, tableaux),
+        lambda: _certificate_data(lam, mu, quotient),
     )
-    if len(tableaux) != len(degrees):
+    count = len(_key_fillings(lam, mu))
+    if count != len(degrees):
         raise BasisError(
             "tableau count differs from the shared certificate",
             witness={
                 "lambda": lam.to_json(),
                 "mu": mu.to_json(),
-                "tableaux": len(tableaux),
+                "tableaux": count,
                 "shared": len(degrees),
             },
         )
-    return BasisCertificate(quotient, lam, mu, tableaux, degrees, classes, spaces)
+    return BasisCertificate(quotient, lam, mu, degrees, classes, spaces)
 
 
-def _check_key(quotient, lam, mu):
-    """ValueError unless (lam, mu) is a valid pair and the quotient has its
-    zero-free key."""
+def _check_keys(lam, mu, *quotients):
+    """ValueError unless (lam, mu) is a valid pair and every quotient has
+    its zero-free key; the pair is validated and keyed once."""
     _validate_pair(lam, mu)
-    if zero_free_key(quotient.lam, quotient.mu) != zero_free_key(lam, mu):
-        raise ValueError(
-            f"the quotient of ({quotient.lam}, {quotient.mu}) has another "
-            f"zero-free key than ({lam}, {mu})"
-        )
+    key = zero_free_key(lam, mu)
+    for quotient in quotients:
+        if zero_free_key(quotient.lam, quotient.mu) != key:
+            raise ValueError(
+                f"the quotient of ({quotient.lam}, {quotient.mu}) has another "
+                f"zero-free key than ({lam}, {mu})"
+            )
 
 
-def _certificate_data(lam, mu, quotient, tableaux):
+def _witness_tableau(lam, mu, idx):
+    """The JSON of the pair's own tableau at position idx of the key's
+    fillings: the one place the certificate data relabels a filling."""
+    return _relabelling(mu)(_key_fillings(lam, mu)[idx]).to_json()
+
+
+def _certificate_data(lam, mu, quotient):
+    """(degrees, classes, coordinate spaces) of the basis of (lam, mu),
+    read off the key's chains; a witness names the pair's own tableaux."""
     ring = quotient.ring
     key_mu = Composition(zero_free_key(lam, mu)[1])
     memo = {}
     degrees = []
     classes = []
-    for T, chain in zip(tableaux, _key_chains(lam, mu)):
+    for idx, chain in enumerate(_key_chains(lam, mu)):
         vec, t = _h_class_chain(ring, chain, key_mu, memo)
         expected = _chain_degree(chain)
         if t != expected:
             raise BasisError(
                 "basis element degree mismatch",
-                witness={"tableau": T.to_json(), "degree": 2 * t, "expected": 2 * expected},
+                witness={
+                    "tableau": _witness_tableau(lam, mu, idx),
+                    "degree": 2 * t,
+                    "expected": 2 * expected,
+                },
             )
         degrees.append(t)
         classes.append(vec)
@@ -681,7 +716,7 @@ def _certificate_data(lam, mu, quotient, tableaux):
                 witness={
                     "degree": 2 * t,
                     "combination": {
-                        str(tableaux[indices[c - width]].to_json()): combo[c]
+                        str(_witness_tableau(lam, mu, indices[c - width])): combo[c]
                         for c in sorted(combo)
                     },
                 },
@@ -817,14 +852,17 @@ def rel_equivalence(lam, mu, qh=None, qe=None):
 
     Each ideal_space(t) is a RowSpace in canonical form (the unique
     reduced echelon basis of the span), so two ideal spaces are equal
-    exactly when they compare equal with ==, which reads the stored rows.
-    The stopping degree stop_x depends only on the zero-free key of
-    (lam, mu), and above it both quotients are verified to vanish.  So the
-    families are equivalent exactly when they have equal ideal spaces in
-    every degree up to stop_x; equal Hilbert series follow.
+    exactly when they compare equal with ==, which reads the stored rows,
+    and reads none where the E quotient keeps the H quotient's object
+    (shared products in GradedQuotient._build).  The stopping degree
+    stop_x depends only on the zero-free key of (lam, mu), and above it
+    both quotients are verified to vanish.  So the families are
+    equivalent exactly when they have equal ideal spaces in every degree
+    up to stop_x; equal Hilbert series follow.
 
     qh must be an H quotient and qe an E quotient, both of the zero-free
-    key of (lam, mu), else ValueError.
+    key of (lam, mu), else ValueError; the pair is validated once, and
+    both quotients are checked against its one key.
     """
     if qh is None:
         qh = build_quotient(lam, mu, "H")
@@ -832,8 +870,7 @@ def rel_equivalence(lam, mu, qh=None, qe=None):
         qe = build_quotient(lam, mu, "E")
     if (qh.family, qe.family) != ("H", "E"):
         raise ValueError(f"expected an H and an E quotient, got {qh.family} and {qe.family}")
-    _check_key(qh, lam, mu)
-    _check_key(qe, lam, mu)
+    _check_keys(lam, mu, qh, qe)
     return all(qh.ideal_space(t) == qe.ideal_space(t) for t in range(qh.stop_x + 1))
 
 
@@ -841,10 +878,13 @@ _REGULAR_CACHE = {}
 
 
 def regular_quotient(lam, d):
-    """Quotient for the regular composition (1, ..., 1), cached per (d, lam)."""
+    """Quotient for the regular composition (1, ..., 1), cached per (d, lam).
+    A miss asks for the ring first, so a d above coinvariant.MAX_D is
+    refused with ValueError before the d parts of (1, ..., 1) are built."""
     key = (d, lam.parts)
     q = _REGULAR_CACHE.get(key)
     if q is None:
+        get_ring(d)
         q = build_quotient(lam, Composition((1,) * d), "H")
         _REGULAR_CACHE[key] = q
     return q

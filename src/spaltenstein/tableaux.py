@@ -16,10 +16,12 @@ functions, so everything is safe to share between threads.  A Tableau
 keeps its columns in one slot, filled by the enumerator or on the first
 columns() call: the columns are a function of the rows (lemma in
 _columns_to_tableau), so the slot takes no part in ==, hash or repr, and
-a second filling writes an equal value.  The data shared per zero-free
-key (_KEYS, and the one-key slot _LATEST, both written only by shared)
-holds only values that a recomputation gives equal; through it, one key
-enumerates and chains its fillings once, for every pair of the key.
+a second filling writes an equal value.  A Composition keeps its
+non-zero parts in one slot by the same rule (zero_free_key).  The data
+shared per zero-free key (_KEYS, and the one-key slot _LATEST, both
+written only by shared) holds only values that a recomputation gives
+equal; through it, one key enumerates and chains its fillings once, for
+every pair of the key.
 """
 
 from itertools import combinations
@@ -109,15 +111,20 @@ class Composition(_Parts):
 
     Zero parts are retained; they index empty variable blocks and shift
     the meaning of later parts, so the length is significant.
+
+    The slot _nonzero holds the non-zero parts in order once
+    zero_free_key has read them, else None; it is a function of parts, so
+    it takes no part in ==, hash, repr or pickling.
     """
 
-    __slots__ = ()
+    __slots__ = ("_nonzero",)
 
     def __init__(self, parts=()):
         parts = tuple(map(index, parts))
         if any(p < 0 for p in parts):
             raise ValueError(f"parts {parts} contain a negative entry")
         object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "_nonzero", None)
 
     def __eq__(self, other):
         return isinstance(other, Composition) and self.parts == other.parts
@@ -132,6 +139,7 @@ class Composition(_Parts):
 
 _new = object.__new__
 _set_parts = _Parts.parts.__set__
+_set_nonzero = Composition._nonzero.__set__
 
 
 class Tableau:
@@ -356,8 +364,15 @@ def _check_member(T, mu):
 
 def zero_free_key(lam, mu):
     """(lam parts, the non-zero parts of mu in order): the one datum that
-    everything kept by shared depends on."""
-    return lam.parts, tuple(p for p in mu.parts if p)
+    everything kept by shared depends on.  The non-zero parts are
+    computed once per Composition object and kept in its _nonzero slot,
+    as a Tableau keeps its columns: a function of the immutable parts, so
+    a second filling writes an equal value."""
+    nonzero = mu._nonzero
+    if nonzero is None:
+        nonzero = tuple(p for p in mu.parts if p)
+        _set_nonzero(mu, nonzero)
+    return lam.parts, nonzero
 
 
 # written only by shared: (zero-free key, kind) -> the value of that kind for

@@ -61,8 +61,8 @@ MUTANTS = [
     {
         "id": "key-sorts-parts",
         "file": "tableaux.py",
-        "old": "return lam.parts, tuple(p for p in mu.parts if p)",
-        "new": "return lam.parts, tuple(sorted(p for p in mu.parts if p))",
+        "old": "nonzero = tuple(p for p in mu.parts if p)",
+        "new": "nonzero = tuple(sorted(p for p in mu.parts if p))",
         "kills": [
             "tests/test_presentation.py::TestSharedCore::test_padded_pairs_share_one_core_and_certificate",
             "tests/test_pinned.py::test_outputs_pinned_d4",
@@ -143,6 +143,7 @@ MUTANTS = [
         "new": "for pos, idx in enumerate(indices[::-1])\n            if width + pos in res",
         "kills": [
             "tests/test_hilbert_oracle.py::test_groebner_structure_constants_d4",
+            "tests/test_hilbert_oracle.py::test_groebner_normal_form_d4",
             "tests/test_presentation.py::TestStructureConstants::test_tensors_pinned_d4",
         ],
     },
@@ -235,6 +236,55 @@ MUTANTS = [
             "tests/test_reports.py::TestSharedTableaux::test_padded_pairs_relabel_the_key",
             "tests/test_reports.py::TestSharedTableaux::test_shared_equals_cold_d5",
             "tests/test_pinned.py::test_outputs_pinned_d4",
+        ],
+    },
+    {
+        "id": "nonzero-memo-keeps-zeros",
+        "file": "tableaux.py",
+        "old": "_set_nonzero(mu, nonzero)",
+        "new": "_set_nonzero(mu, mu.parts)",
+        "kills": [
+            "tests/test_presentation.py::TestSharedCore::test_zero_free_key_once_per_composition",
+            "tests/test_presentation.py::TestSharedCore::test_shared_build_equals_cold_build_d5",
+        ],
+    },
+    {
+        "id": "row-space-eq-by-width",
+        "file": "linalg.py",
+        "old": "if other is self:",
+        "new": "if other is self or isinstance(other, RowSpace) and self.width == other.width:",
+        "kills": [
+            "tests/test_linalg.py::TestRowSpace::test_equality_of_spans",
+            "tests/test_presentation.py::TestRelEquivalence::test_equal_ranks_different_ideals",
+        ],
+    },
+    {
+        "id": "certificate-tableaux-unrelabelled",
+        "file": "presentation.py",
+        "old": "return enumerate_column_strict(self.lam, self.mu)",
+        "new": "return list(_key_fillings(self.lam, self.mu))",
+        "kills": [
+            "tests/test_presentation.py::TestSharedCore::test_padded_pair_reads_a_kept_key_cheaply",
+            "tests/test_presentation.py::TestSharedCore::test_padded_pairs_share_one_core_and_certificate",
+            "tests/test_hilbert_oracle.py::test_groebner_normal_form_d4",
+        ],
+    },
+    {
+        "id": "count-guard-reads-itself",
+        "file": "presentation.py",
+        "old": "if count != len(degrees):",
+        "new": "if len(degrees) != len(degrees):",
+        "kills": [
+            "tests/test_presentation.py::TestSharedCore::test_shared_count_mismatch_raises",
+        ],
+    },
+    {
+        "id": "witness-unrelabelled",
+        "file": "presentation.py",
+        "old": "return _relabelling(mu)(_key_fillings(lam, mu)[idx]).to_json()",
+        "new": "return _key_fillings(lam, mu)[idx].to_json()",
+        "kills": [
+            "tests/test_presentation.py::TestDependencyWitness::test_fabricated_dependency_yields_combination",
         ],
     },
 ]

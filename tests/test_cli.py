@@ -243,6 +243,14 @@ class TestUsageErrors:
         assert info.value.code == 2
         assert 9 not in coinvariant._RINGS
 
+    def test_transfer_of_a_huge_pair_exits_2(self):
+        # the regular composition (1, ..., 1) of d parts is never built:
+        # the ring guard refuses d first
+        big = str(10**30)
+        with pytest.raises(SystemExit) as info:
+            main(["transfer", "--lambda", big, "--mu", big], out=io.StringIO())
+        assert info.value.code == 2
+
     def test_sweep_above_limit_exits_2_before_output(self):
         out = io.StringIO()
         with pytest.raises(SystemExit) as info:

@@ -14,7 +14,11 @@ Groebner basis is taken with sympy.
     it maps sum a_i g_i onto sum R(a_i) g_i), so an invariant polynomial reduces to zero
     exactly when it lies in the block ideal, and the coordinates agree
     with the quotient's.
-Neither oracle uses the coinvariant compression or RowSpace.
+  - Normal form: for an integer S_mu-invariant polynomial p, drawn by
+    hypothesis as a combination of products of block h's and e's, p
+    minus the sum of its normal_form coordinates times the h_T reduces
+    to zero modulo the basis, by the same contraction.
+None of the oracles uses the coinvariant compression or RowSpace.
 """
 
 from fractions import Fraction
@@ -22,8 +26,18 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from spaltenstein.presentation import build_quotient, h_of_tableau, structure_constants
-from spaltenstein.tableaux import dominance_leq, enumerate_column_strict, iter_pairs
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
+
+from spaltenstein.presentation import (
+    build_quotient,
+    certify_basis,
+    h_of_tableau,
+    normal_form,
+    structure_constants,
+)
+from spaltenstein.symring import Polynomial
+from spaltenstein.tableaux import Composition, dominance_leq, enumerate_column_strict, iter_pairs
 
 sympy = pytest.importorskip("sympy")
 
@@ -131,3 +145,79 @@ def test_groebner_structure_constants_d4():
                 products += 1
         keys += 1
     assert (keys, products) == (37, 798)
+
+
+def _elementary(variables, r):
+    return sympy.Add(*(sympy.Mul(*c) for c in combinations(variables, r)))
+
+
+def _normal_form_pairs():
+    """(lam, mu, key mu) for each dominated key with d <= 4 and, per key,
+    the pair with a zero part in front of mu: not last, so its tableaux
+    are the key's relabelled by a map other than the identity."""
+    pairs = []
+    for lam, mu in _dominated_keys(4):
+        pairs += [(lam, mu, mu), (lam, Composition((0,) + mu.parts), mu)]
+    return pairs
+
+
+_KEY_BASES = {}
+
+
+def _key_basis(lam, key_mu, xs):
+    """The grevlex Groebner basis of the H ideal of the key; a zero block
+    adds no variables, so it serves every pair of the key."""
+    basis = _KEY_BASES.get((lam, key_mu))
+    if basis is None:
+        basis = _KEY_BASES[lam, key_mu] = sympy.groebner(
+            _h_ideal(lam, key_mu, xs), *xs, order="grevlex", domain=sympy.QQ, polys=True
+        )
+    return basis
+
+
+# per pair: up to three terms c * (product of up to three block factors
+# h_r or e_r of one non-zero block, 1 <= r <= 3); the block is drawn as an
+# index into the pair's non-zero blocks
+_TERMS = st.lists(
+    st.tuples(
+        st.integers(-3, 3),
+        st.lists(
+            st.tuples(st.sampled_from("he"), st.integers(0, 3), st.integers(1, 3)), max_size=3
+        ),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+# each example covers all 74 pairs, so a shrink step reruns the whole loop
+# (about a minute for one failure); the assertion names the pair and p
+@settings(max_examples=8, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(st.data())
+def test_groebner_normal_form_d4(data):
+    pairs = _normal_form_pairs()
+    assert len(pairs) == 74
+    for lam, mu, key_mu in pairs:
+        d = mu.size()
+        xs = sympy.symbols(f"x1:{d + 1}")
+        starts = [0]
+        for part in mu.parts:
+            starts.append(starts[-1] + part)
+        blocks = [xs[starts[j]:starts[j + 1]] for j in range(len(mu)) if mu.parts[j]]
+        p = sympy.Integer(0)
+        for c, factors in data.draw(_TERMS, label=f"{lam.parts}/{mu.parts}"):
+            term = sympy.Integer(c)
+            for kind, j, r in factors:
+                variables = blocks[j % len(blocks)]
+                term *= (_complete if kind == "h" else _elementary)(variables, r)
+            p += term
+        poly = sympy.Poly(p, *xs, domain=sympy.QQ)
+        p_lib = Polynomial(d, {exps: Fraction(int(c)) for exps, c in poly.terms() if c})
+        cert = certify_basis(lam, mu)
+        coords = normal_form(p_lib, cert)
+        assert set(coords) <= set(cert.tableaux)
+        rest = poly - sum(
+            (_to_sympy(h_of_tableau(T, mu) * c, xs) for T, c in coords.items()),
+            sympy.Poly(0, *xs, domain=sympy.QQ),
+        )
+        assert _key_basis(lam, key_mu, xs).reduce(rest)[1].is_zero, (lam, mu, p)

@@ -584,7 +584,10 @@ class TestDependencyWitness:
         # give the second tableau of the lowest repeated degree twice the
         # class of the first; the witness combination must lie in the ideal.
         # The fake is keyed by the reduction chain, which determines the
-        # tableau (bijection lemma in reports.betti)
+        # tableau (bijection lemma in reports.betti).  The certificate data
+        # of a pair is read off its key's fillings, so the pair padded by a
+        # zero part in front, which moves every label up, must get the same
+        # combination on its own relabelled tableaux
         real = presentation._h_class_chain
         fake = {}
 
@@ -599,28 +602,29 @@ class TestDependencyWitness:
                 continue
             tabs = enumerate_column_strict(lam, mu)
             by_degree = {}
-            for T in tabs:
-                by_degree.setdefault(tableau_degree(T, mu), []).append(T)
-            repeated = [(t, ts) for t, ts in sorted(by_degree.items()) if len(ts) > 1]
+            for i, T in enumerate(tabs):
+                by_degree.setdefault(tableau_degree(T, mu), []).append(i)
+            repeated = [(t, ids) for t, ids in sorted(by_degree.items()) if len(ids) > 1]
             if not repeated:
                 continue
-            t, (first, second) = repeated[0][0], repeated[0][1][:2]
-            q = build_quotient(lam, mu)
-            first_chain, second_chain = (_chain(T.columns(), mu.parts) for T in (first, second))
-            base = dense(real(q.ring, first_chain, mu, {})[0], q.ring.dim(t))
-            fake.clear()
-            fake[tuple(second_chain), mu] = (sparse([2 * v for v in base]), t)
-            with pytest.raises(BasisError) as err:
-                presentation._certificate_data(lam, mu, q, tabs)
-            witness = err.value.witness
-            assert witness["degree"] == 2 * t
-            combo = witness["combination"]
-            assert set(combo) == {str(first.to_json()), str(second.to_json())}
-            total = [
-                combo[str(first.to_json())] * v + combo[str(second.to_json())] * 2 * v
-                for v in base
-            ]
-            assert not q.ideal_space(t).scaled_residual(sparse(total))[1]
+            t, (i, j) = repeated[0][0], repeated[0][1][:2]
+            first_chain, second_chain = (_chain(tabs[k].columns(), mu.parts) for k in (i, j))
+            for pair_mu in (mu, Composition((0,) + mu.parts)):
+                q = build_quotient(lam, pair_mu)
+                base = dense(real(q.ring, first_chain, mu, {})[0], q.ring.dim(t))
+                fake.clear()
+                fake[tuple(second_chain), mu] = (sparse([2 * v for v in base]), t)
+                with pytest.raises(BasisError) as err:
+                    presentation._certificate_data(lam, pair_mu, q)
+                witness = err.value.witness
+                assert witness["degree"] == 2 * t
+                own = enumerate_column_strict(lam, pair_mu)
+                first, second = str(own[i].to_json()), str(own[j].to_json())
+                combo = witness["combination"]
+                assert set(combo) == {first, second}
+                total = [combo[first] * v + combo[second] * 2 * v for v in base]
+                assert not q.ideal_space(t).scaled_residual(sparse(total))[1]
+            assert own != tabs
             pairs += 1
         assert pairs == 56
 
@@ -638,7 +642,7 @@ class TestDependencyWitness:
         monkeypatch.setattr(tableaux, "_chain", counting)
         lam, mu = Partition([3, 2, 1]), Composition([2, 1, 2, 1])
         tabs = enumerate_column_strict(lam, mu)
-        presentation._certificate_data(lam, mu, build_quotient(lam, mu), tabs)
+        presentation._certificate_data(lam, mu, build_quotient(lam, mu))
         assert calls == [T.columns() for T in tabs]
 
 
@@ -1260,6 +1264,80 @@ class TestSharedCore:
         report = anti_invariant_transfer(lam, Composition([0, 1, 2]))
         assert [len(c) for c in calls] == [0, 0, 1]
         assert report.to_json() == {**first.to_json(), "mu": [0, 1, 2]}
+
+    def test_padded_pair_reads_a_kept_key_cheaply(self, monkeypatch):
+        # after one cold op on the zero-free pair, a padded pair of its key
+        # pays only for what it gets back: certify_basis relabels nothing,
+        # its tableaux relabel each filling once, on first read, and
+        # rel_equivalence validates the pair once
+        clear_caches()
+        lam, key_mu = Partition([3, 2, 1]), Composition([1, 2, 2, 1])
+        qh = build_quotient(lam, key_mu, "H")
+        certify_basis(lam, key_mu, quotient=qh)
+        assert rel_equivalence(lam, key_mu, qh=qh, qe=build_quotient(lam, key_mu, "E"))
+        betti(lam, key_mu)
+        components(lam, key_mu)
+        relabelled, real = [], tableaux._relabelling
+
+        def counting(mu):
+            relabel = real(mu)
+
+            def relabel_counted(T):
+                relabelled.append(T)
+                return relabel(T)
+
+            return relabel_counted
+
+        for module in (tableaux, presentation):
+            monkeypatch.setattr(module, "_relabelling", counting)
+        validations = _count_calls(monkeypatch, presentation, "_validate_pair")
+        mu = Composition([1, 0, 2, 2, 1])
+        qh = build_quotient(lam, mu, "H")
+        cert = certify_basis(lam, mu, quotient=qh)
+        qe = build_quotient(lam, mu, "E")
+        assert relabelled == []
+        validations.clear()
+        assert rel_equivalence(lam, mu, qh=qh, qe=qe)
+        assert len(validations) == 1
+        fillings = tableaux._key_fillings(lam, mu)
+        first = cert.tableaux
+        assert len(relabelled) == len(fillings) > 1
+        assert all(a is b for a, b in zip(relabelled, fillings))
+        assert cert.tableaux is first and len(relabelled) == len(fillings)
+        assert cert.size() == len(first)
+        monkeypatch.undo()
+        assert first == enumerate_column_strict(lam, mu) != list(fillings)
+
+    def test_space_equals_itself_without_reading_a_row(self):
+        class Unreadable(RowSpace):
+            __slots__ = ()
+
+            @property
+            def pivot_rows(self):
+                raise AssertionError("a row was read")
+
+        space = Unreadable.__new__(Unreadable)
+        space.width = 3
+        assert space == space and not space != space
+        # E keeps H's object in every degree of this key (shared products
+        # in GradedQuotient._build), so rel_equivalence reads no row
+        lam, mu = Partition([3, 2, 1]), Composition([1, 0, 2, 2, 1])
+        qh, qe = build_quotient(lam, mu, "H"), build_quotient(lam, mu, "E")
+        assert all(qe.ideal_space(t) is qh.ideal_space(t) for t in range(qh.stop_x + 1))
+
+    def test_zero_free_key_once_per_composition(self):
+        # the non-zero parts are kept on the Composition on first use, and
+        # the slot takes no part in equality, hashing or pickling
+        lam, mu = Partition([3, 2, 1]), Composition([1, 0, 2, 2, 1])
+        assert mu._nonzero is None
+        key = zero_free_key(lam, mu)
+        assert key == ((3, 2, 1), (1, 2, 2, 1))
+        again = zero_free_key(lam, mu)
+        assert again == key and again[1] is key[1] is mu._nonzero
+        fresh = Composition([1, 0, 2, 2, 1])
+        assert fresh == mu and hash(fresh) == hash(mu)
+        assert pickle.loads(pickle.dumps(mu))._nonzero is None
+        assert zero_free_key(Partition([2]), Composition([0, 2, 0])) == ((2,), (2,))
 
     def test_unknown_family_is_rejected(self):
         clear_caches()
