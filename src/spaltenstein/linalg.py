@@ -99,26 +99,47 @@ class RowSpace:
 
     def _reduce(self, row):
         """Residual of an int row, up to a non-zero scalar: it vanishes at
-        every pivot column.  It is row itself when no pivot column is hit."""
+        every pivot column.  It is row itself when no pivot column is hit.
+
+        Unit-pivot lemma: a stored row with one entry is {c: 1}, since
+        stored rows are primitive and positive at their pivot.  Its pivot
+        entry 1 leaves the scale as it is, and clearing it subtracts
+        row[c] times {c: 1}, which deletes column c and touches no other
+        column.  So a row whose every entry sits on a unit pivot reduces to
+        {}, with no copy."""
         pivot_rows = self.pivot_rows
         hits = [c for c in row if c in pivot_rows]
         if not hits:
             return row
         scale = 1
+        units = 0
         for c in hits:
-            pv = pivot_rows[c][c]
-            scale = scale * pv // gcd(scale, pv)
+            p = pivot_rows[c]
+            if len(p) == 1:
+                units += 1
+            else:
+                pv = p[c]
+                scale = scale * pv // gcd(scale, pv)
+        if units == len(row):
+            return {}
         row = {k: scale * v for k, v in row.items()} if scale != 1 else dict(row)
         for c in hits:
             p = pivot_rows[c]
-            _subtract(row, row[c] // p[c], p)
+            if len(p) == 1:
+                del row[c]
+            else:
+                _subtract(row, row[c] // p[c], p)
         return row
 
     def insert(self, row):
         """Add an int row; returns True when the rank grows.
         Back-substitution touches only the pivot rows that are non-zero at
         the new pivot column; when that column is left of every pivot
-        column there are none (order lemma), and the scan is skipped."""
+        column there are none (order lemma), and the scan is skipped.
+        Gain order: a gain adds its pivot column as the last key of
+        pivot_rows and only replaces the rows of the other keys, so the
+        keys of pivot_rows are the pivot columns in the order they were
+        gained."""
         res = self._reduce(row)
         if not res:
             return False
@@ -141,21 +162,35 @@ class RowSpace:
         self._scale = None
         return True
 
-    def extend(self, rows):
+    def extend(self, rows, cap=None, marks=None):
         """Insert a batch of int rows; returns the rank gain.  The rows go
         in descending order of first column (a stable sort), so that most
         gains lead left of every pivot column and back-substitute into no
-        stored row, and the batch stops once the space is full.  By the
-        order lemma the result is the span of the batch and the space,
-        whatever the order of rows."""
+        stored row, and the batch stops once the rank reaches cap (default
+        the width: a full space).  Unless it stops at a cap below the
+        width, the result is the span of the batch and the space, whatever
+        the order of rows (order lemma).
+
+        With a dict marks, rows are (row, mark) pairs, and each row that
+        raises the rank sets marks[its pivot column] = mark: by the gain
+        order of insert, that column is the last key of pivot_rows."""
         pivot_rows = self.pivot_rows
         before = len(pivot_rows)
-        width = self.width
+        if cap is None:
+            cap = self.width
         insert = self.insert
-        for row in sorted(filter(None, rows), key=min, reverse=True):
-            if len(pivot_rows) == width:
-                break
-            insert(row)
+        if marks is None:
+            for row in sorted(filter(None, rows), key=min, reverse=True):
+                if len(pivot_rows) >= cap:
+                    break
+                insert(row)
+        else:
+            pairs = sorted((p for p in rows if p[0]), key=lambda p: min(p[0]), reverse=True)
+            for row, mark in pairs:
+                if len(pivot_rows) >= cap:
+                    break
+                if insert(row):
+                    marks[next(reversed(pivot_rows))] = mark
         return len(pivot_rows) - before
 
     def scaled_residual(self, row):

@@ -13,7 +13,11 @@ Both families contain every full symmetric function of positive degree
 inside the coinvariant algebra: the ideal grows degree by degree through
 multiplication by single variables.  Degrees above twice
 (d_lam - d_mu) are verified to vanish on a window wide enough to force
-vanishing in all higher degrees, instead of being assumed.
+vanishing in all higher degrees, instead of being assumed.  In that window
+each degree stops once its ideal rank reaches the ceiling that the
+quotient dimensions below give it, and multiplies each row only by the
+variables its mark allows, completing the products where that falls
+short (cap lemma in GradedQuotient._build).
 
 The paper's theorem says the two families cut out one ideal; the
 library checks that (rel_equivalence) and never assumes it.  Still, one
@@ -331,7 +335,8 @@ class GradedQuotient:
         class b, hence x_d * I_{t-1} lies in P_t.  The classes of each
         block union come from its one cached sym_classes list, and each
         subset's union is formed once.  P_t extends an empty space by the
-        products of the pivot rows of I_{t-1} by x_1..x_{d-1}, and I_t is
+        products of the pivot rows of I_{t-1} by x_1..x_{d-1} (above top_x,
+        first the marked ones: cap lemma), and I_t is
         P_t, or a copy of P_t extended by G_t where G_t raises the rank: by
         the order lemma of RowSpace the two calls give the canonical basis
         of I_t, and extend's order leaves little back-substitution.
@@ -366,7 +371,37 @@ class GradedQuotient:
         only, the degrees the loop has built.  A negative H_t cannot
         occur for an ideal generated by invariants, and raises
         VerificationError.  Each degree checks H, then E, and every
-        witness names its family."""
+        witness names its family.
+
+        Cap lemma: as H_t >= 0, rank I_t <= cap_t = dim C_t - sum_{k>=1}
+        P_mu[k] * H_{t-k}, with equality exactly when H_t = 0 (the
+        Hilbert-driven stop of Traverso, "Hilbert functions and the
+        Buchberger algorithm", J. Symb. Comput. 22, 1996).  So a subspace
+        of I_t of rank cap_t is I_t.  Above top_x, where H_t must vanish,
+        each family's inserts into degree t stop at its cap; P_t stops at
+        the least cap of the families whose I_{t-1} it is, and a family
+        whose cap P_t reaches takes P_t and inserts no generator.  The cap
+        is read off ranks the build has computed, never off tableau
+        counts, and a degree that does not vanish never reaches it.  A stop
+        at dim C_t - betti_t instead would assume the theorem that the
+        build certifies.
+          - Marks: each pivot column of a degree is marked with the v of
+            the product x_v b that gained it, or 1 for a generator.  Above
+            top_x a degree first forms x_v b only for the v at or above
+            the mark of b's pivot (v < d), in one batch as below top_x
+            (after Gerdt and Blinkov's multiplicative variables, "Involutive
+            bases of polynomial ideals", Math. Comput. Simul. 45, 1998).
+            Nothing trusts that these products span P_t.
+          - Completion: a family still below its cap after the marked
+            products and its generators completes the shared P_t, once per
+            distinct I_{t-1}, with the unmarked products, and extends it
+            by its generators again.  So every degree is exactly P_t + G_t,
+            and a degree that does not vanish raises TruncationError with
+            its true dimension.
+        Unlike inserting the products stage by stage, v by v, each degree
+        stays one batch in descending-lead order, and the cap, not a
+        pattern of the data, decides when it is complete.  Below top_x
+        every product is formed and the cap is dim C_t."""
         ring = self.ring
         max_alg = max([p for p in self.mu.parts if p > 0], default=1)
         first_above = max(0, self.top_x + 1)
@@ -385,35 +420,58 @@ class GradedQuotient:
             classes = {v: ring.sym_classes(v, kind) for v in set().union(*by_deg.values())}
             gens_of[family] = {t: [classes[v][t] for v in gens] for t, gens in by_deg.items()}
         poincare = _poincare(self.mu.parts)
-        ideals, qdims = {"H": {}, "E": {}}, {"H": [], "E": []}
+        ideals, marks, qdims = {"H": {}, "E": {}}, {"H": {}, "E": {}}, {"H": [], "E": []}
+
+        def products(below, lows, marked):
+            """(x_v b, v) for the pivot rows b of below and the v < d at or
+            above the mark of b's pivot (marked) or below it (not marked)."""
+            rows = below.pivot_rows
+            return (
+                (ring.apply_var(rows[c], v, t - 1), v)
+                for c in rows
+                for v in range(1, self.d)
+                if (lows.get(c, 1) <= v) == marked
+            )
+
         for t in range(stop_x + 1):
             full = ring.dim(t)
-            spans = []  # (I_{t-1}, P_t) per distinct I_{t-1} object
+            window = t > self.top_x
+            # dim C_t less the sum over k >= 1 of P_mu[k] * H_{t-k} (cap lemma)
+            ceilings = {
+                f: full - sum(map(mul, poincare[1:], reversed(q))) for f, q in qdims.items()
+            }
+            caps = ceilings if window else dict.fromkeys(ceilings, full)
+            # [I_{t-1}, P_t or its marked part, its marks, complete] per object
+            spans = []
             for family, ideal in ideals.items():
                 below = ideal.get(t - 1)
-                span = next((p for b, p in spans if b is below), None)
-                if span is None:
-                    span = RowSpace(full)
+                lows = marks[family].get(t - 1) if window else {}
+                # a span at the cap of a family whose I_{t-1} is below is P_t
+                span_cap = min(caps[f] for f in ideals if ideals[f].get(t - 1) is below)
+                entry = next((e for e in spans if e[0] is below), None)
+                if entry is None:
+                    span, span_marks = RowSpace(full), {}
                     if below is not None and below.rank == ring.dim(t - 1):
                         span.extend({c: 1} for c in range(full))
                     elif below is not None:
-                        rows = below.pivot_rows.values()
-                        span.extend(
-                            ring.apply_var(row, v, t - 1) for v in range(1, self.d) for row in rows
-                        )
-                    spans.append((below, span))
-                space = span
-                gens = gens_of[family].get(t)
-                if gens and span.rank < full:
-                    space = span.copy()
-                    if not space.extend(gens):
-                        space = span
+                        span.extend(products(below, lows, True), span_cap, span_marks)
+                    entry = [below, span, span_marks, not window or span.rank >= span_cap]
+                    spans.append(entry)
+                _, span, span_marks, complete = entry
+                gens = [(g, 1) for g in gens_of[family].get(t, ())]
+                cap = caps[family]
+                space, space_marks = _with_generators(span, span_marks, gens, cap)
+                if space.rank < cap and not complete:
+                    # completion: the unmarked products, once per I_{t-1}
+                    span, span_marks = span.copy(), dict(span_marks)
+                    span.extend(products(below, lows, False), span_cap, span_marks)
+                    entry[1:] = span, span_marks, True
+                    space, space_marks = _with_generators(span, span_marks, gens, cap)
                 if family == "E" and space == ideals["H"][t]:
-                    space = ideals["H"][t]
+                    space, space_marks = ideals["H"][t], marks["H"][t]
                 ideal[t] = space
-                qdim = qdims[family]
-                # sum over k >= 1 of P_mu[k] * H_{t-k}
-                dim = full - space.rank - sum(map(mul, poincare[1:], reversed(qdim)))
+                marks[family][t] = space_marks
+                dim = ceilings[family] - space.rank
                 if dim < 0:
                     raise VerificationError(
                         "negative quotient dimension from the Poincare division",
@@ -427,7 +485,7 @@ class GradedQuotient:
                             "dimension": dim,
                         },
                     )
-                qdim.append(dim)
+                qdims[family].append(dim)
         for family, qdim in qdims.items():
             for t in range(first_above, stop_x + 1):
                 if qdim[t]:
@@ -460,6 +518,16 @@ class GradedQuotient:
             "top_degree": 2 * self.top_x,
             "total_dimension": self.hilbert.total(),
         }
+
+
+def _with_generators(span, span_marks, gens, cap):
+    """(space, its marks): span, or a copy of it extended by the (generator,
+    mark) pairs gens up to cap where that raises the rank."""
+    if gens and span.rank < cap:
+        space, space_marks = span.copy(), dict(span_marks)
+        if space.extend(gens, cap, space_marks):
+            return space, space_marks
+    return span, span_marks
 
 
 def build_quotient(lam, mu, family="H"):

@@ -474,10 +474,14 @@ def _key_fillings(lam, mu):
     reading words and the list needs no sort.  The backtracking keeps one
     iterator of candidates per column on an explicit stack, so a wide lam
     meets no recursion limit.
+
+    Sizes are checked in the search only: every pair of a kept key (lam,
+    mu') has |lam| = |mu'| = |mu|, and a pair of mismatched sizes has a key
+    that is never kept, so its search raises the ValueError.
     """
-    _check_sizes(lam, mu)
 
     def search():
+        _check_sizes(lam, mu)
         heights = transpose(lam).parts
         counts = list(zero_free_key(lam, mu)[1])
         results = []

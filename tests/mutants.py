@@ -80,8 +80,8 @@ MUTANTS = [
     {
         "id": "products-shared-across-ideals",
         "file": "presentation.py",
-        "old": "span = next((p for b, p in spans if b is below), None)",
-        "new": "span = next((p for b, p in spans), None)",
+        "old": "entry = next((e for e in spans if e[0] is below), None)",
+        "new": "entry = next(iter(spans), None)",
         "kills": [
             "tests/test_presentation.py::TestTwinBuild::test_divergent_families_equal_cold_builds",
         ],
@@ -89,11 +89,46 @@ MUTANTS = [
     {
         "id": "e-extends-h-ideal",
         "file": "presentation.py",
-        "old": "space = span.copy()",
-        "new": 'space = (ideals["H"][t] if family == "E" else span).copy()',
+        "old": "cap = caps[family]\n                space, space_marks = _with_generators(span,",
+        "new": (
+            "cap = caps[family]\n                space, space_marks = _with_generators("
+            'ideals["H"][t] if family == "E" else span,'
+        ),
         "kills": [
             "tests/test_presentation.py::TestTwinBuild::test_divergent_families_equal_cold_builds",
+        ],
+    },
+    {
+        "id": "window-cap-one-low",
+        "file": "presentation.py",
+        "old": "caps = ceilings if window else dict.fromkeys(ceilings, full)",
+        "new": (
+            "caps = {f: c - 1 for f, c in ceilings.items()} if window "
+            "else dict.fromkeys(ceilings, full)"
+        ),
+        "kills": [
             "tests/test_presentation.py::TestTwinBuild::test_seeded_builds_equal_insertion_oracle_d6",
+            "tests/test_presentation.py::TestVanishingWindow::test_window_products_pinned",
+            "tests/test_pinned.py::test_outputs_pinned_d4",
+        ],
+    },
+    {
+        "id": "window-completion-skipped",
+        "file": "presentation.py",
+        "old": "if space.rank < cap and not complete:",
+        "new": "if False:",
+        "kills": [
+            "tests/test_presentation.py::TestVanishingWindow::test_completion_forms_each_product_once",
+            "tests/test_presentation.py::TestTwinBuild::test_seeded_builds_equal_insertion_oracle_d6",
+        ],
+    },
+    {
+        "id": "window-marks-ignored",
+        "file": "presentation.py",
+        "old": "lows = marks[family].get(t - 1) if window else {}",
+        "new": "lows = {}",
+        "kills": [
+            "tests/test_presentation.py::TestVanishingWindow::test_window_products_pinned",
         ],
     },
     {
@@ -246,6 +281,16 @@ MUTANTS = [
         "kills": [
             "tests/test_presentation.py::TestSharedCore::test_zero_free_key_once_per_composition",
             "tests/test_presentation.py::TestSharedCore::test_shared_build_equals_cold_build_d5",
+        ],
+    },
+    {
+        "id": "unit-pivot-by-entry",
+        "file": "linalg.py",
+        "old": "if len(p) == 1:\n                units += 1",
+        "new": "if p[c] == 1:\n                units += 1",
+        "kills": [
+            "tests/test_linalg.py::TestUnitPivots::test_unit_pivot_path",
+            "tests/test_linalg.py::TestUnitPivots::test_mixed_pivots_match_fraction_oracle",
         ],
     },
     {

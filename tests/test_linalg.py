@@ -217,6 +217,44 @@ class TestRowSpace:
         assert forward == backward
 
 
+class TestUnitPivots:
+    """The unit-pivot lemma of RowSpace._reduce: a stored row {c: 1} clears
+    by deleting column c, and a row on unit pivots alone reduces to {}."""
+
+    def test_unit_pivot_path(self):
+        space = RowSpace(4)
+        assert space.extend([{0: 1}, {1: 1, 2: 3}, {3: 2}]) == 3
+        assert space.pivot_rows == {0: {0: 1}, 1: {1: 1, 2: 3}, 3: {3: 1}}
+        row = {0: 5, 3: -2}
+        assert space._reduce(row) == {} and row == {0: 5, 3: -2}
+        # pivot 1 has entry 1 but is no unit row: -6 is left at column 2
+        assert space._reduce({0: 5, 1: 2}) == {2: -6}
+        assert space.scaled_residual({1: 2, 3: 7}) == (1, {2: -6})
+        assert space.insert({0: 5, 1: 2})
+        assert space.pivot_rows == {0: {0: 1}, 1: {1: 1}, 2: {2: 1}, 3: {3: 1}}
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_strategy(), st.data())
+    def test_mixed_pivots_match_fraction_oracle(self, data, draw):
+        # unit rows {c: 1} shuffled in among the rows, and probes both as
+        # drawn and cut down to the pivot columns: every insert gives the
+        # Gauss-Jordan basis and grows exactly when the oracle's residual
+        # is non-zero
+        rows, probes, width = data
+        units = draw.draw(st.lists(st.integers(0, width - 1), max_size=width))
+        unit_rows = [[int(k == c) for k in range(width)] for c in units]
+        rows = draw.draw(st.permutations(unit_rows + rows))
+        space = span(rows, width)
+        reduced = fraction_rref(rows, width)
+        assert space.pivot_rows == oracle_pivot_rows(reduced)
+        for probe in map(scaled_int_row, probes):
+            cut = [v if k in space.pivot_rows else 0 for k, v in enumerate(probe)]
+            for row in (probe, cut):
+                grown = space.copy()
+                assert grown.insert(sparse(row)) == any(fraction_residual(reduced, row))
+                assert grown.pivot_rows == oracle_pivot_rows(fraction_rref(rows + [row], width))
+
+
 class CountingSpace(RowSpace):
     """A RowSpace that records (its rank, the row) for every insert."""
 
@@ -279,6 +317,22 @@ class TestExtend:
         rows = [{0: 1}, {1: 1, 2: 1}, {2: 1}, {1: 2}]
         space.extend(rows)
         assert [row for _, row in space.calls] == [rows[2], rows[1], rows[3], rows[0]]
+
+    def test_cap_and_marks(self):
+        # the batch stops once the rank reaches cap, and each gain marks the
+        # pivot column it created, also when it back-substitutes into a row
+        # left of it (gain order of insert)
+        space = CountingSpace(4)
+        marks = {}
+        pairs = [({0: 1, 1: 1}, 1), ({1: 2}, 2), ({2: 1, 3: 1}, 3), ({3: 5}, 4)]
+        assert space.extend(pairs, 2, marks) == 2
+        assert len(space.calls) == 2 and marks == {3: 4, 2: 3}
+        space = RowSpace(3)
+        space.insert({0: 1, 1: 1})
+        marks = {}
+        assert space.extend([({1: 1, 2: 1}, 7), ({}, 8)], marks=marks) == 1
+        assert space.pivot_rows == {0: {0: 1, 2: -1}, 1: {1: 1, 2: 1}}
+        assert marks == {1: 7}
 
     @settings(max_examples=100, deadline=None)
     @given(sparse_strategy())

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import sys
+from collections import Counter
 from collections.abc import MutableMapping
 import pickle
 from copy import copy, deepcopy
@@ -874,6 +875,67 @@ class TestTwinBuild:
             clear_caches()
 
 
+def _warm_rebuild(lam, mu, count):
+    """The H quotient of (lam, mu), rebuilt on a warm ring, so that every
+    apply_var call of the rebuild is a product of _build; count is the list
+    that _count_calls fills."""
+    clear_caches()
+    build_quotient(lam, mu, "H")
+    tableaux._LATEST.clear()
+    count.clear()
+    return build_quotient(lam, mu, "H")
+
+
+class TestVanishingWindow:
+    """Above top_x the build multiplies each pivot row by the variables at or
+    above its mark only, stops each degree at the Hilbert cap, and completes
+    P_t with the unmarked products where a family falls short (cap lemma in
+    GradedQuotient._build)."""
+
+    # every zero-free key with d <= 6 whose marked products and generators
+    # fall short of the cap, with each x-degree where they do
+    COMPLETED = (
+        ((3, 3), (1, 1, 3, 1), (5, 6)),
+        ((4, 1, 1), (1, 1, 1, 2, 1), (7,)),
+        ((4, 1, 1), (1, 1, 1, 3), (5,)),
+        ((5, 1), (1, 2, 1, 2), (10,)),
+        ((5, 1), (2, 4), (6,)),
+    )
+
+    def test_completion_forms_each_product_once(self, monkeypatch):
+        # in a completed degree every product x_v b, v < d, of the one
+        # I_{t-1} that H and E share is formed exactly once: the marked
+        # ones first, the unmarked ones by the one completion; both
+        # families still equal the insertion oracle
+        calls = _count_calls(monkeypatch, CoinvariantRing, "apply_var")
+        for lam, mu, degrees in self.COMPLETED:
+            lam, mu = Partition(lam), Composition(mu)
+            qh = _warm_rebuild(lam, mu, calls)
+            qe = build_quotient(lam, mu, "E")
+            for t in degrees:
+                assert t > qh.top_x
+                below = qh.ideal_space(t - 1)
+                assert qe.ideal_space(t - 1) is below
+                formed = Counter((id(row), v) for _, row, v, r in calls if r == t - 1)
+                rows = below.pivot_rows.values()
+                assert formed == Counter((id(row), v) for row in rows for v in range(1, qh.d))
+            TestTwinBuild._assert_insertion_oracle(qh)
+            TestTwinBuild._assert_insertion_oracle(qe)
+        clear_caches()
+
+    def test_window_products_pinned(self, monkeypatch):
+        # (5,1)/(1,1,1,3) has top_x = 7 and stop_x = 10: all products below
+        # the window take 285 calls, the marked ones above it 458, where
+        # every product took 1,045
+        calls = _count_calls(monkeypatch, CoinvariantRing, "apply_var")
+        q = _warm_rebuild(Partition([5, 1]), Composition([1, 1, 1, 3]), calls)
+        assert (q.top_x, q.stop_x) == (7, 10)
+        assert sum(1 for call in calls if call[3] < q.top_x) == 285
+        assert len(calls) == 743
+        TestTwinBuild._assert_insertion_oracle(q)
+        clear_caches()
+
+
 def membership_equivalence(qh, qe):
     """Oracle for rel_equivalence by membership instead of canonical bases:
     equal Hilbert series, equal ideal ranks through the common window, and
@@ -1307,6 +1369,22 @@ class TestSharedCore:
         assert cert.size() == len(first)
         monkeypatch.undo()
         assert first == enumerate_column_strict(lam, mu) != list(fillings)
+
+    def test_kept_key_read_checks_no_sizes(self, monkeypatch):
+        # every pair of a kept key has |lam| = |mu|, so _key_fillings checks
+        # sizes in its search only; a pair of mismatched sizes has a key
+        # that is never kept, and its search still raises
+        clear_caches()
+        lam = Partition([3, 2, 1])
+        tableaux._key_fillings(lam, Composition([1, 2, 2, 1]))
+        sizes = _count_calls(monkeypatch, tableaux, "_check_sizes")
+        for mu in (Composition([1, 2, 2, 1]), Composition([1, 0, 2, 2, 1])):
+            tableaux._key_fillings(lam, mu)
+        assert sizes == []
+        with pytest.raises(ValueError, match=r"^\|lambda\|=6 and \|mu\|=5 differ$"):
+            tableaux._key_fillings(lam, Composition([1, 2, 2]))
+        assert len(sizes) == 1
+        clear_caches()
 
     def test_space_equals_itself_without_reading_a_row(self):
         class Unreadable(RowSpace):
