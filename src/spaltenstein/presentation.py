@@ -46,7 +46,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import comb, lcm
-from operator import add, index, mul
+from operator import index, mul
 
 from .coinvariant import _RINGS, get_ring, invariant_rows
 from .linalg import RowSpace
@@ -631,7 +631,10 @@ class BasisCertificate:
         """Coordinates of a degree-2t invariant class in the basis.  A degree
         without tableaux reads the ideal space alone, with no tag columns;
         above stop_x there is none, and every invariant class lies in the
-        ideal, since the quotient is verified to vanish there."""
+        ideal, since the quotient is verified to vanish there, so the
+        result is {} whatever vec is (vanishing skip in _tensor_data).
+        The class of basis element k has coordinates {k: 1}: its row is
+        tagged k in the certified span (unit lemma in _tensor_data)."""
         space, indices = self._spaces.get(t) or (self.quotient.ideal_space(t), ())
         if space is None:
             return {}
@@ -827,8 +830,10 @@ def structure_constants(lam, mu, family="H", certificate=None):
     call unpacks a fresh dict of dicts.  Lemma (relabelling lemma in
     certify_basis): the pairs of one zero-free key have the same classes,
     degrees and coordinate spaces position by position, so their tensors
-    agree position by position; each distinct product of basis elements
-    is formed once (product lemma in _tensor_data).
+    agree position by position.  Each distinct product of basis elements
+    is formed at most once (product lemma in _tensor_data): none above
+    stop_x, where the quotient vanishes (vanishing skip), and none that is
+    itself a basis element b_k, whose coordinates are {k: 1} (unit lemma).
     """
     if certificate is None:
         certificate = certify_basis(lam, mu, family)
@@ -845,44 +850,75 @@ def structure_constants(lam, mu, family="H", certificate=None):
 
 
 def _tensor_data(certificate):
-    """The tensor of structure_constants, packed as (D, flat): D the lcm of
-    the denominators of its entries and flat one tuple of ints that lists,
-    for i <= j in order, the number m of non-zero entries of tensor[(i, j)]
-    and then m pairs (k, D * entry), k increasing.  By tracemalloc, about
-    18 times smaller than the dict of dicts.
+    """The tensor of structure_constants, packed as (D, flat, numbers): flat
+    one tuple of ints that lists, for each distinct product in order, the
+    number m of its non-zero entries and then m pairs (k, D * entry), k
+    increasing; D the lcm of the denominators of those entries; and
+    numbers the tuple of the product number of each pair i <= j in order.
+    Product 0 is the empty entry.  By tracemalloc, the packed tensor of
+    (5)/(2,1,1,1) holds 20 kB, against 34 kB for one entry per pair.
 
     Product lemma: basis element i is the class of prod h_s(X_m)^c
-    (_h_class_chain), so pairs whose exponent vectors (_exponents) have
-    equal sums have equal products, classes and coordinates.  Each sum is
-    formed and checked by coordinates_of_class once, for all its pairs."""
-    ring = certificate.quotient.ring
+    (_h_class_chain), so pairs whose exponent vectors (_exponent_codes)
+    have equal sums have equal products, classes and coordinates.  Each sum
+    gets its entry once, for all its pairs, and forms its product at most
+    once:
+      - Vanishing skip: a sum of degree t above stop_x gets the empty
+        entry with no product, as coordinates_of_class reads no space
+        there.  A window sum, top_x < t <= stop_x, still forms its
+        product, which coordinates_of_class checks against the bare
+        ideal space, raising on an escape.
+      - Unit lemma: the exponent vectors of a certified basis are
+        distinct, as equal vectors give equal classes, which the
+        independence check of certify_basis rejects.  When e_i + e_j =
+        e_k, b_i * b_j is the class of the monomial of b_k, which is
+        tagged row k of the certified span, so its coordinates are
+        {k: 1}, with no product formed.
+    Every other sum forms its product and reads its coordinates."""
+    quotient = certificate.quotient
+    ring, stop_x = quotient.ring, quotient.stop_x
     classes, degrees = certificate.classes, certificate.degrees
     lam, mu = certificate.lam, certificate.mu
-    exps = _exponents(_key_chains(lam, mu), zero_free_key(lam, mu)[1])
-    products = {}
-    entries = []
-    for i in range(len(classes)):
-        for j in range(i, len(classes)):
-            key = tuple(map(add, exps[i], exps[j]))
-            if key not in products:
-                # above top_x this reads the bare ideal space, raising on an escape
-                product = ring.mul_classes(classes[i], degrees[i], classes[j], degrees[j])
-                t = degrees[i] + degrees[j]
-                products[key] = certificate.coordinates_of_class(product, t)
-            entries.append(products[key])
+    codes = _exponent_codes(_key_chains(lam, mu), zero_free_key(lam, mu)[1])
+    basis = {code: k for k, code in enumerate(codes)}
+    assert len(basis) == len(codes), "equal exponent vectors in a certified basis"
+    entries = [{}]
+    product_of = {}
+    numbers = []
+    for i, (code_i, t_i) in enumerate(zip(codes, degrees)):
+        for j in range(i, len(codes)):
+            code = code_i + codes[j]
+            p = product_of.get(code)
+            if p is None:
+                t = t_i + degrees[j]
+                if t > stop_x:
+                    entry = {}
+                elif code in basis:
+                    entry = {basis[code]: 1}
+                else:
+                    product = ring.mul_classes(classes[i], t_i, classes[j], degrees[j])
+                    entry = certificate.coordinates_of_class(product, t)
+                p = product_of[code] = len(entries) if entry else 0
+                if entry:
+                    entries.append(entry)
+            numbers.append(p)
     denom = lcm(*(c.denominator for entry in entries for c in entry.values()))
     flat = []
     for entry in entries:
         flat.append(len(entry))
         for k in sorted(entry):
             flat += (k, entry[k].numerator * (denom // entry[k].denominator))
-    return denom, tuple(flat)
+    return denom, tuple(flat), tuple(numbers)
 
 
-def _exponents(chains, parts):
+def _exponent_codes(chains, parts):
     """Exponent vectors of the basis, in the order of the key's chains (parts
     of mu'): the power of each h_s(X_m) of _h_class_chain, one slot per
-    (m, s), or one, the power of x, for X_m = {x}: h_a(x) h_b(x) = h_{a+b}(x)."""
+    (m, s), or one, the power of x, for X_m = {x}: h_a(x) h_b(x) = h_{a+b}(x).
+    Each vector is one int, its mixed-radix code sum_s e_s R^s with R =
+    2 * (the largest power in the basis) + 1: a sum of two powers is below
+    R, so code(e) + code(f) = code(e + f) with no carry, and equal codes
+    are equal vectors."""
     rows = [{} for _ in chains]
     for row, chain in zip(rows, chains):
         for m, (k, level) in enumerate(zip(parts, reversed(chain))):
@@ -890,28 +926,41 @@ def _exponents(chains, parts):
                 if c > i:
                     slot, power = ((m, 0), c - i) if k == 1 else ((m, c - i), 1)
                     row[slot] = row.get(slot, 0) + power
-    slots = {slot for row in rows for slot in row}
-    return [tuple(row.get(slot, 0) for slot in slots) for row in rows]
+    slots = sorted({slot for row in rows for slot in row})
+    radix = 2 * max((e for row in rows for e in row.values()), default=0) + 1
+    codes = []
+    for row in rows:
+        code = 0
+        for slot in slots:
+            code = code * radix + row.get(slot, 0)
+        codes.append(code)
+    return codes
 
 
 def _unpack_tensor(packed, size):
-    """The tensor packed by _tensor_data, as a fresh dict of dicts.  Equal
-    entries share one Fraction, which is immutable."""
-    denom, flat = packed
+    """The tensor packed by _tensor_data, as a fresh dict of dicts: each
+    distinct product's entry is built once, and each pair i <= j gets its
+    own copy, which (j, i) shares.  Equal entries share one Fraction, which
+    is immutable."""
+    denom, flat, numbers = packed
     fractions = {}
-    tensor = {}
+    entries = []
     pos = 0
+    while pos < len(flat):
+        end = pos + 1 + 2 * flat[pos]
+        entry = {}
+        for p in range(pos + 1, end, 2):
+            c = fractions.get(flat[p + 1])
+            if c is None:
+                c = fractions[flat[p + 1]] = Fraction(flat[p + 1], denom)
+            entry[flat[p]] = c
+        entries.append(entry)
+        pos = end
+    copies = iter([entries[p].copy() for p in numbers])
+    tensor = {}
     for i in range(size):
         for j in range(i, size):
-            end = pos + 1 + 2 * flat[pos]
-            entry = {}
-            for p in range(pos + 1, end, 2):
-                c = fractions.get(flat[p + 1])
-                if c is None:
-                    c = fractions[flat[p + 1]] = Fraction(flat[p + 1], denom)
-                entry[flat[p]] = c
-            tensor[(i, j)] = tensor[(j, i)] = entry
-            pos = end
+            tensor[(i, j)] = tensor[(j, i)] = next(copies)
     return tensor
 
 
@@ -1003,7 +1052,8 @@ def anti_invariant_transfer(lam, mu):
     One pass per degree t (_transfer_ranks) reads, on the invariant
     classes v of degree t, the ranks of phi(v) = eps * v modulo the
     regular ideal, of psi(v) = v modulo the block ideal, and of (phi, psi),
-    and requires all three equal to the quotient dimension H_t:
+    and requires all three equal to the quotient dimension H_t (two
+    eliminations: projection lemma in _transfer_ranks):
     (a) well-definedness: v * eps lies in the regular ideal exactly when
         v lies in the block ideal (rank lemma in _transfer_ranks);
     (b) rank phi, the anti-invariant dimension of the regular quotient in
@@ -1093,6 +1143,14 @@ def _transfer_ranks(ring, quotient, reg, eps_vec, d_mu, t):
     Rank lemma: ker phi = ker psi exactly when rank phi = rank psi =
     rank (phi, psi), since ker (phi, psi) is their intersection.
 
+    Projection lemma: the phi columns come first in the joint space of
+    the rows (phi_i, psi_i).  Its reduced echelon basis spans it; the rows
+    whose pivot lies below width have their phi parts in echelon form, so
+    independent, and the others are zero there.  So rank phi, the rank of
+    the projection onto the phi columns, is the number of pivot columns
+    below width, and two eliminations, psi and (phi, psi), give all three
+    ranks.
+
     Isotypic lemma: when an ideal I of C is stable under a group G, over
     Q the isotypic projector of a character of G commutes with C -> C/I,
     so the isotypic part of C/I is the image of the isotypic part of C.
@@ -1114,16 +1172,15 @@ def _transfer_ranks(ring, quotient, reg, eps_vec, d_mu, t):
     target = reg.ideal_space(t + d_mu)
     ideal = quotient.ideal_space(t)
     width = ring.dim(t + d_mu)
-    phi, psi, both = [], [], []
+    psi, both = [], []
     for row in invariant_rows(ring, quotient.blocks.transpositions(), t):
         prod = ring.mul_classes(row, t, eps_vec, d_mu)
         phi_i = target.scaled_residual(prod)[1] if target is not None else {}
         psi_i = ideal.scaled_residual(row)[1]
-        phi.append(phi_i)
         psi.append(psi_i)
         both.append({**phi_i, **{width + k: w for k, w in psi_i.items()}})
-    return (
-        RowSpace(width).extend(phi),
-        RowSpace(ring.dim(t)).extend(psi),
-        RowSpace(width + ring.dim(t)).extend(both),
-    )
+    joint = RowSpace(width + ring.dim(t))
+    joint.extend(both)
+    # projection lemma
+    phi_rank = sum(1 for c in joint.pivot_rows if c < width)
+    return phi_rank, RowSpace(ring.dim(t)).extend(psi), joint.rank

@@ -246,11 +246,49 @@ MUTANTS = [
     {
         "id": "product-key-elementwise-max",
         "file": "presentation.py",
-        "old": "key = tuple(map(add, exps[i], exps[j]))",
-        "new": "key = (i, tuple(map(max, exps[i], exps[j])))",
+        "old": "code = code_i + codes[j]",
+        "new": "code = (i, max(code_i, codes[j]))",
         "kills": [
             "tests/test_presentation.py::TestStructureConstants::test_unit_acts_as_identity",
             "tests/test_presentation.py::TestStructureConstants::test_tensor_equals_all_products_oracle_d5",
+        ],
+    },
+    {
+        "id": "unit-hit-next-element",
+        "file": "presentation.py",
+        "old": "entry = {basis[code]: 1}",
+        "new": "entry = {basis[code] + 1: 1}",
+        "kills": [
+            "tests/test_presentation.py::TestStructureConstants::test_unit_acts_as_identity",
+            "tests/test_presentation.py::TestStructureConstants::test_basis_hit_forms_no_product",
+            "tests/test_presentation.py::TestStructureConstants::test_tensor_equals_all_products_oracle_d5",
+        ],
+    },
+    {
+        "id": "vanishing-skip-at-top-x",
+        "file": "presentation.py",
+        "old": "if t > stop_x:",
+        "new": "if t > quotient.top_x:",
+        "kills": [
+            "tests/test_presentation.py::TestStructureConstants::test_each_distinct_product_formed_once",
+        ],
+    },
+    {
+        "id": "code-radix-carries",
+        "file": "presentation.py",
+        "old": "radix = 2 * max(",
+        "new": "radix = max(",
+        "kills": [
+            "tests/test_presentation.py::TestStructureConstants::test_tensor_equals_all_products_oracle_d5",
+        ],
+    },
+    {
+        "id": "projection-counts-psi-column",
+        "file": "presentation.py",
+        "old": "for c in joint.pivot_rows if c < width)",
+        "new": "for c in joint.pivot_rows if c <= width)",
+        "kills": [
+            "tests/test_presentation.py::TestTransfer::test_kernel_check_matches_combination_oracle_d4",
         ],
     },
     {

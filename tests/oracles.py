@@ -448,20 +448,15 @@ def keys_chained_by_padded_pairs(order):
 
 
 def tensor_by_all_products(certificate):
-    """Oracle for presentation._tensor_data: the packed tensor with the
-    product of every pair i <= j formed and reduced on its own, in the
-    same (D, flat) layout."""
+    """Oracle for presentation.structure_constants: the tensor {(i, j):
+    coordinates} with the product of every pair i <= j formed and reduced
+    on its own, and (j, i) given an equal entry."""
     ring = certificate.quotient.ring
     classes, degrees = certificate.classes, certificate.degrees
-    entries = []
+    tensor = {}
     for i in range(len(classes)):
         for j in range(i, len(classes)):
             product = ring.mul_classes(classes[i], degrees[i], classes[j], degrees[j])
-            entries.append(certificate.coordinates_of_class(product, degrees[i] + degrees[j]))
-    denom = lcm(*(c.denominator for entry in entries for c in entry.values()))
-    flat = []
-    for entry in entries:
-        flat.append(len(entry))
-        for k in sorted(entry):
-            flat += (k, entry[k].numerator * (denom // entry[k].denominator))
-    return denom, tuple(flat)
+            entry = certificate.coordinates_of_class(product, degrees[i] + degrees[j])
+            tensor[(i, j)] = tensor[(j, i)] = entry
+    return tensor

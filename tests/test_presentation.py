@@ -1,6 +1,7 @@
 import hashlib
 import json
 import sys
+import tracemalloc
 from collections import Counter
 from collections.abc import MutableMapping
 import pickle
@@ -480,9 +481,10 @@ class TestStructureConstants:
         )
 
     def test_tensor_equals_all_products_oracle_d5(self):
-        # product lemma: forming each distinct product once gives the packed
-        # tensor of forming every pair's product, on every dominated
-        # zero-free key with d <= 5 and on padded pairs
+        # product, unit and vanishing lemmas: the public tensor equals the
+        # tensor of forming and reducing every pair's product on its own, on
+        # every dominated zero-free key with d <= 5 and on padded pairs
+        clear_caches()
         pairs = [(lam, mu) for lam, mu in dominated_pairs(5) if 0 not in mu.parts]
         assert len(pairs) == 107
         pairs += [
@@ -493,12 +495,15 @@ class TestStructureConstants:
         ]
         for lam, mu in pairs:
             cert = certify_basis(lam, mu)
-            assert presentation._tensor_data(cert) == tensor_by_all_products(cert), (lam, mu)
+            tensor = structure_constants(lam, mu, certificate=cert)[1]
+            assert tensor == tensor_by_all_products(cert), (lam, mu)
 
-    def test_each_distinct_product_formed_once(self, monkeypatch):
-        # 60 tableaux each, so 1,830 pairs i <= j; a one-variable block has
-        # one slot, so h_1(x) h_2(x) and h_3(x) are one product
+    @staticmethod
+    def _mul_calls(monkeypatch, lam, mu):
+        """(certificate, quotient, the args of every mul_classes call that
+        structure_constants makes on a cold tensor of (lam, mu))."""
         clear_caches()
+        cert = certify_basis(lam, mu)
         real = CoinvariantRing.mul_classes
         calls = []
 
@@ -506,17 +511,103 @@ class TestStructureConstants:
             calls.append(args)
             return real(ring, *args)
 
+        with monkeypatch.context() as m:
+            m.setattr(CoinvariantRing, "mul_classes", counting)
+            structure_constants(lam, mu, certificate=cert)
+        return cert, cert.quotient, calls
+
+    def test_each_distinct_product_formed_once(self, monkeypatch):
+        # 60 tableaux each, so 1,830 pairs i <= j; a one-variable block has
+        # one slot, so h_1(x) h_2(x) and h_3(x) are one product.  No product
+        # above stop_x and none that is a basis element is formed; the
+        # window products, top_x < t <= stop_x, are all still formed and
+        # checked for an escape
         counts = {}
         for parts in ([2, 1, 1, 1], [1, 1, 2, 1]):
-            lam, mu = Partition([5]), Composition(parts)
-            cert = certify_basis(lam, mu)
+            cert, q, calls = self._mul_calls(monkeypatch, Partition([5]), Composition(parts))
             assert cert.size() == 60
-            calls.clear()
-            with monkeypatch.context() as m:
-                m.setattr(CoinvariantRing, "mul_classes", counting)
-                structure_constants(lam, mu, certificate=cert)
-            counts[tuple(parts)] = len(calls)
-        assert counts == {(2, 1, 1, 1): 315, (1, 1, 2, 1): 405}
+            window = sum(q.top_x < t + u for _, t, _, u in calls)
+            counts[tuple(parts)] = (len(calls), window)
+        assert counts == {(2, 1, 1, 1): (146, 32), (1, 1, 2, 1): (206, 42)}
+
+    def test_no_product_formed_above_stop_x(self, monkeypatch):
+        # vanishing skip: pairs of degree above stop_x exist, and their
+        # entries are empty, but no product of such a degree is formed
+        for lam, mu in [
+            (Partition([5]), Composition([2, 1, 1, 1])),
+            (Partition([3, 2]), Composition([1, 2, 1, 1])),
+            (Partition([4, 1]), Composition([1, 1, 1, 1, 1])),
+        ]:
+            cert, q, calls = self._mul_calls(monkeypatch, lam, mu)
+            tensor = structure_constants(lam, mu, certificate=cert)[1]
+            above = [(i, j) for i, j in tensor if cert.degrees[i] + cert.degrees[j] > q.stop_x]
+            assert above and all(tensor[pair] == {} for pair in above)
+            degrees = Counter(t + u for _, t, _, u in calls)
+            assert calls and max(degrees) <= q.stop_x, (lam, mu, degrees)
+
+    def test_basis_hit_forms_no_product(self, monkeypatch):
+        # unit lemma: when e_i + e_j = e_k the entry is exactly {k: 1}, and
+        # no product of such a pair is formed
+        lam, mu = Partition([3, 2]), Composition([1, 2, 1, 1])
+        cert, q, calls = self._mul_calls(monkeypatch, lam, mu)
+        codes = presentation._exponent_codes(
+            tableaux._key_chains(lam, mu), zero_free_key(lam, mu)[1]
+        )
+        basis = {code: k for k, code in enumerate(codes)}
+        assert len(basis) == len(codes)
+        position = {id(vec): k for k, vec in enumerate(cert.classes)}
+        assert len(position) == len(codes)
+        formed = {codes[position[id(a)]] + codes[position[id(b)]] for a, _, b, _ in calls}
+        assert not formed & set(basis)
+        tensor = structure_constants(lam, mu, certificate=cert)[1]
+        hits = 0
+        for i, j in tensor:
+            k = basis.get(codes[i] + codes[j])
+            if k is not None:
+                entry = tensor[(i, j)]
+                assert entry == {k: Fraction(1)} and type(entry[k]) is Fraction
+                hits += 1
+        assert hits > len(codes)
+
+    def test_pairs_of_one_product_hold_their_own_dicts(self):
+        # (i, j) and (j, i) share one dict, and no dict is shared by two
+        # pairs that share one product, so a caller's change stays local
+        lam, mu = Partition([5]), Composition([2, 1, 1, 1])
+        clear_caches()
+        tabs, tensor = structure_constants(lam, mu)
+        codes = presentation._exponent_codes(
+            tableaux._key_chains(lam, mu), zero_free_key(lam, mu)[1]
+        )
+        by_code = {}
+        for i in range(len(tabs)):
+            for j in range(i + 1, len(tabs)):
+                assert tensor[(i, j)] is tensor[(j, i)]
+                by_code.setdefault(codes[i] + codes[j], []).append((i, j))
+        shared_products = [pairs for pairs in by_code.values() if len(pairs) > 1]
+        assert shared_products
+        for first, second in (pairs[:2] for pairs in shared_products):
+            assert tensor[first] == tensor[second]
+            assert tensor[first] is not tensor[second]
+        first, second = shared_products[0][:2]
+        tensor[first][len(tabs)] = Fraction(7)
+        assert len(tabs) not in tensor[second]
+
+    def test_packed_tensor_no_larger_than_one_entry_per_pair(self):
+        # tracemalloc, on a copy of the kept packed tensor of (5)/(2,1,1,1):
+        # one entry per distinct product holds no more than the 33,864
+        # bytes of one entry per pair i <= j (measured on Python 3.11)
+        lam, mu = Partition([5]), Composition([2, 1, 1, 1])
+        clear_caches()
+        blob = pickle.dumps(presentation._tensor_data(certify_basis(lam, mu)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            packed = pickle.loads(blob)
+            size = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(packed[2]) == 60 * 61 // 2
+        assert size <= 33864
 
     def test_certificate_of_another_pair_is_rejected(self):
         cert = certify_basis(Partition([2, 1]), Composition([1, 1, 1]))
