@@ -870,7 +870,8 @@ def _tensor_data(certificate):
         ideal space, raising on an escape.
       - Unit lemma: the exponent vectors of a certified basis are
         distinct, as equal vectors give equal classes, which the
-        independence check of certify_basis rejects.  When e_i + e_j =
+        independence check of certify_basis rejects (a repeat raises
+        BasisError, naming both positions).  When e_i + e_j =
         e_k, b_i * b_j is the class of the monomial of b_k, which is
         tagged row k of the certified span, so its coordinates are
         {k: 1}, with no product formed.
@@ -881,7 +882,14 @@ def _tensor_data(certificate):
     lam, mu = certificate.lam, certificate.mu
     codes = _exponent_codes(_key_chains(lam, mu), zero_free_key(lam, mu)[1])
     basis = {code: k for k, code in enumerate(codes)}
-    assert len(basis) == len(codes), "equal exponent vectors in a certified basis"
+    if len(basis) != len(codes):
+        i = next(i for i, code in enumerate(codes) if basis[code] != i)
+        raise BasisError(
+            "equal exponent vectors in a certified basis",
+            witness={
+                "lambda": lam.to_json(), "mu": mu.to_json(), "positions": [i, basis[codes[i]]],
+            },
+        )
     entries = [{}]
     product_of = {}
     numbers = []
@@ -991,20 +999,16 @@ def rel_equivalence(lam, mu, qh=None, qe=None):
     return all(qh.ideal_space(t) == qe.ideal_space(t) for t in range(qh.stop_x + 1))
 
 
-_REGULAR_CACHE = {}
-
-
 def regular_quotient(lam, d):
-    """Quotient for the regular composition (1, ..., 1), cached per (d, lam).
-    A miss asks for the ring first, so a d above coinvariant.MAX_D is
+    """The H quotient of the regular composition (1, ..., 1) of d, asked
+    for as the padded pair (lam, (1, ..., 1, 0)): by the zero-block lemma
+    it has the core of (lam, 1^d), and having a zero part, it keeps that
+    core in tableaux._KEYS (storage rule of shared), so the core is built
+    once per (d, lam) and never takes the one-key slot from another
+    pair.  It asks for the ring first, so a d above coinvariant.MAX_D is
     refused with ValueError before the d parts of (1, ..., 1) are built."""
-    key = (d, lam.parts)
-    q = _REGULAR_CACHE.get(key)
-    if q is None:
-        get_ring(d)
-        q = build_quotient(lam, Composition((1,) * d), "H")
-        _REGULAR_CACHE[key] = q
-    return q
+    get_ring(d)
+    return GradedQuotient(lam, Composition((1,) * d + (0,)), "H")
 
 
 def clear_caches():
@@ -1013,14 +1017,14 @@ def clear_caches():
     Policy: caches are per process and grow without bound until this is
     called.  Each is keyed as documented where it is defined: coinvariant
     rings by d (_RINGS), each with its own tables, invariant rows
-    included; regular quotients by (d, lam) (_REGULAR_CACHE); everything
-    shared across the pairs of one zero-free key by (key, kind)
-    (tableaux._KEYS); and the value of the last zero-free pair by kind
-    (tableaux._LATEST, one key per kind).  The last two are written only
-    by tableaux.shared.  The values are read-only.  Objects built before
-    the call stay valid; later builds start cold and give equal results.
+    included; everything shared across the pairs of one zero-free key by
+    (key, kind) (tableaux._KEYS), the regular cores included; and the
+    value of the last zero-free pair by kind (tableaux._LATEST, one key
+    per kind).  The last two are written only by tableaux.shared.  The
+    values are read-only.  Objects built before the call stay valid;
+    later builds start cold and give equal results.
     """
-    for cache in (_RINGS, _REGULAR_CACHE, _KEYS, _LATEST):
+    for cache in (_RINGS, _KEYS, _LATEST):
         cache.clear()
 
 
@@ -1079,10 +1083,7 @@ def anti_invariant_transfer(lam, mu):
 def _transfer_data(lam, mu, d):
     """The checks (a) and (b) of anti_invariant_transfer on the H quotient
     of (lam, mu) against the regular quotient of lam; returns (shift,
-    degrees, anti_dims, quotient_dims), anti_dims the ranks phi.  It asks
-    for the regular quotient first, so that its build does not evict the
-    pair's cores from the one-key slot of tableaux.shared before a
-    following certify_basis reads them.
+    degrees, anti_dims, quotient_dims), anti_dims the ranks phi.
 
     Degree bound: the degrees t run up to max(top_x, reg.stop_x - d_mu),
     past which both sides vanish, and that is at most stop_x, so every

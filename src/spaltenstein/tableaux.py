@@ -17,7 +17,7 @@ keeps its columns in one slot, filled by the enumerator or on the first
 columns() call: the columns are a function of the rows (lemma in
 _columns_to_tableau), so the slot takes no part in ==, hash or repr, and
 a second filling writes an equal value.  A Composition keeps its
-non-zero parts in one slot by the same rule (zero_free_key).  The data
+non-zero parts in one slot, set at construction (zero_free_key).  The data
 shared per zero-free key (_KEYS, and the one-key slot _LATEST, both
 written only by shared) holds only values that a recomputation gives
 equal; through it, one key enumerates and chains its fillings once, for
@@ -112,9 +112,9 @@ class Composition(_Parts):
     Zero parts are retained; they index empty variable blocks and shift
     the meaning of later parts, so the length is significant.
 
-    The slot _nonzero holds the non-zero parts in order once
-    zero_free_key has read them, else None; it is a function of parts, so
-    it takes no part in ==, hash, repr or pickling.
+    The slot _nonzero holds the non-zero parts in order, set with parts
+    (zero_free_key); it is a function of parts, so it takes no part in ==,
+    hash, repr or pickling.
     """
 
     __slots__ = ("_nonzero",)
@@ -124,7 +124,7 @@ class Composition(_Parts):
         if any(p < 0 for p in parts):
             raise ValueError(f"parts {parts} contain a negative entry")
         object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "_nonzero", None)
+        object.__setattr__(self, "_nonzero", tuple(p for p in parts if p))
 
     def __eq__(self, other):
         return isinstance(other, Composition) and self.parts == other.parts
@@ -139,7 +139,6 @@ class Composition(_Parts):
 
 _new = object.__new__
 _set_parts = _Parts.parts.__set__
-_set_nonzero = Composition._nonzero.__set__
 
 
 class Tableau:
@@ -364,15 +363,10 @@ def _check_member(T, mu):
 
 def zero_free_key(lam, mu):
     """(lam parts, the non-zero parts of mu in order): the one datum that
-    everything kept by shared depends on.  The non-zero parts are
-    computed once per Composition object and kept in its _nonzero slot,
-    as a Tableau keeps its columns: a function of the immutable parts, so
-    a second filling writes an equal value."""
-    nonzero = mu._nonzero
-    if nonzero is None:
-        nonzero = tuple(p for p in mu.parts if p)
-        _set_nonzero(mu, nonzero)
-    return lam.parts, nonzero
+    everything kept by shared depends on.  The non-zero parts are set
+    when the Composition is built (its _nonzero slot), so a key costs no
+    pass over the parts."""
+    return lam.parts, mu._nonzero
 
 
 # written only by shared: (zero-free key, kind) -> the value of that kind for
@@ -400,7 +394,8 @@ def shared(kind, lam, mu, compute):
         the zero-free pair of the key (lemma in enumerate_column_strict);
       - "chains": the reduction chains of those fillings (_key_chains);
       - "cores": the quotient data of both families (zero-block lemma in
-        GradedQuotient);
+        GradedQuotient); regular_quotient asks with a padded pair, so
+        the regular core of (d, lam) is kept in _KEYS;
       - ("certificate", family), "transfer", ("tensor", family): the data of
         certify_basis, anti_invariant_transfer and structure_constants.
     Values are read-only: callers relabel, rebuild or unpack them, and

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import factorial, lcm, prod
 
-from spaltenstein.coinvariant import invariant_rows
+from spaltenstein.coinvariant import get_ring, invariant_rows
 from spaltenstein.linalg import RowSpace, _subtract
 from spaltenstein.presentation import HilbertSeries, _generator_items
 from spaltenstein.symring import BlockStructure, Polynomial, complete_block
@@ -171,6 +171,31 @@ def qdim_by_invariant_rows(quotient):
         rows = invariant_rows(ring, transpositions, t)
         out.append(RowSpace(space.width).extend(space.scaled_residual(row)[1] for row in rows))
     return out
+
+
+def ideal_by_squares(d, k):
+    """The ideal (x_1^2, ..., x_d^2) + C_{>k} of the coinvariant algebra C
+    of S_d, as its RowSpace in each x-degree 0..top: a full space above
+    k; else the classes x_i^2 in degree 2 and x_v times the pivot rows of
+    the degree below, for every v = 1..d (no last-variable shortcut).
+    For lam with parts in {1, 2}, k of them 2, this is the H ideal of
+    (lam, 1^d) (Khovanov for k = d/2; Stroppel and Webster for every
+    two-row Jordan type)."""
+    ring = get_ring(d)
+    squares = [ring.apply_var(ring.apply_var(ring.unit(), i, 0), i, 1) for i in range(1, d + 1)]
+    ideal = []
+    for t in range(ring.top + 1):
+        space = RowSpace(ring.dim(t))
+        if t > k:
+            space.extend({c: 1} for c in range(ring.dim(t)))
+        else:
+            if t == 2:
+                space.extend(squares)
+            if t:
+                rows = ideal[-1].pivot_rows.values()
+                space.extend(ring.apply_var(b, v, t - 1) for b in rows for v in range(1, d + 1))
+        ideal.append(space)
+    return ideal
 
 
 def anti_invariant_dim_by_equations(ring, reg, transpositions, e):

@@ -609,6 +609,22 @@ class TestStructureConstants:
         assert len(packed[2]) == 60 * 61 // 2
         assert size <= 33864
 
+    def test_equal_exponent_codes_raise_basis_error(self, monkeypatch):
+        # the unit lemma's distinct codes are checked, not asserted, so the
+        # check holds under python -O too; the witness names both positions
+        real = presentation._exponent_codes
+
+        def repeated(chains, parts):
+            codes = real(chains, parts)
+            return codes[:1] * 2 + codes[2:]
+
+        clear_caches()
+        monkeypatch.setattr(presentation, "_exponent_codes", repeated)
+        with pytest.raises(BasisError, match="equal exponent vectors") as info:
+            structure_constants(Partition([2, 1]), Composition([1, 1, 1]))
+        assert info.value.witness == {"lambda": [2, 1], "mu": [1, 1, 1], "positions": [0, 1]}
+        clear_caches()
+
     def test_certificate_of_another_pair_is_rejected(self):
         cert = certify_basis(Partition([2, 1]), Composition([1, 1, 1]))
         with pytest.raises(ValueError):
@@ -1227,9 +1243,10 @@ class TestTransfer:
         assert len(cases) == 1813
 
     def test_core_built_once_with_structure_constants(self, monkeypatch):
-        # the transfer asks for the regular quotient before the H quotient,
-        # so the pair's cores are still in the slot of tableaux.shared when
-        # structure_constants certifies the pair
+        # the regular core is kept in _KEYS, not in the slot of
+        # tableaux.shared, so the pair's cores are still in the slot when
+        # structure_constants certifies the pair, whichever quotient the
+        # transfer asks for first
         real = presentation.GradedQuotient._build
         builds = []
 
@@ -1243,6 +1260,25 @@ class TestTransfer:
         anti_invariant_transfer(lam, mu)
         structure_constants(lam, mu)
         assert builds.count(mu) == 1
+
+    def test_regular_core_built_once_per_lambda_d4(self, monkeypatch):
+        # regular_quotient asks for the padded pair (lam, 1^d 0): its core
+        # is built once per (d, lam), by that pair, kept in _KEYS, and no
+        # regular key ever takes the slot of "cores"
+        clear_caches()
+        builds = _count_calls(monkeypatch, presentation.GradedQuotient, "_build")
+        expected = set()
+        for lam, mu in iter_pairs(4):
+            anti_invariant_transfer(lam, mu)
+            expected.add((lam.parts, (1,) * mu.size()))
+            latest = tableaux._LATEST.get("cores")
+            assert latest is None or set(latest[0][1]) != {1}, (lam, mu)
+        regular = Counter(
+            (zero_free_key(q.lam, q.mu), q.mu.parts[-1:])
+            for (q,) in builds if set(q.mu.parts) <= {0, 1}
+        )
+        assert regular == {(key, (0,)): 1 for key in expected}
+        assert {(key, "cores") for key in expected} <= set(tableaux._KEYS)
 
     def test_hand_example(self):
         report = anti_invariant_transfer(Partition([2, 0]), Composition([2]))
@@ -1331,6 +1367,7 @@ class TestSharedCore:
             clear_caches()
             cold[lam, mu] = _pipeline_record(lam, mu)
         padded_keys = {zero_free_key(lam, mu) for lam, mu in pairs if 0 in mu.parts}
+        regular_keys = {(lam.parts, (1,) * mu.size()) for lam, mu in pairs}
         # iter_pairs lists each zero-free pair before the padded pairs of its
         # key, so the reversed list builds a padded pair first; the first
         # pair of a key computes its transfer report and tensor, later pairs
@@ -1340,13 +1377,16 @@ class TestSharedCore:
             for lam, mu in order:
                 assert _pipeline_record(lam, mu) == cold[lam, mu], (lam, mu)
             # every pair certifies, transfers and multiplies against its H
-            # quotient and none against E
-            # and a padded pair that reads its certificate from the slot
-            # reads no chains (oracles.keys_chained_by_padded_pairs)
+            # quotient and none against E, a padded pair that reads its
+            # certificate from the slot reads no chains
+            # (oracles.keys_chained_by_padded_pairs), and every transfer
+            # keeps the regular core of its (d, lam)
             kinds = ("enumerate", "cores", ("certificate", "H"), "transfer", ("tensor", "H"))
             assert set(tableaux._KEYS) == {
                 (key, kind) for key in padded_keys for kind in kinds
-            } | {(key, "chains") for key in keys_chained_by_padded_pairs(order)}
+            } | {(key, "chains") for key in keys_chained_by_padded_pairs(order)} | {
+                (key, "cores") for key in regular_keys
+            }
 
     def test_padded_pairs_share_one_core_and_certificate(self):
         clear_caches()
@@ -1363,9 +1403,11 @@ class TestSharedCore:
         assert build_quotient(lam, Composition([2, 0, 1])).ideal_space(1) is not qa.ideal_space(1)
 
     def test_zero_free_pairs_store_nothing(self):
-        # nothing in _KEYS, and the slot holds one value per kind, each of
-        # the last zero-free pair
+        # nothing in _KEYS but the regular cores that the transfers keep
+        # there, and the slot holds one value per kind, each of the last
+        # zero-free pair
         clear_caches()
+        regular_keys = set()
         for lam, mu in iter_pairs(4):
             if 0 not in mu.parts:
                 qh = build_quotient(lam, mu, "H")
@@ -1376,8 +1418,14 @@ class TestSharedCore:
                 enumerate_column_strict(lam, mu)
                 betti(lam, mu)
                 components(lam, mu)
-                assert {key for key, _ in tableaux._LATEST.values()} == {zero_free_key(lam, mu)}
-        assert not tableaux._KEYS
+                kept = {kind: key for kind, (key, _) in tableaux._LATEST.items()}
+                if all(p == 1 for p in mu.parts):
+                    # a regular pair whose (d, lam) a transfer met before
+                    # reads its cores from _KEYS, and leaves the slot as is
+                    kept.pop("cores", None)
+                assert set(kept.values()) == {zero_free_key(lam, mu)}
+                regular_keys.add((lam.parts, (1,) * mu.size()))
+        assert set(tableaux._KEYS) == {(key, "cores") for key in regular_keys}
         assert set(tableaux._LATEST) == {
             "enumerate", "chains", "betti", "components",
             "cores", ("certificate", "H"), "transfer", ("tensor", "H"),
@@ -1495,17 +1543,18 @@ class TestSharedCore:
         assert all(qe.ideal_space(t) is qh.ideal_space(t) for t in range(qh.stop_x + 1))
 
     def test_zero_free_key_once_per_composition(self):
-        # the non-zero parts are kept on the Composition on first use, and
-        # the slot takes no part in equality, hashing or pickling
+        # the non-zero parts are set when the Composition is built, the key
+        # reads that one tuple, and the slot takes no part in equality,
+        # hashing or pickling
         lam, mu = Partition([3, 2, 1]), Composition([1, 0, 2, 2, 1])
-        assert mu._nonzero is None
+        assert mu._nonzero == (1, 2, 2, 1)
         key = zero_free_key(lam, mu)
         assert key == ((3, 2, 1), (1, 2, 2, 1))
-        again = zero_free_key(lam, mu)
-        assert again == key and again[1] is key[1] is mu._nonzero
+        assert zero_free_key(lam, mu)[1] is key[1] is mu._nonzero
         fresh = Composition([1, 0, 2, 2, 1])
         assert fresh == mu and hash(fresh) == hash(mu)
-        assert pickle.loads(pickle.dumps(mu))._nonzero is None
+        assert pickle.loads(pickle.dumps(mu))._nonzero == mu._nonzero
+        assert Composition([0, 0])._nonzero == ()
         assert zero_free_key(Partition([2]), Composition([0, 2, 0])) == ((2,), (2,))
 
     def test_unknown_family_is_rejected(self):
@@ -1595,16 +1644,14 @@ class TestClearCaches:
     def test_tables_empty_and_rebuild_equal(self):
         # every module-level mapping that a pipeline run grows is a cache,
         # and clear_caches must empty it; a padded pair fills _KEYS and a
-        # zero-free pair the slot _LATEST
+        # zero-free pair of another key the slot _LATEST
         lam = Partition([2, 1])
-        pairs = [(lam, Composition([1, 0, 2])), (lam, Composition([1, 2]))]
+        pairs = [(lam, Composition([1, 0, 2])), (lam, Composition([2, 1]))]
         clear_caches()
         sizes = {name: len(table) for name, table in _module_tables().items()}
         before = [_pipeline_record(lam, mu) for lam, mu in pairs]
         grown = [name for name, table in _module_tables().items() if len(table) > sizes.get(name, 0)]
-        assert {attr for _, attr in grown} >= {
-            "_RINGS", "_REGULAR_CACHE", "_KEYS", "_LATEST",
-        }
+        assert {attr for _, attr in grown} >= {"_RINGS", "_KEYS", "_LATEST"}
         clear_caches()
         tables = _module_tables()
         assert [name for name in grown if tables[name]] == []
