@@ -12,8 +12,10 @@ Both families contain every full symmetric function of positive degree
 (the bound for the full index set is zero), so the quotient is computed
 inside the coinvariant algebra: the ideal grows degree by degree through
 multiplication by single variables.  Degrees above twice
-(d_lam - d_mu) are verified to vanish on a window wide enough to force
-vanishing in all higher degrees, instead of being assumed.  In that window
+(d_lam - d_mu) are verified to vanish on a window as wide as the
+second-largest part of mu, which forces vanishing in all higher degrees:
+the invariants are generated by the block functions of every block but
+the largest (last-block lemma in GradedQuotient._build).  In that window
 each degree stops once its ideal rank reaches the ceiling that the
 quotient dimensions below give it, and multiplies each row only by the
 variables its mark allows, completing the products where that falls
@@ -283,8 +285,9 @@ class GradedQuotient:
     (lam, non-zero parts of mu in order).  Zero-block lemma: let mu' be mu
     with its zero parts deleted.
       - A zero block adds no variables, so every block union, the
-        transpositions() of the blocks, d_mu, max_alg, stop_x and the
-        Poincare polynomial P_mu agree for all pairs of one key.
+        transpositions() of the blocks, d_mu, the second-largest
+        non-zero part m2, stop_x and the Poincare polynomial P_mu agree
+        for all pairs of one key.
       - Adding zero blocks to a subset raises the H bound (lam gains
         parts, the mu sum does not change) or leaves it unchanged, and
         leaves the E bound unchanged (the non-zero parts outside the
@@ -401,11 +404,37 @@ class GradedQuotient:
         Unlike inserting the products stage by stage, v by v, each degree
         stays one batch in descending-lead order, and the cap, not a
         pattern of the data, decides when it is complete.  Below top_x
-        every product is formed and the cap is dim C_t."""
+        every product is formed and the cap is dim C_t.
+
+        Last-block lemma: let A = R/I_R be the quotient, so H_t = dim A_t,
+        and let m2 be the second-largest non-zero part of mu, or 1 when
+        mu has one non-zero part.  Then A_t = 0 for the m2 degrees
+        first_above <= t <= first_above + m2 - 1, with first_above =
+        max(0, top_x + 1), forces A_t = 0 for every t >= first_above, so
+        the build stops at stop_x = min(top, first_above + m2 - 1) (C is
+        zero above top).
+          - Reynolds surjection: Q[x]^{S_mu} is generated by the block
+            functions e_k(X_j), 1 <= k <= mu_j (fundamental theorem, block
+            by block), and over Q the S_mu-equivariant projection of Q[x]
+            onto C maps Q[x]^{S_mu} onto R.  So the e_k(X_j) generate R.
+          - Series inverse: with E_j(s) = sum_k e_k(X_j) s^k, the product
+            of the E_j(s) over all blocks is sum_k e_k(x) s^k = 1 in C,
+            since e_k(x) = 0 there for k >= 1.  Each E_j(s) has constant
+            term 1, so it is invertible in R[[s]], and for the block j0 of
+            the largest part E_j0(s) = prod_{j != j0} E_j(s)^{-1}: each
+            e_k(X_j0) is an integer polynomial in the e's of the other
+            blocks.  So R, and its quotient A, are generated in degrees
+            1..m2 (R = Q when mu has one non-zero part).
+          - Induction: for t >= first_above + m2, A_t is spanned by
+            products g * a, g a generator of degree k in 1..m2 and a in
+            A_{t-k}, with first_above <= t - k < t; so A_t = 0 once the
+            lower degrees vanish.
+        The regular quotient, mu = 1^d, has width 1."""
         ring = self.ring
-        max_alg = max([p for p in self.mu.parts if p > 0], default=1)
+        # the second-largest part of mu, at least 1 (last-block lemma)
+        m2 = max([1, *sorted(self.mu.parts)[-2:-1]])
         first_above = max(0, self.top_x + 1)
-        stop_x = min(ring.top, first_above + max_alg - 1)
+        stop_x = min(ring.top, first_above + m2 - 1)
         nonzero = [i for i, p in enumerate(self.mu.parts, start=1) if p]
         union_of, gens_of = {}, {}
         for family, kind in (("H", "h"), ("E", "e")):
@@ -455,7 +484,9 @@ class GradedQuotient:
                         span.extend({c: 1} for c in range(full))
                     elif below is not None:
                         span.extend(products(below, lows, True), span_cap, span_marks)
-                    entry = [below, span, span_marks, not window or span.rank >= span_cap]
+                    # degree 0 has no products: nothing to complete
+                    complete = not window or below is None or span.rank >= span_cap
+                    entry = [below, span, span_marks, complete]
                     spans.append(entry)
                 _, span, span_marks, complete = entry
                 gens = [(g, 1) for g in gens_of[family].get(t, ())]
@@ -1089,9 +1120,10 @@ def _transfer_data(lam, mu, d):
     past which both sides vanish, and that is at most stop_x, so every
     degree has a block ideal space.  With top = C(d, 2) the top degree of
     C, top_x = d_lam - d_mu <= d_lam <= top, and stop_x = min(top,
-    max(0, top_x + 1) + max_alg - 1) with max_alg >= 1, so top_x <= stop_x;
-    the regular quotient has d_mu = 0 and max_alg = 1, so reg.stop_x -
-    d_mu = min(top - d_mu, top_x + 1) <= min(top, top_x + 1) <= stop_x.
+    max(0, top_x + 1) + m2 - 1) with m2 >= 1 (last-block lemma in
+    GradedQuotient._build), so top_x <= stop_x; the regular quotient has
+    d_mu = 0 and m2 = 1, so reg.stop_x - d_mu = min(top - d_mu, top_x + 1)
+    <= min(top, top_x + 1) <= stop_x.
     """
     reg = regular_quotient(lam, d)
     quotient = build_quotient(lam, mu, "H")

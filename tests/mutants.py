@@ -11,13 +11,16 @@ adds or replaces a shortcut adds its mutants here.
 
     python tests/mutants.py [ids]
 
-runs the named mutants, or all, one at a time: it copies src/ into a
-temporary directory, applies the mutant there and runs only its node ids
-with PYTHONPATH pointing at the copy.  A mutant is killed when pytest
-exits 1 and every named node id fails; exit codes 2-5 are errors.  It
-prints one line per mutant with its time, and one per gap with its
-reason, and exits 1 if any mutant survives or errors.  tests/test_mutants.py checks the catalogue against
-the code without running it.
+runs the named mutants, or all, two at a time (JOBS): for each it copies
+src/ into a temporary directory, applies the mutant there and runs only
+its node ids with PYTHONPATH pointing at the copy.  Hypothesis runs there
+with no example database and no shrinking (the plugin PROFILE), so a
+property test that kills a mutant stops at its first failing example.  A
+mutant is killed when pytest exits 1 and every named node id fails; exit
+codes 2-5 are errors.  It prints one line per mutant with its time, in
+catalogue order, and one per gap with its reason, and exits 1 if any
+mutant survives or errors.  tests/test_mutants.py checks the catalogue
+against the code without running it.
 """
 
 import os
@@ -27,10 +30,21 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
+JOBS = 2
+
+# a pytest plugin, loaded from the mutated copy before any test module
+PROFILE = """from hypothesis import Phase, settings
+
+settings.register_profile(
+    "mutants", database=None, phases=(Phase.explicit, Phase.reuse, Phase.generate)
+)
+settings.load_profile("mutants")
+"""
 
 MUTANTS = [
     {
@@ -125,6 +139,38 @@ MUTANTS = [
         ],
     },
     {
+        "id": "last-block-largest-part",
+        "lemma": "last-block",
+        "file": "presentation.py",
+        "old": "m2 = max([1, *sorted(self.mu.parts)[-2:-1]])",
+        "new": "m2 = max([1, *sorted(self.mu.parts)[-1:]])",
+        "kills": [
+            "tests/test_presentation.py::TestVanishingWindow::test_window_products_pinned",
+            "tests/test_presentation.py::TestVanishingWindow::"
+            "test_last_block_window_equals_largest_part_window_d6",
+        ],
+    },
+    {
+        "id": "last-block-width-zero",
+        "lemma": "last-block",
+        "file": "presentation.py",
+        "old": "stop_x = min(ring.top, first_above + m2 - 1)",
+        "new": "stop_x = min(ring.top, first_above - 1)",
+        "kills": [
+            "tests/test_presentation.py::TestTwinBuild::test_truncation_witness_names_the_family",
+        ],
+    },
+    {
+        "id": "last-block-third-part",
+        "lemma": "last-block",
+        "file": "presentation.py",
+        "old": "m2 = max([1, *sorted(self.mu.parts)[-2:-1]])",
+        "new": "m2 = max([1, *sorted(self.mu.parts)[-3:-2]])",
+        "kills": [
+            "tests/test_presentation.py::TestTwinBuild::test_window_as_wide_as_second_largest_part",
+        ],
+    },
+    {
         "id": "window-completion-skipped",
         "lemma": "cap",
         "file": "presentation.py",
@@ -133,7 +179,6 @@ MUTANTS = [
         "kills": [
             "tests/test_presentation.py::TestVanishingWindow::test_completion_forms_each_product_once",
             "tests/test_presentation.py::TestTwinBuild::test_seeded_builds_equal_insertion_oracle_d6",
-            "tests/test_two_row.py::test_hilbert_series_is_anti_invariant_dimension",
         ],
     },
     {
@@ -575,27 +620,30 @@ def apply(mutant, src):
 
 
 def run(mutant):
-    """(status, detail) of one mutant: killed, survived or error."""
+    """(status, detail, seconds) of one mutant: killed, survived or error."""
+    start = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
         apply(mutant, src)
+        (src / "mutant_profile.py").write_text(PROFILE)
         env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
-             *mutant["kills"]],
+             "-p", "mutant_profile", *mutant["kills"]],
             cwd=ROOT, env=env, capture_output=True, text=True,
         )
+    seconds = time.perf_counter() - start
     if proc.returncode not in (0, 1):
-        return "error", f"pytest exit code {proc.returncode}"
+        return "error", f"pytest exit code {proc.returncode}", seconds
     errors = re.findall(r"^ERROR (\S+)", proc.stdout, re.M)
     if errors:
-        return "error", "errors: " + " ".join(errors)
+        return "error", "errors: " + " ".join(errors), seconds
     failed = set(re.findall(r"^FAILED (\S+)", proc.stdout, re.M))
     passed = [node for node in mutant["kills"] if node not in failed]
     if proc.returncode == 1 and not passed:
-        return "killed", f"{len(failed)} failed"
-    return "survived", "passed: " + " ".join(passed)
+        return "killed", f"{len(failed)} failed", seconds
+    return "survived", "passed: " + " ".join(passed), seconds
 
 
 def main(ids):
@@ -604,16 +652,17 @@ def main(ids):
     if unknown:
         print(f"unknown mutant ids: {' '.join(unknown)}", file=sys.stderr)
         return 2
+    chosen = [known[i] for i in ids] if ids else MUTANTS
     bad = 0
-    for mutant in [known[i] for i in ids] if ids else MUTANTS:
-        if not mutant["old"]:
-            print(f"{mutant['id']:32} gap      {mutant['lemma']} lemma: {mutant['reason']}")
-            continue
-        start = time.perf_counter()
-        status, detail = run(mutant)
-        bad += status != "killed"
-        print(f"{mutant['id']:32} {status:8} {time.perf_counter() - start:6.1f} s  {detail}",
-              flush=True)
+    with ThreadPoolExecutor(JOBS) as pool:
+        results = {m["id"]: pool.submit(run, m) for m in chosen if m["old"]}
+        for mutant in chosen:
+            if not mutant["old"]:
+                print(f"{mutant['id']:32} gap      {mutant['lemma']} lemma: {mutant['reason']}")
+                continue
+            status, detail, seconds = results[mutant["id"]].result()
+            bad += status != "killed"
+            print(f"{mutant['id']:32} {status:8} {seconds:6.1f} s  {detail}", flush=True)
     return 1 if bad else 0
 
 

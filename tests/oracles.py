@@ -130,19 +130,22 @@ def sym_classes_by_recurrence(ring, vars_, kind):
     return classes
 
 
-def ideal_by_insertion(quotient):
-    """The ideal spaces of a quotient, one per x-degree up to stop_x, grown
-    one insert at a time in the order that precedes batching: the degree's
-    generator classes first, then x_v times the pivot rows of I_{t-1} in
-    pivot order, for v = 1..d-1 in turn.  Each degree is propagated from
-    this oracle's own I_{t-1}, not from the library's."""
+def ideal_by_insertion(quotient, stop=None):
+    """The ideal spaces of a quotient, one per x-degree up to stop (default
+    its stop_x), grown one insert at a time in the order that precedes
+    batching: the degree's generator classes first, then x_v times the
+    pivot rows of I_{t-1} in pivot order, for v = 1..d-1 in turn.  Each
+    degree is propagated from this oracle's own I_{t-1}, not from the
+    library's."""
     ring = quotient.ring
     kind = "h" if quotient.family == "H" else "e"
+    if stop is None:
+        stop = quotient.stop_x
     gens = {}
-    for subset, r in _generator_items(quotient.lam, quotient.mu, quotient.family, quotient.stop_x):
+    for subset, r in _generator_items(quotient.lam, quotient.mu, quotient.family, stop):
         gens.setdefault(r, {})[quotient.blocks.union(subset)] = None
     ideal = []
-    for t in range(quotient.stop_x + 1):
+    for t in range(stop + 1):
         space = RowSpace(ring.dim(t))
         for vars_ in gens.get(t, ()):
             space.insert(ring.sym_classes(vars_, kind)[t])
@@ -153,6 +156,34 @@ def ideal_by_insertion(quotient):
                     space.insert(ring.apply_var(below[c], v, t - 1))
         ideal.append(space)
     return ideal
+
+
+def largest_part_stop(quotient):
+    """The last x-degree of a vanishing window as wide as the largest part
+    of mu, where the build stopped before the last-block lemma narrowed the
+    window to the second-largest part: never below the quotient's stop_x."""
+    width = max(filter(None, quotient.mu.parts), default=1)
+    return min(quotient.ring.top, max(0, quotient.top_x + 1) + width - 1)
+
+
+class WideWindow:
+    """A quotient seen up to largest_part_stop: its own ideal spaces up to
+    its stop_x, and above it those of ideal_by_insertion, whose spaces in
+    every degree up to largest_part_stop are kept in spaces; every other
+    attribute is the quotient's."""
+
+    def __init__(self, quotient):
+        self.quotient = quotient
+        self.stop_x = largest_part_stop(quotient)
+        self.spaces = ideal_by_insertion(quotient, self.stop_x)
+
+    def __getattr__(self, name):
+        return getattr(self.quotient, name)
+
+    def ideal_space(self, t):
+        if t <= self.quotient.stop_x:
+            return self.quotient.ideal_space(t)
+        return self.spaces[t] if t < len(self.spaces) else None
 
 
 def qdim_by_invariant_rows(quotient):

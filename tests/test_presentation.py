@@ -13,12 +13,14 @@ from math import factorial, prod
 import pytest
 
 from oracles import (
+    WideWindow,
     anti_invariant_dim_by_equations,
     dense,
     h_by_reduction,
     ideal_by_insertion,
     kernel_basis,
     keys_chained_by_padded_pairs,
+    largest_part_stop,
     qdim_by_invariant_rows,
     scaled_int_row,
     span,
@@ -405,12 +407,14 @@ class TestEscapeWitness:
     def test_degrees_without_tableaux(self):
         # such a degree reads the bare ideal space: a class in the ideal has
         # no coordinates, one outside it escapes with the residual witness
-        # of a certified degree; above stop_x every class lies in the ideal
-        inside = escapes = 0
+        # of a certified degree; above stop_x every class lies in the ideal,
+        # which the probes check up to one degree past a window as wide as
+        # the largest part of mu (last-block lemma)
+        inside = escapes = above = 0
         for lam, mu in iter_pairs(4):
             cert = certify_basis(lam, mu)
             ring, stop_x = cert.quotient.ring, cert.quotient.stop_x
-            for t in range(stop_x + 2):
+            for t in range(largest_part_stop(cert.quotient) + 2):
                 if t in cert.degrees:
                     continue
                 width = ring.dim(t)
@@ -418,6 +422,7 @@ class TestEscapeWitness:
                 probes.append([Fraction(k + 1, 3) for k in range(width)])
                 if t > stop_x:
                     assert all(cert.coordinates_of_class(sparse(vec), t) == {} for vec in probes)
+                    above += len(probes)
                     continue
                 ideal = cert.quotient.ideal_space(t)
                 probes += [dense(row, width) for row in ideal.pivot_rows.values()]
@@ -435,7 +440,7 @@ class TestEscapeWitness:
                         "residual": [str(v) for v in res],
                     }
                     escapes += 1
-        assert (inside, escapes) == (3847, 1180)
+        assert (inside, escapes, above) == (1023, 680, 3399)
 
 
 class TestStructureConstants:
@@ -981,6 +986,42 @@ class TestTwinBuild:
         finally:
             clear_caches()
 
+    def test_truncation_in_degree_zero(self, monkeypatch):
+        # (2,2,2)/(1,2,3) has top_x = -1, so its window starts at degree 0,
+        # which has no degree below to complete from; with no generator the
+        # unit survives there
+        monkeypatch.setattr(presentation, "_generator_items", lambda *args: [])
+        clear_caches()
+        try:
+            with pytest.raises(TruncationError) as err:
+                build_quotient(Partition([2, 2, 2]), Composition([1, 2, 3]), "H")
+            assert err.value.witness == {
+                "lambda": [2, 2, 2], "mu": [1, 2, 3], "family": "H", "degree": 0, "dimension": 1,
+            }
+        finally:
+            clear_caches()
+
+    def test_window_as_wide_as_second_largest_part(self, monkeypatch):
+        # last-block lemma: the quotient is generated in degrees up to the
+        # second-largest part m2 of mu, so it may vanish in one degree above
+        # top_x and not in the next.  (2,2,1)/(2,2,1) has top_x = 0 and
+        # m2 = 2; with the generators h_1(X_1) and h_1(X_3) alone, every
+        # degree-1 invariant lies in the ideal and e_2(X_1) does not, which
+        # a window of width 1 misses.  A patched generator_bound cannot
+        # give this ideal: it admits every r above the bound, so h_2(X_1)
+        # comes with h_1(X_1)
+        generators = [((1,), 1), ((3,), 1)]
+        monkeypatch.setattr(presentation, "_generator_items", lambda *args: generators)
+        clear_caches()
+        try:
+            with pytest.raises(TruncationError) as err:
+                build_quotient(Partition([2, 2, 1]), Composition([2, 2, 1]), "H")
+            assert err.value.witness == {
+                "lambda": [2, 2, 1], "mu": [2, 2, 1], "family": "H", "degree": 4, "dimension": 1,
+            }
+        finally:
+            clear_caches()
+
 
 def _warm_rebuild(lam, mu, count):
     """The H quotient of (lam, mu), rebuilt on a warm ring, so that every
@@ -1001,13 +1042,7 @@ class TestVanishingWindow:
 
     # every zero-free key with d <= 6 whose marked products and generators
     # fall short of the cap, with each x-degree where they do
-    COMPLETED = (
-        ((3, 3), (1, 1, 3, 1), (5, 6)),
-        ((4, 1, 1), (1, 1, 1, 2, 1), (7,)),
-        ((4, 1, 1), (1, 1, 1, 3), (5,)),
-        ((5, 1), (1, 2, 1, 2), (10,)),
-        ((5, 1), (2, 4), (6,)),
-    )
+    COMPLETED = (((5, 1), (1, 2, 1, 2), (10,)),)
 
     def test_completion_forms_each_product_once(self, monkeypatch):
         # in a completed degree every product x_v b, v < d, of the one
@@ -1030,15 +1065,39 @@ class TestVanishingWindow:
             TestTwinBuild._assert_insertion_oracle(qe)
         clear_caches()
 
+    def test_last_block_window_equals_largest_part_window_d6(self):
+        # last-block lemma: on every zero-free key with d <= 6, in both
+        # families, the insertion oracle grown through a window as wide as
+        # the largest part of mu has the library's rows up to stop_x, and no
+        # invariant quotient in any degree between stop_x and that window's
+        # end
+        clear_caches()
+        keys = degrees = 0
+        for lam, mu in iter_pairs(6):
+            if 0 in mu.parts:
+                continue
+            for family in ("H", "E"):
+                q = build_quotient(lam, mu, family)
+                wide = WideWindow(q)
+                assert [space.pivot_rows for space in wide.spaces[: q.stop_x + 1]] == [
+                    q.ideal_space(t).pivot_rows for t in range(q.stop_x + 1)
+                ], (lam, mu, family)
+                qdims = qdim_by_invariant_rows(wide)
+                assert not any(qdims[q.stop_x + 1 :]), (lam, mu, family, qdims)
+                degrees += wide.stop_x - q.stop_x
+            keys += 1
+        assert (keys, degrees) == (356, 762)
+        clear_caches()
+
     def test_window_products_pinned(self, monkeypatch):
-        # (5,1)/(1,1,1,3) has top_x = 7 and stop_x = 10: all products below
-        # the window take 285 calls, the marked ones above it 458, where
-        # every product took 1,045
+        # (5,1)/(1,1,1,3) has top_x = 7 and, its second-largest part being
+        # 1, stop_x = 8 (last-block lemma): all products below the window
+        # take 285 calls, the marked ones of its one degree 158
         calls = _count_calls(monkeypatch, CoinvariantRing, "apply_var")
         q = _warm_rebuild(Partition([5, 1]), Composition([1, 1, 1, 3]), calls)
-        assert (q.top_x, q.stop_x) == (7, 10)
+        assert (q.top_x, q.stop_x) == (7, 8)
         assert sum(1 for call in calls if call[3] < q.top_x) == 285
-        assert len(calls) == 743
+        assert len(calls) == 443
         TestTwinBuild._assert_insertion_oracle(q)
         clear_caches()
 
@@ -1175,10 +1234,11 @@ class TestTransfer:
         # the relation-space comparison against the spans of the null
         # combinations, for the antisymmetrizer and for three wrong
         # multipliers: x_1 times it, 1, and x_d^e (which gives kernels
-        # of equal dimension that differ)
+        # of equal dimension that differ); up to a window as wide as the
+        # largest part of mu, the insertion oracle's spaces above stop_x
         outcomes = []
         for lam, mu in iter_pairs(4):
-            q = build_quotient(lam, mu)
+            q = WideWindow(build_quotient(lam, mu))
             ring, reg = q.ring, regular_quotient(lam, mu.size())
             blocks = BlockStructure(mu)
             pairs = [p for j in range(1, len(mu) + 1) for p in combinations(blocks.block(j), 2)]
