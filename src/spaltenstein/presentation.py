@@ -11,15 +11,16 @@ truncated families of block symmetric functions:
 Both families contain every full symmetric function of positive degree
 (the bound for the full index set is zero), so the quotient is computed
 inside the coinvariant algebra: the ideal grows degree by degree through
-multiplication by single variables.  Degrees above twice
-(d_lam - d_mu) are verified to vanish on a window as wide as the
-second-largest part of mu, which forces vanishing in all higher degrees:
-the invariants are generated by the block functions of every block but
-the largest (last-block lemma in GradedQuotient._build).  In that window
-each degree stops once its ideal rank reaches the ceiling that the
-quotient dimensions below give it, and multiplies each row only by the
-variables its mark allows, completing the products where that falls
-short (cap lemma in GradedQuotient._build).
+multiplication by single variables, from only the members that can be
+non-zero there (vanishing-range lemma in _generator_items).  Degrees
+above twice (d_lam - d_mu) are verified to vanish on a window as wide as
+the second-largest part of mu, which forces vanishing in all higher
+degrees: the invariants are generated by the block functions of every
+block but the largest (last-block lemma in GradedQuotient._build).  In
+that window each degree stops once its ideal rank reaches the ceiling
+that the quotient dimensions below give it, and multiplies each row
+only by the variables its mark allows, completing the products where
+that falls short (cap lemma in GradedQuotient._build).
 
 The paper's theorem says the two families cut out one ideal; the
 library checks that (rel_equivalence) and never assumes it.  Still, one
@@ -47,7 +48,7 @@ grading degree; public interfaces use the grading degree throughout.
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import comb, lcm
+from math import comb, factorial, lcm
 from operator import index, mul
 
 from .coinvariant import _RINGS, get_ring, invariant_rows
@@ -70,6 +71,7 @@ from .tableaux import (
     _key_fillings,
     _member_chain,
     _relabelling,
+    count_column_strict,
     dims,
     enumerate_column_strict,
     shared,
@@ -153,18 +155,6 @@ def _validate_pair(lam, mu):
     return n, mu.size()
 
 
-def generator_bound(lam, mu, family, subset):
-    """Strict lower bound on r for the (subset, r) members of the family."""
-    inside = [mu.part(i) for i in subset]
-    if family == "H":
-        return sum(lam.parts[: len(subset)]) - sum(inside)
-    if family == "E":
-        # the number of non-zero parts of mu outside the subset
-        outside = sum(1 for p in mu.parts if p) - sum(1 for p in inside if p)
-        return sum(inside) - sum(lam.parts[outside : len(mu)])
-    raise ValueError(f"unknown family {family!r}")
-
-
 class _Record:
     """An immutable record of the fields named in __slots__, in that order;
     equal and hashed as the tuple of its field values."""
@@ -240,18 +230,62 @@ def generators(lam, mu, family="H", max_degree=None):
     return GeneratorFamily(family, lam, mu, max_degree, entries)
 
 
-def _generator_items(lam, mu, family, max_xdeg, indices=None):
+def _generator_items(lam, mu, family, max_xdeg, in_coinvariants=False):
     """The (subset, r) of the family members of x-degree at most max_xdeg,
-    over the non-empty subsets of indices (default: every index of mu),
-    ordered by subset size, then subset, then r."""
-    if indices is None:
-        indices = range(1, len(mu) + 1)
+    ordered by subset size, then subset, then r.  By default, the members
+    as polynomials in Q[x] (generators): every non-empty subset S of the
+    indices of mu, and every r > b(S), the bound of the module docstring.
+    With in_coinvariants, for the build, which reads them in the
+    coinvariant algebra C of S_d, only the members that can be non-zero
+    there: the subsets of the non-zero blocks (zero-block lemma in
+    GradedQuotient), each with the r of its vanishing range.
+
+    The bounds, from one running sum: let tails[j] = lam_{j+1} + ... +
+    lam_n (n = len(mu)), |X_S| the sum of the parts of mu in S, and k the
+    number of non-zero parts of mu.  With the ceiling c(S) = d - |X_S| for
+    H and |X_S| for E, and the width w(S) = tails[|S|] for H and
+    tails[k - z] for E, z the number of non-zero parts of mu in S, b(S) =
+    c(S) - w(S): for H, lam_1 + ... + lam_|S| = d - tails[|S|], and for E
+    the l of the module docstring is k - z.
+
+    Vanishing-range lemma: in C, h_r(X) = 0 for r > d - |X| and e_r(X) = 0
+    for r > |X| (vanishing lemma in coinvariant.CoinvariantRing.sym_classes),
+    so the member (S, r) can be non-zero in C only for b(S) < r <= c(S),
+    the w(S) degrees just below its ceiling.  The width is zero, and the
+    range empty, for every subset of a size with tails[|S|] = 0, that is
+    |S| >= len(lam), for H; and, as z = |S| over the non-zero blocks, with
+    tails[k - |S|] = 0, that is |S| <= k - len(lam), for E.  E's one
+    subset of size k, all the non-zero blocks, has a range ending at d,
+    but its members e_r(x_1, ..., x_d) are the relations C is the quotient
+    by, zero for every r >= 1.  So those sizes form no subset, and a
+    subset whose range is empty adds no item, so the build forms no block
+    union for it.  Q[x] has no such ceiling: there h_r(X) is not zero for
+    any r, so generators keeps every member."""
+    n, d, k = len(mu), mu.size(), len(mu._nonzero)
+    weight = (0,) + mu.parts
+    tails = [0] * (n + 1)
+    for j in range(n - 1, -1, -1):
+        tails[j] = tails[j + 1] + lam.part(j + 1)
+    if not in_coinvariants:
+        indices, sizes = range(1, n + 1), range(1, n + 1)
+    else:
+        # the sizes that can give a non-zero member (vanishing-range lemma)
+        height = lam.height()
+        indices = [i for i in range(1, n + 1) if weight[i]]
+        if family == "H":
+            sizes = range(1, min(height, k + 1))
+        else:
+            sizes = range(max(1, k - height + 1), k)
     items = []
-    for size in range(1, len(indices) + 1):
+    for size in sizes:
         for subset in combinations(indices, size):
-            bound = generator_bound(lam, mu, family, subset)
-            for r in range(max(0, bound + 1), max_xdeg + 1):
-                items.append((subset, r))
+            inside = [weight[i] for i in subset]
+            if family == "H":
+                ceiling, width = d - sum(inside), tails[size]
+            else:
+                ceiling, width = sum(inside), tails[k - size + inside.count(0)]
+            top = min(max_xdeg, ceiling) if in_coinvariants else max_xdeg
+            items += ((subset, r) for r in range(max(0, ceiling - width + 1), top + 1))
     return items
 
 
@@ -326,10 +360,10 @@ class GradedQuotient:
 
     def _build(self):
         """The cores {"H": core, "E": core} of this pair, each core (stop_x,
-        ideal spaces by x-degree, Hilbert series).  Generators are
-        collected per family and degree as a set of block unions, keyed by
-        (variables, r), over the subsets of the non-zero blocks (zero-block
-        lemma): inserting one vector twice cannot change a span.
+        ideal spaces by x-degree, Hilbert series).  The generator classes
+        are those of _generator_classes: only the members that can be
+        non-zero in C, each block union once per degree, as inserting one
+        vector twice cannot change a span.
 
         Degree t of a family is I_t = P_t + span G_t, with G_t the
         family's generator classes of degree t and P_t = sum_{v<d} x_v
@@ -435,19 +469,7 @@ class GradedQuotient:
         m2 = max([1, *sorted(self.mu.parts)[-2:-1]])
         first_above = max(0, self.top_x + 1)
         stop_x = min(ring.top, first_above + m2 - 1)
-        nonzero = [i for i, p in enumerate(self.mu.parts, start=1) if p]
-        union_of, gens_of = {}, {}
-        for family, kind in (("H", "h"), ("E", "e")):
-            by_deg = {}
-            for subset, r in _generator_items(self.lam, self.mu, family, stop_x, nonzero):
-                vars_ = union_of.get(subset)
-                if vars_ is None:
-                    vars_ = union_of[subset] = self.blocks.union(subset)
-                by_deg.setdefault(r, {})[vars_] = None
-            if family == "E" and self.lam.height() > len(nonzero):
-                by_deg.setdefault(0, {})[()] = None
-            classes = {v: ring.sym_classes(v, kind) for v in set().union(*by_deg.values())}
-            gens_of[family] = {t: [classes[v][t] for v in gens] for t, gens in by_deg.items()}
+        gens_of = _generator_classes(self, stop_x)
         poincare = _poincare(self.mu.parts)
         ideals, marks, qdims = {"H": {}, "E": {}}, {"H": {}, "E": {}}, {"H": [], "E": []}
 
@@ -549,6 +571,32 @@ class GradedQuotient:
             "top_degree": 2 * self.top_x,
             "total_dimension": self.hilbert.total(),
         }
+
+
+def _generator_classes(quotient, stop_x):
+    """{family: {t: generator classes of x-degree t}} of the quotient's key
+    up to stop_x, for GradedQuotient._build: the members that can be
+    non-zero in C (vanishing-range lemma in _generator_items), collected
+    per family and degree as a set of block unions, keyed by (variables,
+    r), in the order of their first member.  Each subset's union is formed
+    once, and the classes of each union come from its one cached
+    sym_classes list.  E adds the unit e_0() of a subset of zero blocks
+    when lam has more parts than mu has non-zero ones (zero-block lemma in
+    GradedQuotient)."""
+    ring, lam, mu = quotient.ring, quotient.lam, quotient.mu
+    union_of, gens_of = {}, {}
+    for family, kind in (("H", "h"), ("E", "e")):
+        by_deg = {}
+        for subset, r in _generator_items(lam, mu, family, stop_x, True):
+            vars_ = union_of.get(subset)
+            if vars_ is None:
+                vars_ = union_of[subset] = quotient.blocks.union(subset)
+            by_deg.setdefault(r, {})[vars_] = None
+        if family == "E" and lam.height() > len(mu._nonzero):
+            by_deg.setdefault(0, {})[()] = None
+        classes = {v: ring.sym_classes(v, kind) for v in set().union(*by_deg.values())}
+        gens_of[family] = {t: [classes[v][t] for v in gens] for t, gens in by_deg.items()}
+    return gens_of
 
 
 def _with_generators(span, span_marks, gens, cap):
@@ -846,6 +894,12 @@ def normal_form(p, certificate):
     return {T: c for T, c in coords.items() if c}
 
 
+# the most pairs i <= j of basis elements that structure_constants forms a
+# tensor for: every d <= 6 key has at most 259,560, and (6)/(1^6) peaks at
+# 115 MB; 2M pairs keep the peak near 1 GB (2 vCPUs, Python 3.11.7)
+MAX_PAIRS = 2_000_000
+
+
 def structure_constants(lam, mu, family="H", certificate=None):
     """Multiplication tensor of the certified basis.
 
@@ -865,14 +919,35 @@ def structure_constants(lam, mu, family="H", certificate=None):
     is formed at most once (product lemma in _tensor_data): none above
     stop_x, where the quotient vanishes (vanishing skip), and none that is
     itself a basis element b_k, whose coordinates are {k: 1} (unit lemma).
+
+    A basis of n elements whose n(n+1)/2 pairs i <= j exceed MAX_PAIRS is
+    refused with ValueError, before any certification or product; there is
+    no override.  With a given certificate n is its size.  Otherwise the
+    ring is asked for first, so a d above coinvariant.MAX_D is refused as
+    in regular_quotient, and n is counted (count_column_strict) only when
+    d! exceeds the cap: a filling is determined by its reading word, a
+    word of d letters with content mu, so n <= d!.
     """
     if certificate is None:
-        certificate = certify_basis(lam, mu, family)
+        _, d = _validate_pair(lam, mu)
+        get_ring(d)
+        n = factorial(d)
+        if n * (n + 1) // 2 > MAX_PAIRS:
+            n = count_column_strict(lam, mu)
     elif (certificate.lam, certificate.mu) != (lam, mu):
         raise ValueError(
             f"the certificate of ({certificate.lam}, {certificate.mu}) is not "
             f"one of ({lam}, {mu})"
         )
+    else:
+        n = len(certificate.degrees)
+    if n * (n + 1) // 2 > MAX_PAIRS:
+        raise ValueError(
+            f"the tensor of ({lam}, {mu}) has {n * (n + 1) // 2} pairs of basis "
+            f"elements, more than the cap of {MAX_PAIRS}"
+        )
+    if certificate is None:
+        certificate = certify_basis(lam, mu, family)
     tabs = certificate.tableaux
     packed = shared(
         ("tensor", certificate.quotient.family), lam, mu, lambda: _tensor_data(certificate)
@@ -1008,13 +1083,16 @@ def rel_equivalence(lam, mu, qh=None, qe=None):
 
     Each ideal_space(t) is a RowSpace in canonical form (the unique
     reduced echelon basis of the span), so two ideal spaces are equal
-    exactly when they compare equal with ==, which reads the stored rows,
-    and reads none where the E quotient keeps the H quotient's object
-    (shared products in GradedQuotient._build).  The stopping degree
-    stop_x depends only on the zero-free key of (lam, mu), and above it
-    both quotients are verified to vanish.  So the families are
-    equivalent exactly when they have equal ideal spaces in every degree
-    up to stop_x; equal Hilbert series follow.
+    exactly when they compare equal with ==, which reads the stored rows.
+    The stopping degree stop_x depends only on the zero-free key of (lam,
+    mu), and above it both quotients are verified to vanish.  So the
+    families are equivalent exactly when they have equal ideal spaces in
+    every degree up to stop_x; equal Hilbert series follow.  Both
+    quotients keep their spaces in one dict each, holding exactly the
+    degrees 0..stop_x of the one key, so one == of the two dicts compares
+    them degree by degree; dict equality tests identity before ==, so it
+    reads no row where the E quotient keeps the H quotient's object
+    (shared products in GradedQuotient._build).
 
     qh must be an H quotient and qe an E quotient, both of the zero-free
     key of (lam, mu), else ValueError; the pair is validated once, and
@@ -1027,7 +1105,7 @@ def rel_equivalence(lam, mu, qh=None, qe=None):
     if (qh.family, qe.family) != ("H", "E"):
         raise ValueError(f"expected an H and an E quotient, got {qh.family} and {qe.family}")
     _check_keys(lam, mu, qh, qe)
-    return all(qh.ideal_space(t) == qe.ideal_space(t) for t in range(qh.stop_x + 1))
+    return qh._ideal == qe._ideal
 
 
 def regular_quotient(lam, d):

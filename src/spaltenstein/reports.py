@@ -16,6 +16,7 @@ from .presentation import HilbertSeries
 from .tableaux import (
     _cell_leq,
     _check_sizes,
+    _identity,
     _key_chains,
     _key_fillings,
     _relabelling,
@@ -83,6 +84,8 @@ def components(lam, mu):
     keeps semi-standardness and commutes with straightening, and d_mu =
     d_mu', so every pair relabels the triples of its zero-free pair, kept
     by shared, which straightens the key's fillings along their chains.
+    Where iota is the identity the fibers are copied, with no call per
+    tableau; every call returns fresh lists.
     """
 
     def compute():
@@ -99,6 +102,8 @@ def components(lam, mu):
 
     relabel = _relabelling(mu)
     triples = shared("components", lam, mu, compute)
+    if relabel is _identity:
+        return [(S, dim, list(fiber)) for S, dim, fiber in triples]
     return [(relabel(S), dim, [relabel(T) for T in fiber]) for S, dim, fiber in triples]
 
 

@@ -16,12 +16,15 @@ functions, so everything is safe to share between threads.  A Tableau
 keeps its columns in one slot, filled by the enumerator or on the first
 columns() call: the columns are a function of the rows (lemma in
 _columns_to_tableau), so the slot takes no part in ==, hash or repr, and
-a second filling writes an equal value.  A Composition keeps its
-non-zero parts in one slot, set at construction (zero_free_key).  The data
-shared per zero-free key (_KEYS, and the one-key slot _LATEST, both
-written only by shared) holds only values that a recomputation gives
-equal; through it, one key enumerates and chains its fillings once, for
-every pair of the key.
+a second filling writes an equal value.  A Partition or Composition
+keeps its size in one slot the same way, filled on the first size()
+call, so a pair read by many calls sums its parts once and a pair built
+for one call pays nothing at construction but the empty slot.  A
+Composition keeps its non-zero parts in one slot, set at construction
+(zero_free_key).  The data shared per zero-free key (_KEYS, and the
+one-key slot _LATEST, both written only by shared) holds only values
+that a recomputation gives equal; through it, one key enumerates and
+chains its fillings once, for every pair of the key.
 """
 
 from itertools import combinations
@@ -31,9 +34,12 @@ from operator import index
 
 class _Parts:
     """The members Partition and Composition share: a tuple of ints in the
-    one slot parts, immutable; messages and reprs name the class."""
+    slot parts, immutable; messages and reprs name the class.
 
-    __slots__ = ("parts",)
+    The slot _size holds size() once read, else None; it is a function of
+    parts, so it takes no part in ==, hash, repr or pickling."""
+
+    __slots__ = ("parts", "_size")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -48,7 +54,12 @@ class _Parts:
         return len(self.parts)
 
     def size(self):
-        return sum(self.parts)
+        """The sum of the parts, computed at most once."""
+        size = self._size
+        if size is None:
+            size = sum(self.parts)
+            _set_size(self, size)
+        return size
 
     def part(self, i):
         """The i-th part (1-indexed), zero beyond the length."""
@@ -80,6 +91,7 @@ class Partition(_Parts):
         while parts and parts[-1] == 0:
             parts = parts[:-1]
         object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "_size", None)
 
     @classmethod
     def _trusted(cls, parts):
@@ -88,6 +100,7 @@ class Partition(_Parts):
         has built valid."""
         out = _new(cls)
         _set_parts(out, parts)
+        _set_size(out, None)
         return out
 
     def __eq__(self, other):
@@ -124,6 +137,7 @@ class Composition(_Parts):
         if any(p < 0 for p in parts):
             raise ValueError(f"parts {parts} contain a negative entry")
         object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "_size", None)
         object.__setattr__(self, "_nonzero", tuple(p for p in parts if p))
 
     def __eq__(self, other):
@@ -133,12 +147,14 @@ class Composition(_Parts):
         return hash(("Composition", self.parts))
 
     def sorted(self):
-        """The partition obtained by sorting the parts decreasingly."""
-        return Partition(sorted(self.parts, reverse=True))
+        """The partition obtained by sorting the parts decreasingly: the
+        non-zero parts, positive ints, sorted, so built unchecked."""
+        return Partition._trusted(tuple(sorted(self._nonzero, reverse=True)))
 
 
 _new = object.__new__
 _set_parts = _Parts.parts.__set__
+_set_size = _Parts._size.__set__
 
 
 class Tableau:
@@ -301,13 +317,20 @@ def dominance_leq(a, b):
     """Dominance order: every prefix sum of a is at most that of b.
 
     Both arguments must be partitions of the same number.
+
+    Prefix lemma: the walk reads the prefix sums of a and b together, up
+    to the last part of the shorter one.  With |a| = |b|: past b's last
+    part b's prefix sum is |b| = |a|, which no prefix sum of a exceeds;
+    past a's last part a's prefix sum is |a|, so a later prefix can fail
+    only if b's prefix sum at len(a) is below |b|, and the walk's last
+    step, at len(a), already tests that.
     """
     if a.size() != b.size():
         raise ValueError(f"dominance needs equal sizes, got {a.size()} != {b.size()}")
     sa = sb = 0
-    for m in range(1, max(len(a), len(b)) + 1):
-        sa += a.part(m)
-        sb += b.part(m)
+    for p, q in zip(a.parts, b.parts):
+        sa += p
+        sb += q
         if sa > sb:
             return False
     return True
@@ -413,14 +436,19 @@ def shared(kind, lam, mu, compute):
     return value
 
 
+def _identity(T):
+    """The relabelling of a mu whose zero parts all trail (_relabelling)."""
+    return T
+
+
 def _relabelling(mu):
     """The label map iota of mu, applied entry by entry: the tableaux of the
     zero-free key of mu onto those of mu (lemma in enumerate_column_strict).
-    When the zero parts of mu all trail, iota is the identity and so is
-    this map."""
+    When the zero parts of mu all trail, iota is the identity and this map
+    is _identity, which callers test for to skip the map."""
     iota = (0,) + tuple(i for i, p in enumerate(mu.parts, start=1) if p)
     if iota == tuple(range(len(iota))):
-        return lambda T: T
+        return _identity
     label = iota.__getitem__
 
     def relabel(T):
@@ -453,9 +481,12 @@ def enumerate_column_strict(lam, mu):
     cell_order.  This is the lemma of certify_basis, extended to fibers.
 
     So every pair returns the fillings of its zero-free pair, kept by
-    shared (_key_fillings), relabelled by iota, in a new list.
+    shared (_key_fillings), relabelled by iota, in a new list; where iota
+    is the identity, the list is a copy, with no call per tableau.
     """
     relabel = _relabelling(mu)
+    if relabel is _identity:
+        return list(_key_fillings(lam, mu))
     return [relabel(T) for T in _key_fillings(lam, mu)]
 
 

@@ -580,8 +580,8 @@ MUTANTS = [
         "id": "e-unit-counts-zero-blocks",
         "lemma": "zero-block",
         "file": "presentation.py",
-        "old": "self.lam.height() > len(nonzero)",
-        "new": "self.lam.height() > len(self.mu)",
+        "old": "lam.height() > len(mu._nonzero)",
+        "new": "lam.height() > len(mu)",
         "kills": [
             "tests/test_pinned.py::test_outputs_pinned_d4",
         ],
@@ -595,6 +595,84 @@ MUTANTS = [
         "kills": [
             "tests/test_presentation.py::TestTransfer::test_regular_core_built_once_per_lambda_d4",
             "tests/test_presentation.py::TestSharedCore::test_zero_free_pairs_store_nothing",
+        ],
+    },
+    {
+        "id": "range-h-ceiling-one-low",
+        "lemma": "vanishing-range",
+        "file": "presentation.py",
+        "old": "ceiling, width = d - sum(inside), tails[size]",
+        "new": "ceiling, width = d - sum(inside) - 1, tails[size] - 1",
+        "kills": [
+            "tests/test_presentation.py::TestGeneratorRange::"
+            "test_build_classes_equal_nonzero_oracle_classes_d6",
+        ],
+    },
+    {
+        "id": "range-e-ceiling-one-low",
+        "lemma": "vanishing-range",
+        "file": "presentation.py",
+        "old": "ceiling, width = sum(inside), tails[k - size + inside.count(0)]",
+        "new": "ceiling, width = sum(inside) - 1, tails[k - size + inside.count(0)] - 1",
+        "kills": [
+            "tests/test_presentation.py::TestGeneratorRange::"
+            "test_build_classes_equal_nonzero_oracle_classes_d6",
+        ],
+    },
+    {
+        "id": "range-h-sizes-one-short",
+        "lemma": "vanishing-range",
+        "file": "presentation.py",
+        "old": "sizes = range(1, min(height, k + 1))",
+        "new": "sizes = range(1, min(height - 1, k + 1))",
+        "kills": [
+            "tests/test_presentation.py::TestGeneratorRange::"
+            "test_build_classes_equal_nonzero_oracle_classes_d6",
+            "tests/test_presentation.py::TestGeneratorRange::test_build_forms_unions_only_for_ranges",
+        ],
+    },
+    {
+        "id": "range-e-sizes-one-short",
+        "lemma": "vanishing-range",
+        "file": "presentation.py",
+        "old": "sizes = range(max(1, k - height + 1), k)",
+        "new": "sizes = range(max(1, k - height + 2), k)",
+        "kills": [
+            "tests/test_presentation.py::TestGeneratorRange::"
+            "test_build_classes_equal_nonzero_oracle_classes_d6",
+            "tests/test_presentation.py::TestGeneratorRange::test_build_forms_unions_only_for_ranges",
+        ],
+    },
+    {
+        "id": "range-e-sizes-reach-full-set",
+        "lemma": "vanishing-range",
+        "file": "presentation.py",
+        "old": "sizes = range(max(1, k - height + 1), k)",
+        "new": "sizes = range(max(1, k - height + 1), k + 1)",
+        "kills": [
+            "tests/test_presentation.py::TestGeneratorRange::"
+            "test_build_classes_equal_nonzero_oracle_classes_d6",
+            "tests/test_presentation.py::TestGeneratorRange::test_build_forms_unions_only_for_ranges",
+        ],
+    },
+    {
+        "id": "prefix-walk-stops-early",
+        "lemma": "prefix",
+        "file": "tableaux.py",
+        "old": "for p, q in zip(a.parts, b.parts):",
+        "new": "for p, q in zip(a.parts[:-1], b.parts):",
+        "kills": [
+            "tests/test_tableaux.py::TestDominance::test_prefix_sum_oracle",
+        ],
+    },
+    {
+        "id": "equivalence-compares-degrees-only",
+        "lemma": "order",
+        "file": "presentation.py",
+        "old": "return qh._ideal == qe._ideal",
+        "new": "return qh._ideal.keys() == qe._ideal.keys()",
+        "kills": [
+            "tests/test_presentation.py::TestTwinBuild::test_divergent_families_equal_cold_builds",
         ],
     },
     {

@@ -6,7 +6,7 @@ from math import factorial, lcm, prod
 
 from spaltenstein.coinvariant import get_ring, invariant_rows
 from spaltenstein.linalg import RowSpace, _subtract
-from spaltenstein.presentation import HilbertSeries, _generator_items
+from spaltenstein.presentation import HilbertSeries
 from spaltenstein.symring import BlockStructure, Polynomial, complete_block
 from spaltenstein.tableaux import (
     Tableau,
@@ -130,6 +130,59 @@ def sym_classes_by_recurrence(ring, vars_, kind):
     return classes
 
 
+def generator_bound(lam, mu, family, subset):
+    """Strict lower bound on r for the (subset, r) members of the family,
+    summed from the definition for the one subset."""
+    inside = [mu.part(i) for i in subset]
+    if family == "H":
+        return sum(lam.parts[: len(subset)]) - sum(inside)
+    if family == "E":
+        # the number of non-zero parts of mu outside the subset
+        outside = sum(1 for p in mu.parts if p) - sum(1 for p in inside if p)
+        return sum(inside) - sum(lam.parts[outside : len(mu)])
+    raise ValueError(f"unknown family {family!r}")
+
+
+def generator_items(lam, mu, family, max_xdeg, indices=None):
+    """The (subset, r) of every family member of x-degree at most max_xdeg,
+    over the non-empty subsets of indices (default: every index of mu),
+    ordered by subset size, then subset, then r: every subset and every r
+    above its bound, with no vanishing range, so members that are zero in
+    the coinvariant algebra are included."""
+    if indices is None:
+        indices = range(1, len(mu) + 1)
+    items = []
+    for size in range(1, len(indices) + 1):
+        for subset in combinations(indices, size):
+            bound = generator_bound(lam, mu, family, subset)
+            for r in range(max(0, bound + 1), max_xdeg + 1):
+                items.append((subset, r))
+    return items
+
+
+def generator_classes(quotient, stop_x):
+    """{family: {t: classes}} as the build collected them before the
+    vanishing range: every member of generator_items over the non-zero
+    blocks up to stop_x, each block union once per degree in the order of
+    its first member, and E's unit e_0() of zero blocks where lam has more
+    parts than mu has non-zero ones; then the zero classes dropped."""
+    ring, lam, mu = quotient.ring, quotient.lam, quotient.mu
+    nonzero = [i for i, p in enumerate(mu.parts, start=1) if p]
+    out = {}
+    for family, kind in (("H", "h"), ("E", "e")):
+        by_deg = {}
+        for subset, r in generator_items(lam, mu, family, stop_x, nonzero):
+            by_deg.setdefault(r, {})[quotient.blocks.union(subset)] = None
+        if family == "E" and lam.height() > len(nonzero):
+            by_deg.setdefault(0, {})[()] = None
+        out[family] = {}
+        for t, unions in by_deg.items():
+            classes = [ring.sym_classes(v, kind)[t] for v in unions]
+            if any(classes):
+                out[family][t] = [row for row in classes if row]
+    return out
+
+
 def ideal_by_insertion(quotient, stop=None):
     """The ideal spaces of a quotient, one per x-degree up to stop (default
     its stop_x), grown one insert at a time in the order that precedes
@@ -142,7 +195,7 @@ def ideal_by_insertion(quotient, stop=None):
     if stop is None:
         stop = quotient.stop_x
     gens = {}
-    for subset, r in _generator_items(quotient.lam, quotient.mu, quotient.family, stop):
+    for subset, r in generator_items(quotient.lam, quotient.mu, quotient.family, stop):
         gens.setdefault(r, {})[quotient.blocks.union(subset)] = None
     ideal = []
     for t in range(stop + 1):

@@ -12,10 +12,13 @@ from math import factorial, prod
 
 import pytest
 
+import oracles
 from oracles import (
     WideWindow,
     anti_invariant_dim_by_equations,
     dense,
+    generator_classes,
+    generator_items,
     h_by_reduction,
     ideal_by_insertion,
     kernel_basis,
@@ -36,12 +39,13 @@ from spaltenstein.presentation import (
     TransferReport,
     TruncationError,
     VerificationError,
+    MAX_PAIRS,
+    _generator_classes,
     _generator_items,
     anti_invariant_transfer,
     build_quotient,
     certify_basis,
     clear_caches,
-    generator_bound,
     generators,
     h_of_tableau,
     normal_form,
@@ -59,6 +63,8 @@ from spaltenstein.tableaux import (
     Tableau,
     _chain,
     compositions,
+    count_column_strict,
+    dims,
     dominance_leq,
     enumerate_column_strict,
     iter_pairs,
@@ -108,8 +114,9 @@ class TestGenerators:
                     if lam.height() > n:
                         continue
                     full = tuple(range(1, n + 1))
-                    assert generator_bound(lam, mu_c, "H", full) == 0
-                    assert generator_bound(lam, mu_c, "E", full) == 0
+                    for family in ("H", "E"):
+                        items = _generator_items(lam, mu_c, family, d)
+                        assert [r for s, r in items if s == full] == list(range(1, d + 1))
 
     def test_degree_zero_generator_when_not_dominated(self):
         lam, mu = Partition([1, 1]), Composition([2, 0])
@@ -117,6 +124,73 @@ class TestGenerators:
         fam_e = generators(lam, mu, "E", 2)
         assert any(r == 0 for _, r, _ in fam_h.entries)
         assert any(r == 0 for _, r, _ in fam_e.entries)
+
+
+class TestGeneratorRange:
+    """The build collects only the members that can be non-zero in C
+    (vanishing-range lemma in presentation._generator_items), and
+    generators still lists every member, in Q[x]."""
+
+    def test_build_classes_equal_nonzero_oracle_classes_d6(self):
+        # the library collects no zero class, so it equals the oracle's
+        # non-zero classes as it stands
+        pairs = 0
+        for lam, mu in iter_pairs(6):
+            q = build_quotient(lam, mu, "H")
+            assert _generator_classes(q, q.stop_x) == generator_classes(q, q.stop_x), (lam, mu)
+            pairs += 1
+        assert pairs == 9804
+
+    def test_dropped_members_vanish_d7(self):
+        # every key with d <= 7, every r up to the top degree of C
+        keys = dropped = 0
+        for d in range(8):
+            ring = get_ring(d)
+            for n in range(0 if d == 0 else 1, d + 1):
+                for lam in map(Partition, partitions(d, n)):
+                    for mu in map(Composition, compositions(d, n)):
+                        if 0 in mu.parts:
+                            continue
+                        blocks = BlockStructure(mu)
+                        for family, kind in (("H", "h"), ("E", "e")):
+                            kept = set(_generator_items(lam, mu, family, ring.top, True))
+                            for subset, r in generator_items(lam, mu, family, ring.top):
+                                if (subset, r) not in kept:
+                                    union = blocks.union(subset)
+                                    assert ring.sym_classes(union, kind)[r] == {}, (
+                                        lam, mu, family, subset, r,
+                                    )
+                                    dropped += 1
+                        keys += 1
+        assert keys == 1015
+        assert dropped == 730912
+
+    def test_generators_equal_oracle_members_d5(self):
+        # generators at its default degree; the collection it reads, by
+        # default, up to the top degree of C
+        pairs = 0
+        for lam, mu in iter_pairs(5):
+            top = get_ring(mu.size()).top
+            for family in ("H", "E"):
+                fam = generators(lam, mu, family)
+                members = generator_items(lam, mu, family, fam.max_degree // 2)
+                assert [(s, r) for s, r, _ in fam.entries] == members, (lam, mu, family)
+                for max_xdeg in (-1, 0, top):
+                    expected = generator_items(lam, mu, family, max_xdeg)
+                    assert _generator_items(lam, mu, family, max_xdeg) == expected
+            pairs += 1
+        assert pairs == 1641
+
+    def test_build_forms_unions_only_for_ranges(self, monkeypatch):
+        # (2,2,2)/(1,1,1,1,1,1): H has ranges for the subsets of sizes 1
+        # and 2 only, E for sizes 4 and 5; the 20 subsets of size 3 form
+        # no union, and neither does E's full set, whose members are zero
+        calls = _count_calls(monkeypatch, BlockStructure, "union")
+        clear_caches()
+        build_quotient(Partition([2, 2, 2]), Composition([1] * 6), "H")
+        sizes = Counter(len(call[1]) for call in calls)
+        assert sizes == {1: 6, 2: 15, 4: 15, 5: 6}
+        clear_caches()
 
 
 class TestRecords:
@@ -444,6 +518,46 @@ class TestEscapeWitness:
 
 
 class TestStructureConstants:
+    def test_cap_refuses_before_certifying(self, monkeypatch):
+        # (7)/(1^7) has 5,040 tableaux, so 12,703,320 pairs
+        certified = _count_calls(monkeypatch, presentation, "certify_basis")
+        products = _count_calls(monkeypatch, CoinvariantRing, "mul_classes")
+        with pytest.raises(ValueError) as err:
+            structure_constants(Partition([7]), Composition([1] * 7))
+        assert "12703320 pairs" in str(err.value)
+        assert f"cap of {MAX_PAIRS}" in str(err.value)
+        assert certified == [] and products == []
+
+    def test_cap_refuses_a_given_certificate_by_its_size(self, monkeypatch):
+        lam, mu = Partition([3, 1]), Composition([1, 1, 1, 1])
+        certificate = certify_basis(lam, mu)
+        monkeypatch.setattr(presentation, "MAX_PAIRS", 77)
+        products = _count_calls(monkeypatch, CoinvariantRing, "mul_classes")
+        # 12 tableaux: 78 pairs
+        with pytest.raises(ValueError, match="78 pairs"):
+            structure_constants(lam, mu, certificate=certificate)
+        assert products == []
+        monkeypatch.setattr(presentation, "MAX_PAIRS", 78)
+        tabs, _ = structure_constants(lam, mu, certificate=certificate)
+        assert len(tabs) == 12
+
+    def test_cap_admits_every_key_d6(self, monkeypatch):
+        # d <= 6 needs no count: 6! * (6! + 1) / 2 = 259,560 is within the cap
+        assert 259560 <= MAX_PAIRS
+        largest = 0
+        for lam, mu in iter_pairs(6):
+            if 0 not in mu.parts and dominance_leq(mu.sorted(), lam):
+                n = count_column_strict(lam, mu)
+                largest = max(largest, n * (n + 1) // 2)
+        assert largest == 259560
+
+        def refused(*args):
+            raise AssertionError("count_column_strict called")
+
+        monkeypatch.setattr(presentation, "count_column_strict", refused)
+        tabs, _ = structure_constants(Partition([3, 1]), Composition([1, 2, 1]))
+        assert len(tabs) == 5
+
     def test_unit_acts_as_identity(self):
         tabs, tensor = structure_constants(Partition([2, 0]), Composition([1, 1]))
         unit = next(i for i, T in enumerate(tabs) if T == Tableau([[2, 1]]))
@@ -881,7 +995,7 @@ class TestSparsePropagation:
             for family, kind in (("H", "h"), ("E", "e")):
                 q = build_quotient(lam, mu, family)
                 ring = q.ring
-                items = _generator_items(lam, mu, family, q.stop_x)
+                items = generator_items(lam, mu, family, q.stop_x)
                 for t in range(q.stop_x + 1):
                     oracle = RowSpace(ring.dim(t))
                     for subset, r in items:
@@ -931,13 +1045,20 @@ class TestTwinBuild:
         # ideals differ; (3,1)/(1,1,1,1) agrees in degrees 0 and 1, parts
         # in degree 2, where only H gains, and meets again in the full
         # degree 4.  Where the ideals below differ, each family forms its
-        # own products, which the insertion oracle checks
-        bound = presentation.generator_bound
+        # own products, which the insertion oracle checks.  The build reads
+        # the member from its collection, the oracle from its lowered bound
+        bound, items = oracles.generator_bound, presentation._generator_items
 
         def lowered(lam, mu, family, subset):
             return bound(lam, mu, family, subset) - (family == "H" and subset == (1,))
 
-        monkeypatch.setattr(presentation, "generator_bound", lowered)
+        def with_member(lam, mu, family, max_xdeg, *in_coinvariants):
+            r = bound(lam, mu, family, (1,))
+            extra = [((1,), r)] if family == "H" and mu.parts and 0 <= r <= max_xdeg else []
+            return extra + items(lam, mu, family, max_xdeg, *in_coinvariants)
+
+        monkeypatch.setattr(oracles, "generator_bound", lowered)
+        monkeypatch.setattr(presentation, "_generator_items", with_member)
         differ = 0
         for lam, mu in iter_pairs(4):
             if 0 in mu.parts:
@@ -970,12 +1091,14 @@ class TestTwinBuild:
         # E loses e_r(block 1) at the bound of (2,1)/(1,2), so its quotient
         # no longer vanishes above top_x; the H call builds both families
         # and raises for E
-        bound = presentation.generator_bound
+        items = presentation._generator_items
 
-        def raised(lam, mu, family, subset):
-            return bound(lam, mu, family, subset) + (family == "E" and subset == (1,))
+        def raised(lam, mu, family, max_xdeg, *in_coinvariants):
+            lost = ((1,), oracles.generator_bound(lam, mu, family, (1,)) + 1)
+            kept = items(lam, mu, family, max_xdeg, *in_coinvariants)
+            return [item for item in kept if family != "E" or item != lost]
 
-        monkeypatch.setattr(presentation, "generator_bound", raised)
+        monkeypatch.setattr(presentation, "_generator_items", raised)
         clear_caches()
         lam, mu = Partition([2, 1]), Composition([1, 2])
         try:
@@ -1007,7 +1130,7 @@ class TestTwinBuild:
         # top_x and not in the next.  (2,2,1)/(2,2,1) has top_x = 0 and
         # m2 = 2; with the generators h_1(X_1) and h_1(X_3) alone, every
         # degree-1 invariant lies in the ideal and e_2(X_1) does not, which
-        # a window of width 1 misses.  A patched generator_bound cannot
+        # a window of width 1 misses.  A changed generator bound cannot
         # give this ideal: it admits every r above the bound, so h_2(X_1)
         # comes with h_1(X_1)
         generators = [((1,), 1), ((3,), 1)]
@@ -1113,7 +1236,7 @@ def membership_equivalence(qh, qe):
             return False
     ring = qh.ring
     for source, target, kind in ((qh, qe, "h"), (qe, qh, "e")):
-        for subset, r in _generator_items(source.lam, source.mu, source.family, source.stop_x):
+        for subset, r in generator_items(source.lam, source.mu, source.family, source.stop_x):
             row = ring.sym_classes(source.blocks.union(subset), kind)[r]
             if row and target.ideal_space(r).scaled_residual(row)[1]:
                 return False

@@ -390,6 +390,19 @@ class TestSharedTableaux:
         trailing.clear()
         assert enumerate_column_strict(lam, Composition([1, 2, 0])) == key
 
+    def test_components_return_fresh_lists(self):
+        # the identity (trailing zeros) and a relabelling (a zero inside):
+        # changing one call's lists leaves the next call's unchanged
+        lam = Partition([3, 1])
+        for mu in (Composition([1, 2, 1, 0]), Composition([1, 0, 2, 1])):
+            first = components(lam, mu)
+            expected = [(S, dim, list(fiber)) for S, dim, fiber in first]
+            assert any(len(fiber) > 1 for _, _, fiber in first)
+            for _, _, fiber in first:
+                fiber.clear()
+            first.clear()
+            assert components(lam, mu) == expected
+
     def test_failed_compute_leaves_the_table_unchanged(self):
         lam, mu = Partition([2, 1]), Composition([1, 0, 2])
 

@@ -1,3 +1,4 @@
+import pickle
 from functools import lru_cache
 from itertools import combinations, product, zip_longest
 from math import comb
@@ -15,7 +16,10 @@ from spaltenstein.tableaux import (
     Tableau,
     _chain,
     _degree_from_columns,
+    _identity,
     _key_chains,
+    _key_fillings,
+    _relabelling,
     cell_order,
     column_sequence_to_partition,
     compositions,
@@ -118,6 +122,74 @@ class TestPartition:
         assert Polynomial(2, {(2, 0): 1}).terms == {(2, 0): 1}
 
 
+class TestSizeSlot:
+    def test_filled_on_first_read_only(self):
+        built = [
+            Partition([3, 1, 0]),
+            Partition._trusted((2, 2)),
+            Composition([0, 2, 1]),
+            Composition([0, 2, 1]).sorted(),
+        ]
+        for value in built:
+            assert value._size is None
+            assert value.size() == sum(value.parts)
+            assert value._size == sum(value.parts)
+            assert value.size() == sum(value.parts)
+        # the slot takes no part in ==, hash, repr or pickling
+        fresh, read = Composition([0, 2, 1]), built[2]
+        assert fresh == read and hash(fresh) == hash(read) and repr(fresh) == repr(read)
+        assert pickle.loads(pickle.dumps(read))._size is None
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            Partition([2])._size = 3
+
+
+class TestCompositionSorted:
+    def test_equals_validated_partition_d8(self):
+        count = 0
+        for d in range(9):
+            for n in range(d + 1):
+                for parts in compositions(d, n):
+                    got = Composition(parts).sorted()
+                    expected = Partition(sorted(parts, reverse=True))
+                    assert type(got) is Partition
+                    assert got == expected and got.parts == expected.parts, parts
+                    assert got.size() == d
+                    count += 1
+        assert count == 15522
+
+
+class TestRelabelling:
+    def test_rows_mapped_entry_by_entry_d6(self):
+        # every pair whose zero parts do not all trail: each relabelled
+        # row is the key's row mapped entry by entry
+        pairs = 0
+        for lam, mu in iter_pairs(6):
+            relabel = _relabelling(mu)
+            if relabel is _identity:
+                assert 0 not in mu.parts[: len(mu._nonzero)]
+                continue
+            iota = [0] + [i for i, p in enumerate(mu.parts, start=1) if p]
+            for T in _key_fillings(lam, mu):
+                U = relabel(T)
+                assert U.shape == T.shape
+                for row, new in zip(T.rows, U.rows):
+                    assert new == tuple(iota[v] for v in row)
+            pairs += 1
+        assert pairs == 8391
+
+    def test_fresh_lists(self):
+        # the identity (trailing zeros) and a relabelling (a zero inside):
+        # changing one call's list leaves the next call's unchanged
+        lam = Partition([3, 1])
+        for mu in (Composition([1, 2, 1, 0]), Composition([1, 0, 2, 1])):
+            first = enumerate_column_strict(lam, mu)
+            expected = list(first)
+            first.clear()
+            assert enumerate_column_strict(lam, mu) == expected
+
+
 class TestDominance:
     def test_examples(self):
         assert dominance_leq(Partition([2, 1, 1]), Partition([2, 2]))
@@ -129,7 +201,9 @@ class TestDominance:
             dominance_leq(Partition([2]), Partition([1]))
 
     def test_prefix_sum_oracle(self):
-        for d in range(7):
+        # every pair of partitions of d <= 8, unequal lengths included,
+        # against every prefix of the longer one (prefix lemma)
+        for d in range(9):
             parts = list(partitions(d))
             for a in parts:
                 for b in parts:
