@@ -65,7 +65,6 @@ from .tableaux import (
     _LATEST,
     Composition,
     Partition,
-    _chain_degree,
     _check_sizes,
     _key_chains,
     _key_fillings,
@@ -378,11 +377,6 @@ class GradedQuotient:
         the order lemma of RowSpace the two calls give the canonical basis
         of I_t, and extend's order leaves little back-substitution.
 
-        Full-degree lemma: C is generated by x_1..x_{d-1} (x_d is minus
-        their sum), so C_t = sum_{v<d} x_v C_{t-1} for 1 <= t <= top.
-        Hence I_{t-1} = C_{t-1} gives I_t = C_t = P_t, and that degree is
-        the space of unit rows, with no product formed.
-
         Shared products: P_t is a function of I_{t-1}, so each degree forms
         it once per distinct I_{t-1} object.  Where E's I_t equals H's (==
         on canonical RowSpaces), E keeps H's object, so at the next degree
@@ -502,9 +496,7 @@ class GradedQuotient:
                 entry = next((e for e in spans if e[0] is below), None)
                 if entry is None:
                     span, span_marks = RowSpace(full), {}
-                    if below is not None and below.rank == ring.dim(t - 1):
-                        span.extend({c: 1} for c in range(full))
-                    elif below is not None:
+                    if below is not None:
                         span.extend(products(below, lows, True), span_cap, span_marks)
                     # degree 0 has no products: nothing to complete
                     complete = not window or below is None or span.rank >= span_cap
@@ -654,7 +646,9 @@ def _h_class_chain(ring, chain, mu, memo):
     those levels of the chain, so memo, one per content mu, maps each run
     of lower levels to its class, and the tableaux that share lower
     levels share their product.  The factors are the cached h tables
-    (sym_classes)."""
+    (sym_classes).  The positions c_1 < c_2 < ... of a level start at 1,
+    so c_i >= i, and the x-degree returned, the sum of the c_i - i over
+    the levels, is the chain's degree (tableaux._chain_degree)."""
     vec, t = ring.unit(), 0
     key = ()
     base = 0
@@ -817,22 +811,11 @@ def _certificate_data(lam, mu, quotient):
     memo = {}
     degrees = []
     classes = []
+    by_degree = {}
     for idx, chain in enumerate(_key_chains(lam, mu)):
         vec, t = _h_class_chain(ring, chain, key_mu, memo)
-        expected = _chain_degree(chain)
-        if t != expected:
-            raise BasisError(
-                "basis element degree mismatch",
-                witness={
-                    "tableau": _witness_tableau(lam, mu, idx),
-                    "degree": 2 * t,
-                    "expected": 2 * expected,
-                },
-            )
         degrees.append(t)
         classes.append(vec)
-    by_degree = {}
-    for idx, t in enumerate(degrees):
         by_degree.setdefault(t, []).append(idx)
     for t in range(max(quotient.top_x, -1) + 1):
         count = len(by_degree.get(t, []))
@@ -900,58 +883,45 @@ def normal_form(p, certificate):
 MAX_PAIRS = 2_000_000
 
 
-def structure_constants(lam, mu, family="H", certificate=None):
-    """Multiplication tensor of the certified basis.
+def structure_constants(lam, mu):
+    """Multiplication tensor of the certified H basis.
 
     Returns (tableaux, tensor) with tensor[(i, j)][k] the coefficient of
     basis element k in the product of elements i and j, as exact
     rationals.  The tensor is symmetric in (i, j), and tensor[(i, j)] is
     tensor[(j, i)].
 
-    A given certificate must be of exactly (lam, mu), else ValueError;
-    family is then ignored, and the tensor is that of the certificate's
-    own quotient, as in certify_basis.  The tensor is kept packed
-    (_tensor_data) by tableaux.shared under ("tensor", family), and each
-    call unpacks a fresh dict of dicts.  Lemma (relabelling lemma in
-    certify_basis): the pairs of one zero-free key have the same classes,
-    degrees and coordinate spaces position by position, so their tensors
-    agree position by position.  Each distinct product of basis elements
-    is formed at most once (product lemma in _tensor_data): none above
-    stop_x, where the quotient vanishes (vanishing skip), and none that is
-    itself a basis element b_k, whose coordinates are {k: 1} (unit lemma).
+    The tensor is kept packed (_tensor_data) by tableaux.shared under
+    "tensor", and each call unpacks a fresh dict of dicts.  Lemma
+    (relabelling lemma in certify_basis): the pairs of one zero-free key
+    have the same classes, degrees and coordinate spaces position by
+    position, so their tensors agree position by position.  Each distinct
+    product of basis elements is formed at most once (product lemma in
+    _tensor_data): none above stop_x, where the quotient vanishes
+    (vanishing skip), and none that is itself a basis element b_k, whose
+    coordinates are {k: 1} (unit lemma).
 
     A basis of n elements whose n(n+1)/2 pairs i <= j exceed MAX_PAIRS is
     refused with ValueError, before any certification or product; there is
-    no override.  With a given certificate n is its size.  Otherwise the
-    ring is asked for first, so a d above coinvariant.MAX_D is refused as
-    in regular_quotient, and n is counted (count_column_strict) only when
-    d! exceeds the cap: a filling is determined by its reading word, a
-    word of d letters with content mu, so n <= d!.
+    no override.  The ring is asked for first, so a d above
+    coinvariant.MAX_D is refused as in regular_quotient, and n is counted
+    (count_column_strict) only when d! exceeds the cap: a filling is
+    determined by its reading word, a word of d letters with content mu,
+    so n <= d!.
     """
-    if certificate is None:
-        _, d = _validate_pair(lam, mu)
-        get_ring(d)
-        n = factorial(d)
-        if n * (n + 1) // 2 > MAX_PAIRS:
-            n = count_column_strict(lam, mu)
-    elif (certificate.lam, certificate.mu) != (lam, mu):
-        raise ValueError(
-            f"the certificate of ({certificate.lam}, {certificate.mu}) is not "
-            f"one of ({lam}, {mu})"
-        )
-    else:
-        n = len(certificate.degrees)
+    _, d = _validate_pair(lam, mu)
+    get_ring(d)
+    n = factorial(d)
+    if n * (n + 1) // 2 > MAX_PAIRS:
+        n = count_column_strict(lam, mu)
     if n * (n + 1) // 2 > MAX_PAIRS:
         raise ValueError(
             f"the tensor of ({lam}, {mu}) has {n * (n + 1) // 2} pairs of basis "
             f"elements, more than the cap of {MAX_PAIRS}"
         )
-    if certificate is None:
-        certificate = certify_basis(lam, mu, family)
+    certificate = certify_basis(lam, mu)
     tabs = certificate.tableaux
-    packed = shared(
-        ("tensor", certificate.quotient.family), lam, mu, lambda: _tensor_data(certificate)
-    )
+    packed = shared("tensor", lam, mu, lambda: _tensor_data(certificate))
     return tabs, _unpack_tensor(packed, len(tabs))
 
 
@@ -1208,9 +1178,8 @@ def _transfer_data(lam, mu, d):
     ring = quotient.ring
     d_mu = quotient.d_mu
     pairs = [p for j in range(1, len(mu) + 1) for p in combinations(quotient.blocks.block(j), 2)]
-    eps_vec, eps_deg = ring.antisymmetrizer_class(pairs)
-    if eps_deg != d_mu:
-        raise TransferError("antisymmetrizer degree mismatch", witness={"degree": eps_deg})
+    # x-degree len(pairs), the sum of C(mu_j, 2), which is d_mu
+    eps_vec, _ = ring.antisymmetrizer_class(pairs)
 
     degrees = range(max(quotient.top_x, reg.stop_x - d_mu, -1) + 1)
     anti_dims = []

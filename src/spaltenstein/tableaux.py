@@ -419,7 +419,7 @@ def shared(kind, lam, mu, compute):
       - "cores": the quotient data of both families (zero-block lemma in
         GradedQuotient); regular_quotient asks with a padded pair, so
         the regular core of (d, lam) is kept in _KEYS;
-      - ("certificate", family), "transfer", ("tensor", family): the data of
+      - ("certificate", family), "transfer", "tensor": the data of
         certify_basis, anti_invariant_transfer and structure_constants.
     Values are read-only: callers relabel, rebuild or unpack them, and
     copy() a RowSpace before inserting into it.

@@ -528,19 +528,6 @@ class TestStructureConstants:
         assert f"cap of {MAX_PAIRS}" in str(err.value)
         assert certified == [] and products == []
 
-    def test_cap_refuses_a_given_certificate_by_its_size(self, monkeypatch):
-        lam, mu = Partition([3, 1]), Composition([1, 1, 1, 1])
-        certificate = certify_basis(lam, mu)
-        monkeypatch.setattr(presentation, "MAX_PAIRS", 77)
-        products = _count_calls(monkeypatch, CoinvariantRing, "mul_classes")
-        # 12 tableaux: 78 pairs
-        with pytest.raises(ValueError, match="78 pairs"):
-            structure_constants(lam, mu, certificate=certificate)
-        assert products == []
-        monkeypatch.setattr(presentation, "MAX_PAIRS", 78)
-        tabs, _ = structure_constants(lam, mu, certificate=certificate)
-        assert len(tabs) == 12
-
     def test_cap_admits_every_key_d6(self, monkeypatch):
         # d <= 6 needs no count: 6! * (6! + 1) / 2 = 259,560 is within the cap
         assert 259560 <= MAX_PAIRS
@@ -614,13 +601,15 @@ class TestStructureConstants:
         ]
         for lam, mu in pairs:
             cert = certify_basis(lam, mu)
-            tensor = structure_constants(lam, mu, certificate=cert)[1]
+            tensor = structure_constants(lam, mu)[1]
             assert tensor == tensor_by_all_products(cert), (lam, mu)
 
     @staticmethod
     def _mul_calls(monkeypatch, lam, mu):
         """(certificate, quotient, the args of every mul_classes call that
-        structure_constants makes on a cold tensor of (lam, mu))."""
+        structure_constants makes on a cold tensor of (lam, mu)).  The
+        certificate comes first, so the tensor's own certify_basis reads the
+        kept data and forms no product."""
         clear_caches()
         cert = certify_basis(lam, mu)
         real = CoinvariantRing.mul_classes
@@ -632,7 +621,7 @@ class TestStructureConstants:
 
         with monkeypatch.context() as m:
             m.setattr(CoinvariantRing, "mul_classes", counting)
-            structure_constants(lam, mu, certificate=cert)
+            structure_constants(lam, mu)
         return cert, cert.quotient, calls
 
     def test_each_distinct_product_formed_once(self, monkeypatch):
@@ -658,7 +647,7 @@ class TestStructureConstants:
             (Partition([4, 1]), Composition([1, 1, 1, 1, 1])),
         ]:
             cert, q, calls = self._mul_calls(monkeypatch, lam, mu)
-            tensor = structure_constants(lam, mu, certificate=cert)[1]
+            tensor = structure_constants(lam, mu)[1]
             above = [(i, j) for i, j in tensor if cert.degrees[i] + cert.degrees[j] > q.stop_x]
             assert above and all(tensor[pair] == {} for pair in above)
             degrees = Counter(t + u for _, t, _, u in calls)
@@ -678,7 +667,7 @@ class TestStructureConstants:
         assert len(position) == len(codes)
         formed = {codes[position[id(a)]] + codes[position[id(b)]] for a, _, b, _ in calls}
         assert not formed & set(basis)
-        tensor = structure_constants(lam, mu, certificate=cert)[1]
+        tensor = structure_constants(lam, mu)[1]
         hits = 0
         for i, j in tensor:
             k = basis.get(codes[i] + codes[j])
@@ -744,18 +733,14 @@ class TestStructureConstants:
         assert info.value.witness == {"lambda": [2, 1], "mu": [1, 1, 1], "positions": [0, 1]}
         clear_caches()
 
-    def test_certificate_of_another_pair_is_rejected(self):
-        cert = certify_basis(Partition([2, 1]), Composition([1, 1, 1]))
-        with pytest.raises(ValueError):
-            structure_constants(Partition([3]), Composition([3]), certificate=cert)
+    def test_padded_pair_gives_its_own_tableaux(self):
+        # relabelling lemma: the padded pair lists its own tableaux, with
+        # the tensor of its zero-free pair position by position
         padded = certify_basis(Partition([2, 1]), Composition([1, 0, 2]))
-        with pytest.raises(ValueError):
-            structure_constants(Partition([2, 1]), Composition([0, 1, 2]), certificate=padded)
-        tabs, tensor = structure_constants(
-            Partition([2, 1]), Composition([1, 0, 2]), certificate=padded
-        )
-        assert tabs == padded.tableaux
-        assert tensor == structure_constants(Partition([2, 1]), Composition([1, 2]))[1]
+        tabs, tensor = structure_constants(Partition([2, 1]), Composition([1, 0, 2]))
+        own_tabs, own_tensor = structure_constants(Partition([2, 1]), Composition([1, 2]))
+        assert tabs == padded.tableaux and tabs != own_tabs
+        assert tensor == own_tensor
 
     def test_associativity_small(self):
         lam, mu = Partition([2, 1]), Composition([1, 1, 1])
@@ -856,8 +841,8 @@ class TestDependencyWitness:
         assert pairs == 56
 
     def test_one_chain_per_tableau(self, monkeypatch):
-        # the class and the degree check read one reduction chain, the one
-        # kept for the key (tableaux._key_chains)
+        # the class and the degree read one reduction chain, the one kept
+        # for the key (tableaux._key_chains)
         calls = []
         real = tableaux._chain
 
@@ -1513,7 +1498,7 @@ def _pipeline_record(lam, mu):
         json.dumps(cert.to_json(), sort_keys=True).encode(),
         [cert.coordinates_of_class(v, t) for v, t in zip(cert.classes, cert.degrees)],
         anti_invariant_transfer(lam, mu).to_json(),
-        structure_constants(lam, mu, certificate=cert),
+        structure_constants(lam, mu),
     )
 
 
@@ -1564,7 +1549,7 @@ class TestSharedCore:
             # certificate from the slot reads no chains
             # (oracles.keys_chained_by_padded_pairs), and every transfer
             # keeps the regular core of its (d, lam)
-            kinds = ("enumerate", "cores", ("certificate", "H"), "transfer", ("tensor", "H"))
+            kinds = ("enumerate", "cores", ("certificate", "H"), "transfer", "tensor")
             assert set(tableaux._KEYS) == {
                 (key, kind) for key in padded_keys for kind in kinds
             } | {(key, "chains") for key in keys_chained_by_padded_pairs(order)} | {
@@ -1595,9 +1580,9 @@ class TestSharedCore:
             if 0 not in mu.parts:
                 qh = build_quotient(lam, mu, "H")
                 build_quotient(lam, mu, "E")
-                cert = certify_basis(lam, mu, quotient=qh)
+                certify_basis(lam, mu, quotient=qh)
                 anti_invariant_transfer(lam, mu)
-                structure_constants(lam, mu, certificate=cert)
+                structure_constants(lam, mu)
                 enumerate_column_strict(lam, mu)
                 betti(lam, mu)
                 components(lam, mu)
@@ -1611,7 +1596,7 @@ class TestSharedCore:
         assert set(tableaux._KEYS) == {(key, "cores") for key in regular_keys}
         assert set(tableaux._LATEST) == {
             "enumerate", "chains", "betti", "components",
-            "cores", ("certificate", "H"), "transfer", ("tensor", "H"),
+            "cores", ("certificate", "H"), "transfer", "tensor",
         }
 
     def test_zero_free_pair_reads_the_padded_pairs_values(self, monkeypatch):
