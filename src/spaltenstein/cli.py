@@ -15,6 +15,7 @@ spaltenstein <command> ...
 import argparse
 import json
 import sys
+from math import isqrt
 
 from .coinvariant import MAX_D
 from .presentation import (
@@ -62,11 +63,19 @@ def _check_work(work, what):
         raise ValueError(f"{work} {what} exceed the limit of {MAX_WORK}")
 
 
-def _count_fillings(lam, mu):
-    """count_column_strict(lam, mu), once |lam| is within MAX_BOXES."""
+def _check_fillings(lam, mu, pairs=False):
+    """ValueError unless |lam| is within MAX_BOXES and the number of
+    fillings (count_column_strict), or its square for pairs, within
+    MAX_WORK.  The count stops at its cap, isqrt(MAX_WORK) for pairs, with
+    a lower bound above it, so a huge count is refused after a few
+    columns."""
     if lam.size() > MAX_BOXES:
         raise ValueError(f"{lam.size()} boxes exceed the limit of {MAX_BOXES}")
-    return count_column_strict(lam, mu)
+    cap = isqrt(MAX_WORK) if pairs else MAX_WORK
+    count = count_column_strict(lam, mu, cap=cap)
+    if count > cap:
+        work, what = (count * count, "pairs of fillings") if pairs else (count, "fillings")
+        raise ValueError(f"at least {work} {what} exceed the limit of {MAX_WORK}")
 
 
 def _dump(data):
@@ -154,7 +163,7 @@ def build_parser():
 
 
 def _cmd_enumerate(args, out):
-    _check_work(_count_fillings(args.lam, args.mu), "fillings")
+    _check_fillings(args.lam, args.mu)
     tabs = (
         enumerate_semistandard(args.lam, args.mu)
         if args.semistandard
@@ -180,7 +189,7 @@ def _cmd_degree(args, out):
 
 def _cmd_basis(args, out):
     lam, mu = args.lam, args.mu
-    _check_work(_count_fillings(lam, mu), "fillings")
+    _check_fillings(lam, mu)
     # the chains kept for the key, read with the parts of its zero-free mu
     key_mu = Composition(zero_free_key(lam, mu)[1])
     chains = _key_chains(lam, mu)
@@ -247,12 +256,10 @@ def _cmd_verify(args, out):
 
 
 def _cmd_components(args, out):
-    count = _count_fillings(args.lam, args.mu)
+    _check_fillings(args.lam, args.mu, pairs=args.format == "dot")
     if args.format == "dot":
-        _check_work(count * count, "pairs of fillings")
         out.write(poset_dot(args.lam, args.mu) + "\n")
         return 0
-    _check_work(count, "fillings")
     data = [
         {"tableau": S.to_json(), "dimension": dim, "fiber": [T.to_json() for T in fiber]}
         for S, dim, fiber in components(args.lam, args.mu)

@@ -18,9 +18,8 @@ from .tableaux import (
     _check_sizes,
     _identity,
     _key_chains,
-    _key_fillings,
+    _key_tableaux,
     _relabelling,
-    _straighten,
     dims,
     enumerate_column_strict,
     shared,
@@ -83,21 +82,31 @@ def components(lam, mu):
     By the relabelling lemma (enumerate_column_strict) the label map iota
     keeps semi-standardness and commutes with straightening, and d_mu =
     d_mu', so every pair relabels the triples of its zero-free pair, kept
-    by shared, which straightens the key's fillings along their chains.
-    Where iota is the identity the fibers are copied, with no call per
-    tableau; every call returns fresh lists.
+    by shared.  Those group the key's fillings by the images kept with
+    them (tableaux._key_tableaux), in the order of each fiber's fixed
+    point, its S.  A fixed point that is not semi-standard (one check per
+    fiber), or an image equal to no filling, raises ValueError.  Where
+    iota is the identity the fibers are copied, with no call per tableau;
+    every call returns fresh lists.
     """
 
     def compute():
         d_lam, d_mu = dims(lam, mu)
-        cols = _key_fillings(lam, mu)
-        heights = transpose(lam).parts
-        fibers = {}
-        for T, chain in zip(cols, _key_chains(lam, mu)):
-            fibers.setdefault(_straighten(chain, T.shape, heights), []).append(T)
-        out = [(S, d_lam - d_mu, fibers.pop(S)) for S in cols if S.is_semistandard()]
-        if fibers:
-            raise ValueError(f"straightening produced a non-semistandard image {next(iter(fibers))}")
+        fillings, _, images = _key_tableaux(lam, mu)
+        # a fiber's S is the filling equal to its image, its fixed point
+        fibers, out = {}, []
+        for T, S in zip(fillings, images):
+            fiber = fibers.get(S)
+            if fiber is None:
+                fiber = fibers[S] = []
+            fiber.append(T)
+            if T == S:
+                out.append((T, d_lam - d_mu, fiber))
+        bad = [S for S, _, _ in out if not S.is_semistandard()]
+        if len(out) != len(fibers):
+            bad.append(next(S for S, fiber in fibers.items() if S not in fiber))
+        if bad:
+            raise ValueError(f"straightening produced a non-semistandard image {bad[0]}")
         return out
 
     relabel = _relabelling(mu)

@@ -9,7 +9,10 @@ content of a tableau is the vector counting occurrences of each entry.
 The degree statistic, straightening, the cell order and the basis
 polynomials of presentation all read one recursion, the reduction chain
 (_chain): strip the largest label n, record the columns it fills as
-gamma, recurse on the reduced tableau.
+gamma, recurse on the reduced tableau.  One tableau is chained by _chain
+and straightened by _straighten; the fillings of a key are built with
+their chains and straightened images in one pass over the same
+recursion (recursion lemma in _key_tableaux).
 
 Every object here is an immutable value; all operations are pure
 functions, so everything is safe to share between threads.  A Tableau
@@ -23,13 +26,13 @@ for one call pays nothing at construction but the empty slot.  A
 Composition keeps its non-zero parts in one slot, set at construction
 (zero_free_key).  The data shared per zero-free key (_KEYS, and the
 one-key slot _LATEST, both written only by shared) holds only values
-that a recomputation gives equal; through it, one key enumerates and
-chains its fillings once, for every pair of the key.
+that a recomputation gives equal; through it, one key enumerates,
+chains and straightens its fillings once, for every pair of the key.
 """
 
-from itertools import combinations
+from itertools import combinations, groupby, product
 from math import comb
-from operator import index
+from operator import index, itemgetter
 
 
 class _Parts:
@@ -415,7 +418,8 @@ def shared(kind, lam, mu, compute):
     of its kind, below), so any pair may read either table:
       - "enumerate", "betti", "components": for every pair, the value of
         the zero-free pair of the key (lemma in enumerate_column_strict);
-      - "chains": the reduction chains of those fillings (_key_chains);
+        "enumerate" holds the fillings with their chains and images
+        (_key_tableaux);
       - "cores": the quotient data of both families (zero-block lemma in
         GradedQuotient); regular_quotient asks with a padded pair, so
         the regular core of (d, lam) is kept in _KEYS;
@@ -491,61 +495,137 @@ def enumerate_column_strict(lam, mu):
 
 
 def _key_fillings(lam, mu):
-    """The column-strict fillings of (lam, mu'), kept by shared as "enumerate";
-    read-only.
-
-    The search picks the columns left to right, each a combination of the
-    labels still available, in increasing lexicographic order.  Column j
-    has the fixed height lam'_j, so this is the lexicographic order of the
-    reading words and the list needs no sort.  The backtracking keeps one
-    iterator of candidates per column on an explicit stack, so a wide lam
-    meets no recursion limit.
-
-    Sizes are checked in the search only: every pair of a kept key (lam,
-    mu') has |lam| = |mu'| = |mu|, and a pair of mismatched sizes has a key
-    that is never kept, so its search raises the ValueError.
-    """
-
-    def search():
-        _check_sizes(lam, mu)
-        heights = transpose(lam).parts
-        counts = list(zero_free_key(lam, mu)[1])
-        results = []
-        # cols holds the columns chosen so far; levels[j] iterates the
-        # candidates of column j, and cols[j] is its current one
-        cols, levels = [], []
-        while True:
-            if len(cols) == len(heights):
-                results.append(_columns_to_tableau(tuple(cols)))
-            else:
-                avail = [v for v, c in enumerate(counts, start=1) if c]
-                levels.append(combinations(avail, heights[len(cols)]))
-            while levels:
-                if len(cols) == len(levels):
-                    for v in cols.pop():
-                        counts[v - 1] += 1
-                chosen = next(levels[-1], None)
-                if chosen is not None:
-                    break
-                levels.pop()
-            else:
-                return results
-            for v in chosen:
-                counts[v - 1] -= 1
-            cols.append(chosen)
-
-    return shared("enumerate", lam, mu, search)
+    """The column-strict fillings of (lam, mu') in reading-word order, the
+    first of _key_tableaux(lam, mu); read-only."""
+    return _key_tableaux(lam, mu)[0]
 
 
 def _key_chains(lam, mu):
     """The chains of _key_fillings(lam, mu) in its order, read with the
-    parts of mu', kept by shared as "chains" from the first read; read-only.
-    By the relabelling lemma each is the chain of the matching filling of
-    (lam, mu), read with the parts of mu, less the levels of its zeros."""
-    parts = zero_free_key(lam, mu)[1]
-    return shared(
-        "chains", lam, mu, lambda: [_chain(T.columns(), parts) for T in _key_fillings(lam, mu)]
-    )
+    parts of mu', the second of _key_tableaux(lam, mu); read-only.  By the
+    relabelling lemma each is the chain of the matching filling of (lam,
+    mu), read with the parts of mu, less the levels of its zeros."""
+    return _key_tableaux(lam, mu)[1]
+
+
+def _key_tableaux(lam, mu):
+    """(fillings, chains, images) of (lam, mu'), kept by shared as
+    "enumerate"; read-only.  fillings lists the column-strict fillings in
+    increasing lexicographic order of their reading words, chains[i] is
+    the reduction chain of fillings[i] read with the parts of mu' (_chain),
+    a tuple of tuples, and images[i] its straightening (_straighten), one
+    object per fiber.
+
+    Recursion lemma.  By the bijection lemma of reports.betti, a filling
+    of the weakly decreasing column heights h by the labels 1..n is a
+    choice c of k = mu'_n positions, those of the columns that n ends, and
+    a filling by the labels 1..n-1 of the lowered heights, stably
+    re-sorted decreasingly, zeros dropped: undo the stable sort and append
+    n to the columns at c.  Its chain is (c,) followed by the chain of the
+    sub-filling (chain lemma in _chain), and its straightened rows are
+    those of the sub-filling with n appended to row h_j once for each j in
+    c (replay lemma in _straighten).  Choices that lower columns of equal
+    heights lower the same heights and append to the same rows, so the
+    images of h are interned per multiset of the heights at c.
+
+    The sub-results depend on the lowered heights and n only, so each is
+    built once: a pass down the labels collects the heights that each
+    label reaches, and a pass up builds a label's results from those of
+    the label below, which it then drops; with no recursion, a tall lam
+    meets no recursion limit.  The pass down keeps only the choices whose
+    lowered heights the labels left can fill, found run by run without a
+    dead end (lowering lemma in _lowerings), so every choice kept leads
+    to a filling: the key (30, 15), (30, 15) takes one choice per label,
+    where trying every set of positions would try C(30, 15) for the label
+    2.  The top level has the fixed column heights of lam, so sorting
+    its results by their column tuples gives the order of the reading
+    words.
+
+    Sizes are checked in the build only: every pair of a kept key (lam,
+    mu') has |lam| = |mu'| = |mu|, and a pair of mismatched sizes has a key
+    that is never kept, so its build raises the ValueError.
+    """
+
+    def build():
+        _check_sizes(lam, mu)
+        if not dominance_leq(mu.sorted(), lam):
+            return [], [], []
+        top = transpose(lam).parts
+        labels = zero_free_key(lam, mu)[1]
+        # down: per label from n, each heights tuple it reaches, with its
+        # choices (chain level, c, lowered heights, slots, heights at c);
+        # column j of a filling is column slots[j] of its sub-filling, the
+        # past-the-end slot standing for an emptied column.  Every choice
+        # kept leaves fillable heights (_lowerings), so every heights tuple
+        # reached has a filling.
+        plan, reached = [], {top}
+        for n in range(len(labels), 0, -1):
+            k, rest, level, below = labels[n - 1], None, {}, set()
+            for heights in reached:
+                level[heights] = choices = []
+                runs = [(h, len(tuple(g))) for h, g in groupby(heights)]
+                if len(runs) > 1 and rest is None:
+                    rest = sorted(labels[: n - 1], reverse=True)
+                for takes in _lowerings(runs, k, rest):
+                    live, hc, blocks, start = [], (), [], 0
+                    for (h, size), t in zip(runs, takes):
+                        live += [h] * (size - t) + [h - 1] * t
+                        hc += (h,) * t
+                        blocks.append(combinations(range(start, start + size), t))
+                        start += size
+                    live = tuple(live[: len(live) - live.count(0)])
+                    below.add(live)
+                    for parts in product(*blocks):
+                        c = sum(parts, ())
+                        lowered = list(heights)
+                        for j in c:
+                            lowered[j] -= 1
+                        order = sorted(range(len(heights)), key=lowered.__getitem__, reverse=True)
+                        slots = [0] * len(heights)
+                        for pos, j in enumerate(order):
+                            slots[j] = min(pos, len(live))
+                        choices.append((tuple(j + 1 for j in c), c, live, slots, hc))
+            plan.append(level)
+            reached = below
+        # up: done maps each heights tuple of the label below to its
+        # fillings, as (columns, chain, image number), and its image rows
+        done = {(): ([((), (), 0)], [()])}
+        for n, level in enumerate(reversed(plan), start=1):
+            label, up = (n,), {}
+            for heights, choices in level.items():
+                fillings, images, blocks = [], [], {}
+                for pos, c, live, slots, hc in choices:
+                    sub = done[live]
+                    base = blocks.get(hc)
+                    if base is None:
+                        base = blocks[hc] = len(images)
+                        for rows in sub[1]:
+                            rows = list(rows) + [()] * (heights[0] - len(rows))
+                            for h in hc:
+                                rows[h - 1] += label
+                            images.append(tuple(rows))
+                    head = (pos,)
+                    for cols, chain, image in sub[0]:
+                        new = list(map((cols + ((),)).__getitem__, slots))
+                        for j in c:
+                            new[j] += label
+                        fillings.append((tuple(new), head + chain, base + image))
+                up[heights] = (fillings, images)
+            done = up
+        fillings, rows = done[top]
+        fillings.sort(key=itemgetter(0))
+        images = [Tableau._trusted(r, lam) for r in rows]
+        widths = [(itemgetter(i), w) for i, w in enumerate(lam.parts)]
+        return (
+            [
+                Tableau._trusted(tuple([tuple(map(g, cols[:w])) for g, w in widths]), lam, cols)
+                for cols, _, _ in fillings
+            ],
+            [chain for _, chain, _ in fillings],
+            [images[image] for _, _, image in fillings],
+        )
+
+    return shared("enumerate", lam, mu, build)
 
 
 def enumerate_semistandard(lam, mu):
@@ -553,18 +633,36 @@ def enumerate_semistandard(lam, mu):
     return [T for T in enumerate_column_strict(lam, mu) if T.is_semistandard()]
 
 
-def count_column_strict(lam, mu):
+def count_column_strict(lam, mu, cap=None):
     """Number of column-strict fillings, by dynamic programming.
 
     Counts 0/1 matrices with column sums the column lengths of lam and row
     sums mu, which is an enumeration-free oracle for len(enumerate_column_strict).
     The programme runs forward over the columns of lam, one loop step each.
+
+    Gale-Ryser lemma: a 0/1 matrix with row sums r and column sums the
+    weakly decreasing heights h exists exactly when sum(r) = sum(h) and r
+    sorted decreasingly is dominated by the conjugate of h.  A state, the
+    label counts left after some columns, survives only if it can be
+    completed by the remaining columns, whose conjugate loses one box per
+    row of the column just taken; so every surviving state has at least
+    one completion, and after any column the count is at least the sum of
+    the surviving ways.  With cap, the programme returns that sum as soon
+    as it exceeds cap: the result is the count when the count is at most
+    cap, and otherwise a number above cap and at most the count.
     """
     _check_sizes(lam, mu)
+    # conj lists the row lengths of the remaining columns
+    conj = list(lam.parts)
+
+    def completes(state):
+        return all(slack >= 0 for slack in _slacks(reversed(state), conj))
+
     # states maps the sorted tuple of positive remaining counts, after the
     # columns so far, to the number of ways to reach it; labels with equal
     # count are interchangeable, so a column picks how many of each group
-    states = {tuple(sorted(p for p in mu.parts if p > 0)): 1}
+    start = tuple(sorted(p for p in mu.parts if p > 0))
+    states = {start: 1} if completes(start) else {}
     for h in transpose(lam).parts:
         after = {}
         for state, ways in states.items():
@@ -585,18 +683,101 @@ def count_column_strict(lam, mu):
                     mult *= comb(size, take)
                 nxt = tuple(sorted(v for v in nxt if v > 0))
                 after[nxt] = after.get(nxt, 0) + mult
-        states = after
+        for i in range(h):
+            conj[i] -= 1
+        states = {state: ways for state, ways in after.items() if completes(state)}
+        if cap is not None:
+            total = sum(states.values())
+            if total > cap:
+                return total
     return states.get((), 0)
 
 
-def _group_choices(groups, h):
+def _slacks(counts, conj):
+    """The slacks of the Gale-Ryser test (lemma in count_column_strict):
+    for i = 1, ..., len(counts), the sum of the first i row lengths conj
+    of the heights (zero past its end) less the sum of the first i
+    counts, which are in decreasing order.  The test passes exactly when
+    no slack is negative; past len(counts) the slack only grows."""
+    room = total = 0
+    for i, v in enumerate(counts):
+        total += v
+        room += conj[i] if i < len(conj) else 0
+        yield room - total
+
+
+def _lowerings(runs, k, counts):
+    """Each way to lower k of the column heights by one and leave heights
+    that the labels left can fill, as the tuple of how many columns each
+    run of equal heights lowers.
+
+    runs lists the runs as (height, number of columns), heights
+    decreasing; counts lists the counts of the labels left, decreasing,
+    and is read only when there are two runs or more.  The heights must
+    have a filling by those labels and one more of count k.
+
+    Lowering lemma.  Lowering a column of height h takes one box off the
+    row lengths of the heights at row h, so it lowers slack(i) (_slacks)
+    by one at every i >= h: the lowered heights pass the Gale-Ryser test
+    exactly when, for every i, at most slack(i) of the lowered columns
+    have height at most i.  Take the runs from the shortest.  The columns
+    lowered up to a run of height g number at most the least of k and of
+    slack(i) for i >= g (later runs only add, and from the tallest height
+    on the slack is at least k), and at least k less the columns of the
+    taller runs.  Both bounds grow from run to run, the lower one by the
+    size of the next run, so any number within a run's bounds leaves the
+    next run a number within its own; the given filling's lowering meets
+    every bound, so no run's bounds cross.  So each tuple yielded passes
+    the test, and the search meets no dead end.
+    """
+    if len(runs) == 1:
+        yield (k,)
+        return
+    # conj[i] is the length of row i + 1 of the heights
+    conj, width, below = [], sum(size for _, size in runs), 0
+    for h, size in reversed(runs):
+        conj += [width] * (h - below)
+        width, below = width - size, h
+    tallest = len(conj)
+    counts = counts[: tallest - 1]
+    slack = list(_slacks(counts + [0] * (tallest - 1 - len(counts)), conj))
+    # caps[g - 1]: the least of k and of slack(i) for i >= g
+    caps = slack + [k]
+    for i in range(tallest - 2, -1, -1):
+        caps[i] = min(caps[i], caps[i + 1])
+    above = [0]
+    for _, size in runs:
+        above.append(above[-1] + size)
+
+    def pick(a, taken):
+        # the runs a, a - 1, ..., 0 are left; taken columns of the shorter
+        # runs are lowered
+        h, size = runs[a]
+        for t in range(max(0, k - above[a] - taken), min(size, caps[h - 1] - taken) + 1):
+            if a == 0:
+                yield (t,)
+            else:
+                for rest in pick(a - 1, taken + t):
+                    yield rest + (t,)
+
+    yield from pick(len(runs) - 1, 0)
+
+
+def _group_choices(groups, h, room=None):
+    """Each way to take h members from groups of (value, size), as the
+    tuple of how many each group gives; room, the total size of the
+    groups, bounds what the later groups can give, so no branch is a dead
+    end."""
+    if room is None:
+        room = sum(size for _, size in groups)
     if not groups:
         if h == 0:
             yield ()
         return
-    val, size = groups[0]
-    for take in range(min(size, h) + 1):
-        for rest in _group_choices(groups[1:], h - take):
+    size = groups[0][1]
+    room -= size
+    for take in range(max(0, h - room), min(size, h) + 1):
+        for rest in _group_choices(groups[1:], h - take, room):
             yield (take,) + rest
 
 
@@ -637,7 +818,8 @@ def reduce_tableau(T, mu):
 
 
 def _chain(columns, mu_parts):
-    """The reduction chain of a filling given as columns; no validation.
+    """The reduction chain of a filling given as columns, a tuple of
+    levels; no validation.
 
     For each level n = len(mu_parts)..1, in that order, the tuple of the
     increasing positions c_1 < ... < c_k of the columns whose bottom entry
@@ -673,7 +855,7 @@ def _chain(columns, mu_parts):
         if level or n == len(mu_parts):
             order = sorted(order, key=heights.__getitem__, reverse=True)
         chain.append(tuple(level))
-    return chain
+    return tuple(chain)
 
 
 def _member_chain(T, mu):
@@ -702,13 +884,11 @@ def straighten(T, mu):
 
     Fixed points are exactly the semi-standard tableaux.
     """
-    return _straighten(_member_chain(T, mu), T.shape, transpose(T.shape).parts)
+    return _straighten(_member_chain(T, mu), T.shape)
 
 
-def _straighten(chain, shape, column_heights):
-    """straighten of the filling of this shape with this reduction chain;
-    column_heights are those of the shape (transpose(shape).parts), which a
-    caller straightening many fillings of one shape computes once.
+def _straighten(chain, shape):
+    """straighten of the filling of this shape with this reduction chain.
 
     The recursion: S(T) is S(Tbar) with n appended to row i once for each
     box of row i stripped at level n, lam_i - lambar_i times.
@@ -722,7 +902,7 @@ def _straighten(chain, shape, column_heights):
     positions of each level, re-sorts, and fills each row from the right,
     the largest label first.
     """
-    heights = list(column_heights)
+    heights = list(transpose(shape).parts)
     rows = [[0] * p for p in shape.parts]
     ends = list(shape.parts)
     for n, level in zip(range(len(chain), 0, -1), chain):

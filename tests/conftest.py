@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from spaltenstein import tableaux
 from spaltenstein.presentation import build_quotient, certify_basis, rel_equivalence
 from spaltenstein.reports import components
 from spaltenstein.tableaux import (
@@ -12,7 +13,26 @@ from spaltenstein.tableaux import (
     dominance_leq,
     enumerate_semistandard,
     iter_pairs,
+    zero_free_key,
 )
+
+
+@pytest.fixture
+def key_builds(monkeypatch):
+    """The zero-free keys whose fillings, chains and images
+    tableaux._key_tableaux builds during the test, one entry per build."""
+    builds = []
+    real = tableaux.shared
+
+    def counting(kind, lam, mu, compute):
+        def counted():
+            builds.append(zero_free_key(lam, mu))
+            return compute()
+
+        return real(kind, lam, mu, counted if kind == "enumerate" else compute)
+
+    monkeypatch.setattr(tableaux, "shared", counting)
+    return builds
 
 
 @pytest.fixture(scope="session")

@@ -261,8 +261,8 @@ MUTANTS = [
         "id": "key-chains-reversed",
         "lemma": "relabelling",
         "file": "tableaux.py",
-        "old": "[_chain(T.columns(), parts) for T in _key_fillings(lam, mu)]",
-        "new": "[_chain(T.columns(), parts) for T in _key_fillings(lam, mu)][::-1]",
+        "old": "[chain for _, chain, _ in fillings],",
+        "new": "[chain for _, chain, _ in fillings][::-1],",
         "kills": [
             "tests/test_tableaux.py::TestReductionChain::test_kept_chains_are_each_pairs_own_d6",
             "tests/test_presentation.py::TestDependencyWitness::test_fabricated_dependency_yields_combination",
@@ -273,8 +273,8 @@ MUTANTS = [
         "id": "key-chains-padded-parts",
         "lemma": "relabelling",
         "file": "tableaux.py",
-        "old": "parts = zero_free_key(lam, mu)[1]",
-        "new": "parts = mu.parts",
+        "old": "labels = zero_free_key(lam, mu)[1]",
+        "new": "labels = mu.parts",
         "kills": [
             "tests/test_tableaux.py::TestReductionChain::test_kept_chains_are_each_pairs_own_d6",
             "tests/test_presentation.py::TestSharedCore::test_shared_build_equals_cold_build_d5",
@@ -551,6 +551,98 @@ MUTANTS = [
         "new": "        if not level:\n            heights.sort(reverse=True)",
         "kills": [
             "tests/test_tableaux.py::TestStraighten::test_idempotent_and_fibers",
+        ],
+    },
+    {
+        "id": "recursion-sort-unstable",
+        "lemma": "recursion",
+        "file": "tableaux.py",
+        "old": "order = sorted(range(len(heights)), key=lowered.__getitem__, reverse=True)",
+        "new": "order = sorted(range(len(heights))[::-1], key=lowered.__getitem__, reverse=True)",
+        "kills": [
+            "tests/test_tableaux.py::TestKeyRecursion::test_matches_search_oracle_d6",
+        ],
+    },
+    {
+        "id": "recursion-sort-ascending",
+        "lemma": "recursion",
+        "file": "tableaux.py",
+        "old": "order = sorted(range(len(heights)), key=lowered.__getitem__, reverse=True)",
+        "new": "order = sorted(range(len(heights)), key=lowered.__getitem__)",
+        "kills": [
+            "tests/test_tableaux.py::TestKeyRecursion::test_matches_search_oracle_d6",
+        ],
+    },
+    {
+        "id": "recursion-drops-final-sort",
+        "lemma": "recursion",
+        "file": "tableaux.py",
+        "old": "fillings.sort(key=itemgetter(0))",
+        "new": "pass",
+        "kills": [
+            "tests/test_tableaux.py::TestKeyRecursion::test_matches_search_oracle_d6",
+            "tests/test_pinned.py::test_outputs_pinned_d4",
+        ],
+    },
+    {
+        "id": "recursion-appends-lowered-row",
+        "lemma": "recursion",
+        "file": "tableaux.py",
+        "old": "rows[h - 1] += label",
+        "new": "rows[h - 2] += label",
+        "kills": [
+            "tests/test_tableaux.py::TestKeyRecursion::test_matches_search_oracle_d6",
+            "tests/test_reports.py::TestComponents::test_fibers_match_straighten_d5",
+        ],
+    },
+    {
+        "id": "components-skip-semistandard",
+        "lemma": "recursion",
+        "file": "reports.py",
+        "old": "bad = [S for S, _, _ in out if not S.is_semistandard()]",
+        "new": "bad = []",
+        "kills": [
+            "tests/test_reports.py::TestComponents::test_bad_images_raise",
+        ],
+    },
+    {
+        "id": "gale-ryser-keeps-taken-columns",
+        "lemma": "gale-ryser",
+        "file": "tableaux.py",
+        "old": "conj[i] -= 1",
+        "new": "conj[i] -= 0",
+        "kills": [
+            "tests/test_tableaux.py::TestCountCap::test_capped_count_matches_unpruned_oracle_d6",
+        ],
+    },
+    {
+        "id": "gale-ryser-ascending-prefixes",
+        "lemma": "gale-ryser",
+        "file": "tableaux.py",
+        "old": "_slacks(reversed(state), conj)",
+        "new": "_slacks(state, conj)",
+        "kills": [
+            "tests/test_tableaux.py::TestCountCap::test_capped_count_matches_unpruned_oracle_d6",
+        ],
+    },
+    {
+        "id": "lowerings-no-cap",
+        "lemma": "lowering",
+        "file": "tableaux.py",
+        "old": "min(size, caps[h - 1] - taken)",
+        "new": "min(size, k - taken)",
+        "kills": [
+            "tests/test_tableaux.py::TestKeyRecursion::test_lowerings_match_brute_force_d7",
+        ],
+    },
+    {
+        "id": "lowerings-cap-at-the-run-only",
+        "lemma": "lowering",
+        "file": "tableaux.py",
+        "old": "caps[i] = min(caps[i], caps[i + 1])",
+        "new": "caps[i] = min(caps[i], k)",
+        "kills": [
+            "tests/test_tableaux.py::TestKeyRecursion::test_lowerings_match_brute_force_d7",
         ],
     },
     {

@@ -9,9 +9,13 @@ from spaltenstein.linalg import RowSpace, _subtract
 from spaltenstein.presentation import HilbertSeries
 from spaltenstein.symring import BlockStructure, Polynomial, complete_block
 from spaltenstein.tableaux import (
+    Composition,
     Tableau,
+    _chain,
+    _check_sizes,
     _degree_from_columns,
     _reduce_columns,
+    _straighten,
     enumerate_column_strict,
     reduce_tableau,
     transpose,
@@ -417,6 +421,37 @@ def column_strict_by_search(lam, mu):
     return sorted(found, key=Tableau.reading_word)
 
 
+def key_tableaux_by_search(lam, mu):
+    """Oracle for tableaux._key_tableaux: (fillings, chains, images) of the
+    zero-free key of (lam, mu), with no recursion over the labels.  The
+    fillings are those of column_strict_by_search for (lam, mu'), and each
+    is then chained by _chain and straightened by _straighten on its own."""
+    _check_sizes(lam, mu)
+    parts = zero_free_key(lam, mu)[1]
+    fillings = column_strict_by_search(lam, Composition(parts))
+    chains = [_chain(T.columns(), parts) for T in fillings]
+    images = [_straighten(chain, lam) for chain in chains]
+    return fillings, chains, images
+
+
+def count_by_columns(lam, mu):
+    """Oracle for tableaux.count_column_strict without its pruning or cap:
+    the forward programme over the columns of lam on sorted tuples of
+    remaining label counts, keeping every state, completable or not."""
+    states = {tuple(sorted(p for p in mu.parts if p)): 1}
+    for h in transpose(lam).parts:
+        after = {}
+        for state, ways in states.items():
+            for picks in combinations(range(len(state)), h):
+                nxt = list(state)
+                for i in picks:
+                    nxt[i] -= 1
+                nxt = tuple(sorted(v for v in nxt if v))
+                after[nxt] = after.get(nxt, 0) + ways
+        states = after
+    return states.get((), 0)
+
+
 def _horizontal_strips(inner, outer, size):
     """The partitions inside outer, as tuples of len(outer) parts, that
     grow inner by a horizontal strip of size boxes: row i grows to at most
@@ -534,25 +569,6 @@ def hilbert_by_charge(lam, mu, springer_shape=_conjugate):
         for c, count in charge_counts(rho, nu).items():
             k = n_nu - c - shift
             out[k] = out.get(k, 0) + kostka * count
-    return out
-
-
-def keys_chained_by_padded_pairs(order):
-    """The padded keys whose chains tableaux.shared keeps in _KEYS after a
-    run over order in which every pair asks for the same kinds, some of
-    which read the key's chains when computed.  The first padded pair of a
-    key reads those kinds from the slot, and so reads no chains, when the
-    last zero-free pair before it has the key; otherwise it computes them
-    and keeps the key's chains."""
-    last, seen, out = None, set(), set()
-    for lam, mu in order:
-        key = zero_free_key(lam, mu)
-        if 0 not in mu.parts:
-            last = key
-        elif key not in seen:
-            seen.add(key)
-            if key != last:
-                out.add(key)
     return out
 
 

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from datetime import timedelta
@@ -139,10 +140,12 @@ class TestVerifyWork:
 
 
 class TestBasisWork:
-    def test_one_chain_per_tableau(self, monkeypatch):
+    def test_one_chain_per_tableau(self, monkeypatch, key_builds):
         # the term count, the degree and the polynomial of each tableau are
-        # read off one reduction chain, wherever _chain is looked up: the
-        # chain kept for the key; the enumerated tableaux need no validation
+        # read off one reduction chain, the one built with the key's
+        # fillings in one recursion: _chain is called for none of them,
+        # wherever it is looked up, and the enumerated tableaux need no
+        # validation
         chains, checks = [], []
         real_chain, real_check = tableaux._chain, tableaux._check_member
 
@@ -163,8 +166,9 @@ class TestBasisWork:
         code, text = run_cli(["basis", "--lambda", "3,2,1", "--mu", "2,2,1,1"])
         assert code == 0
         assert len(json.loads(text)) == 8
-        assert len(chains) == len(set(chains)) == 8
-        assert checks == []
+        assert len(set(tableaux._key_chains(Partition([3, 2, 1]), Composition([2, 2, 1, 1])))) == 8
+        assert key_builds == [((3, 2, 1), (2, 2, 1, 1))]
+        assert chains == checks == []
 
 
 class TestDeterminism:
@@ -314,11 +318,43 @@ class TestWorkCap:
         assert f"{count} fillings" in capsys.readouterr().err
 
     def test_huge_enumeration_refused_by_count(self, capsys):
-        # 137,846,528,820 fillings; the count takes milliseconds
+        # 137,846,528,820 fillings; the count stops at the cap, with a lower
+        # bound above it, after a few columns
         with pytest.raises(SystemExit) as info:
             main(["enumerate", "--lambda", "40", "--mu", "20,20"], out=io.StringIO())
         assert info.value.code == 2
-        assert "137846528820 fillings" in capsys.readouterr().err
+        found = re.search(r"at least (\d+) fillings exceed the limit of 100000\n",
+                          capsys.readouterr().err)
+        assert found and 100000 < int(found.group(1)) <= 137846528820
+
+    @pytest.mark.parametrize("argv, what", [
+        (["components", "--lambda", "600,600", "--mu", "400,400,400"], "fillings"),
+        (["enumerate", "--lambda", "2000", "--mu", "1000,1000"], "fillings"),
+        (["components", "--lambda", "600,600", "--mu", "400,400,400", "--format", "dot"],
+         "pairs of fillings"),
+    ])
+    def test_huge_counts_stop_at_the_cap(self, argv, what, capsys):
+        # the exact counts took 48 s and 4 s; the count stops after a few
+        # columns, once its lower bound passes the cap (isqrt(MAX_WORK)
+        # for the pairs of dot)
+        with pytest.raises(SystemExit) as info:
+            main(argv, out=io.StringIO())
+        assert info.value.code == 2
+        found = re.search(rf"at least (\d+) {what} exceed the limit of 100000\n",
+                          capsys.readouterr().err)
+        assert found and int(found.group(1)) > 100000
+
+    @pytest.mark.parametrize("command", ["enumerate", "components", "basis"])
+    @pytest.mark.parametrize("pair", ["30,15", "600,300"])
+    def test_one_filling_passes_the_count_and_builds_at_once(self, command, pair):
+        # the count lets a key of one filling through, and the build tries
+        # no choice that leads to no filling (lowering lemma), where trying
+        # every set of positions of the label 2 drew C(30, 15) or C(600, 300)
+        code, text = run_cli([command, "--lambda", pair, "--mu", pair])
+        [item] = json.loads(text)
+        rows = (item["tableau"] if command != "enumerate" else item)["rows"]
+        top, bottom = map(int, pair.split(","))
+        assert code == 0 and rows == [[1] * top, [2] * bottom]
 
     @pytest.mark.parametrize("command", ["enumerate", "components", "basis"])
     def test_boxes_refused_before_the_count(self, command, monkeypatch, capsys):

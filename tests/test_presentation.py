@@ -22,7 +22,6 @@ from oracles import (
     h_by_reduction,
     ideal_by_insertion,
     kernel_basis,
-    keys_chained_by_padded_pairs,
     largest_part_stop,
     qdim_by_invariant_rows,
     scaled_int_row,
@@ -840,9 +839,10 @@ class TestDependencyWitness:
             pairs += 1
         assert pairs == 56
 
-    def test_one_chain_per_tableau(self, monkeypatch):
-        # the class and the degree read one reduction chain, the one kept
-        # for the key (tableaux._key_chains)
+    def test_one_chain_per_tableau(self, monkeypatch, key_builds):
+        # the class and the degree read one reduction chain, the one built
+        # with the key's fillings in one recursion (tableaux._key_tableaux),
+        # which calls _chain for none of them
         calls = []
         real = tableaux._chain
 
@@ -855,7 +855,9 @@ class TestDependencyWitness:
         lam, mu = Partition([3, 2, 1]), Composition([2, 1, 2, 1])
         tabs = enumerate_column_strict(lam, mu)
         presentation._certificate_data(lam, mu, build_quotient(lam, mu))
-        assert calls == [T.columns() for T in tabs]
+        assert calls == [] and key_builds == [zero_free_key(lam, mu)]
+        monkeypatch.undo()
+        assert tableaux._key_chains(lam, mu) == [_chain(T.columns(), mu.parts) for T in tabs]
 
 
 class TestLastVariableSkip:
@@ -1545,16 +1547,13 @@ class TestSharedCore:
             for lam, mu in order:
                 assert _pipeline_record(lam, mu) == cold[lam, mu], (lam, mu)
             # every pair certifies, transfers and multiplies against its H
-            # quotient and none against E, a padded pair that reads its
-            # certificate from the slot reads no chains
-            # (oracles.keys_chained_by_padded_pairs), and every transfer
-            # keeps the regular core of its (d, lam)
+            # quotient and none against E, the chains of a key are kept with
+            # its fillings, and every transfer keeps the regular core of
+            # its (d, lam)
             kinds = ("enumerate", "cores", ("certificate", "H"), "transfer", "tensor")
             assert set(tableaux._KEYS) == {
                 (key, kind) for key in padded_keys for kind in kinds
-            } | {(key, "chains") for key in keys_chained_by_padded_pairs(order)} | {
-                (key, "cores") for key in regular_keys
-            }
+            } | {(key, "cores") for key in regular_keys}
 
     def test_padded_pairs_share_one_core_and_certificate(self):
         clear_caches()
@@ -1595,7 +1594,7 @@ class TestSharedCore:
                 regular_keys.add((lam.parts, (1,) * mu.size()))
         assert set(tableaux._KEYS) == {(key, "cores") for key in regular_keys}
         assert set(tableaux._LATEST) == {
-            "enumerate", "chains", "betti", "components",
+            "enumerate", "betti", "components",
             "cores", ("certificate", "H"), "transfer", "tensor",
         }
 
@@ -1679,8 +1678,8 @@ class TestSharedCore:
 
     def test_kept_key_read_checks_no_sizes(self, monkeypatch):
         # every pair of a kept key has |lam| = |mu|, so _key_fillings checks
-        # sizes in its search only; a pair of mismatched sizes has a key
-        # that is never kept, and its search still raises
+        # sizes in its build only; a pair of mismatched sizes has a key
+        # that is never kept, and its build still raises
         clear_caches()
         lam = Partition([3, 2, 1])
         tableaux._key_fillings(lam, Composition([1, 2, 2, 1]))
@@ -1756,7 +1755,7 @@ class TestSharedCore:
         cert = certify_basis(lam, mu, quotient=q)
         assert cert.quotient is q
         assert set(tableaux._KEYS) == {(zero_free_key(lam, mu), kind) for kind in (
-            "enumerate", "chains", ("certificate", "H"))}
+            "enumerate", ("certificate", "H"))}
         clear_caches()
         cold = certify_basis(lam, mu)
         assert cert.to_json() == cold.to_json()

@@ -6,7 +6,6 @@ from oracles import (
     charge_counts,
     column_strict_by_search,
     hilbert_by_charge,
-    keys_chained_by_padded_pairs,
     semistandard_by_strips,
 )
 
@@ -207,9 +206,31 @@ class TestComponents:
                             assert dim == d_lam - d_mu
                             assert S in fiber
 
+    def test_fibers_match_straighten_d5(self):
+        # the kept images against the one-tableau straighten: every member
+        # of a fiber straightens to its S
+        for lam, mu in iter_pairs(5):
+            for S, _, fiber in components(lam, mu):
+                assert all(straighten(T, mu) == S for T in fiber), (lam, mu)
+
+    def test_bad_images_raise(self, monkeypatch):
+        # straightening faked as the identity makes every filling a fixed
+        # point, semi-standard or not; an image equal to no filling has no
+        # fixed point
+        lam, mu = Partition([2, 1]), Composition([1, 1, 1])
+        fillings, chains, images = tableaux._key_tableaux(lam, mu)
+        stray = Tableau([[1, 1], [3]])
+        for fake in (fillings, [stray] * len(fillings)):
+            clear_caches()
+            monkeypatch.setattr(reports, "_key_tableaux", lambda lam, mu: (fillings, chains, fake))
+            with pytest.raises(ValueError, match="non-semistandard image"):
+                components(lam, mu)
+        clear_caches()
+
     def test_column_heights_once_per_call(self, monkeypatch):
-        # the 60 fillings of (3,2,1) with content (1^6) are straightened
-        # against one list of column heights, not one transpose each
+        # the 60 fillings of (3,2,1) with content (1^6) are straightened in
+        # the key's one recursion, from one list of column heights, not one
+        # transpose each
         calls = []
         real = tableaux.transpose
 
@@ -311,34 +332,32 @@ def _shared_record(lam, mu):
 
 
 class TestOnePassPerKey:
-    def test_certificate_components_and_dot_read_one_pass(self, monkeypatch):
-        # a zero-free pair builds each filling once and chains it once, for
-        # certify_basis, components and poset_dot together, wherever _chain
-        # is looked up
-        built, chained = [], []
-        real_build, real_chain = tableaux._columns_to_tableau, tableaux._chain
-
-        def counting_build(columns):
-            built.append(columns)
-            return real_build(columns)
-
-        def counting_chain(columns, mu_parts):
-            chained.append(columns)
-            return real_chain(columns, mu_parts)
-
+    def test_certificate_components_and_dot_read_one_pass(self, monkeypatch, key_builds):
+        # a zero-free pair builds its fillings, their chains and their
+        # images in one recursion (tableaux._key_tableaux), for
+        # certify_basis, components and poset_dot together: no filling is
+        # chained or straightened on its own, wherever _chain and
+        # _straighten are looked up
         clear_caches()
-        monkeypatch.setattr(tableaux, "_columns_to_tableau", counting_build)
-        for module in (tableaux, presentation, reports):
-            if hasattr(module, "_chain"):
-                monkeypatch.setattr(module, "_chain", counting_chain)
+        chained, straightened = [], []
+        for name, calls in (("_chain", chained), ("_straighten", straightened)):
+            real = getattr(tableaux, name)
+
+            def counting(*args, real=real, calls=calls):
+                calls.append(args)
+                return real(*args)
+
+            for module in (tableaux, presentation, reports):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting)
         lam, mu = Partition([3, 2, 1]), Composition([1, 2, 2, 1])
         cert = certify_basis(lam, mu)
         comps = components(lam, mu)
         dot = poset_dot(lam, mu)
-        columns = [T.columns() for T in cert.tableaux]
         nodes = [line for line in dot.splitlines()[1:-1] if "->" not in line]
-        assert len(columns) == sum(len(fiber) for _, _, fiber in comps) == len(nodes) > 1
-        assert built == chained == columns
+        assert len(cert.tableaux) == sum(len(fiber) for _, _, fiber in comps) == len(nodes) > 1
+        assert key_builds == [zero_free_key(lam, mu)]
+        assert chained == straightened == []
 
     def test_dot_relabels_once(self, monkeypatch):
         lam, mu = Partition([3, 2, 1]), Composition([1, 0, 2, 2, 1])
@@ -367,13 +386,11 @@ class TestSharedTableaux:
             clear_caches()
             for lam, mu in order:
                 assert _shared_record(lam, mu) == cold[lam, mu], (lam, mu)
-            # a padded pair that reads its components from the slot reads
-            # no chains, so only some keys keep them in the forward order
-            chained = keys_chained_by_padded_pairs(order)
-            assert chained <= padded_keys and (order is pairs or chained == padded_keys)
+            # the chains and images of a key are kept with its fillings, so
+            # every padded key keeps the same three kinds in either order
             assert set(tableaux._KEYS) == {
                 (key, kind) for key in padded_keys for kind in ("enumerate", "betti", "components")
-            } | {(key, "chains") for key in chained}
+            }
 
     def test_padded_pairs_relabel_the_key(self):
         clear_caches()

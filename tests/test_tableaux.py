@@ -6,8 +6,15 @@ from math import comb
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import cell_leq_by_reduction, degree_by_reduction, straighten_by_reduction
+from oracles import (
+    cell_leq_by_reduction,
+    count_by_columns,
+    degree_by_reduction,
+    key_tableaux_by_search,
+    straighten_by_reduction,
+)
 
+from spaltenstein import tableaux as tableaux_module
 from spaltenstein.presentation import HilbertSeries, clear_caches
 from spaltenstein.symring import Polynomial, check_permutation
 from spaltenstein.tableaux import (
@@ -19,6 +26,8 @@ from spaltenstein.tableaux import (
     _identity,
     _key_chains,
     _key_fillings,
+    _key_tableaux,
+    _lowerings,
     _relabelling,
     cell_order,
     column_sequence_to_partition,
@@ -296,6 +305,14 @@ class TestEnumeration:
         assert count_column_strict(lam, mu) == 1
         lam, mu = Partition([600, 600]), Composition([600, 600])
         assert enumerate_column_strict(lam, mu) == [Tableau([[1] * 600, [2] * 600])]
+        assert count_column_strict(lam, mu) == 1
+
+    def test_taller_than_the_recursion_limit(self):
+        # one loop step per label on the way down and on the way up
+        lam, mu = Partition([1] * 1000), Composition([1] * 1000)
+        T = Tableau([[v] for v in range(1, 1001)])
+        assert enumerate_column_strict(lam, mu) == [T]
+        assert _key_tableaux(lam, mu)[1:] == ([((1,),) * 1000], [T])
         assert count_column_strict(lam, mu) == 1
 
     def test_count_invariant_under_content_permutation(self):
@@ -591,13 +608,110 @@ class TestReductionChain:
         tableaux = 0
         for lam, mu in iter_pairs(6):
             own = [
-                [level for level in _chain(T.columns(), mu.parts) if level]
+                tuple(level for level in _chain(T.columns(), mu.parts) if level)
                 for T in enumerate_column_strict(lam, mu)
             ]
             assert _key_chains(lam, mu) == own, (lam, mu)
             tableaux += len(own)
         clear_caches()
         assert tableaux == 128219
+
+
+class TestKeyRecursion:
+    def test_matches_search_oracle_d6(self):
+        # recursion lemma against the column search: on every zero-free key
+        # with d <= 6, the fillings in order with their columns, the chains,
+        # and the images, one object per fiber, each equal to exactly one
+        # filling, its fixed point, which is semi-standard
+        clear_caches()
+        keys = fillings = 0
+        for lam, mu in iter_pairs(6):
+            if 0 in mu.parts:
+                continue
+            got, chains, images = _key_tableaux(lam, mu)
+            want, want_chains, want_images = key_tableaux_by_search(lam, mu)
+            assert [(T.rows, T.shape, T._columns) for T in got] == [
+                (T.rows, T.shape, T.columns()) for T in want
+            ], (lam, mu)
+            assert chains == want_chains, (lam, mu)
+            assert [(S.rows, S.shape) for S in images] == [
+                (S.rows, S.shape) for S in want_images
+            ], (lam, mu)
+            distinct = {S.rows: S for S in images}
+            assert all(S is distinct[S.rows] for S in images)
+            fixed = [T for T in got if T.rows in distinct]
+            assert len(fixed) == len(distinct)
+            assert fixed == [T for T in got if T.is_semistandard()]
+            keys += 1
+            fillings += len(got)
+        clear_caches()
+        assert (keys, fillings) == (356, 10182)
+
+
+    def test_lowerings_match_brute_force_d7(self):
+        # lowering lemma: at the top level of every dominated zero-free key
+        # with d <= 7, the tuples yielded are, each once, those of the
+        # choices of k columns whose lowered heights some filling by the
+        # labels left fits (unpruned oracle count)
+        cases = 0
+        for lam, mu in iter_pairs(7):
+            if not mu.parts or 0 in mu.parts or not dominance_leq(mu.sorted(), lam):
+                continue
+            heights, k = transpose(lam).parts, mu.parts[-1]
+            runs = [(h, heights.count(h)) for h in sorted(set(heights), reverse=True)]
+            rest = Composition(mu.parts[:-1])
+            want = set()
+            for c in combinations(range(len(heights)), k):
+                lowered = sorted((h - (j in c) for j, h in enumerate(heights)), reverse=True)
+                shape = transpose(Partition([h for h in lowered if h]))
+                if count_by_columns(shape, rest):
+                    want.add(tuple(sum(heights[j] == h for j in c) for h, _ in runs))
+            got = list(_lowerings(runs, k, sorted(rest.parts, reverse=True)))
+            assert len(got) == len(set(got)) and set(got) == want, (lam, mu)
+            cases += 1
+        assert cases == 907
+
+    @pytest.mark.parametrize("lam, mu", [
+        ((30, 15), (30, 15)),
+        ((600, 300), (600, 300)),
+        # 30 runs of one column each, and the last label lowers 15 of them:
+        # C(30, 15) choices, of which one leads to the one filling
+        (tuple(range(30, 0, -1)), tuple(p for p in range(30, 0, -1) if p != 15) + (15,)),
+    ])
+    def test_one_filling_tries_no_dead_choice(self, lam, mu, monkeypatch):
+        # every choice the build keeps leads to a filling, so a key with
+        # one filling draws a few column positions per label, where trying
+        # every set of positions draws C(30, 15) = 155,117,520 for a label;
+        # the count, too, picks the labels of a column group by group with
+        # no dead branch (_group_choices), where it walked 2^30 branches for
+        # the first column of the staircase
+        drawn = []
+
+        def counted(pool, r):
+            for c in combinations(pool, r):
+                drawn.append(c)
+                assert len(drawn) <= 10_000, "the build tries choices that lead to no filling"
+                yield c
+
+        monkeypatch.setattr(tableaux_module, "combinations", counted)
+        clear_caches()
+        lam, mu = Partition(lam), Composition(mu)
+        got = enumerate_column_strict(lam, mu)
+        clear_caches()
+        assert len(got) == count_by_columns(lam, mu) == count_column_strict(lam, mu) == 1
+        assert got[0].content(len(mu)) == mu and drawn
+
+
+class TestCountCap:
+    def test_capped_count_matches_unpruned_oracle_d6(self):
+        # Gale-Ryser lemma: at or below the cap the count is exact, above
+        # it a bound above the cap and at most the count
+        for lam, mu in iter_pairs(6):
+            n = count_by_columns(lam, mu)
+            assert count_column_strict(lam, mu) == n, (lam, mu)
+            for cap in (0, n - 1, n, 10**9):
+                got = count_column_strict(lam, mu, cap=cap)
+                assert got == n if n <= cap else cap < got <= n, (lam, mu, cap)
 
 
 class TestDims:
