@@ -10,8 +10,6 @@ zero-free pair and the chains of its key through tableaux.shared
 (relabelling lemma in enumerate_column_strict).
 """
 
-from itertools import combinations
-
 from .presentation import HilbertSeries
 from .tableaux import (
     _cell_leq,
@@ -19,8 +17,10 @@ from .tableaux import (
     _identity,
     _key_chains,
     _key_tableaux,
+    _label_steps,
     _relabelling,
     dims,
+    dominance_leq,
     enumerate_column_strict,
     shared,
     transpose,
@@ -45,31 +45,73 @@ def betti(lam, mu):
     of the lowered heights, sorted, zeros dropped, with content
     mu_1..mu_{n-1} give back one T: undo the stable sort, append n to the
     columns at c.  So the map is a bijection, and the degree of T is
-    c_1 + ... + c_k - k(k+1)/2 plus that of Tbar.  The count runs level
-    by level from n down to 1 on a dict from the sorted heights to their
-    graded count, which merges equal heights."""
+    c_1 + ... + c_k - k(k+1)/2 plus that of Tbar.
+
+    Run lemma.  The lowered heights depend on c only through how many
+    columns, t, c takes from each run of s equal heights.  A run at the
+    0-indexed offset o gives its t-subsets the position sums t*o +
+    t(t-1)/2 + j, with j counted by the Gaussian binomial [s, t]_q, so
+    the 1-indexed positions of the choices with given t's, less k(k+1)/2,
+    are counted by q^(-k(k-1)/2) times the product over the runs of
+    q^(t*o + t(t-1)/2) [s, t]_q.  The count runs level by level from n
+    down to 1 on a dict from the sorted heights to their graded count,
+    over the steps of _label_steps, which give each choice of the t's
+    with fillable lowered heights once: time polynomial in the width of
+    lam, where the position sets are exponentially many.  Those steps
+    need heights that can be filled (lowering lemma), so a pair whose mu
+    sorted is not dominated by lam returns the empty series first."""
     _check_sizes(lam, mu)
 
     def count():
-        states = {transpose(lam).parts: [1]}
-        for k in reversed(zero_free_key(lam, mu)[1]):
+        if not dominance_leq(mu.sorted(), lam):
+            return HilbertSeries()
+        top = transpose(lam).parts
+        states = {top: [1]}
+        for level in _label_steps(top, zero_free_key(lam, mu)[1]):
             after = {}
-            for heights, coeffs in states.items():
-                for c in combinations(range(len(heights)), k):
-                    lowered = list(heights)
-                    for j in c:
-                        lowered[j] -= 1
-                    lowered = tuple(sorted((h for h in lowered if h), reverse=True))
-                    # positions are 1-indexed: sum(c) + k - k(k+1)/2
-                    shift = sum(c) - k * (k - 1) // 2
-                    total = after.setdefault(lowered, [])
-                    total.extend([0] * (shift + len(coeffs) - len(total)))
-                    for r, v in enumerate(coeffs, start=shift):
-                        total[r] += v
+            for heights, steps in level.items():
+                coeffs = states[heights]
+                for runs, takes, live in steps:
+                    k = sum(takes)
+                    factor, shift, start = [1], -k * (k - 1) // 2, 0
+                    for (_, s), t in zip(runs, takes):
+                        shift += t * start + t * (t - 1) // 2
+                        start += s
+                        if 0 < t < s:
+                            factor = _add_product([], 0, factor, _gaussian(s, t))
+                    _add_product(after.setdefault(live, []), shift, coeffs, factor)
             states = after
-        return HilbertSeries(states.get((), ()))
+        return HilbertSeries(states[()])
 
     return shared("betti", lam, mu, count)
+
+
+def _gaussian(s, t):
+    """The coefficients of the Gaussian binomial [s, t]_q, which counts
+    the t-subsets of {0, ..., s - 1} by their sum less t(t-1)/2: the
+    product over i = 1..t of (1 - q^(s - t + i)) / (1 - q^i), each
+    division exact on the product before it, whose degree grows by
+    s - t per factor.  [s, t] = [s, s - t], so t is taken the smaller."""
+    t = min(t, s - t)
+    out = [1]
+    for i in range(1, t + 1):
+        a = s - t + i
+        out += [0] * (s - t)
+        for j in range(len(out) - 1, a - 1, -1):
+            out[j] -= out[j - a]
+        for j in range(i, len(out)):
+            out[j] += out[j - i]
+    return out
+
+
+def _add_product(total, shift, a, b):
+    """Add q^shift a b to the coefficient list total, extended as needed,
+    and return it."""
+    total.extend([0] * (shift + len(a) + len(b) - 1 - len(total)))
+    for i, x in enumerate(a, start=shift):
+        for j, y in enumerate(b, start=i):
+            total[j] += x * y
+    return total
 
 
 def components(lam, mu):

@@ -12,7 +12,11 @@ polynomials of presentation all read one recursion, the reduction chain
 gamma, recurse on the reduced tableau.  One tableau is chained by _chain
 and straightened by _straighten; the fillings of a key are built with
 their chains and straightened images in one pass over the same
-recursion (recursion lemma in _key_tableaux).
+recursion (recursion lemma in _key_tableaux).  The down-pass step of that
+pass, the heights each label reaches and how many columns of each run of
+equal heights it lowers, is written once (_label_steps) and shared with
+reports.betti, which counts the same steps by degree without listing a
+filling.
 
 Every object here is an immutable value; all operations are pure
 functions, so everything is safe to share between threads.  A Tableau
@@ -529,17 +533,18 @@ def _key_tableaux(lam, mu):
     images of h are interned per multiset of the heights at c.
 
     The sub-results depend on the lowered heights and n only, so each is
-    built once: a pass down the labels collects the heights that each
-    label reaches, and a pass up builds a label's results from those of
-    the label below, which it then drops; with no recursion, a tall lam
-    meets no recursion limit.  The pass down keeps only the choices whose
-    lowered heights the labels left can fill, found run by run without a
-    dead end (lowering lemma in _lowerings), so every choice kept leads
-    to a filling: the key (30, 15), (30, 15) takes one choice per label,
-    where trying every set of positions would try C(30, 15) for the label
-    2.  The top level has the fixed column heights of lam, so sorting
-    its results by their column tuples gives the order of the reading
-    words.
+    built once: a pass down the labels (_label_steps) collects the
+    heights that each label reaches, and a pass up builds a label's
+    results from those of the label below, which it then drops; with no
+    recursion, a tall lam meets no recursion limit.  The pass down keeps
+    only the choices whose lowered heights the labels left can fill,
+    found run by run without a dead end (lowering lemma in _lowerings),
+    and expands only those into column positions, so every choice kept
+    leads to a filling: the key (30, 15), (30, 15) takes one choice per
+    label, where trying every set of positions would try C(30, 15) for
+    the label 2.  The top level has the fixed column heights of lam, so
+    sorting its results by their column tuples gives the order of the
+    reading words.
 
     Sizes are checked in the build only: every pair of a kept key (lam,
     mu') has |lam| = |mu'| = |mu|, and a pair of mismatched sizes has a key
@@ -551,30 +556,23 @@ def _key_tableaux(lam, mu):
         if not dominance_leq(mu.sorted(), lam):
             return [], [], []
         top = transpose(lam).parts
-        labels = zero_free_key(lam, mu)[1]
         # down: per label from n, each heights tuple it reaches, with its
         # choices (chain level, c, lowered heights, slots, heights at c);
         # column j of a filling is column slots[j] of its sub-filling, the
-        # past-the-end slot standing for an emptied column.  Every choice
-        # kept leaves fillable heights (_lowerings), so every heights tuple
-        # reached has a filling.
-        plan, reached = [], {top}
-        for n in range(len(labels), 0, -1):
-            k, rest, level, below = labels[n - 1], None, {}, set()
-            for heights in reached:
-                level[heights] = choices = []
-                runs = [(h, len(tuple(g))) for h, g in groupby(heights)]
-                if len(runs) > 1 and rest is None:
-                    rest = sorted(labels[: n - 1], reverse=True)
-                for takes in _lowerings(runs, k, rest):
-                    live, hc, blocks, start = [], (), [], 0
+        # past-the-end slot standing for an emptied column.  Every step
+        # leads to a filling (_label_steps), so every choice kept does.
+        plan = []
+        for level in _label_steps(top, zero_free_key(lam, mu)[1]):
+            kept = {}
+            plan.append(kept)
+            for heights, steps in level.items():
+                kept[heights] = choices = []
+                for runs, takes, live in steps:
+                    hc, blocks, start = (), [], 0
                     for (h, size), t in zip(runs, takes):
-                        live += [h] * (size - t) + [h - 1] * t
                         hc += (h,) * t
                         blocks.append(combinations(range(start, start + size), t))
                         start += size
-                    live = tuple(live[: len(live) - live.count(0)])
-                    below.add(live)
                     for parts in product(*blocks):
                         c = sum(parts, ())
                         lowered = list(heights)
@@ -585,8 +583,6 @@ def _key_tableaux(lam, mu):
                         for pos, j in enumerate(order):
                             slots[j] = min(pos, len(live))
                         choices.append((tuple(j + 1 for j in c), c, live, slots, hc))
-            plan.append(level)
-            reached = below
         # up: done maps each heights tuple of the label below to its
         # fillings, as (columns, chain, image number), and its image rows
         done = {(): ([((), (), 0)], [()])}
@@ -704,6 +700,41 @@ def _slacks(counts, conj):
         total += v
         room += conj[i] if i < len(conj) else 0
         yield room - total
+
+
+def _label_steps(top, labels):
+    """The down pass of the reduction bijection (bijection lemma in
+    reports.betti), written once for its two readers: _key_tableaux
+    expands each step into column positions, and reports.betti counts
+    the positions by degree (run lemma there).
+
+    Yields, for each label n from len(labels) down to 1, a dict from each
+    heights tuple the label reaches from top to its steps (runs, takes,
+    live): runs the (height, number of columns) runs of equal heights,
+    tallest first; takes a tuple of _lowerings, how many columns each run
+    lowers for the labels[n - 1] entries n; live the lowered heights,
+    decreasing (each run's lowered columns go last, and a run's lowered
+    height is at least the next run's height), zeros dropped.  top must
+    have a filling of content labels, as the lowering lemma needs, and
+    then every step leads to a filling.
+    """
+    reached = {top}
+    for n in range(len(labels), 0, -1):
+        k, rest, level, below = labels[n - 1], None, {}, set()
+        for heights in reached:
+            level[heights] = steps = []
+            runs = [(h, len(tuple(g))) for h, g in groupby(heights)]
+            if len(runs) > 1 and rest is None:
+                rest = sorted(labels[: n - 1], reverse=True)
+            for takes in _lowerings(runs, k, rest):
+                live = []
+                for (h, size), t in zip(runs, takes):
+                    live += [h] * (size - t) + [h - 1] * t
+                live = tuple(live[: len(live) - live.count(0)])
+                below.add(live)
+                steps.append((runs, takes, live))
+        yield level
+        reached = below
 
 
 def _lowerings(runs, k, counts):

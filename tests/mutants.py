@@ -273,8 +273,8 @@ MUTANTS = [
         "id": "key-chains-padded-parts",
         "lemma": "relabelling",
         "file": "tableaux.py",
-        "old": "labels = zero_free_key(lam, mu)[1]",
-        "new": "labels = mu.parts",
+        "old": "_label_steps(top, zero_free_key(lam, mu)[1])",
+        "new": "_label_steps(top, mu.parts)",
         "kills": [
             "tests/test_tableaux.py::TestReductionChain::test_kept_chains_are_each_pairs_own_d6",
             "tests/test_presentation.py::TestSharedCore::test_shared_build_equals_cold_build_d5",
@@ -648,11 +648,32 @@ MUTANTS = [
     {
         "id": "bijection-leaves-heights-unsorted",
         "lemma": "bijection",
-        "file": "reports.py",
-        "old": "lowered = tuple(sorted((h for h in lowered if h), reverse=True))",
-        "new": "lowered = tuple(h for h in lowered if h)",
+        "file": "tableaux.py",
+        "old": "live += [h] * (size - t) + [h - 1] * t",
+        "new": "live += [h - 1] * t + [h] * (size - t)",
         "kills": [
             "tests/test_reports.py::TestBetti::test_matches_enumeration_d6",
+            "tests/test_reports.py::TestBetti::test_matches_position_oracle_d7",
+        ],
+    },
+    {
+        "id": "run-shift-uses-s-minus-t",
+        "lemma": "run",
+        "file": "reports.py",
+        "old": "shift += t * start + t * (t - 1) // 2",
+        "new": "shift += t * start + (s - t) * (s - t - 1) // 2",
+        "kills": [
+            "tests/test_reports.py::TestBetti::test_matches_position_oracle_d7",
+        ],
+    },
+    {
+        "id": "run-offset-dropped",
+        "lemma": "run",
+        "file": "reports.py",
+        "old": "shift += t * start + t * (t - 1) // 2",
+        "new": "shift += t * (t - 1) // 2",
+        "kills": [
+            "tests/test_reports.py::TestBetti::test_matches_position_oracle_d7",
         ],
     },
     {

@@ -350,6 +350,31 @@ def betti_by_enumeration(lam, mu):
     return HilbertSeries(coeffs)
 
 
+def betti_by_positions(lam, mu):
+    """Oracle for reports.betti with neither _lowerings nor Gaussian
+    binomials: the graded count of the bijection lemma over every set c of
+    k = mu_n column positions at every level, whether or not the lowered
+    heights can be filled, each adding sum(c) + k - k(k+1)/2 (positions
+    1-indexed) to the degree; a state that cannot be finished dies when a
+    later label has more entries than it has columns."""
+    states = {transpose(lam).parts: [1]}
+    for k in reversed(zero_free_key(lam, mu)[1]):
+        after = {}
+        for heights, coeffs in states.items():
+            for c in combinations(range(len(heights)), k):
+                lowered = list(heights)
+                for j in c:
+                    lowered[j] -= 1
+                lowered = tuple(sorted((h for h in lowered if h), reverse=True))
+                shift = sum(c) - k * (k - 1) // 2
+                total = after.setdefault(lowered, [])
+                total.extend([0] * (shift + len(coeffs) - len(total)))
+                for r, v in enumerate(coeffs, start=shift):
+                    total[r] += v
+        states = after
+    return HilbertSeries(states.get((), ()))
+
+
 def straighten_by_reduction(T, mu, reduce=reduce_tableau):
     """Oracle for tableaux.straighten: the recursion on reduced tableaux.
     Straighten Tbar of one reduction step (reduce, by default

@@ -1,8 +1,10 @@
+import time
 from collections import Counter
 
 import pytest
 from oracles import (
     betti_by_enumeration,
+    betti_by_positions,
     charge_counts,
     column_strict_by_search,
     hilbert_by_charge,
@@ -71,22 +73,59 @@ class TestBetti:
                 zero_free += 1
         assert (zero_free, padded) == (356, 9448)
 
-    def test_zero_free_pair_lists_no_tableau(self, monkeypatch):
+    def test_matches_position_oracle_d7(self):
+        # run lemma: the Gaussian binomials over the steps of _label_steps
+        # against every set of positions at every level, on every zero-free
+        # pair with d <= 7, dominated or not
+        clear_caches()
+        pairs = 0
+        for lam, mu in iter_pairs(7):
+            if 0 in mu.parts:
+                continue
+            assert betti(lam, mu) == betti_by_positions(lam, mu), (lam, mu)
+            pairs += 1
+        assert pairs == 1015
+
+    def test_zero_free_pair_lists_no_tableau(self, monkeypatch, key_builds):
+        # betti reads the down pass that the build of the fillings expands
+        # (_label_steps), and on cold caches neither builds nor keeps a
+        # filling of the key
         lam, mu = Partition([3, 2, 1]), Composition([2, 1, 2, 1])
         want = betti_by_enumeration(lam, mu)
+        clear_caches()
+        key_builds.clear()
 
         def refuse(lam, mu):
             raise AssertionError("betti enumerated the tableaux")
 
-        monkeypatch.setattr(tableaux, "enumerate_column_strict", refuse)
-        monkeypatch.setattr(reports, "enumerate_column_strict", refuse)
+        for module in (tableaux, reports):
+            monkeypatch.setattr(module, "enumerate_column_strict", refuse)
+            monkeypatch.setattr(module, "_key_tableaux", refuse)
         assert betti(lam, mu) == want
+        assert key_builds == []
+        assert "enumerate" not in tableaux._LATEST
+        assert [key for key in tableaux._KEYS if key[1] == "enumerate"] == []
 
     def test_deeper_and_wider_than_the_recursion_limit(self):
-        # one loop step per label and per position set, no stack frames
-        assert betti(Partition([1] * 1000), Composition([1] * 1000)) == HilbertSeries([1])
-        assert betti(Partition([1000]), Composition([1000])) == HilbertSeries([1])
-        assert betti(Partition([600, 600]), Composition([600, 600])) == HilbertSeries([1])
+        # one loop step per label and per choice of how many columns each
+        # run lowers, no stack frames: (30, 15)/(30, 15) and (600, 300)/
+        # (600, 300) have one filling, and never draw the C(30, 15) or
+        # C(600, 300) position sets of the label 2
+        clear_caches()
+        lam, mu = Partition([12, 12]), Composition([1] * 24)
+        start = time.perf_counter()
+        ones = [
+            betti(Partition([1] * 1000), Composition([1] * 1000)),
+            betti(Partition([1000]), Composition([1000])),
+            betti(Partition([600, 600]), Composition([600, 600])),
+            betti(Partition([30, 15]), Composition([30, 15])),
+            betti(Partition([600, 300]), Composition([600, 300])),
+        ]
+        many = betti(lam, mu)
+        seconds = time.perf_counter() - start
+        assert ones == [HilbertSeries([1])] * 5
+        assert many.total() == count_column_strict(lam, mu)
+        assert seconds < 1
 
 
 class TestSizeMismatch:
@@ -131,6 +170,14 @@ class TestChargeOracle:
         assert (len(keys), len(wrong)) == (38, 26)
         assert all(min(hilbert_by_charge(lam, mu, springer_shape=lambda rho: rho)) < 0
                    for lam, mu in wrong)
+
+    def test_every_pair_d8_matches_betti(self):
+        # past the keys that the quotient can check in tier-1: every pair
+        # of partitions with d = 8, dominated or not
+        pairs = [(Partition(lam), Composition(mu)) for lam in partitions(8) for mu in partitions(8)]
+        for lam, mu in pairs:
+            assert as_degrees(betti(lam, mu)) == hilbert_by_charge(lam, mu), (lam, mu)
+        assert len(pairs) == 484
 
 
 def springer_multiplicities(lam):
