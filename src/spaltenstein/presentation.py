@@ -312,15 +312,18 @@ class GradedQuotient:
     dimension.  Quotient dimensions above the stopping degree are zero;
     this is forced by the verified vanishing window, not assumed.
 
-    Its core, (stop_x, the ideal spaces, the Hilbert series), comes from
-    _build, which makes the cores of both families at once; tableaux.shared
-    keeps the pair under "cores": it depends only on the zero-free key
-    (lam, non-zero parts of mu in order).  Zero-block lemma: let mu' be mu
-    with its zero parts deleted.
+    Its core, (stop_x, the ideal spaces, the Hilbert series, top_x, d_mu),
+    comes from _build, which makes the cores of both families at once;
+    tableaux.shared keeps the pair under "cores": it depends only on the
+    zero-free key (lam, non-zero parts of mu in order).  Zero-block lemma:
+    let mu' be mu with its zero parts deleted.
       - A zero block adds no variables, so every block union, the
-        transpositions() of the blocks, d_mu, the second-largest
-        non-zero part m2, stop_x and the Poincare polynomial P_mu agree
-        for all pairs of one key.
+        transpositions() of the blocks, the second-largest non-zero part
+        m2 and the Poincare polynomial P_mu agree for all pairs of one
+        key.  A zero part adds nothing to d_mu, and lam is part of the
+        key, so d_mu, top_x = d_lam - d_mu and stop_x agree too: the core
+        carries top_x and d_mu, and a pair whose key is kept reads them
+        with it rather than recompute them (tableaux.dims).
       - Adding zero blocks to a subset raises the H bound (lam gains
         parts, the mu sum does not change) or leaves it unchanged, and
         leaves the E bound unchanged (the non-zero parts outside the
@@ -336,8 +339,9 @@ class GradedQuotient:
         degree agree, and so do the quotient dimensions.
 
     A quotient whose key is kept reads its core and builds nothing else:
-    blocks, which only a build and the transfer read, is built on first
-    read, from the immutable mu.
+    it validates the pair and asks for the ring, and blocks, which only a
+    build and the transfer read, is built on first read, from the
+    immutable mu.
     """
 
     def __init__(self, lam, mu, family):
@@ -347,10 +351,9 @@ class GradedQuotient:
         self.mu = mu
         self.family = family
         _, self.d = _validate_pair(lam, mu)
-        d_lambda, self.d_mu = dims(lam, mu)
-        self.top_x = d_lambda - self.d_mu
         self.ring = get_ring(self.d)
-        self.stop_x, self._ideal, self.hilbert = shared("cores", lam, mu, self._build)[family]
+        core = shared("cores", lam, mu, self._build)[family]
+        self.stop_x, self._ideal, self.hilbert, self.top_x, self.d_mu = core
 
     @cached_property
     def blocks(self):
@@ -359,10 +362,12 @@ class GradedQuotient:
 
     def _build(self):
         """The cores {"H": core, "E": core} of this pair, each core (stop_x,
-        ideal spaces by x-degree, Hilbert series).  The generator classes
-        are those of _generator_classes: only the members that can be
-        non-zero in C, each block union once per degree, as inserting one
-        vector twice cannot change a span.
+        ideal spaces by x-degree, Hilbert series, top_x, d_mu), top_x and
+        d_mu computed here once per key (zero-block lemma in
+        GradedQuotient).  The generator classes are those of
+        _generator_classes: only the members that can be non-zero in C,
+        each block union once per degree, as inserting one vector twice
+        cannot change a span.
 
         Degree t of a family is I_t = P_t + span G_t, with G_t the
         family's generator classes of degree t and P_t = sum_{v<d} x_v
@@ -459,9 +464,11 @@ class GradedQuotient:
             lower degrees vanish.
         The regular quotient, mu = 1^d, has width 1."""
         ring = self.ring
+        d_lam, d_mu = dims(self.lam, self.mu)
+        top_x = d_lam - d_mu
         # the second-largest part of mu, at least 1 (last-block lemma)
         m2 = max([1, *sorted(self.mu.parts)[-2:-1]])
-        first_above = max(0, self.top_x + 1)
+        first_above = max(0, top_x + 1)
         stop_x = min(ring.top, first_above + m2 - 1)
         gens_of = _generator_classes(self, stop_x)
         poincare = _poincare(self.mu.parts)
@@ -480,7 +487,7 @@ class GradedQuotient:
 
         for t in range(stop_x + 1):
             full = ring.dim(t)
-            window = t > self.top_x
+            window = t > top_x
             # dim C_t less the sum over k >= 1 of P_mu[k] * H_{t-k} (cap lemma)
             ceilings = {
                 f: full - sum(map(mul, poincare[1:], reversed(q))) for f, q in qdims.items()
@@ -544,8 +551,11 @@ class GradedQuotient:
                             "dimension": qdim[t],
                         },
                     )
-        top = max(self.top_x, -1) + 1
-        return {f: (stop_x, ideals[f], HilbertSeries(qdims[f][:top])) for f in ideals}
+        top = max(top_x, -1) + 1
+        return {
+            f: (stop_x, ideals[f], HilbertSeries(qdims[f][:top]), top_x, d_mu)
+            for f in ideals
+        }
 
     def ideal_space(self, t):
         """Ideal row space at x-degree t; above the stop degree the quotient

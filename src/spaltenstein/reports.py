@@ -123,13 +123,16 @@ def components(lam, mu):
 
     By the relabelling lemma (enumerate_column_strict) the label map iota
     keeps semi-standardness and commutes with straightening, and d_mu =
-    d_mu', so every pair relabels the triples of its zero-free pair, kept
+    d_mu', so every pair relabels the fibers of its zero-free pair, kept
     by shared.  Those group the key's fillings by the images kept with
     them (tableaux._key_tableaux), in the order of each fiber's fixed
-    point, its S.  A fixed point that is not semi-standard (one check per
-    fiber), or an image equal to no filling, raises ValueError.  Where
-    iota is the identity the fibers are copied, with no call per tableau;
-    every call returns fresh lists.
+    point, its S, and each kept triple holds the position of S in its
+    fiber in place of S.  So a pair relabels each filling once: its S is
+    the member of its relabelled fiber at that position, the same object.
+    A fixed point that is not semi-standard (one check per fiber), or an
+    image equal to no filling, raises ValueError.  Where iota is the
+    identity the fibers are copied, with no call per tableau; every call
+    returns fresh lists.
     """
 
     def compute():
@@ -141,10 +144,10 @@ def components(lam, mu):
             fiber = fibers.get(S)
             if fiber is None:
                 fiber = fibers[S] = []
-            fiber.append(T)
             if T == S:
-                out.append((T, d_lam - d_mu, fiber))
-        bad = [S for S, _, _ in out if not S.is_semistandard()]
+                out.append((len(fiber), d_lam - d_mu, fiber))
+            fiber.append(T)
+        bad = [fiber[i] for i, _, fiber in out if not fiber[i].is_semistandard()]
         if len(out) != len(fibers):
             bad.append(next(S for S, fiber in fibers.items() if S not in fiber))
         if bad:
@@ -152,10 +155,11 @@ def components(lam, mu):
         return out
 
     relabel = _relabelling(mu)
-    triples = shared("components", lam, mu, compute)
-    if relabel is _identity:
-        return [(S, dim, list(fiber)) for S, dim, fiber in triples]
-    return [(relabel(S), dim, [relabel(T) for T in fiber]) for S, dim, fiber in triples]
+    out = []
+    for i, dim, fiber in shared("components", lam, mu, compute):
+        fiber = list(fiber) if relabel is _identity else [relabel(T) for T in fiber]
+        out.append((fiber[i], dim, fiber))
+    return out
 
 
 def poset_edges(lam, mu):

@@ -423,9 +423,11 @@ def shared(kind, lam, mu, compute):
       - "enumerate", "betti", "components": for every pair, the value of
         the zero-free pair of the key (lemma in enumerate_column_strict);
         "enumerate" holds the fillings with their chains and images
-        (_key_tableaux);
-      - "cores": the quotient data of both families (zero-block lemma in
-        GradedQuotient); regular_quotient asks with a padded pair, so
+        (_key_tableaux), "components" each fiber with the position of its
+        S in it;
+      - "cores": the quotient data of both families, each (stop_x, the
+        ideal spaces, the Hilbert series, top_x, d_mu) (zero-block lemma
+        in GradedQuotient); regular_quotient asks with a padded pair, so
         the regular core of (d, lam) is kept in _KEYS;
       - ("certificate", family), "transfer", "tensor": the data of
         certify_basis, anti_invariant_transfer and structure_constants.
@@ -452,12 +454,15 @@ def _identity(T):
 def _relabelling(mu):
     """The label map iota of mu, applied entry by entry: the tableaux of the
     zero-free key of mu onto those of mu (lemma in enumerate_column_strict).
-    When the zero parts of mu all trail, iota is the identity and this map
-    is _identity, which callers test for to skip the map."""
-    iota = (0,) + tuple(i for i, p in enumerate(mu.parts, start=1) if p)
-    if iota == tuple(range(len(iota))):
+    Identity test: with k non-zero parts, iota is the identity exactly when
+    the zero parts of mu all trail, that is when mu.parts[:k] is the tuple
+    of non-zero parts (a zero among the first k parts leaves fewer than k
+    non-zero ones there); then this map is _identity, which callers test
+    for to skip the map, and no label tuple is built."""
+    nonzero = mu._nonzero
+    if mu.parts[: len(nonzero)] == nonzero:
         return _identity
-    label = iota.__getitem__
+    label = ((0,) + tuple(i for i, p in enumerate(mu.parts, start=1) if p)).__getitem__
 
     def relabel(T):
         return Tableau._trusted(tuple(tuple(map(label, row)) for row in T.rows), T.shape)

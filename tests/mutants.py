@@ -379,6 +379,17 @@ MUTANTS = [
         ],
     },
     {
+        "id": "core-keeps-d-lambda-as-top-x",
+        "lemma": "zero-block",
+        "file": "presentation.py",
+        "old": "HilbertSeries(qdims[f][:top]), top_x, d_mu)",
+        "new": "HilbertSeries(qdims[f][:top]), d_lam, d_mu)",
+        "kills": [
+            "tests/test_presentation.py::TestSharedCore::test_core_top_x_and_d_mu_match_dims_d6",
+            "tests/test_presentation.py::TestSharedCore::test_kept_key_answers_at_the_cost_of_its_lookups",
+        ],
+    },
+    {
         "id": "nonzero-memo-keeps-zeros",
         "lemma": "zero-block",
         "file": "tableaux.py",
@@ -599,10 +610,32 @@ MUTANTS = [
         "id": "components-skip-semistandard",
         "lemma": "recursion",
         "file": "reports.py",
-        "old": "bad = [S for S, _, _ in out if not S.is_semistandard()]",
+        "old": "bad = [fiber[i] for i, _, fiber in out if not fiber[i].is_semistandard()]",
         "new": "bad = []",
         "kills": [
             "tests/test_reports.py::TestComponents::test_bad_images_raise",
+        ],
+    },
+    {
+        "id": "components-s-first-of-fiber",
+        "lemma": "relabelling",
+        "file": "reports.py",
+        "old": "out.append((fiber[i], dim, fiber))",
+        "new": "out.append((fiber[0], dim, fiber))",
+        "kills": [
+            "tests/test_reports.py::TestComponents::test_fixed_point_anywhere_in_its_fiber",
+        ],
+    },
+    {
+        "id": "relabelling-identity-by-count",
+        "lemma": "relabelling",
+        "file": "tableaux.py",
+        "old": "if mu.parts[: len(nonzero)] == nonzero:",
+        "new": "if len(mu.parts[: len(nonzero)]) == len(nonzero):",
+        "kills": [
+            "tests/test_reports.py::TestSharedTableaux::test_padded_pairs_relabel_the_key",
+            "tests/test_reports.py::TestSharedTableaux::test_shared_equals_cold_d5",
+            "tests/test_pinned.py::test_outputs_pinned_d4",
         ],
     },
     {

@@ -29,7 +29,7 @@ from oracles import (
     sparse,
     tensor_by_all_products,
 )
-from spaltenstein import presentation, tableaux
+from spaltenstein import presentation, reports, tableaux
 from spaltenstein.coinvariant import CoinvariantRing, get_ring, invariant_rows
 from spaltenstein.presentation import (
     BasisError,
@@ -1675,6 +1675,76 @@ class TestSharedCore:
         assert cert.size() == len(first)
         monkeypatch.undo()
         assert first == enumerate_column_strict(lam, mu) != list(fillings)
+
+    def test_core_top_x_and_d_mu_match_dims_d6(self):
+        # top_x and d_mu come with the core: for every pair with d <= 6,
+        # read cold or through its kept key, a padded pair after its
+        # zero-free pair and the reverse, they are what dims recomputes, for
+        # H, for E and for the regular quotient of (lam, d); iter_pairs
+        # lists a key's zero-free pair, when it is valid, before its padded
+        # pairs
+        groups = {}
+        for lam, mu in iter_pairs(6):
+            groups.setdefault(zero_free_key(lam, mu), []).append((lam, mu))
+        for step in (1, -1):
+            clear_caches()
+            for group in groups.values():
+                first = {}
+                for lam, mu in group[::step]:
+                    quotients = (
+                        build_quotient(lam, mu, "H"),
+                        build_quotient(lam, mu, "E"),
+                        regular_quotient(lam, mu.size()),
+                    )
+                    for q, kind in zip(quotients, ("H", "E", "regular")):
+                        d_lam, d_mu = dims(q.lam, q.mu)
+                        assert (q.top_x, q.d_mu) == (d_lam - d_mu, d_mu), (lam, mu, kind)
+                        # every pair after the group's first reads its kept core
+                        assert q._ideal is first.setdefault(kind, q._ideal), (lam, mu, kind)
+
+    def test_kept_key_answers_at_the_cost_of_its_lookups(self, monkeypatch):
+        # once a padded pair's key is kept, another padded pair of it
+        # recomputes no dims, and components relabels each filling once:
+        # every S is the relabelled member of its own fiber
+        clear_caches()
+        lam = Partition([3, 2, 1])
+
+        def ops(mu):
+            qh, qe = build_quotient(lam, mu, "H"), build_quotient(lam, mu, "E")
+            certify_basis(lam, mu, quotient=qh)
+            assert rel_equivalence(lam, mu, qh=qh, qe=qe)
+            betti(lam, mu)
+            return qh, qe
+
+        ops(Composition([1, 0, 2, 2, 1]))
+        components(lam, Composition([1, 0, 2, 2, 1]))
+        dims_calls = [_count_calls(monkeypatch, m, "dims") for m in (tableaux, presentation, reports)]
+        relabelled, real = [], tableaux._relabelling
+
+        def counting(mu):
+            relabel = real(mu)
+
+            def relabel_counted(T):
+                relabelled.append(T)
+                return relabel(T)
+
+            return relabel_counted
+
+        for module in (tableaux, presentation, reports):
+            monkeypatch.setattr(module, "_relabelling", counting)
+        mu = Composition([1, 2, 0, 2, 1])
+        qh, qe = ops(mu)
+        comps = components(lam, mu)
+        assert dims_calls == [[], [], []]
+        d_lam, d_mu = dims(lam, mu)
+        assert (qh.top_x, qe.d_mu) == (d_lam - d_mu, d_mu)
+        fillings = tableaux._key_fillings(lam, mu)
+        assert len(relabelled) == len(fillings) == sum(len(f) for _, _, f in comps) > 1
+        assert sorted(map(id, relabelled)) == sorted(map(id, fillings))
+        assert all(any(S is T for T in fiber) for S, _, fiber in comps)
+        monkeypatch.undo()
+        clear_caches()
+        assert comps == components(lam, mu)
 
     def test_kept_key_read_checks_no_sizes(self, monkeypatch):
         # every pair of a kept key has |lam| = |mu|, so _key_fillings checks

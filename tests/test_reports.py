@@ -274,6 +274,25 @@ class TestComponents:
                 components(lam, mu)
         clear_caches()
 
+    def test_fixed_point_anywhere_in_its_fiber(self, monkeypatch):
+        # straightening faked to send every filling to the last semi-standard
+        # one makes one fiber, all the fillings, whose fixed point S is not
+        # its first member; a padded pair gets S relabelled, as the member
+        # of its own relabelled fiber
+        lam = Partition([2, 1])
+        fillings, chains, _ = tableaux._key_tableaux(lam, Composition([1, 1, 1]))
+        S = [T for T in fillings if T.is_semistandard()][-1]
+        assert fillings.index(S) > 0
+        fake = (fillings, chains, [S] * len(fillings))
+        monkeypatch.setattr(reports, "_key_tableaux", lambda lam, mu: fake)
+        for mu in (Composition([1, 1, 1]), Composition([1, 0, 1, 1])):
+            clear_caches()
+            relabel = tableaux._relabelling(mu)
+            [(got, dim, fiber)] = components(lam, mu)
+            assert fiber == [relabel(T) for T in fillings]
+            assert got == relabel(S) and any(got is T for T in fiber)
+        clear_caches()
+
     def test_column_heights_once_per_call(self, monkeypatch):
         # the 60 fillings of (3,2,1) with content (1^6) are straightened in
         # the key's one recursion, from one list of column heights, not one
